@@ -36,6 +36,7 @@ __all__ = [
     "KillRecord",
     "NormCertificate",
     "build_system",
+    "null_functionals",
     "kill_assignment",
     "certify_box",
     "witness_norm",
@@ -94,16 +95,6 @@ def enumerate_admissible(ell: int, m: int) -> Iterator[AdmissibleAssignment]:
             used[cls] = False
 
     yield from rec()
-
-
-def admissible_count(ell: int, m: int) -> int:
-    count = 2 * ell + 1
-    if count > m:
-        return 0
-    total = 1
-    for i in range(count):
-        total *= m - i
-    return total << count
 
 
 @dataclass(frozen=True)
@@ -216,18 +207,19 @@ class KillRecord:
     sign: int
 
 
-def _null_functional(A: Mat, bforms: Sequence[AffineForm]):
+def null_functionals(A: Mat, bforms: Sequence[AffineForm]
+                     ) -> list[tuple[tuple[Fraction, ...], AffineForm]]:
+    """(y, h = yᵀb) per left-null basis vector y of A: A·x = b(t) is
+    solvable exactly where every such h vanishes."""
+    out = []
     for y in left_null_basis(A):
         const = sum((yi * bf.const for yi, bf in zip(y, bforms)), Fraction(0))
         coeffs = tuple(
             sum((yi * bf.coeffs[j] for yi, bf in zip(y, bforms)), Fraction(0))
             for j in range(len(bforms[0].coeffs))
         )
-        h = AffineForm(const, coeffs)
-        if not h.is_zero():
-            return y, h
-    raise CertifierError("every left-null functional vanished identically "
-                         "(b-surjectivity violated)")
+        out.append((y, AffineForm(const, coeffs)))
+    return out
 
 
 def kill_assignment(A: Mat, bforms: Sequence[AffineForm],
@@ -239,7 +231,12 @@ def kill_assignment(A: Mat, bforms: Sequence[AffineForm],
     [center + width/8, hi] (or the mirror image), which makes h sign-definite
     in one pass and keeps at least 3/8 of each shrunk coordinate's width.
     """
-    y, h = _null_functional(A, bforms)
+    for y, h in null_functionals(A, bforms):
+        if not h.is_zero():
+            break
+    else:
+        raise CertifierError("every left-null functional vanished identically "
+                             "(b-surjectivity violated)")
     iv = h.interval_on(box)
     if iv.excludes_zero():
         return box, y, h, (1 if iv.lo > 0 else -1)
@@ -349,15 +346,6 @@ def point_in_trapezoid(corners: Sequence[Vec2], p: Vec2) -> bool:
     return True
 
 
-def trapezoid_index(cert: NormCertificate, p: Vec2) -> Optional[int]:
-    """Smallest side index whose trapezoid contains p (border ties resolved
-    by that rule), or None when p is outside the sandwich annulus."""
-    for side in range(2 * cert.polygon.m):
-        if point_in_trapezoid(trapezoid_corners(cert, side), p):
-            return side
-    return None
-
-
 def side_offset_of_point(B1: SymmetricPolygon, side: int, p: Vec2) -> Fraction:
     """The unique t with p on side `side`'s translated line ⟨n,z⟩ = ±(c+t)."""
     n, _ = B1.side_line(side)
@@ -458,15 +446,18 @@ def _geometric_status(cert: NormCertificate, alpha: AdmissibleAssignment,
 
 
 def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyReport:
-    """Randomized + directed refutation oracle.
+    """Directed + randomized refutation oracle.
 
-    Random pass: sample t in the box (so B′ = B₁(t) is a sandwich norm) and
-    check every admissible assignment's system is unsolvable. Directed pass:
-    per assignment, search the box for a root of each left-null functional —
-    the only place a solvable system can hide. Also asserts the sweep
-    property: each trapezoid lies between its side's two offset lines.
-    Any solvable system inside the box is reported as a hit (certificate
-    bug); zero hits is the expected outcome.
+    Directed pass: per assignment, search the box for a root of each
+    left-null functional h — the only place a solvable system can hide. With
+    a 1-dimensional null space this is an exact decision: the system is
+    solvable at t iff h(t) = 0, and a root is found iff h's interval on the
+    box contains 0. Random pass: sample `trials` points t in the box (so
+    B′ = B₁(t) is a sandwich norm) and check the assignments left open, those
+    with a null space of dimension ≥ 2, are unsolvable there. Also asserts
+    the sweep property: each trapezoid lies between its side's two offset
+    lines. Any solvable system inside the box is reported as a hit
+    (certificate bug); zero hits is the expected outcome.
     """
     if trials == 0:
         return VerifyReport(0, 0, True, ())
@@ -478,19 +469,6 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
             for corner in trapezoid_corners(cert, side):
                 if not iv.contains(side_offset_of_point(B1, side, corner)):
                     sweep_ok = False
-    systems = []
-    for alpha in enumerate_admissible(S.ell, B1.m):
-        A, bforms = build_system(S, B1, alpha)
-        basis = left_null_basis(A)
-        hforms = []
-        for y in basis:
-            const = sum((yi * bf.const for yi, bf in zip(y, bforms)), Fraction(0))
-            coeffs = tuple(
-                sum((yi * bf.coeffs[j] for yi, bf in zip(y, bforms)), Fraction(0))
-                for j in range(B1.m)
-            )
-            hforms.append(AffineForm(const, coeffs))
-        systems.append((alpha, A, bforms, hforms))
     hits: list[RefutationHit] = []
 
     def try_solve(alpha, A, bforms, t, source):
@@ -505,9 +483,14 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
     # directed pass: construct a root of each null functional inside the box
     # whenever its interval straddles zero (complete for 1-dim null spaces;
     # with several independent functionals a root of one must still zero the
-    # others before the system can be solvable)
+    # others, so those assignments stay open for the random pass)
     center = box.center()
-    for alpha, A, bforms, hforms in systems:
+    alphas_checked = 0
+    open_systems = []
+    for alpha in enumerate_admissible(S.ell, B1.m):
+        alphas_checked += 1
+        A, bforms = build_system(S, B1, alpha)
+        hforms = [h for _, h in null_functionals(A, bforms)]
         for h in hforms:
             if h.is_zero():
                 try_solve(alpha, A, bforms, tuple(center), "directed")
@@ -515,6 +498,8 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
             root = _root_in_box(h, box, center)
             if root is not None and all(hf.eval(root) == 0 for hf in hforms):
                 try_solve(alpha, A, bforms, root, "directed")
+        if len(hforms) > 1:
+            open_systems.append((alpha, A, bforms, hforms))
     # random pass
     rng = random.Random(seed)
     GRID = 1 << 30
@@ -523,7 +508,7 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
             lo + (hi - lo) * Fraction(rng.randrange(GRID + 1), GRID)
             for lo, hi in zip(box.lo, box.hi)
         )
-        for alpha, A, bforms, hforms in systems:
+        for alpha, A, bforms, hforms in open_systems:
             if all(hf.eval(t) == 0 for hf in hforms):
                 try_solve(alpha, A, bforms, t, "random")
-    return VerifyReport(trials, len(systems), sweep_ok, tuple(hits))
+    return VerifyReport(trials, alphas_checked, sweep_ok, tuple(hits))

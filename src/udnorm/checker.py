@@ -106,6 +106,9 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
         if len(set(classes)) != len(classes) or any(not 0 <= a < 2 * m for a in alpha):
             report.fail(f"kill record for inadmissible assignment {alpha}", alpha)
             continue
+        if alpha in by_alpha:
+            report.fail(f"duplicate kill record for assignment {alpha}", alpha)
+            continue
         by_alpha[alpha] = rec
 
     expected = 0

@@ -291,9 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("verify", help="randomized + directed refutation search")
+    p = sub.add_parser("verify", help="refutation search: the directed pass "
+                       "decides each assignment with a 1-dim left null space, "
+                       "random trials sample the rest")
     p.add_argument("--cert", required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000,
+                   help="random box points tried against the assignments "
+                        "whose left null space has dimension ≥ 2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_rational, default=Fraction(1, 4))
     p.add_argument("--delta0", type=_rational, default=None)
     p.add_argument("--cert-polygon")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=200, help="as in verify")
     p.add_argument("--exhaustive-cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pipeline)

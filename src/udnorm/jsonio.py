@@ -7,11 +7,12 @@ terms); side-assignment values are 1-based on the wire.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
 import tempfile
-from typing import Optional
+from typing import IO, Iterator, Optional
 
 from .certify import (
     AdmissibleAssignment,
@@ -297,20 +298,31 @@ def report_to_json(rep: VerifyReport) -> dict:
 # --- files --------------------------------------------------------------------
 
 
-def write_json(path: str, payload: dict):
-    """Atomic write: temp file in the target directory, then rename."""
+@contextlib.contextmanager
+def _atomic_open(path: str, newline: Optional[str] = None) -> Iterator[IO[str]]:
+    """Atomic write: a temp file in the target directory, renamed over `path`
+    on success and removed on any failure. The file gets the mode
+    0o666 & ~umask that open() would give, not mkstemp's 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str, payload: dict):
+    with _atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_json(path: str) -> dict:
@@ -324,10 +336,7 @@ def write_color_csv(path: str, G: DecoratedUDG):
     counts: dict[int, int] = {}
     for c in G.colors:
         counts[c] = counts.get(c, 0) + 1
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["color", "direction_x", "direction_y", "edges"])
         for c in sorted(counts):
@@ -336,7 +345,6 @@ def write_color_csv(path: str, G: DecoratedUDG):
                 writer.writerow([c, rat_to_str(u.x), rat_to_str(u.y), counts[c]])
             else:
                 writer.writerow([c, "", "", counts[c]])
-    os.replace(tmp, path)
 
 
 def render_svg(P: PointSeq, G: Optional[DecoratedUDG] = None,
@@ -382,9 +390,5 @@ def render_svg(P: PointSeq, G: Optional[DecoratedUDG] = None,
 
 
 def write_text(path: str, content: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(content)
-    os.replace(tmp, path)

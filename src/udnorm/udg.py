@@ -58,14 +58,15 @@ class DecoratedUDG:
             if prev is not None and not (prev < (a, b)):
                 raise ValueError("edges must be sorted and distinct")
             prev = (a, b)
+        k = self.k
         for c in self.colors:
-            if not (1 <= c <= self.k):
+            if not (1 <= c <= k):
                 raise ValueError("color out of range")
         for s in self.signs:
             if s not in (-1, 1):
                 raise ValueError("signs must be ±1")
         if self.directions is not None:
-            if len(self.directions) != self.k:
+            if len(self.directions) != k:
                 raise ValueError("need one direction per color")
             for u, v in zip(self.directions, self.directions[1:]):
                 if not (u.as_tuple() < v.as_tuple()):

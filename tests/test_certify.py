@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import octagon
+from udnorm.checker import check_certificate
+from udnorm.cli import pipeline_decagon
 from udnorm.certify import (
     AdmissibleAssignment,
     AffineForm,
@@ -16,6 +19,7 @@ from udnorm.certify import (
     certify_box,
     enumerate_admissible,
     kill_assignment,
+    null_functionals,
     offset_coefficient_matrix,
     point_in_trapezoid,
     sample_verify,
@@ -24,7 +28,15 @@ from udnorm.certify import (
     witness_norm,
 )
 from udnorm.dependence import DependenceSystem
-from udnorm.norms import AngleBound, OffsetVector, hausdorff, offset_polygon, square
+from udnorm.norms import (
+    AngleBound,
+    NormOracle,
+    OffsetVector,
+    choose_delta0,
+    hausdorff,
+    offset_polygon,
+    square,
+)
 from udnorm.ratlin import Mat, Vec2, rank, solve
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
@@ -325,3 +337,56 @@ class TestSampleVerify:
             A, bforms = build_system(TOY, octagon, hit.alpha)
             assert bad.box.contains(hit.t)
             assert solve(A, [bf.eval(hit.t) for bf in bforms]) is not None
+
+
+@pytest.fixture(scope="module")
+def oct_toy():
+    return _toy_certificate(octagon(), ETA_OCT)
+
+
+class TestDirectedDecision:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 16), st.integers(-3, 16)),
+                    min_size=4, max_size=4))
+    def test_hit_iff_some_record_straddles_zero(self, oct_toy, stretch):
+        # every toy null space is 1-dimensional, so the directed pass alone
+        # decides each assignment: a hit exactly when some recorded h fails
+        # to be sign-definite on the mutated box
+        box = oct_toy.box
+        widths = [hi - lo for lo, hi in zip(box.lo, box.hi)]
+        bad = dataclasses.replace(oct_toy, box=OffsetBox(
+            OffsetVector(tuple(lo - w * Fraction(a, 8)
+                               for lo, w, (a, _) in zip(box.lo, widths, stretch))),
+            OffsetVector(tuple(hi + w * Fraction(b, 8)
+                               for hi, w, (_, b) in zip(box.hi, widths, stretch))),
+        ))
+        expected = any(not rec.h.interval_on(bad.box).excludes_zero()
+                       for rec in bad.kills)
+        assert sample_verify(bad, 1, 0).counterexample_found == expected
+
+
+class TestOpenAssignments:
+    # three dependent rows repeating the first base direction: every
+    # assignment's left null space is 2-dimensional, so none is decided by
+    # the directed pass alone and all of them reach the random pass
+    S = DependenceSystem(ell=2, indices=(1, 2, 3, 4, 5),
+                         coeffs=((1, 0), (1, 0), (1, 0)))
+
+    def test_two_dim_null_spaces(self):
+        B1 = pipeline_decagon()
+        for alpha in list(enumerate_admissible(2, B1.m))[::97]:
+            A, bforms = build_system(self.S, B1, alpha)
+            assert len(null_functionals(A, bforms)) == 2
+
+    def test_certify_check_verify(self):
+        B1 = pipeline_decagon()
+        eta = AngleBound.of(Fraction(2, 5))
+        delta0 = choose_delta0(B1, NormOracle.of_polygon(B1), Fraction(1, 4), eta)
+        cert = witness_norm(certify_box(self.S, B1, delta0, eta))
+        assert len(cert.kills) == 3840
+        assert cert.delta > 0
+        assert check_certificate(cert).ok
+        rep = sample_verify(cert, 1, 0)
+        assert rep.alphas_checked == 3840
+        assert rep.sweep_ok
+        assert not rep.counterexample_found

@@ -84,6 +84,13 @@ class TestCorruptions:
         assert not rep.ok
         assert any("no kill record" in f for f in rep.failures)
 
+    def test_duplicate_kill(self, oct_cert):
+        rec = oct_cert.kills[0]
+        rep = check_certificate(_tamper(oct_cert, kills=oct_cert.kills + (rec,)))
+        assert not rep.ok
+        assert any("duplicate kill record" in f for f in rep.failures)
+        assert rep.failing_alphas == [rec.alpha.alpha]
+
     def test_wrong_sign(self, oct_cert):
         rec = oct_cert.kills[0]
         bad_rec = dataclasses.replace(rec, sign=-rec.sign)

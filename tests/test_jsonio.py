@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import stat
 from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
 
 from conftest import octagon, random_polygon
 from udnorm import jsonio
@@ -114,3 +119,26 @@ class TestFiles:
         assert svg.startswith("<svg")
         assert svg.count("<circle") == len(P)
         assert svg.count("<line") == G.edge_count
+
+    @pytest.mark.parametrize("write", [
+        lambda path: jsonio.write_json(path, {"a": object()}),
+        lambda path: jsonio.write_color_csv(
+            path, SimpleNamespace(colors=(1,), directions=())),
+        lambda path: jsonio.write_text(path, 123),
+    ], ids=["json", "csv", "text"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, write):
+        with pytest.raises((TypeError, IndexError)):
+            write(str(tmp_path / "out"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_written_mode_follows_umask(self, tmp_path):
+        G = build_udg(flat_side_quadratic(6), square())
+        old = os.umask(0o022)
+        try:
+            jsonio.write_json(str(tmp_path / "a.json"), {"a": 1})
+            jsonio.write_color_csv(str(tmp_path / "a.csv"), G)
+            jsonio.write_text(str(tmp_path / "a.svg"), "<svg/>")
+        finally:
+            os.umask(old)
+        for path in tmp_path.iterdir():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
