@@ -1,7 +1,8 @@
 """Perturbation certificates: enumerate admissible side assignments, build
-each over-determined linear system, shrink the offset box until every
-assignment's system is provably unsolvable (a sign-definite left-null
-functional), and wrap the result in a witness polygon sandwich.
+the over-determined linear system of each class tuple once, shrink the
+offset box until every assignment's system is provably unsolvable (a
+sign-definite left-null functional), and wrap the result in a witness
+polygon sandwich.
 
 A finished certificate states: for every symmetric convex body within δ of
 the witness polygon B, no η-separated realization of the source graph
@@ -62,13 +63,6 @@ class AdmissibleAssignment:
 
     def __getitem__(self, i: int) -> int:
         return self.alpha[i]
-
-    @staticmethod
-    def is_admissible(alpha: Sequence[int], m: int) -> bool:
-        if any(not 0 <= a < 2 * m for a in alpha):
-            return False
-        classes = [a % m for a in alpha]
-        return len(set(classes)) == len(classes)
 
 
 def enumerate_admissible(ell: int, m: int) -> Iterator[AdmissibleAssignment]:
@@ -153,47 +147,23 @@ class AffineForm:
                 lo, hi = lo + c * b, hi + c * a
         return RatInterval(lo, hi)
 
-    def is_zero(self) -> bool:
-        return self.const == 0 and all(c == 0 for c in self.coeffs)
-
 
 def build_system(S: DependenceSystem, B1: SymmetricPolygon,
-                 alpha: AdmissibleAssignment) -> tuple[Mat, tuple[AffineForm, ...]]:
-    """The (2ℓ+1)×2ℓ system A·x = b(t) pinning each direction to its
-    assigned side line; x concatenates the ℓ base directions, and each
-    b-component is a nonconstant affine function of a distinct t-coordinate.
+                 alpha: AdmissibleAssignment) -> Mat:
+    """The (2ℓ+1)×2ℓ matrix A of the system A·x = b(t) pinning each
+    direction to its assigned side line ⟨n, z⟩ = ±(c + t); x concatenates
+    the ℓ base directions. Sides s and s+m share the normal n, so A depends
+    only on the class tuple α mod m.
     """
     ell, m = S.ell, B1.m
     if 2 * ell + 1 > m:
         raise CertifierError("assignment needs 2ℓ+1 ≤ m")
+    weights = [[int(s == i) for s in range(ell)] for i in range(ell)] + list(S.coeffs)
     rows = []
-    bforms = []
-
-    def side_row(side: int, weights: Sequence[Fraction]):
-        n, o = B1.side_line(side)
-        row = []
-        for s in range(ell):
-            w = weights[s]
-            row.extend((w * n.x, w * n.y))
-        sign = Fraction(1) if side < m else Fraction(-1)
-        coeffs = [Fraction(0)] * m
-        coeffs[side % m] = sign
-        rows.append(row)
-        bforms.append(AffineForm(o, tuple(coeffs)))
-
-    for i in range(ell):
-        weights = [Fraction(1 if s == i else 0) for s in range(ell)]
-        side_row(alpha[i], weights)
-    for j in range(ell + 1):
-        weights = [rat(c) for c in S.coeffs[j]]
-        side_row(alpha[ell + j], weights)
-    return Mat.from_rows(rows), tuple(bforms)
-
-
-def offset_coefficient_matrix(bforms: Sequence[AffineForm]) -> Mat:
-    """The (2ℓ+1)×m matrix of t ↦ b(t) − b(0); full row rank certifies that
-    b is surjective onto the space the left-null functionals live in."""
-    return Mat.from_rows([list(bf.coeffs) for bf in bforms])
+    for side, row in zip(alpha, weights):
+        n = B1.normals[side % m]
+        rows.append([rat(w) * v for w in row for v in (n.x, n.y)])
+    return Mat.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -207,39 +177,55 @@ class KillRecord:
     sign: int
 
 
-def null_functionals(A: Mat, bforms: Sequence[AffineForm]
-                     ) -> list[tuple[tuple[Fraction, ...], AffineForm]]:
-    """(y, h = yᵀb) per left-null basis vector y of A: A·x = b(t) is
-    solvable exactly where every such h vanishes."""
-    out = []
-    for y in left_null_basis(A):
-        const = sum((yi * bf.const for yi, bf in zip(y, bforms)), Fraction(0))
-        coeffs = tuple(
-            sum((yi * bf.coeffs[j] for yi, bf in zip(y, bforms)), Fraction(0))
-            for j in range(len(bforms[0].coeffs))
-        )
-        out.append((y, AffineForm(const, coeffs)))
-    return out
+Functionals = list[tuple[tuple[Fraction, ...], AffineForm]]
 
 
-def kill_assignment(A: Mat, bforms: Sequence[AffineForm],
-                    box: OffsetBox) -> tuple[OffsetBox, tuple[Fraction, ...], AffineForm, int]:
-    """Sub-box on which some left-null functional h = yᵀb is sign-definite.
+def null_functionals(S: DependenceSystem, B1: SymmetricPolygon
+                     ) -> Iterator[tuple[AdmissibleAssignment, Mat, Functionals]]:
+    """(α, A, [(y, h = yᵀb)]) per admissible assignment α, in lexicographic
+    order, one pair per left-null basis vector y of A: A·x = b(t) is
+    solvable exactly where every such h vanishes.
+
+    A and its left null basis are derived once per class tuple α mod m. The
+    side choice only flips signs: row i reads ⟨n, z⟩ = εᵢ(cₖ + tₖ) with
+    k = αᵢ mod m and εᵢ = −1 for sides ≥ m, so h has coefficient yᵢεᵢ at
+    coordinate k and constant Σ yᵢεᵢcₖ. Admissible rows touch distinct
+    coordinates, so h ≠ 0 whenever y ≠ 0.
+    """
+    m = B1.m
+    bases = {}
+    for alpha in enumerate_admissible(S.ell, m):
+        classes = tuple(a % m for a in alpha.alpha)
+        if classes not in bases:
+            A = build_system(S, B1, alpha)
+            bases[classes] = (A, left_null_basis(A))
+        A, ys = bases[classes]
+        functionals = []
+        for y in ys:
+            const = Fraction(0)
+            coeffs = [Fraction(0)] * m
+            for yi, side, k in zip(y, alpha.alpha, classes):
+                signed = yi if side < m else -yi
+                coeffs[k] = signed
+                const += signed * B1.offsets[k]
+            functionals.append((y, AffineForm(const, tuple(coeffs))))
+        yield alpha, A, functionals
+
+
+def kill_assignment(alpha: AdmissibleAssignment, functionals: Functionals,
+                    box: OffsetBox) -> tuple[OffsetBox, KillRecord]:
+    """Sub-box on which the first left-null functional h = yᵀb is
+    sign-definite, with the kill record of α.
 
     Already sign-definite boxes pass through unchanged. Otherwise each
     coordinate appearing in h keeps its favorable portion
     [center + width/8, hi] (or the mirror image), which makes h sign-definite
     in one pass and keeps at least 3/8 of each shrunk coordinate's width.
     """
-    for y, h in null_functionals(A, bforms):
-        if not h.is_zero():
-            break
-    else:
-        raise CertifierError("every left-null functional vanished identically "
-                             "(b-surjectivity violated)")
+    y, h = functionals[0]
     iv = h.interval_on(box)
     if iv.excludes_zero():
-        return box, y, h, (1 if iv.lo > 0 else -1)
+        return box, KillRecord(alpha, y, h, 1 if iv.lo > 0 else -1)
     center = box.center()
     sign = 1 if h.eval(center) >= 0 else -1
     lo = list(box.lo)
@@ -257,7 +243,7 @@ def kill_assignment(A: Mat, bforms: Sequence[AffineForm],
     iv2 = h.interval_on(sub)
     if not iv2.excludes_zero() or (iv2.lo > 0) != (sign > 0):
         raise CertifierError("shrink rule failed to make h sign-definite")
-    return sub, y, h, sign
+    return sub, KillRecord(alpha, y, h, sign)
 
 
 @dataclass(frozen=True)
@@ -286,11 +272,10 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
     box = OffsetBox.symmetric(delta0, B1.m)
     kills = []
     degenerate = True
-    for alpha in enumerate_admissible(S.ell, B1.m):
+    for alpha, _, functionals in null_functionals(S, B1):
         degenerate = False
-        A, bforms = build_system(S, B1, alpha)
-        box, y, h, sign = kill_assignment(A, bforms, box)
-        kills.append(KillRecord(alpha, tuple(y), h, sign))
+        box, rec = kill_assignment(alpha, functionals, box)
+        kills.append(rec)
     cert = NormCertificate(
         polygon=B1, box=box, kills=tuple(kills), system=S, eta=eta,
         degenerate=degenerate,
@@ -422,26 +407,12 @@ def _solved_directions(S: DependenceSystem, x: Sequence[Fraction]) -> tuple[Vec2
 
 def _geometric_status(cert: NormCertificate, alpha: AdmissibleAssignment,
                       us: tuple[Vec2, ...]) -> tuple[bool, bool]:
-    in_traps = True
-    if cert.has_witness():
-        for i, u in enumerate(us):
-            corners = trapezoid_corners(cert, alpha[i])
-            if not point_in_trapezoid(corners, u):
-                in_traps = False
-                break
-    else:
-        in_traps = False
-    separated = True
-    for i in range(len(us)):
-        if us[i].is_zero():
-            separated = False
-            break
-        for j in range(i + 1, len(us)):
-            if us[j].is_zero() or not eta_separated(us[i], us[j], cert.eta):
-                separated = False
-                break
-        if not separated:
-            break
+    in_traps = cert.has_witness() and all(
+        point_in_trapezoid(trapezoid_corners(cert, side), u)
+        for side, u in zip(alpha.alpha, us))
+    separated = not any(u.is_zero() for u in us) and all(
+        eta_separated(us[i], us[j], cert.eta)
+        for i in range(len(us)) for j in range(i + 1, len(us)))
     return in_traps, separated
 
 
@@ -454,25 +425,23 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
     solvable at t iff h(t) = 0, and a root is found iff h's interval on the
     box contains 0. Random pass: sample `trials` points t in the box (so
     B′ = B₁(t) is a sandwich norm) and check the assignments left open, those
-    with a null space of dimension ≥ 2, are unsolvable there. Also asserts
-    the sweep property: each trapezoid lies between its side's two offset
-    lines. Any solvable system inside the box is reported as a hit
-    (certificate bug); zero hits is the expected outcome.
+    with a null space of dimension ≥ 2, are unsolvable there; `trials` sizes
+    only this pass. Also asserts the sweep property: each trapezoid lies
+    between its side's two offset lines. Any solvable system inside the box
+    is reported as a hit (certificate bug); zero hits is the expected
+    outcome.
     """
-    if trials == 0:
-        return VerifyReport(0, 0, True, ())
     B1, box, S = cert.polygon, cert.box, cert.system
-    sweep_ok = True
-    if cert.has_witness():
-        for side in range(2 * B1.m):
-            iv = box.interval(side % B1.m)
-            for corner in trapezoid_corners(cert, side):
-                if not iv.contains(side_offset_of_point(B1, side, corner)):
-                    sweep_ok = False
+    m = B1.m
+    sweep_ok = not cert.has_witness() or all(
+        box.interval(side % m).contains(side_offset_of_point(B1, side, corner))
+        for side in range(2 * m) for corner in trapezoid_corners(cert, side))
     hits: list[RefutationHit] = []
 
-    def try_solve(alpha, A, bforms, t, source):
-        b = [bf.eval(t) for bf in bforms]
+    def try_solve(alpha, A, t, source):
+        # b(t): side αᵢ lies on ⟨n, z⟩ = ±(c + t) at coordinate αᵢ mod m
+        b = [B1.offsets[a] + t[a] if a < m else -(B1.offsets[a - m] + t[a - m])
+             for a in alpha.alpha]
         x = solve(A, b)
         if x is None:
             return
@@ -487,19 +456,15 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
     center = box.center()
     alphas_checked = 0
     open_systems = []
-    for alpha in enumerate_admissible(S.ell, B1.m):
+    for alpha, A, functionals in null_functionals(S, B1):
         alphas_checked += 1
-        A, bforms = build_system(S, B1, alpha)
-        hforms = [h for _, h in null_functionals(A, bforms)]
+        hforms = [h for _, h in functionals]
         for h in hforms:
-            if h.is_zero():
-                try_solve(alpha, A, bforms, tuple(center), "directed")
-                continue
             root = _root_in_box(h, box, center)
             if root is not None and all(hf.eval(root) == 0 for hf in hforms):
-                try_solve(alpha, A, bforms, root, "directed")
+                try_solve(alpha, A, root, "directed")
         if len(hforms) > 1:
-            open_systems.append((alpha, A, bforms, hforms))
+            open_systems.append((alpha, A, hforms))
     # random pass
     rng = random.Random(seed)
     GRID = 1 << 30
@@ -508,7 +473,7 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
             lo + (hi - lo) * Fraction(rng.randrange(GRID + 1), GRID)
             for lo, hi in zip(box.lo, box.hi)
         )
-        for alpha, A, bforms, hforms in open_systems:
+        for alpha, A, hforms in open_systems:
             if all(hf.eval(t) == 0 for hf in hforms):
-                try_solve(alpha, A, bforms, t, "random")
+                try_solve(alpha, A, t, "random")
     return VerifyReport(trials, alphas_checked, sweep_ok, tuple(hits))

@@ -2,7 +2,9 @@
 
 Subcommands: gen, udg, prop1, lindep, certify, check, verify, pipeline.
 Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
-2 usage errors. Module failures emit a structured error JSON on stdout.
+2 usage errors, 3 malformed input payload (a JSON file that does not
+describe a valid object of its kind). Module failures and malformed
+payloads emit a structured error JSON on stdout.
 All randomized paths take an explicit seed (default 0).
 """
 
@@ -42,6 +44,13 @@ def _rational(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {s!r}") from exc
+
+
+def _count(s: str) -> int:
+    n = int(s)  # argparse reports a ValueError as a usage error
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"not a count ≥ 0: {s!r}")
+    return n
 
 
 def _emit(payload: dict, path: str | None):
@@ -102,7 +111,7 @@ def cmd_udg(args) -> int:
 
 def _load_colored_graph(path: str) -> EdgeColoredGraph:
     d = jsonio.read_json(path)
-    if "sign" in d:
+    if isinstance(d, dict) and "sign" in d:
         return EdgeColoredGraph.from_udg(jsonio.udg_from_json(d))
     return jsonio.graph_from_json(d)
 
@@ -136,17 +145,18 @@ def cmd_lindep(args) -> int:
 def cmd_certify(args) -> int:
     S = jsonio.system_from_json(jsonio.read_json(args.system))
     eta = AngleBound(args.eta_sin2)
+    oracle = (jsonio.oracle_from_json(jsonio.read_json(args.oracle))
+              if args.oracle else None)
     if args.polygon:
         B1 = jsonio.polygon_from_json(jsonio.read_json(args.polygon))
-    elif args.oracle:
-        oracle = jsonio.oracle_from_json(jsonio.read_json(args.oracle))
+    elif oracle is not None:
         B1 = polygon_approx(oracle, args.eps, eta)
     else:
         return _error("usage", "certify needs --polygon or --oracle")
     delta0 = args.delta0
     if delta0 is None:
-        oracle = (jsonio.oracle_from_json(jsonio.read_json(args.oracle))
-                  if args.oracle else NormOracle.of_polygon(B1))
+        if oracle is None:
+            oracle = NormOracle.of_polygon(B1)
         eps = args.eps if args.eps is not None else Fraction(1, 4)
         delta0 = choose_delta0(B1, oracle, eps, eta)
     cert = witness_norm(certify_box(S, B1, delta0, eta))
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "decides each assignment with a 1-dim left null space, "
                        "random trials sample the rest")
     p.add_argument("--cert", required=True)
-    p.add_argument("--trials", type=int, default=1000,
+    p.add_argument("--trials", type=_count, default=1000,
                    help="random box points tried against the assignments "
                         "whose left null space has dimension ≥ 2")
     p.add_argument("--seed", type=int, default=0)
@@ -312,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_rational, default=Fraction(1, 4))
     p.add_argument("--delta0", type=_rational, default=None)
     p.add_argument("--cert-polygon")
-    p.add_argument("--trials", type=int, default=200, help="as in verify")
+    p.add_argument("--trials", type=_count, default=200, help="as in verify")
     p.add_argument("--exhaustive-cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pipeline)
@@ -324,6 +334,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except jsonio.PayloadError as exc:
+        _error("malformed-payload", str(exc))
+        return 3
     except (PolygonError, ValueError, OSError) as exc:
         return _error(type(exc).__name__, str(exc))
 

@@ -2,13 +2,16 @@
 CSV color-count emission, and a minimal SVG renderer for point/edge sets.
 
 All rationals serialize as canonical strings ('n' or 'num/den' in lowest
-terms); side-assignment values are 1-based on the wire.
+terms); side-assignment values are 1-based on the wire. Every reader
+(`read_json` and each `*_from_json`) raises `PayloadError` on a payload
+that does not describe a valid object of its kind.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import os
 import tempfile
@@ -30,6 +33,24 @@ from .ratlin import Vec2, rat_from_str, rat_to_str
 from .udg import DecoratedUDG
 
 
+class PayloadError(ValueError):
+    """A JSON payload that does not describe a valid object of its kind."""
+
+
+def _reader(fn):
+    """fn, reporting any failure to build its object as a PayloadError."""
+    @functools.wraps(fn)
+    def read(d):
+        try:
+            return fn(d)
+        except PayloadError:
+            raise
+        except (LookupError, TypeError, AttributeError, ValueError,
+                ArithmeticError) as exc:
+            raise PayloadError(f"{fn.__name__}: {type(exc).__name__}: {exc}") from exc
+    return read
+
+
 def _vec(v: Vec2) -> list[str]:
     return [rat_to_str(v.x), rat_to_str(v.y)]
 
@@ -46,6 +67,7 @@ def polygon_to_json(B: SymmetricPolygon) -> dict:
     }
 
 
+@_reader
 def polygon_from_json(d: dict) -> SymmetricPolygon:
     B = SymmetricPolygon.from_pairs(
         (_unvec(n), rat_from_str(c)) for n, c in zip(d["normals"], d["offsets"])
@@ -63,6 +85,7 @@ def oracle_to_json(o: NormOracle) -> dict:
     return {"kind": "euclidean"}
 
 
+@_reader
 def oracle_from_json(d: dict) -> NormOracle:
     kind = d["kind"]
     if kind == "polygon":
@@ -78,17 +101,13 @@ def points_to_json(P: PointSeq) -> dict:
     return {"points": [_vec(p) for p in P]}
 
 
+@_reader
 def points_from_json(d: dict) -> PointSeq:
     return PointSeq(tuple(_unvec(p) for p in d["points"]))
 
 
 def _edge_key(e) -> str:
     return f"{e[0]},{e[1]}"
-
-
-def _parse_edge(s: str) -> tuple[int, int]:
-    a, b = s.split(",")
-    return (int(a), int(b))
 
 
 def udg_to_json(G: DecoratedUDG) -> dict:
@@ -103,6 +122,7 @@ def udg_to_json(G: DecoratedUDG) -> dict:
     return out
 
 
+@_reader
 def udg_from_json(d: dict) -> DecoratedUDG:
     edges = tuple(sorted((int(a), int(b)) for a, b in d["edges"]))
     colors = tuple(int(d["color"][_edge_key(e)]) for e in edges)
@@ -121,6 +141,7 @@ def graph_to_json(G: EdgeColoredGraph) -> dict:
     }
 
 
+@_reader
 def graph_from_json(d: dict) -> EdgeColoredGraph:
     edges = tuple(sorted((int(a), int(b)) for a, b in d["edges"]))
     colors = tuple(int(d["color"][_edge_key(e)]) for e in edges)
@@ -153,6 +174,7 @@ def cover_to_json(res: CoverResult) -> dict:
     }
 
 
+@_reader
 def cover_from_json(d: dict) -> CoverResult:
     return CoverResult(
         W=tuple(d["W"]),
@@ -187,6 +209,7 @@ def system_to_json(S: DependenceSystem) -> dict:
     }
 
 
+@_reader
 def system_from_json(d: dict) -> DependenceSystem:
     return DependenceSystem(
         ell=int(d["l"]),
@@ -202,6 +225,7 @@ def box_to_json(box: OffsetBox) -> dict:
     }
 
 
+@_reader
 def box_from_json(d: dict) -> OffsetBox:
     return OffsetBox(
         OffsetVector(tuple(rat_from_str(v) for v in d["lo"])),
@@ -251,6 +275,7 @@ def certificate_to_json(cert: NormCertificate) -> dict:
     return out
 
 
+@_reader
 def certificate_from_json(d: dict) -> NormCertificate:
     witness = d.get("witness")
     return NormCertificate(
@@ -327,7 +352,10 @@ def write_json(path: str, payload: dict):
 
 def read_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise PayloadError(f"{path}: not JSON: {exc}") from exc
 
 
 def write_color_csv(path: str, G: DecoratedUDG):

@@ -1,15 +1,14 @@
 """Backend dispatch for the hot kernels.
 
 At import time the compiled extension is preferred; the pure-Python
-reference is used when the extension is missing, when the environment
-variable UDNORM_FORCE_PY_KERNELS is set, or when an input's magnitude bound
-does not provably fit in int64 (exactness is never traded for speed).
+reference is used when the extension is missing or when an input's
+magnitude bound does not provably fit in int64 (exactness is never traded
+for speed).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -21,20 +20,16 @@ try:  # pragma: no cover - depends on build environment
 except ImportError:  # pragma: no cover
     _kern_cy = None
 
-_FORCE_PY = bool(os.environ.get("UDNORM_FORCE_PY_KERNELS"))
-
 _INT64_SAFE = 2**62
 
 
 def active_backend() -> str:
     """'cython' when the compiled extension is in use, else 'python'."""
-    return "python" if (_kern_cy is None or _FORCE_PY) else "cython"
+    return "python" if _kern_cy is None else "cython"
 
 
-def _impl(force_python: bool = False):
-    if force_python or _kern_cy is None or _FORCE_PY:
-        return _kern_py
-    return _kern_cy
+def _impl(int64_safe: bool):
+    return _kern_py if (_kern_cy is None or not int64_safe) else _kern_cy
 
 
 def scaled_unit_pair_input(
@@ -71,18 +66,16 @@ def scaled_unit_pair_input(
 def unit_pair_indices(
     points: Sequence[Vec2],
     constraints: Sequence[tuple[Vec2, Fraction]],
-    force_python: bool = False,
 ) -> list[tuple[int, int]]:
     """All 0-based index pairs (i < j) at exact gauge distance 1."""
     vals, bounds, max_dv = scaled_unit_pair_input(points, constraints)
-    impl = _impl(force_python or max_dv >= _INT64_SAFE)
+    impl = _impl(max_dv < _INT64_SAFE)
     return impl.unit_pairs(vals, bounds)
 
 
 def min_weak_cut(
     adj_masks: Sequence[int],
     thresholds: Sequence[int],
-    force_python: bool = False,
 ) -> Optional[tuple[int, int]]:
     """Minimum-Δ weak bipartition of a ≤ cap vertex set, or None.
 
@@ -93,7 +86,7 @@ def min_weak_cut(
     w = len(adj_masks)
     if w < 2:
         return None
-    impl = _impl(force_python or w > 63)
+    impl = _impl(w <= 63)
     return impl.min_weak_cut(list(adj_masks), w, list(thresholds))
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import octagon
+from conftest import octagon, twelve_gon
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
 from udnorm.certify import (
@@ -20,14 +20,13 @@ from udnorm.certify import (
     enumerate_admissible,
     kill_assignment,
     null_functionals,
-    offset_coefficient_matrix,
     point_in_trapezoid,
     sample_verify,
     side_offset_of_point,
     trapezoid_corners,
     witness_norm,
 )
-from udnorm.dependence import DependenceSystem
+from udnorm.dependence import DependenceConfig, DependenceSystem, extract_dependences
 from udnorm.norms import (
     AngleBound,
     NormOracle,
@@ -37,10 +36,40 @@ from udnorm.norms import (
     offset_polygon,
     square,
 )
+from udnorm.pointsets import flat_side_quadratic
 from udnorm.ratlin import Mat, Vec2, rank, solve
+from udnorm.udg import build_udg
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
 ETA_OCT = AngleBound.of(Fraction(5, 9))
+
+
+def side_rhs(B1, alpha, t):
+    """b(t) read off the side lines: side s lies on ⟨n, z⟩ = o ± t_(s mod m)."""
+    m = B1.m
+    out = []
+    for side in alpha:
+        _, o = B1.side_line(side)
+        out.append(o + t[side % m] if side < m else o - t[side % m])
+    return out
+
+
+def side_matrix(S, B1, alpha):
+    """A read off the side lines: row i is ⟨n_(αᵢ), ·⟩ applied to uᵢ."""
+    weights = [[int(s == i) for s in range(S.ell)] for i in range(S.ell)]
+    weights += [list(row) for row in S.coeffs]
+    rows = []
+    for side, row in zip(alpha, weights):
+        n, _ = B1.side_line(side)
+        rows.append([w * v for w in row for v in (n.x, n.y)])
+    return Mat.from_rows(rows)
+
+
+def pipeline_system():
+    """The ℓ = 2 system `udnorm pipeline` certifies at its defaults."""
+    G = build_udg(flat_side_quadratic(10), square())
+    config = DependenceConfig(q=Fraction(2001, 1000), C=Fraction(1, 4), seed=0)
+    return extract_dependences(G, config).system
 
 
 def brute_admissible(ell, m):
@@ -77,32 +106,59 @@ class TestEnumerateAdmissible:
 class TestBuildSystem:
     def test_shape(self, octagon):
         alpha = next(enumerate_admissible(1, 4))
-        A, bforms = build_system(TOY, octagon, alpha)
+        A = build_system(TOY, octagon, alpha)
         assert (A.rows, A.cols) == (3, 2)
-        assert len(bforms) == 3
+        first, A0, functionals = next(null_functionals(TOY, octagon))
+        assert (first, A0) == (alpha, A)
+        assert len(functionals) == 1
 
     def test_b_components_single_coordinate(self, octagon):
-        for alpha in list(enumerate_admissible(1, 4))[:20]:
-            _, bforms = build_system(TOY, octagon, alpha)
-            coords = []
-            for bf in bforms:
-                nz = [j for j, c in enumerate(bf.coeffs) if c != 0]
-                assert len(nz) == 1
-                assert abs(bf.coeffs[nz[0]]) == 1
-                coords.append(nz[0])
+        # bᵢ = ±(c + tₖ) with k = αᵢ mod m, so h = yᵀb carries ±yᵢ at k
+        for alpha, _, functionals in itertools.islice(
+                null_functionals(TOY, octagon), 20):
+            coords = [a % 4 for a in alpha.alpha]
             assert len(set(coords)) == 3  # admissibility: distinct mod m
+            for y, h in functionals:
+                nz = [j for j, c in enumerate(h.coeffs) if c != 0]
+                assert nz == sorted(k for k, yi in zip(coords, y) if yi != 0)
+                for k, yi in zip(coords, y):
+                    assert abs(h.coeffs[k]) == abs(yi)
 
-    def test_b_surjectivity_witness(self, octagon):
-        for alpha in list(enumerate_admissible(1, 4))[:20]:
-            _, bforms = build_system(TOY, octagon, alpha)
-            assert rank(offset_coefficient_matrix(bforms)) == 3
+    @pytest.mark.parametrize("case", ["octagon", "twelve_gon", "pipeline", "open"])
+    def test_null_functionals_match_reference(self, case):
+        # each α against its own A and a b(t) read off the side lines:
+        # yᵀA = 0, one functional per left-null dimension, h(t) = yᵀb(t)
+        S, B1, step = {
+            "octagon": (TOY, octagon(), 1),
+            "twelve_gon": (TOY, twelve_gon(), 1),
+            "pipeline": (pipeline_system(), pipeline_decagon(), 97),
+            "open": (TestOpenAssignments.S, pipeline_decagon(), 97),
+        }[case]
+        m = B1.m
+        box = OffsetBox(
+            OffsetVector(tuple(Fraction(-(j + 1), 100) for j in range(m))),
+            OffsetVector(tuple(Fraction(j + 2, 70) for j in range(m))),
+        )
+        items = list(null_functionals(S, B1))
+        assert [a for a, _, _ in items] == list(enumerate_admissible(S.ell, m))
+        for alpha, A, functionals in items[::step]:
+            ref = side_matrix(S, B1, alpha.alpha)
+            assert A == ref == build_system(S, B1, alpha)
+            assert len(functionals) == ref.rows - rank(ref)
+            for y, h in functionals:
+                assert any(y)
+                assert all(sum((yi * ref.entries[i][j] for i, yi in enumerate(y)),
+                               Fraction(0)) == 0 for j in range(ref.cols))
+                for t in (box.lo, box.center(), box.hi):
+                    b = side_rhs(B1, alpha.alpha, t)
+                    assert h.eval(t) == sum(yi * bi for yi, bi in zip(y, b))
 
     def test_rows_encode_side_membership(self, octagon):
         # u2 = 2·u1, u3 = u1; alpha = (side x=1, side y=1, side x=-1):
         # octagon side ids 0 ((1,0) normal), 2 ((0,1) normal), 4 (= -side 0)
         S = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (1,)))
         alpha = AdmissibleAssignment((0, 2, 4))
-        A, bforms = build_system(S, octagon, alpha)
+        A = build_system(S, octagon, alpha)
         u1 = Vec2.of(1, Fraction(1, 3))
         t = (Fraction(1, 10), Fraction(-1, 20), Fraction(0), Fraction(0))
         lhs = A.mul_vec((u1.x, u1.y))
@@ -111,45 +167,44 @@ class TestBuildSystem:
         assert lhs[0] == u1.x
         assert lhs[1] == 2 * u1.y
         assert lhs[2] == u1.x
-        assert bforms[0].eval(t) == 1 + t[0]
-        assert bforms[1].eval(t) == 1 + t[2]
-        assert bforms[2].eval(t) == -(1 + t[0])
+        # b(t) as the reference tests read it off the side lines
+        assert side_rhs(octagon, alpha.alpha, t) == [
+            1 + t[0], 1 + t[2], -(1 + t[0])]
 
 
 class TestKillAssignment:
+    # A = [[1], [1]] has the left null vector y = (1, −1), so h = b₀ − b₁
+    ALPHA = AdmissibleAssignment((0, 1))
+    Y = (Fraction(1), Fraction(-1))
+
     def test_constant_nonzero_unchanged(self):
-        A = Mat.from_rows([[1], [1]])
-        b = (AffineForm(Fraction(1), (Fraction(0),)),
-             AffineForm(Fraction(0), (Fraction(0),)))
+        h = AffineForm(Fraction(1), (Fraction(0),))
         box = OffsetBox.symmetric(1, 1)
-        sub, y, h, sign = kill_assignment(A, b, box)
+        sub, rec = kill_assignment(self.ALPHA, [(self.Y, h)], box)
         assert sub == box
-        assert sign == 1
+        assert rec.sign == 1
+        assert (rec.alpha, rec.y, rec.h) == (self.ALPHA, self.Y, h)
 
     def test_center_shift_rule(self):
         # h(t) = t1 on [-1,1] shrinks to [1/4, 1]
-        A = Mat.from_rows([[1], [1]])
-        b = (AffineForm(Fraction(0), (Fraction(1), Fraction(0))),
-             AffineForm(Fraction(0), (Fraction(0), Fraction(0))))
+        h = AffineForm(Fraction(0), (Fraction(1), Fraction(0)))
         box = OffsetBox.symmetric(1, 2)
-        sub, y, h, sign = kill_assignment(A, b, box)
+        sub, rec = kill_assignment(self.ALPHA, [(self.Y, h)], box)
         assert (sub.lo[0], sub.hi[0]) == (Fraction(1, 4), Fraction(1))
         assert (sub.lo[1], sub.hi[1]) == (Fraction(-1), Fraction(1))
-        assert sign == 1
-        assert h.interval_on(sub).excludes_zero()
+        assert rec.sign == 1
+        assert rec.h.interval_on(sub).excludes_zero()
 
     def test_volume_factor(self):
         # every shrunk coordinate keeps at least 1/4 of its width
         rng = random.Random(3)
         for _ in range(50):
             m = rng.randint(1, 4)
-            A = Mat.from_rows([[1], [1]])
             coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m))
-            b = (AffineForm(Fraction(rng.randint(-2, 2), 4), coeffs),
-                 AffineForm(Fraction(0), (Fraction(0),) * m))
+            h = AffineForm(Fraction(rng.randint(-2, 2), 4), coeffs)
             box = OffsetBox.symmetric(1, m)
             try:
-                sub, _, h, _ = kill_assignment(A, b, box)
+                sub, _ = kill_assignment(self.ALPHA, [(self.Y, h)], box)
             except CertifierError:
                 continue  # h identically zero
             for j in range(m):
@@ -157,16 +212,16 @@ class TestKillAssignment:
 
     def test_unsolvable_downstream(self, octagon):
         rng = random.Random(4)
-        alpha = list(enumerate_admissible(1, 4))[17]
-        A, bforms = build_system(TOY, octagon, alpha)
+        alpha, A, functionals = list(null_functionals(TOY, octagon))[17]
+        assert alpha == list(enumerate_admissible(1, 4))[17]
         box = OffsetBox.symmetric(Fraction(1, 100), 4)
-        sub, y, h, sign = kill_assignment(A, bforms, box)
+        sub, rec = kill_assignment(alpha, functionals, box)
         for _ in range(100):
             t = tuple(
                 lo + (hi - lo) * Fraction(rng.randrange(1024), 1024)
                 for lo, hi in zip(sub.lo, sub.hi)
             )
-            assert solve(A, [bf.eval(t) for bf in bforms]) is None
+            assert solve(A, side_rhs(octagon, alpha.alpha, t)) is None
 
 
 def _toy_certificate(polygon, eta, with_witness=True):
@@ -290,7 +345,7 @@ class TestBoxUnsolvability:
         # assignment, full exact solve comes back inconsistent
         cert = _toy_certificate(octagon, ETA_OCT, with_witness=False)
         systems = [
-            (alpha, *build_system(TOY, octagon, alpha))
+            (alpha, build_system(TOY, octagon, alpha))
             for alpha in enumerate_admissible(1, 4)
         ]
         rng = random.Random(0)
@@ -299,8 +354,8 @@ class TestBoxUnsolvability:
                 lo + (hi - lo) * Fraction(rng.randrange(4096), 4096)
                 for lo, hi in zip(cert.box.lo, cert.box.hi)
             )
-            for alpha, A, bforms in systems:
-                assert solve(A, [bf.eval(t) for bf in bforms]) is None
+            for alpha, A in systems:
+                assert solve(A, side_rhs(octagon, alpha.alpha, t)) is None
 
 
 class TestSampleVerify:
@@ -318,6 +373,19 @@ class TestSampleVerify:
         assert rep.trials == 0
         assert rep.hits == ()
 
+    def test_zero_trials_still_decides(self, octagon):
+        # trials sizes only the random pass: the directed decision still runs
+        cert = _toy_certificate(octagon, ETA_OCT)
+        bad = dataclasses.replace(cert, box=OffsetBox(
+            OffsetVector(tuple(v * 32 for v in cert.box.lo)),
+            OffsetVector(tuple(v * 32 for v in cert.box.hi)),
+        ))
+        rep = sample_verify(bad, 0, seed=0)
+        assert rep.trials == 0
+        assert rep.alphas_checked == 192
+        assert rep.counterexample_found
+        assert all(h.source == "directed" for h in rep.hits)
+
     def test_mutation_found(self, octagon):
         cert = _toy_certificate(octagon, ETA_OCT)
         for factor in (2, 4, 8, 16, 32):
@@ -334,9 +402,9 @@ class TestSampleVerify:
         assert any(h.source == "directed" for h in rep.hits)
         # every reported hit is a genuine solvable system inside the box
         for hit in rep.hits[:5]:
-            A, bforms = build_system(TOY, octagon, hit.alpha)
+            A = build_system(TOY, octagon, hit.alpha)
             assert bad.box.contains(hit.t)
-            assert solve(A, [bf.eval(hit.t) for bf in bforms]) is not None
+            assert solve(A, side_rhs(octagon, hit.alpha.alpha, hit.t)) is not None
 
 
 @pytest.fixture(scope="module")
@@ -374,9 +442,9 @@ class TestOpenAssignments:
 
     def test_two_dim_null_spaces(self):
         B1 = pipeline_decagon()
-        for alpha in list(enumerate_admissible(2, B1.m))[::97]:
-            A, bforms = build_system(self.S, B1, alpha)
-            assert len(null_functionals(A, bforms)) == 2
+        for _, _, functionals in itertools.islice(
+                null_functionals(self.S, B1), 0, None, 97):
+            assert len(functionals) == 2
 
     def test_certify_check_verify(self):
         B1 = pipeline_decagon()

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from conftest import octagon
 from udnorm import jsonio
 from udnorm.certify import certify_box, witness_norm
@@ -139,6 +141,72 @@ class TestLindepAndVerify:
         r = run_cli("verify", "--cert", str(bad), "--trials", "20")
         assert r.returncode == 1
         assert json.loads(r.stdout)["counterexample_found"] is True
+
+    def test_zero_trials_still_decides(self, tmp_path):
+        # the directed pass runs whatever the number of random trials
+        cert = witness_norm(certify_box(TOY, octagon(), Fraction(1, 100),
+                                        AngleBound.of(Fraction(5, 9))))
+        payload = jsonio.certificate_to_json(cert)
+        for key in ("lo", "hi"):
+            payload["box"][key] = [str(Fraction(v) * 32)
+                                   for v in payload["box"][key]]
+        bad = tmp_path / "bad.json"
+        jsonio.write_json(str(bad), payload)
+        r = run_cli("verify", "--cert", str(bad), "--trials", "0")
+        assert r.returncode == 1
+        rep = json.loads(r.stdout)
+        assert rep["trials"] == 0
+        assert rep["counterexample_found"] is True
+
+    @pytest.mark.parametrize("command", [
+        lambda d: ["verify", "--cert", str(d / "cert.json"),
+                   "--out", str(d / "report.json")],
+        lambda d: ["pipeline", "--out-dir", str(d / "run")],
+    ], ids=["verify", "pipeline"])
+    def test_negative_trials_is_usage_error(self, tmp_path, command):
+        r = run_cli(*command(tmp_path), "--trials", "-3")
+        assert r.returncode == 2
+        assert "--trials" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+def _drop_box(payload):
+    del payload["box"]
+
+
+def _zero_delta(payload):
+    payload["delta"] = "1/0"
+
+
+def _scalar_kills(payload):
+    payload["kills"] = 5
+
+
+class TestMalformedPayload:
+    @pytest.mark.parametrize("mutate", [_drop_box, _zero_delta, _scalar_kills],
+                             ids=["missing-box", "delta-1/0", "kills-scalar"])
+    def test_check_reports_payload_error(self, tmp_path, mutate):
+        cert = witness_norm(certify_box(TOY, octagon(), Fraction(1, 100),
+                                        AngleBound.of(Fraction(5, 9))))
+        payload = jsonio.certificate_to_json(cert)
+        mutate(payload)
+        with pytest.raises(jsonio.PayloadError):
+            jsonio.certificate_from_json(payload)
+        path = tmp_path / "bad.json"
+        jsonio.write_json(str(path), payload)
+        r = run_cli("check", "--cert", str(path))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+        err = json.loads(r.stdout)
+        assert err["error"] == "malformed-payload"
+        assert "certificate_from_json" in err["message"]
+
+    def test_prop1_non_object_graph(self, tmp_path):
+        path = tmp_path / "G.json"
+        path.write_text("5\n")
+        r = run_cli("prop1", "--graph", str(path))
+        assert r.returncode == 3
+        assert json.loads(r.stdout)["error"] == "malformed-payload"
 
 
 class TestPipeline:

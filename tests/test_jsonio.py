@@ -102,6 +102,12 @@ class TestFiles:
         leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
 
+    def test_read_non_json_is_payload_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(jsonio.PayloadError):
+            jsonio.read_json(str(path))
+
     def test_color_csv(self, tmp_path):
         G = build_udg(flat_side_quadratic(8), square())
         path = tmp_path / "colors.csv"
