@@ -11,9 +11,11 @@ exists whose directions satisfy the dependence system.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .dependence import DependenceSystem
@@ -125,6 +127,18 @@ class OffsetBox:
     def contains(self, t: Sequence[Fraction]) -> bool:
         return all(a <= v <= b for a, v, b in zip(self.lo, t, self.hi))
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, lo·D, hi·D): the bounds over their common denominator D."""
+        D, ints = _over_common_denominator(tuple(self.lo) + tuple(self.hi))
+        return D, ints[:self.m], ints[self.m:]
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(D, values·D) with D the least common denominator of the values."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, tuple(v.numerator * (D // v.denominator) for v in values)
+
 
 @dataclass(frozen=True)
 class AffineForm:
@@ -138,14 +152,30 @@ class AffineForm:
             (c * v for c, v in zip(self.coeffs, t)), Fraction(0)
         )
 
-    def interval_on(self, box: OffsetBox) -> RatInterval:
-        lo = hi = self.const
-        for c, a, b in zip(self.coeffs, box.lo, box.hi):
+    def _bounds_on(self, box: OffsetBox) -> tuple[int, int, int]:
+        """(lo, hi, den) with [lo/den, hi/den] the exact range of the form on
+        the box and den > 0, in integer arithmetic over common denominators."""
+        E, (K, *C) = _over_common_denominator((self.const, *self.coeffs))
+        D, L, H = box.scaled
+        lo = hi = K * D
+        for c, a, b in zip(C, L, H):
             if c > 0:
-                lo, hi = lo + c * a, hi + c * b
+                lo += c * a
+                hi += c * b
             elif c < 0:
-                lo, hi = lo + c * b, hi + c * a
-        return RatInterval(lo, hi)
+                lo += c * b
+                hi += c * a
+        return lo, hi, E * D
+
+    def interval_on(self, box: OffsetBox) -> RatInterval:
+        lo, hi, den = self._bounds_on(box)
+        return RatInterval(Fraction(lo, den), Fraction(hi, den))
+
+    def sign_on(self, box: OffsetBox) -> int:
+        """+1 or −1 when the form is positive or negative on the whole box,
+        0 when it has a root there."""
+        lo, hi, _ = self._bounds_on(box)
+        return 1 if lo > 0 else -1 if hi < 0 else 0
 
 
 def build_system(S: DependenceSystem, B1: SymmetricPolygon,
@@ -190,25 +220,32 @@ def null_functionals(S: DependenceSystem, B1: SymmetricPolygon
     side choice only flips signs: row i reads ⟨n, z⟩ = εᵢ(cₖ + tₖ) with
     k = αᵢ mod m and εᵢ = −1 for sides ≥ m, so h has coefficient yᵢεᵢ at
     coordinate k and constant Σ yᵢεᵢcₖ. Admissible rows touch distinct
-    coordinates, so h ≠ 0 whenever y ≠ 0.
+    coordinates, so h ≠ 0 whenever y ≠ 0. The constant is one integer sum
+    over the common denominator of y and the offsets.
     """
     m = B1.m
+    D, cs = _over_common_denominator(B1.offsets)
     bases = {}
     for alpha in enumerate_admissible(S.ell, m):
         classes = tuple(a % m for a in alpha.alpha)
         if classes not in bases:
             A = build_system(S, B1, alpha)
-            bases[classes] = (A, left_null_basis(A))
+            bases[classes] = (A, [
+                (y, tuple(-v for v in y), *_over_common_denominator(y))
+                for y in left_null_basis(A)])
         A, ys = bases[classes]
         functionals = []
-        for y in ys:
-            const = Fraction(0)
+        for y, neg_y, L, yints in ys:
+            const = 0
             coeffs = [Fraction(0)] * m
-            for yi, side, k in zip(y, alpha.alpha, classes):
-                signed = yi if side < m else -yi
-                coeffs[k] = signed
-                const += signed * B1.offsets[k]
-            functionals.append((y, AffineForm(const, tuple(coeffs))))
+            for yi, neg, yl, side, k in zip(y, neg_y, yints, alpha.alpha, classes):
+                if side < m:
+                    coeffs[k] = yi
+                    const += yl * cs[k]
+                else:
+                    coeffs[k] = neg
+                    const -= yl * cs[k]
+            functionals.append((y, AffineForm(Fraction(const, L * D), tuple(coeffs))))
         yield alpha, A, functionals
 
 
@@ -223,9 +260,9 @@ def kill_assignment(alpha: AdmissibleAssignment, functionals: Functionals,
     in one pass and keeps at least 3/8 of each shrunk coordinate's width.
     """
     y, h = functionals[0]
-    iv = h.interval_on(box)
-    if iv.excludes_zero():
-        return box, KillRecord(alpha, y, h, 1 if iv.lo > 0 else -1)
+    sign = h.sign_on(box)
+    if sign:
+        return box, KillRecord(alpha, y, h, sign)
     center = box.center()
     sign = 1 if h.eval(center) >= 0 else -1
     lo = list(box.lo)
@@ -240,8 +277,7 @@ def kill_assignment(alpha: AdmissibleAssignment, functionals: Functionals,
         else:
             hi[j] = mid - width / 8
     sub = OffsetBox(OffsetVector(tuple(lo)), OffsetVector(tuple(hi)))
-    iv2 = h.interval_on(sub)
-    if not iv2.excludes_zero() or (iv2.lo > 0) != (sign > 0):
+    if h.sign_on(sub) != sign:
         raise CertifierError("shrink rule failed to make h sign-definite")
     return sub, KillRecord(alpha, y, h, sign)
 
@@ -281,8 +317,10 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
         degenerate=degenerate,
     )
     for rec in cert.kills:
-        iv = rec.h.interval_on(cert.box)
-        assert iv.excludes_zero() and (iv.lo > 0) == (rec.sign > 0)
+        if rec.h.sign_on(cert.box) != rec.sign:
+            raise CertifierError(
+                f"kill record for {rec.alpha.alpha} is not sign-definite "
+                "on the final box")
     return cert
 
 
@@ -299,8 +337,10 @@ def witness_norm(cert: NormCertificate) -> NormCertificate:
         upper = sqrt_interval(n.norm_sq()).hi
         cand = gap / (2 * upper)
         delta = cand if delta is None else min(delta, cand)
-    assert delta is not None and delta > 0
-    assert b_out.contains_polygon(b_mid) and b_mid.contains_polygon(b_in)
+    if delta is None or delta <= 0:
+        raise CertifierError("margin δ must be positive")
+    if not (b_out.contains_polygon(b_mid) and b_mid.contains_polygon(b_in)):
+        raise CertifierError("witness sandwich B_in ⊆ B ⊆ B_out fails")
     return replace(cert, witness_in=b_in, witness_mid=b_mid,
                    witness_out=b_out, delta=delta)
 
@@ -460,6 +500,8 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
         alphas_checked += 1
         hforms = [h for _, h in functionals]
         for h in hforms:
+            if h.sign_on(box):
+                continue  # sign-definite: _root_in_box would find no root
             root = _root_in_box(h, box, center)
             if root is not None and all(hf.eval(root) == 0 for hf in hforms):
                 try_solve(alpha, A, root, "directed")

@@ -2,15 +2,20 @@
 
 Re-validates a finished certificate from its serialized data alone: the
 linear systems are re-derived inline from the polygon and the coefficient
-rows (no construction code paths), null functionals are verified by direct
-multiplication yᵀA = 0, sign-definiteness by affine interval evaluation,
-and the witness sandwich, margin rule, trapezoid tiling, and sweep property
-by exact rational geometry.
+rows (no construction code paths), and null functionals are verified by
+direct multiplication yᵀA = 0, once per (class tuple, y) within one check,
+because sides s and s+m share a normal. Each recorded h is re-derived as
+yᵀb and its sign-definiteness decided by interval evaluation on the box, in
+integer arithmetic: y, the offsets and the box are scaled to common
+denominators, so every comparison is exact. The witness sandwich, margin
+rule, trapezoid tiling, and sweep property are checked by exact rational
+geometry.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -51,26 +56,50 @@ def _side_line(B: SymmetricPolygon, side: int) -> tuple[Vec2, Fraction]:
     return B.normals[side - m], -B.offsets[side - m]
 
 
-def _system_rows(B: SymmetricPolygon, ell: int, coeffs, alpha):
-    """Rows of A and, per row, (const, t-coordinate, t-sign) describing b."""
-    m = B.m
+def _system_rows(B: SymmetricPolygon, ell: int, coeffs, classes):
+    """Rows of A for a class tuple: row i applies normal n_(classes[i]) to
+    the direction uᵢ (a base direction, or a combination of them)."""
+    weights = [[Fraction(1 if s == i else 0) for s in range(ell)]
+               for i in range(ell)]
+    weights += [[rat(c) for c in row] for row in coeffs]
     rows = []
-    bparts = []
+    for k, row in zip(classes, weights):
+        n = B.normals[k]
+        rows.append([w * v for w in row for v in (n.x, n.y)])
+    return rows
 
-    def add(side: int, weights):
-        n, o = _side_line(B, side)
-        row = []
-        for s in range(ell):
-            w = weights[s]
-            row.extend((w * n.x, w * n.y))
-        rows.append(row)
-        bparts.append((o, side % m, Fraction(1 if side < m else -1)))
 
-    for i in range(ell):
-        add(alpha[i], [Fraction(1 if s == i else 0) for s in range(ell)])
-    for j in range(ell + 1):
-        add(alpha[ell + j], [rat(c) for c in coeffs[j]])
-    return rows, bparts
+def _scaled(values) -> tuple[int, list[int]]:
+    """(D, values·D) with D the least common denominator of the values."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def _equals(q: Fraction, num: int, den: int) -> bool:
+    """q = num/den, by cross-multiplication (den > 0)."""
+    return q.numerator * den == num * q.denominator
+
+
+class _KillContext:
+    """What every kill record of one certificate is checked against: the
+    offsets and the box over common denominators, and the yᵀA = 0 verdict
+    per (class tuple, y) — A depends only on the class tuple α mod m."""
+
+    def __init__(self, B: SymmetricPolygon, S, box_lo, box_hi):
+        self.B, self.S = B, S
+        self.offsets = _scaled(B.offsets)
+        D, ints = _scaled(box_lo + box_hi)
+        self.box = D, ints[:B.m], ints[B.m:]
+        self.null = {}
+
+    def annihilates(self, classes: tuple[int, ...], y: tuple[int, ...]) -> bool:
+        key = (classes, y)
+        if key not in self.null:
+            rows = _system_rows(self.B, self.S.ell, self.S.coeffs, classes)
+            self.null[key] = all(
+                sum(yi * row[col] for yi, row in zip(y, rows)) == 0
+                for col in range(2 * self.S.ell))
+        return self.null[key]
 
 
 def check_certificate(cert, oracle: Optional[NormOracle] = None,
@@ -111,6 +140,7 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
             continue
         by_alpha[alpha] = rec
 
+    ctx = _KillContext(B1, S, box_lo, box_hi)
     expected = 0
     for alpha in _admissible_assignments(S.ell, m):
         expected += 1
@@ -118,7 +148,7 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
         if rec is None:
             report.fail(f"no kill record for admissible assignment {alpha}", alpha)
             continue
-        _check_kill(report, B1, S, alpha, rec, box_lo, box_hi)
+        _check_kill(report, ctx, alpha, rec)
     if expected == 0 and not cert.degenerate:
         report.fail("no admissible assignments exist but certificate "
                     "is not flagged degenerate")
@@ -136,37 +166,45 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     return report
 
 
-def _check_kill(report: CheckReport, B1, S, alpha, rec, box_lo, box_hi):
-    rows, bparts = _system_rows(B1, S.ell, S.coeffs, alpha)
+def _check_kill(report: CheckReport, ctx: _KillContext, alpha, rec):
+    m = ctx.B.m
     y = [rat(v) for v in rec.y]
-    if len(y) != len(rows):
+    if len(y) != len(alpha):
         report.fail(f"null vector has wrong length for {alpha}", alpha)
         return
     if all(v == 0 for v in y):
         report.fail(f"zero null vector for {alpha}", alpha)
         return
-    # yᵀA = 0 by direct multiplication
-    width = 2 * S.ell
-    for col in range(width):
-        acc = sum((y[i] * rows[i][col] for i in range(len(rows))), Fraction(0))
-        if acc != 0:
-            report.fail(f"yᵀA ≠ 0 for assignment {alpha}", alpha)
-            return
-    # h = yᵀb re-derived from the side lines
-    const = sum((yi * o for yi, (o, _, _) in zip(y, bparts)), Fraction(0))
-    coeffs = [Fraction(0)] * B1.m
-    for yi, (_, coord, sgn) in zip(y, bparts):
-        coeffs[coord] += yi * sgn
+    # y·L is an integer vector with the same null property and signs
+    L, ys = _scaled(y)
+    if not ctx.annihilates(tuple(a % m for a in alpha), tuple(ys)):
+        report.fail(f"yᵀA ≠ 0 for assignment {alpha}", alpha)
+        return
+    # h = yᵀb re-derived from the side lines ⟨n, z⟩ = ±(c + t): over the
+    # offsets' denominator Dc, h = const/(L·Dc) + Σ (coeffs_k/L)·t_k
+    Dc, cs = ctx.offsets
+    const = 0
+    coeffs = [0] * m
+    for yi, side in zip(ys, alpha):
+        k = side % m
+        signed = yi if side < m else -yi
+        coeffs[k] += signed
+        const += signed * cs[k]
     rec_coeffs = [rat(c) for c in rec.h.coeffs]
-    if rat(rec.h.const) != const or rec_coeffs != coeffs:
+    if (len(rec_coeffs) != m or not _equals(rat(rec.h.const), const, L * Dc)
+            or not all(_equals(q, c, L) for q, c in zip(rec_coeffs, coeffs))):
         report.fail(f"recorded functional differs from yᵀb for {alpha}", alpha)
         return
-    lo = hi = const
+    # h·(L·Dc·D) on the box, with t_k·D between the integers lo_k and hi_k
+    D, box_lo, box_hi = ctx.box
+    lo = hi = const * D
     for c, a, b in zip(coeffs, box_lo, box_hi):
         if c > 0:
-            lo, hi = lo + c * a, hi + c * b
+            lo += Dc * c * a
+            hi += Dc * c * b
         elif c < 0:
-            lo, hi = lo + c * b, hi + c * a
+            lo += Dc * c * b
+            hi += Dc * c * a
     if not (lo > 0 or hi < 0):
         report.fail(f"functional not sign-definite on the box for {alpha}", alpha)
         return

@@ -127,12 +127,6 @@ class SymmetricPolygon:
         poly._validate_facets()
         return poly
 
-    @staticmethod
-    def from_strings(pairs: Iterable[tuple[tuple[str, str], str]]) -> "SymmetricPolygon":
-        return SymmetricPolygon.from_pairs(
-            (Vec2.of(nx, ny), rat(c)) for (nx, ny), c in pairs
-        )
-
     @property
     def m(self) -> int:
         return len(self.normals)
@@ -330,9 +324,6 @@ class NormOracle:
     @staticmethod
     def pnorm(p: RationalLike) -> "NormOracle":
         return NormOracle("pnorm", p=rat(p))
-
-    def is_exact(self) -> bool:
-        return self.kind in ("polygon", "euclidean")
 
     def gauge_float(self, z: Vec2) -> float:
         x, y = float(z.x), float(z.y)

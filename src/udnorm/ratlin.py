@@ -270,9 +270,6 @@ class RatInterval:
     def strictly_below(self, q: RationalLike) -> bool:
         return self.hi < rat(q)
 
-    def strictly_above(self, q: RationalLike) -> bool:
-        return self.lo > rat(q)
-
     def excludes_zero(self) -> bool:
         return self.lo > 0 or self.hi < 0
 

@@ -80,12 +80,6 @@ class DecoratedUDG:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def color_of(self, edge: Edge) -> int:
-        return self.colors[self.edges.index(edge)]
-
-    def sign_of(self, edge: Edge) -> int:
-        return self.signs[self.edges.index(edge)]
-
     def decoration(self) -> dict[Edge, tuple[int, int]]:
         return {e: (c, s) for e, c, s in zip(self.edges, self.colors, self.signs)}
 

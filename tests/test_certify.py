@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import octagon, twelve_gon
+from udnorm import certify
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
 from udnorm.certify import (
@@ -31,6 +32,7 @@ from udnorm.norms import (
     AngleBound,
     NormOracle,
     OffsetVector,
+    SymmetricPolygon,
     choose_delta0,
     hausdorff,
     offset_polygon,
@@ -124,12 +126,19 @@ class TestBuildSystem:
                 for k, yi in zip(coords, y):
                     assert abs(h.coeffs[k]) == abs(yi)
 
-    @pytest.mark.parametrize("case", ["octagon", "twelve_gon", "pipeline", "open"])
-    def test_null_functionals_match_reference(self, case):
+    @pytest.mark.parametrize("case", ["octagon", "twelve_gon", "pipeline", "open",
+                                      "rational_y"])
+    def test_null_functionals_match_reference(self, case, monkeypatch):
         # each α against its own A and a b(t) read off the side lines:
         # yᵀA = 0, one functional per left-null dimension, h(t) = yᵀb(t)
+        if case == "rational_y":
+            # null vectors that are not integral (the basis is scaled by 2/3)
+            basis = certify.left_null_basis
+            monkeypatch.setattr(certify, "left_null_basis", lambda A: [
+                tuple(v * Fraction(2, 3) for v in y) for y in basis(A)])
         S, B1, step = {
             "octagon": (TOY, octagon(), 1),
+            "rational_y": (TOY, twelve_gon(), 1),
             "twelve_gon": (TOY, twelve_gon(), 1),
             "pipeline": (pipeline_system(), pipeline_decagon(), 97),
             "open": (TestOpenAssignments.S, pipeline_decagon(), 97),
@@ -224,6 +233,46 @@ class TestKillAssignment:
             assert solve(A, side_rhs(octagon, alpha.alpha, t)) is None
 
 
+def _reference_range(h, box):
+    """[lo, hi] of h on the box, summed term by term in Fraction."""
+    lo = hi = h.const
+    for c, a, b in zip(h.coeffs, box.lo, box.hi):
+        lo += c * a if c > 0 else c * b
+        hi += c * b if c > 0 else c * a
+    return lo, hi
+
+
+RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=60)
+
+
+@st.composite
+def forms_and_boxes(draw):
+    m = draw(st.integers(1, 5))
+    coeffs = draw(st.lists(RATIONALS, min_size=m, max_size=m))
+    lo = draw(st.lists(RATIONALS, min_size=m, max_size=m))
+    widths = draw(st.lists(
+        st.fractions(min_value=Fraction(1, 60), max_value=8, max_denominator=60),
+        min_size=m, max_size=m))
+    box = OffsetBox(OffsetVector(tuple(lo)),
+                    OffsetVector(tuple(a + w for a, w in zip(lo, widths))))
+    # half the time, move the lower or upper end of the range onto 0
+    const = draw(RATIONALS)
+    lo0, hi0 = _reference_range(AffineForm(Fraction(0), tuple(coeffs)), box)
+    const = draw(st.sampled_from([const, const, -lo0, -hi0]))
+    return AffineForm(const, tuple(coeffs)), box
+
+
+class TestIntegerCore:
+    @settings(max_examples=200, deadline=None)
+    @given(forms_and_boxes())
+    def test_matches_fraction_reference(self, case):
+        h, box = case
+        lo, hi = _reference_range(h, box)
+        iv = h.interval_on(box)
+        assert (iv.lo, iv.hi) == (lo, hi)
+        assert h.sign_on(box) == (1 if lo > 0 else -1 if hi < 0 else 0)
+
+
 def _toy_certificate(polygon, eta, with_witness=True):
     cert = certify_box(TOY, polygon, Fraction(1, 100), eta)
     return witness_norm(cert) if with_witness else cert
@@ -307,6 +356,39 @@ class TestWitness:
             Bt = offset_polygon(octagon, t)
             assert cert.witness_out.contains_polygon(Bt)
             assert Bt.contains_polygon(cert.witness_in)
+
+
+class TestCorrectnessChecks:
+    # each check raises CertifierError, so it also runs under python -O
+
+    def test_final_recheck(self, octagon, monkeypatch):
+        kill = certify.kill_assignment
+
+        def flipped(alpha, functionals, box):
+            box, rec = kill(alpha, functionals, box)
+            return box, dataclasses.replace(rec, sign=-rec.sign)
+
+        monkeypatch.setattr(certify, "kill_assignment", flipped)
+        with pytest.raises(CertifierError, match="not sign-definite"):
+            certify_box(TOY, octagon, Fraction(1, 100), ETA_OCT)
+
+    def test_margin_positive(self):
+        # a degenerate box (lo = hi) that skipped OffsetBox's validation
+        box = object.__new__(OffsetBox)
+        flat = OffsetVector.of([Fraction(1, 8), Fraction(1, 8)])
+        object.__setattr__(box, "lo", flat)
+        object.__setattr__(box, "hi", flat)
+        cert = NormCertificate(polygon=square(), box=box, kills=(),
+                               system=TOY, eta=AngleBound.of(1), degenerate=True)
+        with pytest.raises(CertifierError, match="margin"):
+            witness_norm(cert)
+
+    def test_sandwich_containment(self, octagon, monkeypatch):
+        cert = _toy_certificate(octagon, ETA_OCT, with_witness=False)
+        monkeypatch.setattr(SymmetricPolygon, "contains_polygon",
+                            lambda self, other: False)
+        with pytest.raises(CertifierError, match="sandwich"):
+            witness_norm(cert)
 
 
 class TestTrapezoids:

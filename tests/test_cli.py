@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import octagon
-from udnorm import jsonio
+from udnorm import cli, jsonio
 from udnorm.certify import certify_box, witness_norm
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import AngleBound, square
@@ -220,6 +221,16 @@ class TestPipeline:
         for name in ("points", "graph", "system", "cover", "certificate",
                      "report", "summary"):
             assert (tmp_path / "run" / f"{name}.json").exists()
+
+    def test_certificate_bytes_pinned(self, tmp_path, capsys):
+        # changes meant to preserve behaviour must leave the default
+        # pipeline certificate byte-identical
+        rc = cli.main(["pipeline", "--out-dir", str(tmp_path), "--seed", "1",
+                       "--trials", "1"])
+        assert rc == 0, capsys.readouterr().out
+        digest = hashlib.sha256((tmp_path / "certificate.json").read_bytes())
+        assert digest.hexdigest() == (
+            "d89df989e1473dafe5dfc5c4c248594efa9f8ad065fd40f9110afef38df33c0a")
 
     def test_prop1_failure_exit(self, tmp_path):
         # default C = 1 makes r too large for the 10-point instance
