@@ -2,10 +2,12 @@
 
 Subcommands: gen, udg, prop1, lindep, certify, check, verify, pipeline.
 Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
-2 usage errors, 3 malformed input payload (a JSON file that does not
-describe a valid object of its kind). Module failures and malformed
-payloads emit a structured error JSON on stdout.
-All randomized paths take an explicit seed (default 0).
+2 usage errors (including a `--delta0` that is not positive and `certify`
+with neither `--polygon` nor `--oracle`), 3 malformed input payload (a JSON
+file that does not describe a valid object of its kind). Module failures
+and malformed payloads emit a structured error JSON on stdout.
+All randomized paths take an explicit seed (default 0). `--exhaustive-cap`
+is the one way to set the exhaustive cut-search cap.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .certify import certify_box, sample_verify, witness_norm
+from .certify import CertifierError, certify_box, sample_verify, witness_norm
 from .checker import check_certificate
 from .colored import CoverFailure, EdgeColoredGraph, color_cover
 from .dependence import DependenceConfig, ExtractionFailure, extract_dependences
@@ -44,6 +46,13 @@ def _rational(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {s!r}") from exc
+
+
+def _positive(s: str) -> Fraction:
+    x = _rational(s)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"not a rational > 0: {s!r}")
+    return x
 
 
 def _count(s: str) -> int:
@@ -129,7 +138,7 @@ def cmd_prop1(args) -> int:
 
 def cmd_lindep(args) -> int:
     G = jsonio.udg_from_json(jsonio.read_json(args.udg))
-    config = DependenceConfig(q=args.q, C=args.C, C0=args.C0,
+    config = DependenceConfig(q=args.q, C=args.C,
                               exhaustive_cap=args.exhaustive_cap,
                               seed=args.seed)
     try:
@@ -152,7 +161,8 @@ def cmd_certify(args) -> int:
     elif oracle is not None:
         B1 = polygon_approx(oracle, args.eps, eta)
     else:
-        return _error("usage", "certify needs --polygon or --oracle")
+        _error("usage", "certify needs --polygon or --oracle")
+        return 2
     delta0 = args.delta0
     if delta0 is None:
         if oracle is None:
@@ -206,7 +216,9 @@ def cmd_pipeline(args) -> int:
           if args.cert_polygon else pipeline_decagon())
     eta = AngleBound(args.eta_sin2)
     oracle = NormOracle.of_polygon(B1)
-    delta0 = args.delta0 or choose_delta0(B1, oracle, args.eps, eta)
+    delta0 = args.delta0
+    if delta0 is None:
+        delta0 = choose_delta0(B1, oracle, args.eps, eta)
     cert = witness_norm(certify_box(res.system, B1, delta0, eta))
     jsonio.write_json(f"{out}/certificate.json",
                       jsonio.certificate_to_json(cert))
@@ -276,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--udg", required=True)
     p.add_argument("--q", type=_rational, default=Fraction(2001, 1000))
     p.add_argument("--C", type=_rational, default=Fraction(1))
-    p.add_argument("--C0", type=_rational, default=Fraction(1))
     p.add_argument("--exhaustive-cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_rational, default=None)
     p.add_argument("--eta-sin2", type=_rational, required=True,
                    help="(sin η)² as a rational")
-    p.add_argument("--delta0", type=_rational, default=None)
+    p.add_argument("--delta0", type=_positive, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=_rational, default=Fraction(1, 4))
     p.add_argument("--eta-sin2", type=_rational, default=Fraction(2, 5))
     p.add_argument("--eps", type=_rational, default=Fraction(1, 4))
-    p.add_argument("--delta0", type=_rational, default=None)
+    p.add_argument("--delta0", type=_positive, default=None)
     p.add_argument("--cert-polygon")
     p.add_argument("--trials", type=_count, default=200, help="as in verify")
     p.add_argument("--exhaustive-cap", type=int, default=None)
@@ -337,7 +348,7 @@ def main(argv=None) -> int:
     except jsonio.PayloadError as exc:
         _error("malformed-payload", str(exc))
         return 3
-    except (PolygonError, ValueError, OSError) as exc:
+    except (PolygonError, CertifierError, ValueError, OSError) as exc:
         return _error(type(exc).__name__, str(exc))
 
 

@@ -10,7 +10,6 @@ certified dyadic upper bound, and the final contract never depends on it.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +25,7 @@ DEFAULT_EXHAUSTIVE_CAP = 18
 
 
 def exhaustive_cap(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("UDNORM_EXHAUSTIVE_CAP")
-    return int(env) if env else DEFAULT_EXHAUSTIVE_CAP
+    return DEFAULT_EXHAUSTIVE_CAP if override is None else override
 
 
 class GraphError(ValueError):
@@ -72,13 +68,6 @@ class EdgeColoredGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * (self.n + 1)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n + 1)]
@@ -179,16 +168,13 @@ class WeakCut:
 
 
 def _restricted_masks(G: EdgeColoredGraph, W: Sequence[int]) -> list[int]:
-    order = list(W)
-    pos = {v: i for i, v in enumerate(order)}
-    adj = G.adjacency()
-    masks = []
-    for v in order:
-        m = 0
-        for u in adj[v]:
-            if u in pos:
-                m |= 1 << pos[u]
-        masks.append(m)
+    pos = {v: i for i, v in enumerate(W)}
+    masks = [0] * len(pos)
+    for a, b in G.edges:
+        i, j = pos.get(a), pos.get(b)
+        if i is not None and j is not None:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
     return masks
 
 
@@ -212,21 +198,19 @@ def find_weak_cut(G: EdgeColoredGraph, W: Sequence[int], r: RationalLike,
         raise GraphError("need at least two vertices")
     r = rat(r)
     masks = _restricted_masks(G, W)
-    w = len(W)
-    if w <= exhaustive_cap(cap):
-        thr = weak_delta_table(w, r)
-        hit = kernels.min_weak_cut(masks, thr)
-        if hit is None:
-            return None
-        mask, delta = hit
-        return _mask_to_cut(W, mask, delta)
-    return _heuristic_weak_cut(W, masks, r, seed)
+    thr = weak_delta_table(len(W), r)
+    if len(W) > exhaustive_cap(cap):
+        return _heuristic_weak_cut(W, masks, thr, seed)
+    hit = kernels.min_weak_cut(masks, thr)
+    if hit is None:
+        return None
+    mask, delta = hit
+    return _mask_to_cut(W, mask, delta)
 
 
-def _heuristic_weak_cut(W: tuple[int, ...], masks: list[int], r: Fraction,
+def _heuristic_weak_cut(W: tuple[int, ...], masks: list[int], thr: list[int],
                         seed: int) -> Optional[WeakCut]:
     w = len(W)
-    thr = weak_delta_table(w, r)
     full = (1 << w) - 1
     candidates: set[int] = set()
 
@@ -302,13 +286,20 @@ def robust_core(G: EdgeColoredGraph, r: RationalLike,
     """Shrink V by descending into the smaller side of weak cuts (ties to A)
     until no weak cut is found; |W| ≥ 2 guaranteed when the minimum-degree
     hypothesis holds and the search is exhaustive."""
-    r = rat(r)
-    deg = G.degrees()
-    hypothesis = all(
-        degree_at_least_r_log(deg[v], r, Fraction(G.n))
-        for v in range(1, G.n + 1)
-    )
-    W = tuple(range(1, G.n + 1))
+    return _descend(G, tuple(range(1, G.n + 1)), rat(r), cap, seed)
+
+
+def _descend(G: EdgeColoredGraph, V: tuple[int, ...], r: Fraction,
+             cap: Optional[int], seed: int) -> RobustCoreResult:
+    """robust_core on the subgraph induced by the sorted vertex set V, with
+    n = |V| and degrees taken inside V."""
+    deg = dict.fromkeys(V, 0)
+    for (a, b), _ in G.induced_edges(V):
+        deg[a] += 1
+        deg[b] += 1
+    n = Fraction(len(V))
+    hypothesis = all(degree_at_least_r_log(d, r, n) for d in deg.values())
+    W = V
     trace = []
     while len(W) >= 2:
         cut = find_weak_cut(G, W, r, cap=cap, seed=seed)
@@ -384,9 +375,6 @@ class GreedyTrace:
     colors_chosen: tuple[int, ...]
     component_counts: tuple[int, ...]  # m₀ = |W| down to 1
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.colors_chosen, self.component_counts[1:]))
-
 
 def greedy_color_cover(G: EdgeColoredGraph, W: Sequence[int]) -> tuple[tuple[int, ...], GreedyTrace]:
     """Colors I chosen greedily (component-count-minimizing, ties to the
@@ -444,6 +432,16 @@ class CoverResult:
     edge_hypothesis_met: bool
 
 
+_LogBounds = Optional[tuple[Fraction, Fraction]]
+
+
+def _log_bounds(n: int) -> _LogBounds:
+    """Certified upper bounds (log₂ n, log₂ log₂ n), or None when log₂ n ≤ 1,
+    where log₂ log₂ n ≤ 0 and both density terms are clamped."""
+    lg = log2_interval(Fraction(n)).hi
+    return (lg, log2_interval(lg).hi) if lg > 1 else None
+
+
 def rationalized_r(n: int, q: Fraction, C: Fraction) -> Fraction:
     """Upper bound for C·q·log₂ log₂ n with denominator ≤ 256.
 
@@ -451,22 +449,24 @@ def rationalized_r(n: int, q: Fraction, C: Fraction) -> Fraction:
     cheap; rounding up only strengthens the robustness requirement, and the
     cover contract is verified independently of r.
     """
-    inner = log2_interval(Fraction(n)).hi
-    if inner <= 1:
-        r = C * q  # log₂ log₂ n ≤ 0 would make r nonpositive; clamp
-    else:
-        r = C * q * log2_interval(inner).hi
+    return _rationalized_r(_log_bounds(n), q, C)
+
+
+def _rationalized_r(logs: _LogBounds, q: Fraction, C: Fraction) -> Fraction:
+    # log₂ log₂ n ≤ 0 would make r nonpositive; clamp
+    r = C * q * logs[1] if logs else C * q
     num = -((-r.numerator * 256) // r.denominator)  # ceil(r·256)
     return Fraction(num, 256)
 
 
 def edge_hypothesis_met(G: EdgeColoredGraph, q: Fraction, C: Fraction) -> bool:
     """|E| ≥ C·q·n·log₂ n·log₂ log₂ n, decided against the certified upper bound."""
-    lg = log2_interval(Fraction(G.n)).hi
-    if lg <= 1:
-        return True
-    lglg = log2_interval(lg).hi
-    return Fraction(G.edge_count) >= C * q * G.n * lg * lglg
+    return _edge_hypothesis_met(G, _log_bounds(G.n), q, C)
+
+
+def _edge_hypothesis_met(G: EdgeColoredGraph, logs: _LogBounds, q: Fraction,
+                         C: Fraction) -> bool:
+    return logs is None or G.edge_count >= C * q * G.n * logs[0] * logs[1]
 
 
 def verify_cover(G: EdgeColoredGraph, W: Sequence[int], I: Sequence[int],
@@ -507,11 +507,9 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
         raise GraphError("need n >= 4")
     if not G.is_proper():
         raise GraphError("edge coloring must be proper")
-    r = rationalized_r(G.n, q, C)
-    core = min_degree_core(G)
-    core_graph = _induced_subgraph(G, core)
-    robust_rel = robust_core(core_graph, r, cap=cap, seed=seed)
-    robust = _relabel_robust(robust_rel, core)
+    logs = _log_bounds(G.n)
+    r = _rationalized_r(logs, q, C)
+    robust = _descend(G, min_degree_core(G), r, cap, seed)
     W = robust.W
     I, trace = greedy_color_cover(G, W)
     result = CoverResult(
@@ -521,7 +519,7 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
         trace=trace,
         robust=robust,
         params=CutParams(r=r, q=q, C=C),
-        edge_hypothesis_met=edge_hypothesis_met(G, q, C),
+        edge_hypothesis_met=_edge_hypothesis_met(G, logs, q, C),
     )
     if not verify_cover(G, W, I, q):
         raise CoverFailure(
@@ -531,34 +529,3 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
         )
     return result
 
-
-def _induced_subgraph(G: EdgeColoredGraph, W: Sequence[int]) -> EdgeColoredGraph:
-    """Subgraph induced by W, relabeled to [|W|] preserving vertex order."""
-    order = tuple(sorted(W))
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    kept = sorted(
-        ((min(pos[a], pos[b]), max(pos[a], pos[b])), c)
-        for (a, b), c in G.induced_edges(order)
-    )
-    return EdgeColoredGraph(
-        n=len(order),
-        edges=tuple(e for e, _ in kept),
-        colors=tuple(c for _, c in kept),
-    )
-
-
-def _relabel_robust(res: RobustCoreResult, order: Sequence[int]) -> RobustCoreResult:
-    """Map a robust-core result on relabeled vertices back to original ids."""
-    back = {i + 1: v for i, v in enumerate(sorted(order))}
-    return RobustCoreResult(
-        W=tuple(sorted(back[v] for v in res.W)),
-        trace=tuple(
-            WeakCut(
-                tuple(sorted(back[v] for v in cut.A)),
-                tuple(sorted(back[v] for v in cut.B)),
-                cut.delta,
-            )
-            for cut in res.trace
-        ),
-        hypothesis_met=res.hypothesis_met,
-    )

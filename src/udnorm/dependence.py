@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .colored import CoverFailure, CoverResult, EdgeColoredGraph, color_cover
 from .norms import SymmetricPolygon
 from .pointsets import PointSeq
-from .ratlin import log2_interval, rat
+from .ratlin import rat
 from .udg import DecoratedUDG, Edge, build_udg, prune_to_proper, verify_realization
 
 DEFAULT_Q = Fraction(2001, 1000)
@@ -27,7 +27,6 @@ DEFAULT_Q = Fraction(2001, 1000)
 class DependenceConfig:
     q: Fraction = DEFAULT_Q
     C: Fraction = Fraction(1)
-    C0: Fraction = Fraction(1)  # density threshold scale f(n) = C0·n·log n·log log n
     exhaustive_cap: Optional[int] = None
     seed: int = 0
 
@@ -105,7 +104,6 @@ class ExtractionResult:
     cover: CoverResult
     pruned_edge_count: int
     original_edge_count: int
-    density_met: bool  # |E| ≥ C0·n·log₂n·log₂log₂n (certified upper bound)
     paths: tuple[tuple[int, ...], ...]  # audit: path per dependent color
 
 
@@ -113,14 +111,6 @@ class ExtractionFailure(RuntimeError):
     def __init__(self, message: str, detail=None):
         super().__init__(message)
         self.detail = detail
-
-
-def density_threshold_met(n: int, edge_count: int, C0: Fraction) -> bool:
-    lg = log2_interval(Fraction(n)).hi
-    if lg <= 1:
-        return True
-    lglg = log2_interval(lg).hi
-    return Fraction(edge_count) >= C0 * n * lg * lglg
 
 
 def extract_dependences(G: DecoratedUDG,
@@ -183,7 +173,6 @@ def extract_dependences(G: DecoratedUDG,
         cover=cover,
         pruned_edge_count=pruned.edge_count,
         original_edge_count=G.edge_count,
-        density_met=density_threshold_met(G.n, G.edge_count, config.C0),
         paths=tuple(paths),
     )
 

@@ -197,14 +197,6 @@ class SymmetricPolygon:
             acc += verts[i - 1].cross(verts[i])
         return abs(acc) / 2
 
-    def scale(self, k: RationalLike) -> "SymmetricPolygon":
-        k = rat(k)
-        if k <= 0:
-            raise PolygonError("scale factor must be positive")
-        return SymmetricPolygon.from_pairs(
-            (n, c * k) for n, c in zip(self.normals, self.offsets)
-        )
-
 
 def square(half_side: RationalLike = 1) -> SymmetricPolygon:
     """Coordinate-max unit ball [−a, a]²."""

@@ -87,9 +87,6 @@ class Vec2:
         return (self.x, self.y)
 
 
-VEC2_ZERO = Vec2(Fraction(0), Fraction(0))
-
-
 @dataclass(frozen=True)
 class Mat:
     """Dense matrix of Fractions; immutable after construction."""
@@ -119,9 +116,6 @@ class Mat:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
     def mul_vec(self, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         vv = [rat(t) for t in v]
@@ -260,9 +254,6 @@ class RatInterval:
         if k >= 0:
             return RatInterval(self.lo * k, self.hi * k)
         return RatInterval(self.hi * k, self.lo * k)
-
-    def union(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def max_with(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(max(self.lo, other.lo), max(self.hi, other.hi))

@@ -171,6 +171,41 @@ class TestLindepAndVerify:
         assert list(tmp_path.iterdir()) == []
 
 
+
+def _toy_inputs(d):
+    jsonio.write_json(str(d / "S.json"), jsonio.system_to_json(TOY))
+    jsonio.write_json(str(d / "oct.json"), jsonio.polygon_to_json(octagon()))
+    return ["certify", "--system", str(d / "S.json"),
+            "--out", str(d / "cert.json")]
+
+
+class TestCertifyErrors:
+    def test_not_eta_short_is_structured_error(self, tmp_path):
+        r = run_cli(*_toy_inputs(tmp_path), "--polygon",
+                    str(tmp_path / "oct.json"), "--eta-sin2", "1/4",
+                    "--delta0", "1/100")
+        assert r.returncode == 1, r.stderr
+        assert json.loads(r.stdout)["error"] == "CertifierError"
+        assert not (tmp_path / "cert.json").exists()
+
+    def test_needs_polygon_or_oracle(self, tmp_path):
+        r = run_cli(*_toy_inputs(tmp_path), "--eta-sin2", "5/9")
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"] == "usage"
+
+    @pytest.mark.parametrize("value", ["0", "-1/100"])
+    @pytest.mark.parametrize("command", [
+        lambda d: _toy_inputs(d) + ["--polygon", str(d / "oct.json"),
+                                    "--eta-sin2", "5/9"],
+        lambda d: ["pipeline", "--out-dir", str(d / "run")],
+    ], ids=["certify", "pipeline"])
+    def test_nonpositive_delta0_is_usage_error(self, tmp_path, command, value):
+        r = run_cli(*command(tmp_path), f"--delta0={value}")
+        assert r.returncode == 2
+        assert "--delta0" in r.stderr
+        assert not (tmp_path / "cert.json").exists()
+        assert not (tmp_path / "run").exists()
+
 def _drop_box(payload):
     del payload["box"]
 

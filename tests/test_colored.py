@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from udnorm import colored, jsonio
 from udnorm.colored import (
     CoverFailure,
     EdgeColoredGraph,
@@ -135,6 +138,43 @@ class TestFindWeakCut:
         assert cut.delta == 0
         assert sorted(cut.A) == [4, 5, 6]
 
+
+    def test_heuristic_finds_clique_split(self):
+        # two 8-cliques joined by one edge; |W| = 16 > cap, so no exhaustive search
+        left, right = range(1, 9), range(9, 17)
+        edges = (list(itertools.combinations(left, 2)) + [(8, 9)]
+                 + list(itertools.combinations(right, 2)))
+        G = EdgeColoredGraph(16, tuple(edges), tuple(range(1, len(edges) + 1)))
+        cut = find_weak_cut(G, tuple(range(1, 17)), 2, cap=8)
+        assert {cut.A, cut.B} == {tuple(left), tuple(right)}
+        assert cut.delta == 1
+        assert delta_below_r_log_imb(cut.delta, Fraction(2), 16, 8)
+
+    def test_heuristic_rainbow_complete_none(self):
+        assert find_weak_cut(rainbow_complete(12), tuple(range(1, 13)), 1,
+                             cap=6) is None
+
+    def test_heuristic_same_seed_same_cut(self):
+        # a planted two-part graph on which the seeded local search decides
+        # the result: seeds 0 and 3 give different weak cuts
+        rng = random.Random(28)
+        n = rng.randint(12, 22)
+        part = set(rng.sample(range(1, n + 1), n // 2))
+        edges = tuple(
+            (a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+            if rng.random() < (0.7 if (a in part) == (b in part) else 0.12))
+        G = EdgeColoredGraph(n, edges, tuple(range(1, len(edges) + 1)))
+        W = tuple(range(1, n + 1))
+        cuts = [find_weak_cut(G, W, 2, cap=8, seed=s) for s in (0, 3, 0, 3)]
+        assert cuts[0] != cuts[1]
+        assert cuts[2:] == cuts[:2]
+
+    def test_exhaustive_up_to_cap(self, monkeypatch):
+        def heuristic(*args):
+            raise AssertionError("heuristic search at |W| <= cap")
+        monkeypatch.setattr(colored, "_heuristic_weak_cut", heuristic)
+        assert find_weak_cut(rainbow_complete(8), tuple(range(1, 9)), 1,
+                             cap=8) is None
 
 class TestRobustCore:
     def test_k4(self):
@@ -309,3 +349,59 @@ class TestColorCover:
             successes += 1
             assert verify_cover(G, res.W, res.I, q)
         assert successes > 0
+
+    def test_hypothesis_judged_on_core(self):
+        # K6 with a 30-vertex pendant path: the path peels off, and the
+        # degree hypothesis holds on the core (n = 6) though not on all 36
+        edges = (list(itertools.combinations(range(1, 7), 2))
+                 + [(1, 7)] + [(v, v + 1) for v in range(7, 36)])
+        G = EdgeColoredGraph(36, tuple(edges), tuple(range(1, len(edges) + 1)))
+        res = color_cover(G, 2, Fraction(1, 4))
+        assert res.W == (1, 2, 3, 4, 5, 6)
+        assert res.robust.hypothesis_met
+        assert not degree_at_least_r_log(5, res.params.r, Fraction(36))
+
+
+def _pinned_graphs():
+    """Seeded proper-colored graphs: cores above and below the exhaustive
+    cap, cores smaller than the graph, and covers that fail."""
+    rng = random.Random(5)
+    graphs = []
+    for i in range(36):
+        n = rng.randint(6, 36)
+        p = rng.uniform(0.15, 0.95)
+        edges = tuple(e for e in itertools.combinations(range(1, n + 1), 2)
+                      if rng.random() < p)
+        if not edges:
+            continue
+        colors = (tuple(range(1, len(edges) + 1)) if i % 2
+                  else greedy_proper_coloring(n, edges))
+        graphs.append(EdgeColoredGraph(n, edges, colors))
+    return graphs
+
+
+class TestPinnedOutputs:
+    def test_cover_and_core_outputs_pinned(self):
+        # changes meant to preserve behaviour must leave every cover (or its
+        # failure message) and every robust core unchanged
+        rows = []
+        for i, G in enumerate(_pinned_graphs()):
+            q = (Fraction(3, 2), Fraction(2), Fraction(2001, 1000))[i % 3]
+            C = (Fraction(1, 4), Fraction(1, 8), Fraction(1))[i % 3]
+            cap, seed = (None, 8)[i % 2], i % 3
+            try:
+                cover = jsonio.cover_to_json(
+                    color_cover(G, q, C, cap=cap, seed=seed))
+            except CoverFailure as exc:
+                cover = str(exc)
+            try:
+                res = robust_core(G, rationalized_r(G.n, q, C), cap=cap,
+                                  seed=seed)
+                core = [list(res.W), res.hypothesis_met,
+                        [[list(c.A), list(c.B), c.delta] for c in res.trace]]
+            except CoverFailure as exc:
+                core = str(exc)
+            rows.append([cover, core])
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "4b78446db3285d71db0623d9b9cbe2d1a46dc3bc2d0f9d7b2a6abafe05ccc497")
