@@ -6,7 +6,10 @@ polygon sandwich.
 
 A finished certificate states: for every symmetric convex body within δ of
 the witness polygon B, no η-separated realization of the source graph
-exists whose directions satisfy the dependence system.
+exists whose directions satisfy the dependence system. Its evidence is one
+left-null vector y per class tuple α mod m (`NormCertificate.null_vectors`);
+each assignment's kill record (y, h = yᵀb(t), sign) follows from that y,
+the polygon and the box.
 """
 
 from __future__ import annotations
@@ -208,6 +211,29 @@ class KillRecord:
 
 
 Functionals = list[tuple[tuple[Fraction, ...], AffineForm]]
+NullVectors = tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]
+
+
+def _functional(sides: Sequence[int], y: Sequence[Fraction],
+                offsets: tuple[int, Sequence[int]]) -> AffineForm:
+    """h = yᵀb(t) for the assignment with these sides. Row i reads
+    ⟨n, z⟩ = εᵢ(cₖ + tₖ) with k = sideᵢ mod m and εᵢ = −1 for sides ≥ m, so
+    h has coefficient yᵢεᵢ at coordinate k and constant Σ yᵢεᵢcₖ, one
+    integer sum over the common denominators of y and of the offsets, which
+    come as (D, c·D)."""
+    (L, yints), (D, cs) = _over_common_denominator(y), offsets
+    m = len(cs)
+    const = 0
+    coeffs = [Fraction(0)] * m
+    for yi, yl, side in zip(y, yints, sides):
+        k = side % m
+        if side < m:
+            coeffs[k] = yi
+            const += yl * cs[k]
+        else:
+            coeffs[k] = -yi
+            const -= yl * cs[k]
+    return AffineForm(Fraction(const, L * D), tuple(coeffs))
 
 
 def null_functionals(S: DependenceSystem, B1: SymmetricPolygon
@@ -216,37 +242,20 @@ def null_functionals(S: DependenceSystem, B1: SymmetricPolygon
     order, one pair per left-null basis vector y of A: A·x = b(t) is
     solvable exactly where every such h vanishes.
 
-    A and its left null basis are derived once per class tuple α mod m. The
-    side choice only flips signs: row i reads ⟨n, z⟩ = εᵢ(cₖ + tₖ) with
-    k = αᵢ mod m and εᵢ = −1 for sides ≥ m, so h has coefficient yᵢεᵢ at
-    coordinate k and constant Σ yᵢεᵢcₖ. Admissible rows touch distinct
-    coordinates, so h ≠ 0 whenever y ≠ 0. The constant is one integer sum
-    over the common denominator of y and the offsets.
+    A and its left null basis are derived once per class tuple α mod m; the
+    side choice only flips signs in h (`_functional`). Admissible rows touch
+    distinct coordinates, so h ≠ 0 whenever y ≠ 0.
     """
     m = B1.m
-    D, cs = _over_common_denominator(B1.offsets)
+    offsets = _over_common_denominator(B1.offsets)
     bases = {}
     for alpha in enumerate_admissible(S.ell, m):
         classes = tuple(a % m for a in alpha.alpha)
         if classes not in bases:
             A = build_system(S, B1, alpha)
-            bases[classes] = (A, [
-                (y, tuple(-v for v in y), *_over_common_denominator(y))
-                for y in left_null_basis(A)])
+            bases[classes] = (A, left_null_basis(A))
         A, ys = bases[classes]
-        functionals = []
-        for y, neg_y, L, yints in ys:
-            const = 0
-            coeffs = [Fraction(0)] * m
-            for yi, neg, yl, side, k in zip(y, neg_y, yints, alpha.alpha, classes):
-                if side < m:
-                    coeffs[k] = yi
-                    const += yl * cs[k]
-                else:
-                    coeffs[k] = neg
-                    const -= yl * cs[k]
-            functionals.append((y, AffineForm(Fraction(const, L * D), tuple(coeffs))))
-        yield alpha, A, functionals
+        yield alpha, A, [(y, _functional(alpha.alpha, y, offsets)) for y in ys]
 
 
 def kill_assignment(alpha: AdmissibleAssignment, functionals: Functionals,
@@ -284,9 +293,13 @@ def kill_assignment(alpha: AdmissibleAssignment, functionals: Functionals,
 
 @dataclass(frozen=True)
 class NormCertificate:
+    """`null_vectors` is the evidence: (class tuple α mod m, y) with y a
+    left-null vector of A, one per class tuple, in the order certify first
+    met them. `kills` derives every assignment's record from it."""
+
     polygon: SymmetricPolygon
     box: OffsetBox
-    kills: tuple[KillRecord, ...]
+    null_vectors: NullVectors
     system: DependenceSystem
     eta: AngleBound
     degenerate: bool = False  # no admissible assignment existed
@@ -298,30 +311,46 @@ class NormCertificate:
     def has_witness(self) -> bool:
         return self.delta is not None
 
+    @cached_property
+    def kills(self) -> tuple[KillRecord, ...]:
+        """Every admissible assignment's record in lexicographic order: its
+        class tuple's y, h = yᵀb(t), and h's sign on the box (0 where h has
+        a root in the box). Needs every class tuple in the table; the
+        checker reads the table itself."""
+        m = self.polygon.m
+        offsets = _over_common_denominator(self.polygon.offsets)
+        ys = dict(self.null_vectors)
+        records = []
+        for alpha in enumerate_admissible(self.system.ell, m):
+            y = ys[tuple(a % m for a in alpha.alpha)]
+            h = _functional(alpha.alpha, y, offsets)
+            records.append(KillRecord(alpha, y, h, h.sign_on(self.box)))
+        return tuple(records)
+
 
 def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
                 delta0: RationalLike, eta: AngleBound) -> NormCertificate:
     """Kill every admissible assignment in turn, shrinking the offset box;
-    the final box carries a sign-definite functional per assignment."""
+    the final box carries a sign-definite functional per assignment, from
+    the first null vector of its class tuple."""
     if not B1.is_eta_short(eta):
         raise CertifierError("polygon sides are not η-short")
     box = OffsetBox.symmetric(delta0, B1.m)
     kills = []
-    degenerate = True
+    null_vectors = {}
     for alpha, _, functionals in null_functionals(S, B1):
-        degenerate = False
         box, rec = kill_assignment(alpha, functionals, box)
         kills.append(rec)
-    cert = NormCertificate(
-        polygon=B1, box=box, kills=tuple(kills), system=S, eta=eta,
-        degenerate=degenerate,
-    )
-    for rec in cert.kills:
-        if rec.h.sign_on(cert.box) != rec.sign:
+        null_vectors.setdefault(tuple(a % B1.m for a in alpha.alpha), rec.y)
+    for rec in kills:
+        if rec.h.sign_on(box) != rec.sign:
             raise CertifierError(
                 f"kill record for {rec.alpha.alpha} is not sign-definite "
                 "on the final box")
-    return cert
+    return NormCertificate(
+        polygon=B1, box=box, null_vectors=tuple(null_vectors.items()),
+        system=S, eta=eta, degenerate=not kills,
+    )
 
 
 def witness_norm(cert: NormCertificate) -> NormCertificate:

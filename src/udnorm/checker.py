@@ -2,14 +2,15 @@
 
 Re-validates a finished certificate from its serialized data alone: the
 linear systems are re-derived inline from the polygon and the coefficient
-rows (no construction code paths), and null functionals are verified by
-direct multiplication yᵀA = 0, once per (class tuple, y) within one check,
-because sides s and s+m share a normal. Each recorded h is re-derived as
-yᵀb and its sign-definiteness decided by interval evaluation on the box, in
-integer arithmetic: y, the offsets and the box are scaled to common
-denominators, so every comparison is exact. The witness sandwich, margin
-rule, trapezoid tiling, and sweep property are checked by exact rational
-geometry.
+rows (no construction code paths). The certificate's table holds one
+left-null vector y per class tuple α mod m (sides s and s+m share a
+normal); every class tuple of an admissible assignment must appear exactly
+once, and each y is verified once by direct multiplication yᵀA = 0 with
+y ≠ 0. For each admissible α, h = yᵀb(t) is rebuilt and its sign decided by
+interval evaluation on the box in integer arithmetic: y, the offsets and
+the box are scaled to common denominators, so every comparison is exact.
+The witness sandwich, margin rule, trapezoid tiling, and sweep property are
+checked by exact rational geometry.
 """
 
 from __future__ import annotations
@@ -75,31 +76,34 @@ def _scaled(values) -> tuple[int, list[int]]:
     return D, [v.numerator * (D // v.denominator) for v in values]
 
 
-def _equals(q: Fraction, num: int, den: int) -> bool:
-    """q = num/den, by cross-multiplication (den > 0)."""
-    return q.numerator * den == num * q.denominator
-
-
-class _KillContext:
-    """What every kill record of one certificate is checked against: the
-    offsets and the box over common denominators, and the yᵀA = 0 verdict
-    per (class tuple, y) — A depends only on the class tuple α mod m."""
-
-    def __init__(self, B: SymmetricPolygon, S, box_lo, box_hi):
-        self.B, self.S = B, S
-        self.offsets = _scaled(B.offsets)
-        D, ints = _scaled(box_lo + box_hi)
-        self.box = D, ints[:B.m], ints[B.m:]
-        self.null = {}
-
-    def annihilates(self, classes: tuple[int, ...], y: tuple[int, ...]) -> bool:
-        key = (classes, y)
-        if key not in self.null:
-            rows = _system_rows(self.B, self.S.ell, self.S.coeffs, classes)
-            self.null[key] = all(
-                sum(yi * row[col] for yi, row in zip(y, rows)) == 0
-                for col in range(2 * self.S.ell))
-        return self.null[key]
+def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
+                       entries) -> dict:
+    """class tuple ↦ y·L as integers when y ≠ 0 and yᵀA = 0, else the reason
+    y kills nothing. A malformed entry fails naming its class tuple as the
+    assignment with every side in the first half."""
+    arity = 2 * S.ell + 1
+    table = {}
+    for classes, y in entries:
+        classes, y = tuple(classes), [rat(v) for v in y]
+        if len(classes) != arity:
+            report.fail(f"null vector entry has wrong arity: {classes}", classes)
+        elif len(set(classes)) != arity or not all(0 <= k < B.m for k in classes):
+            report.fail("null vector entry for inadmissible class tuple "
+                        f"{classes}", classes)
+        elif classes in table:
+            report.fail(f"duplicate null vector for class tuple {classes}", classes)
+        elif len(y) != arity:
+            table[classes] = "null vector has wrong length"
+        elif not any(y):
+            table[classes] = "zero null vector"
+        else:
+            # y·L is an integer vector with the same null property and signs
+            _, ys = _scaled(y)
+            rows = _system_rows(B, S.ell, S.coeffs, classes)
+            table[classes] = ys if all(
+                sum(yi * row[col] for yi, row in zip(ys, rows)) == 0
+                for col in range(2 * S.ell)) else "yᵀA ≠ 0"
+    return table
 
 
 def check_certificate(cert, oracle: Optional[NormOracle] = None,
@@ -124,31 +128,15 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     if not B1.is_eta_short(cert.eta):
         report.fail("base polygon sides are not η-short")
 
-    # kill records: keyed by assignment
-    by_alpha = {}
-    for rec in cert.kills:
-        alpha = tuple(rec.alpha.alpha) if hasattr(rec.alpha, "alpha") else tuple(rec.alpha)
-        if len(alpha) != 2 * S.ell + 1:
-            report.fail(f"kill record has wrong assignment arity: {alpha}", alpha)
-            continue
-        classes = [a % m for a in alpha]
-        if len(set(classes)) != len(classes) or any(not 0 <= a < 2 * m for a in alpha):
-            report.fail(f"kill record for inadmissible assignment {alpha}", alpha)
-            continue
-        if alpha in by_alpha:
-            report.fail(f"duplicate kill record for assignment {alpha}", alpha)
-            continue
-        by_alpha[alpha] = rec
-
-    ctx = _KillContext(B1, S, box_lo, box_hi)
+    table = _null_vector_table(report, B1, S, cert.null_vectors)
+    offsets = _scaled(B1.offsets)
+    D, ints = _scaled(box_lo + box_hi)
+    box = D, ints[:m], ints[m:]
     expected = 0
     for alpha in _admissible_assignments(S.ell, m):
         expected += 1
-        rec = by_alpha.get(alpha)
-        if rec is None:
-            report.fail(f"no kill record for admissible assignment {alpha}", alpha)
-            continue
-        _check_kill(report, ctx, alpha, rec)
+        _check_kill(report, offsets, box, alpha,
+                    table.get(tuple(a % m for a in alpha)))
     if expected == 0 and not cert.degenerate:
         report.fail("no admissible assignments exist but certificate "
                     "is not flagged degenerate")
@@ -166,50 +154,29 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     return report
 
 
-def _check_kill(report: CheckReport, ctx: _KillContext, alpha, rec):
-    m = ctx.B.m
-    y = [rat(v) for v in rec.y]
-    if len(y) != len(alpha):
-        report.fail(f"null vector has wrong length for {alpha}", alpha)
+def _check_kill(report: CheckReport, offsets, box, alpha, ys):
+    """α is killed by its class tuple's integer null vector ys: h = yᵀb(t)
+    has a nonzero sign on the box."""
+    if ys is None:
+        report.fail(f"no null vector for the class tuple of {alpha}", alpha)
         return
-    if all(v == 0 for v in y):
-        report.fail(f"zero null vector for {alpha}", alpha)
+    if isinstance(ys, str):
+        report.fail(f"{ys} for assignment {alpha}", alpha)
         return
-    # y·L is an integer vector with the same null property and signs
-    L, ys = _scaled(y)
-    if not ctx.annihilates(tuple(a % m for a in alpha), tuple(ys)):
-        report.fail(f"yᵀA ≠ 0 for assignment {alpha}", alpha)
-        return
-    # h = yᵀb re-derived from the side lines ⟨n, z⟩ = ±(c + t): over the
-    # offsets' denominator Dc, h = const/(L·Dc) + Σ (coeffs_k/L)·t_k
-    Dc, cs = ctx.offsets
-    const = 0
-    coeffs = [0] * m
+    # side αᵢ lies on ⟨n, z⟩ = εᵢ(c_k + t_k), k = αᵢ mod m, so over the
+    # offsets' denominator Dc and the box's D, h·L·Dc·D sums the terms
+    # εᵢyᵢ·(c_k·Dc·D + Dc·t_k·D) with t_k·D between the integers lo_k, hi_k
+    (Dc, cs), (D, box_lo, box_hi) = offsets, box
+    m = len(cs)
+    lo = hi = 0
     for yi, side in zip(ys, alpha):
         k = side % m
-        signed = yi if side < m else -yi
-        coeffs[k] += signed
-        const += signed * cs[k]
-    rec_coeffs = [rat(c) for c in rec.h.coeffs]
-    if (len(rec_coeffs) != m or not _equals(rat(rec.h.const), const, L * Dc)
-            or not all(_equals(q, c, L) for q, c in zip(rec_coeffs, coeffs))):
-        report.fail(f"recorded functional differs from yᵀb for {alpha}", alpha)
-        return
-    # h·(L·Dc·D) on the box, with t_k·D between the integers lo_k and hi_k
-    D, box_lo, box_hi = ctx.box
-    lo = hi = const * D
-    for c, a, b in zip(coeffs, box_lo, box_hi):
-        if c > 0:
-            lo += Dc * c * a
-            hi += Dc * c * b
-        elif c < 0:
-            lo += Dc * c * b
-            hi += Dc * c * a
+        c = yi if side < m else -yi
+        low, high = (box_lo[k], box_hi[k]) if c > 0 else (box_hi[k], box_lo[k])
+        lo += c * (cs[k] * D + Dc * low)
+        hi += c * (cs[k] * D + Dc * high)
     if not (lo > 0 or hi < 0):
         report.fail(f"functional not sign-definite on the box for {alpha}", alpha)
-        return
-    if (1 if lo > 0 else -1) != rec.sign:
-        report.fail(f"recorded sign wrong for {alpha}", alpha)
 
 
 def _check_witness(report: CheckReport, cert):

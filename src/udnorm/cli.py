@@ -2,10 +2,13 @@
 
 Subcommands: gen, udg, prop1, lindep, certify, check, verify, pipeline.
 Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
-2 usage errors (including a `--delta0` that is not positive and `certify`
-with neither `--polygon` nor `--oracle`), 3 malformed input payload (a JSON
-file that does not describe a valid object of its kind). Module failures
-and malformed payloads emit a structured error JSON on stdout.
+2 usage errors (including a count or size out of range: `--n`, `--k`,
+`--w`, `--h`, `--trials`, and `--exhaustive-cap` outside [0, 22]; a
+`--step` of 0; a `--delta0` that is not positive; and `certify` with
+neither `--polygon` nor `--oracle`), 3 malformed input payload (a JSON file
+that does not describe a valid object of its kind, including a certificate
+that is not schema 2). Module failures and malformed payloads emit a
+structured error JSON on stdout; `pipeline` writes no file when it fails.
 All randomized paths take an explicit seed (default 0). `--exhaustive-cap`
 is the one way to set the exhaustive cut-search cap.
 """
@@ -20,7 +23,13 @@ from fractions import Fraction
 from . import jsonio
 from .certify import CertifierError, certify_box, sample_verify, witness_norm
 from .checker import check_certificate
-from .colored import CoverFailure, EdgeColoredGraph, color_cover
+from .colored import (
+    DEFAULT_EXHAUSTIVE_CAP,
+    MAX_EXHAUSTIVE_CAP,
+    CoverFailure,
+    EdgeColoredGraph,
+    color_cover,
+)
 from .dependence import DependenceConfig, ExtractionFailure, extract_dependences
 from .norms import (
     AngleBound,
@@ -55,11 +64,25 @@ def _positive(s: str) -> Fraction:
     return x
 
 
-def _count(s: str) -> int:
-    n = int(s)  # argparse reports a ValueError as a usage error
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"not a count ≥ 0: {s!r}")
-    return n
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi] (no upper bound when hi is None)."""
+    def parse(s: str) -> int:
+        try:
+            n = int(s)
+        except ValueError:
+            n = None
+        if n is None or n < lo or (hi is not None and n > hi):
+            bound = f"≥ {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"not an integer {bound}: {s!r}")
+        return n
+    return parse
+
+
+def _nonzero(s: str) -> Fraction:
+    x = _rational(s)
+    if x == 0:
+        raise argparse.ArgumentTypeError(f"not a nonzero rational: {s!r}")
+    return x
 
 
 def _emit(payload: dict, path: str | None):
@@ -195,14 +218,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    # everything is computed before the first file is written
     out = args.out_dir.rstrip("/")
     P = flat_side_quadratic(args.n)
-    B_build = square()
-    G = build_udg(P, B_build)
-    jsonio.write_json(f"{out}/points.json", jsonio.points_to_json(P))
-    jsonio.write_json(f"{out}/graph.json", jsonio.udg_to_json(G))
-    jsonio.write_color_csv(f"{out}/graph.csv", G)
-    jsonio.write_text(f"{out}/graph.svg", jsonio.render_svg(P, G))
+    G = build_udg(P, square())
     config = DependenceConfig(q=args.q, C=args.C,
                               exhaustive_cap=args.exhaustive_cap,
                               seed=args.seed)
@@ -210,8 +229,6 @@ def cmd_pipeline(args) -> int:
         res = extract_dependences(G, config)
     except ExtractionFailure as exc:
         return _error("extraction-failure", str(exc))
-    jsonio.write_json(f"{out}/system.json", jsonio.system_to_json(res.system))
-    jsonio.write_json(f"{out}/cover.json", jsonio.cover_to_json(res.cover))
     B1 = (jsonio.polygon_from_json(jsonio.read_json(args.cert_polygon))
           if args.cert_polygon else pipeline_decagon())
     eta = AngleBound(args.eta_sin2)
@@ -220,17 +237,14 @@ def cmd_pipeline(args) -> int:
     if delta0 is None:
         delta0 = choose_delta0(B1, oracle, args.eps, eta)
     cert = witness_norm(certify_box(res.system, B1, delta0, eta))
-    jsonio.write_json(f"{out}/certificate.json",
-                      jsonio.certificate_to_json(cert))
     check = check_certificate(cert, oracle, args.eps)
     verify = sample_verify(cert, args.trials, args.seed)
-    jsonio.write_json(f"{out}/report.json", jsonio.report_to_json(verify))
     summary = {
         "points": len(P),
         "edges": G.edge_count,
         "colors": G.k,
         "ell": res.system.ell,
-        "kills": len(cert.kills),
+        "kills": verify.alphas_checked,
         "delta0": str(delta0),
         "delta": str(cert.delta),
         "check_ok": check.ok,
@@ -238,11 +252,29 @@ def cmd_pipeline(args) -> int:
         "counterexample_found": verify.counterexample_found,
         "sweep_ok": verify.sweep_ok,
     }
+    jsonio.write_json(f"{out}/points.json", jsonio.points_to_json(P))
+    jsonio.write_json(f"{out}/graph.json", jsonio.udg_to_json(G))
+    jsonio.write_color_csv(f"{out}/graph.csv", G)
+    jsonio.write_text(f"{out}/graph.svg", jsonio.render_svg(P, G))
+    jsonio.write_json(f"{out}/system.json", jsonio.system_to_json(res.system))
+    jsonio.write_json(f"{out}/cover.json", jsonio.cover_to_json(res.cover))
+    jsonio.write_json(f"{out}/certificate.json",
+                      jsonio.certificate_to_json(cert))
+    jsonio.write_json(f"{out}/report.json", jsonio.report_to_json(verify))
     jsonio.write_json(f"{out}/summary.json", summary)
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     ok = check.ok and not verify.counterexample_found and verify.sweep_ok
     return 0 if ok else 1
+
+
+def _add_exhaustive_cap(p: argparse.ArgumentParser):
+    p.add_argument(
+        "--exhaustive-cap", type=_int_in(0, MAX_EXHAUSTIVE_CAP), default=None,
+        help=f"largest vertex set searched exhaustively for a weak cut "
+             f"(default {DEFAULT_EXHAUSTIVE_CAP}, at most {MAX_EXHAUSTIVE_CAP}; "
+             f"each extra vertex doubles the search, and one search over "
+             f"{MAX_EXHAUSTIVE_CAP} vertices took up to 4 s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a point sequence")
     p.add_argument("--kind", choices=["subset-sum", "flat", "grid"],
                    required=True)
-    p.add_argument("--k", type=int, default=3,
+    p.add_argument("--k", type=_int_in(1), default=3,
                    help="subset-sum: number of generator vectors")
-    p.add_argument("--n", type=int, default=10, help="flat: point count")
-    p.add_argument("--w", type=int, default=3)
-    p.add_argument("--h", type=int, default=3)
-    p.add_argument("--step", type=_rational, default=Fraction(1))
+    p.add_argument("--n", type=_int_in(2), default=10, help="flat: point count")
+    p.add_argument("--w", type=_int_in(1), default=3)
+    p.add_argument("--h", type=_int_in(1), default=3)
+    p.add_argument("--step", type=_nonzero, default=Fraction(1))
     p.add_argument("--polygon", help="subset-sum: polygon JSON for unit vectors")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
@@ -279,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge-colored graph (or decorated UDG) JSON")
     p.add_argument("--q", type=_rational, default=Fraction(2001, 1000))
     p.add_argument("--C", type=_rational, default=Fraction(1))
-    p.add_argument("--exhaustive-cap", type=int, default=None)
+    _add_exhaustive_cap(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_prop1)
@@ -288,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--udg", required=True)
     p.add_argument("--q", type=_rational, default=Fraction(2001, 1000))
     p.add_argument("--C", type=_rational, default=Fraction(1))
-    p.add_argument("--exhaustive-cap", type=int, default=None)
+    _add_exhaustive_cap(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--cover-out")
@@ -316,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "decides each assignment with a 1-dim left null space, "
                        "random trials sample the rest")
     p.add_argument("--cert", required=True)
-    p.add_argument("--trials", type=_count, default=1000,
+    p.add_argument("--trials", type=_int_in(0), default=1000,
                    help="random box points tried against the assignments "
                         "whose left null space has dimension ≥ 2")
     p.add_argument("--seed", type=int, default=0)
@@ -326,15 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline",
                        help="end to end: points → udg → lindep → certify → verify")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_int_in(2), default=10)
     p.add_argument("--q", type=_rational, default=Fraction(2001, 1000))
     p.add_argument("--C", type=_rational, default=Fraction(1, 4))
     p.add_argument("--eta-sin2", type=_rational, default=Fraction(2, 5))
     p.add_argument("--eps", type=_rational, default=Fraction(1, 4))
     p.add_argument("--delta0", type=_positive, default=None)
     p.add_argument("--cert-polygon")
-    p.add_argument("--trials", type=_count, default=200, help="as in verify")
-    p.add_argument("--exhaustive-cap", type=int, default=None)
+    p.add_argument("--trials", type=_int_in(0), default=200, help="as in verify")
+    _add_exhaustive_cap(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pipeline)
 

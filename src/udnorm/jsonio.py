@@ -2,9 +2,13 @@
 CSV color-count emission, and a minimal SVG renderer for point/edge sets.
 
 All rationals serialize as canonical strings ('n' or 'num/den' in lowest
-terms); side-assignment values are 1-based on the wire. Every reader
+terms); side ids and side-pair (class) ids are 1-based on the wire. A
+certificate payload is schema 2: `"schema": 2` and a `"null_vectors"`
+table of `{"classes": [...], "y": [...]}` entries, one per class tuple;
+kill records are not serialized, the checker derives them. Every reader
 (`read_json` and each `*_from_json`) raises `PayloadError` on a payload
-that does not describe a valid object of its kind.
+that does not describe a valid object of its kind, including a certificate
+without `"schema": 2`.
 """
 
 from __future__ import annotations
@@ -17,14 +21,7 @@ import os
 import tempfile
 from typing import IO, Iterator, Optional
 
-from .certify import (
-    AdmissibleAssignment,
-    AffineForm,
-    KillRecord,
-    NormCertificate,
-    OffsetBox,
-    VerifyReport,
-)
+from .certify import NormCertificate, OffsetBox, VerifyReport
 from .colored import CoverResult, CutParams, EdgeColoredGraph, GreedyTrace, RobustCoreResult, WeakCut
 from .dependence import DependenceSystem
 from .norms import AngleBound, NormOracle, OffsetVector, SymmetricPolygon
@@ -49,6 +46,12 @@ def _reader(fn):
                 ArithmeticError) as exc:
             raise PayloadError(f"{fn.__name__}: {type(exc).__name__}: {exc}") from exc
     return read
+
+
+def _wire_int(v) -> int:
+    if type(v) is not int:
+        raise ValueError(f"not an integer: {v!r}")
+    return v
 
 
 def _vec(v: Vec2) -> list[str]:
@@ -233,36 +236,18 @@ def box_from_json(d: dict) -> OffsetBox:
     )
 
 
-def _affine_to_json(h: AffineForm) -> dict:
-    return {
-        "const": rat_to_str(h.const),
-        "coeffs": [rat_to_str(c) for c in h.coeffs],
-    }
-
-
-def _affine_from_json(d: dict) -> AffineForm:
-    return AffineForm(
-        rat_from_str(d["const"]),
-        tuple(rat_from_str(c) for c in d["coeffs"]),
-    )
-
-
 def certificate_to_json(cert: NormCertificate) -> dict:
     out = {
+        "schema": 2,
         "polygon": polygon_to_json(cert.polygon),
         "box": box_to_json(cert.box),
         "system": system_to_json(cert.system),
         "eta_sin_sq": rat_to_str(cert.eta.sin_sq),
         "degenerate": cert.degenerate,
-        "kills": [
-            {
-                # 1-based side ids on the wire
-                "alpha": [a + 1 for a in rec.alpha.alpha],
-                "y": [rat_to_str(v) for v in rec.y],
-                "h": _affine_to_json(rec.h),
-                "sign": rec.sign,
-            }
-            for rec in cert.kills
+        "null_vectors": [
+            {"classes": [k + 1 for k in classes],
+             "y": [rat_to_str(v) for v in y]}
+            for classes, y in cert.null_vectors
         ],
     }
     if cert.has_witness():
@@ -277,26 +262,30 @@ def certificate_to_json(cert: NormCertificate) -> dict:
 
 @_reader
 def certificate_from_json(d: dict) -> NormCertificate:
+    if d.get("schema") != 2 or type(d["schema"]) is not int:
+        raise ValueError(f"schema {d.get('schema')!r}, expected 2")
+    if type(d["degenerate"]) is not bool:
+        raise ValueError("degenerate must be true or false")
     witness = d.get("witness")
+    if (witness is None) != ("delta" not in d):
+        raise ValueError("witness and delta come together")
     return NormCertificate(
         polygon=polygon_from_json(d["polygon"]),
         box=box_from_json(d["box"]),
-        kills=tuple(
-            KillRecord(
-                alpha=AdmissibleAssignment(tuple(int(a) - 1 for a in k["alpha"])),
-                y=tuple(rat_from_str(v) for v in k["y"]),
-                h=_affine_from_json(k["h"]),
-                sign=int(k["sign"]),
-            )
-            for k in d["kills"]
+        null_vectors=tuple(
+            (tuple(_wire_int(k) - 1 for k in e["classes"]),
+             tuple(rat_from_str(v) for v in e["y"]))
+            for e in d["null_vectors"]
         ),
         system=system_from_json(d["system"]),
         eta=AngleBound(rat_from_str(d["eta_sin_sq"])),
-        degenerate=bool(d.get("degenerate", False)),
-        witness_in=polygon_from_json(witness["in"]) if witness else None,
-        witness_mid=polygon_from_json(witness["mid"]) if witness else None,
-        witness_out=polygon_from_json(witness["out"]) if witness else None,
-        delta=rat_from_str(d["delta"]) if "delta" in d else None,
+        degenerate=d["degenerate"],
+        **({} if witness is None else {
+            "witness_in": polygon_from_json(witness["in"]),
+            "witness_mid": polygon_from_json(witness["mid"]),
+            "witness_out": polygon_from_json(witness["out"]),
+            "delta": rat_from_str(d["delta"]),
+        }),
     )
 
 

@@ -283,6 +283,11 @@ class TestCertifyBox:
         cert = _toy_certificate(octagon, ETA_OCT, with_witness=False)
         assert len(cert.kills) == 192
         assert not cert.degenerate
+        # one null vector per class tuple, in the order certify met them
+        first_met = list(dict.fromkeys(
+            tuple(a % 4 for a in rec.alpha.alpha) for rec in cert.kills))
+        assert [classes for classes, _ in cert.null_vectors] == first_met
+        assert len(first_met) == 4 * 3 * 2
         for rec in cert.kills:
             iv = rec.h.interval_on(cert.box)
             assert iv.excludes_zero()
@@ -294,7 +299,7 @@ class TestCertifyBox:
                                 coeffs=((1, 1), (1, -1), (2, 1)))
         cert = certify_box(wide, octagon, Fraction(1, 100), ETA_OCT)
         assert cert.degenerate
-        assert cert.kills == ()
+        assert cert.kills == () == cert.null_vectors
 
     def test_idempotent(self, octagon):
         cert = _toy_certificate(octagon, ETA_OCT, with_witness=False)
@@ -316,7 +321,7 @@ class TestWitness:
         # δ = 1/16 (unit normals make the bound exact)
         box = OffsetBox(OffsetVector.of([Fraction(1, 8), Fraction(1, 8)]),
                         OffsetVector.of([Fraction(1, 4), Fraction(1, 4)]))
-        cert = NormCertificate(polygon=square(), box=box, kills=(),
+        cert = NormCertificate(polygon=square(), box=box, null_vectors=(),
                                system=TOY, eta=AngleBound.of(1),
                                degenerate=True)
         cert = witness_norm(cert)
@@ -329,7 +334,7 @@ class TestWitness:
         box = OffsetBox(OffsetVector.of([Fraction(1, 8), Fraction(1, 8)]),
                         OffsetVector.of([Fraction(1, 4), Fraction(1, 4)]))
         cert = witness_norm(NormCertificate(
-            polygon=square(), box=box, kills=(), system=TOY,
+            polygon=square(), box=box, null_vectors=(), system=TOY,
             eta=AngleBound.of(1), degenerate=True))
         rng = random.Random(5)
         B = cert.witness_mid
@@ -378,7 +383,7 @@ class TestCorrectnessChecks:
         flat = OffsetVector.of([Fraction(1, 8), Fraction(1, 8)])
         object.__setattr__(box, "lo", flat)
         object.__setattr__(box, "hi", flat)
-        cert = NormCertificate(polygon=square(), box=box, kills=(),
+        cert = NormCertificate(polygon=square(), box=box, null_vectors=(),
                                system=TOY, eta=AngleBound.of(1), degenerate=True)
         with pytest.raises(CertifierError, match="margin"):
             witness_norm(cert)

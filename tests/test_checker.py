@@ -3,19 +3,15 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import octagon, twelve_gon
 from udnorm import jsonio
-from udnorm.certify import (
-    AffineForm,
-    OffsetBox,
-    certify_box,
-    witness_norm,
-)
+from udnorm.certify import OffsetBox, certify_box, witness_norm
 from udnorm.checker import check_certificate
 from udnorm.dependence import DependenceSystem
-from udnorm.norms import AngleBound, NormOracle, OffsetVector, square
+from udnorm.norms import (AngleBound, NormOracle, OffsetVector,
+                          SymmetricPolygon, square)
 from udnorm.ratlin import rat_from_str, rat_to_str
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
@@ -56,6 +52,14 @@ def _tamper(cert, **changes):
     return dataclasses.replace(cert, **changes)
 
 
+def _table(cert, entries):
+    return _tamper(cert, null_vectors=tuple(entries))
+
+
+def _bumped(y):
+    return (y[0] + 1,) + tuple(y[1:])
+
+
 class TestCorruptions:
     def test_widened_box(self, oct_cert):
         wide = OffsetBox(
@@ -67,64 +71,85 @@ class TestCorruptions:
         assert rep.failing_alphas
 
     def test_tampered_null_vector(self, oct_cert):
-        rec = oct_cert.kills[0]
-        bad_rec = dataclasses.replace(
-            rec, y=(rec.y[0] + 1,) + tuple(rec.y[1:]))
-        rep = check_certificate(
-            _tamper(oct_cert, kills=(bad_rec,) + oct_cert.kills[1:]))
-        assert not rep.ok
-        assert any("yᵀA" in f or "functional" in f for f in rep.failures)
-
-    def test_tampered_functional(self, oct_cert):
-        rec = oct_cert.kills[0]
-        bad_h = AffineForm(rec.h.const + 1, rec.h.coeffs)
-        bad_rec = dataclasses.replace(rec, h=bad_h)
-        rep = check_certificate(
-            _tamper(oct_cert, kills=(bad_rec,) + oct_cert.kills[1:]))
-        assert not rep.ok
-
-    def test_consistent_non_null_vector(self, oct_cert):
-        # y is no longer a null vector, but h = yᵀb and the sign agree with
-        # it; the last record's class tuple has been checked before
-        B = oct_cert.polygon
-        rec = oct_cert.kills[-1]
-        y = (rec.y[0] + 1,) + tuple(rec.y[1:])
-        const, coeffs = Fraction(0), [Fraction(0)] * B.m
-        for yi, side in zip(y, rec.alpha.alpha):
-            signed = yi if side < B.m else -yi
-            coeffs[side % B.m] += signed
-            const += signed * B.offsets[side % B.m]
-        h = AffineForm(const, tuple(coeffs))
-        sign = 1 if h.interval_on(oct_cert.box).lo > 0 else -1
-        bad_rec = dataclasses.replace(rec, y=y, h=h, sign=sign)
-        rep = check_certificate(
-            _tamper(oct_cert, kills=oct_cert.kills[:-1] + (bad_rec,)))
+        (classes, y), *rest = oct_cert.null_vectors
+        rep = check_certificate(_table(oct_cert, [(classes, _bumped(y))] + rest))
         assert not rep.ok
         assert any("yᵀA" in f for f in rep.failures)
 
-    def test_missing_kill(self, oct_cert):
-        rep = check_certificate(_tamper(oct_cert, kills=oct_cert.kills[1:]))
+    def test_tampered_functional(self, oct_cert):
+        # h = yᵀb(t) is rebuilt from the polygon's offsets, so moving one
+        # offset moves the constant of every h that reads it (no witness,
+        # so no sandwich check sees the change)
+        B = oct_cert.polygon
+        moved = SymmetricPolygon.from_pairs(
+            (n, c + Fraction(i == 0, 20))
+            for i, (n, c) in enumerate(zip(B.normals, B.offsets)))
+        rep = check_certificate(_tamper(oct_cert, polygon=moved, delta=None))
         assert not rep.ok
-        assert any("no kill record" in f for f in rep.failures)
+        assert any("sign-definite" in f for f in rep.failures)
+        assert rep.failing_alphas
+
+    def test_consistent_non_null_vector(self, oct_cert):
+        # y is no longer a null vector, but the h derived from it is still
+        # sign-definite on the box
+        *rest, (classes, y) = oct_cert.null_vectors
+        rep = check_certificate(_table(oct_cert, rest + [(classes, _bumped(y))]))
+        assert not rep.ok
+        assert all("yᵀA" in f for f in rep.failures)
+        assert {tuple(a % 4 for a in al) for al in rep.failing_alphas} == {classes}
+
+    def test_missing_kill(self, oct_cert):
+        (classes, _), *rest = oct_cert.null_vectors
+        rep = check_certificate(_table(oct_cert, rest))
+        assert not rep.ok
+        assert any("no null vector" in f for f in rep.failures)
+        # every side choice of the class tuple is left without evidence
+        assert len(rep.failing_alphas) == 8
+        assert {tuple(a % 4 for a in al) for al in rep.failing_alphas} == {classes}
 
     def test_duplicate_kill(self, oct_cert):
-        rec = oct_cert.kills[0]
-        rep = check_certificate(_tamper(oct_cert, kills=oct_cert.kills + (rec,)))
+        entry = oct_cert.null_vectors[0]
+        rep = check_certificate(_table(oct_cert, oct_cert.null_vectors + (entry,)))
         assert not rep.ok
-        assert any("duplicate kill record" in f for f in rep.failures)
-        assert rep.failing_alphas == [rec.alpha.alpha]
+        assert any("duplicate null vector" in f for f in rep.failures)
+        assert rep.failing_alphas == [entry[0]]
 
-    def test_wrong_sign(self, oct_cert):
-        rec = oct_cert.kills[0]
-        bad_rec = dataclasses.replace(rec, sign=-rec.sign)
-        rep = check_certificate(
-            _tamper(oct_cert, kills=(bad_rec,) + oct_cert.kills[1:]))
+    @pytest.mark.parametrize("classes, message", [
+        ((0, 1), "wrong arity"),
+        ((0, 1, 2, 3), "wrong arity"),
+        ((0, 1, 4), "inadmissible"),
+        ((-1, 1, 2), "inadmissible"),
+        ((0, 1, 1), "inadmissible"),
+    ])
+    def test_malformed_table_entry(self, oct_cert, classes, message):
+        y = oct_cert.null_vectors[0][1]
+        rep = check_certificate(_table(oct_cert, oct_cert.null_vectors
+                                       + ((classes, y),)))
         assert not rep.ok
+        assert any(message in f for f in rep.failures)
+        assert rep.failing_alphas == [classes]
+
+    def test_zero_null_vector(self, oct_cert):
+        (classes, y), *rest = oct_cert.null_vectors
+        rep = check_certificate(_table(oct_cert, [(classes, (0,) * len(y))] + rest))
+        assert any("zero null vector" in f for f in rep.failures)
+        assert len(rep.failing_alphas) == 8
+
+    def test_ignores_the_kills_view(self, oct_cert):
+        # the checker reads the table alone: a corrupted kills view of an
+        # otherwise valid certificate does not change its verdict
+        cert = _tamper(oct_cert)
+        object.__setattr__(cert, "kills", ())
+        assert check_certificate(cert).ok
 
     def test_delta_too_large(self, oct_cert):
         rep = check_certificate(_tamper(oct_cert, delta=oct_cert.delta * 100))
         assert not rep.ok
         assert any("margin" in f for f in rep.failures)
+
+    def test_smaller_delta_is_a_weaker_claim(self, oct_cert):
+        # no norm within δ/2 of the witness is implied by "none within δ"
+        assert check_certificate(_tamper(oct_cert, delta=oct_cert.delta / 2)).ok
 
     def test_witness_offsets_tampered(self, oct_cert):
         from udnorm.norms import offset_polygon
@@ -141,11 +166,12 @@ class TestCorruptions:
         assert any("eps" in f for f in rep.failures)
 
 
-# --- payload fuzzing: one kill-record field at a time ---------------------------
+# --- payload fuzzing: one field at a time ---------------------------------------
 
 NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(
     lambda d: d != 0)
-MUTATIONS = ("y", "h.const", "h.coeff", "h.length", "sign", "alpha", "extra")
+TABLE_MUTATIONS = ("y", "y.length", "classes", "missing", "extra", "duplicate",
+                   "schema")
 
 
 @pytest.fixture(scope="module")
@@ -157,43 +183,90 @@ def _shifted(value: str, d: Fraction) -> str:
     return rat_to_str(rat_from_str(value) + d)
 
 
-def _mutate(payload, data):
-    """A copy of the payload with one kill-record field changed (or one
-    record appended), and a description of the change."""
+def _mutate_table(payload, data):
+    """A copy of the payload with one null-vector table entry, the table's
+    length or the schema field changed, and a description of the change."""
     d = copy.deepcopy(payload)
-    kills = d["kills"]
-    rec = kills[data.draw(st.integers(0, len(kills) - 1), label="record")]
-    what = data.draw(st.sampled_from(MUTATIONS), label="field")
+    table = d["null_vectors"]
+    entry = table[data.draw(st.integers(0, len(table) - 1), label="entry")]
+    what = data.draw(st.sampled_from(TABLE_MUTATIONS), label="field")
+    # 1-based on the wire: 0 and m + 1 are out of range
+    wire_classes = st.integers(0, len(d["box"]["lo"]) + 1)
     if what == "y":
-        i = data.draw(st.integers(0, len(rec["y"]) - 1))
-        rec["y"][i] = _shifted(rec["y"][i], data.draw(NONZERO))
-    elif what == "h.const":
-        rec["h"]["const"] = _shifted(rec["h"]["const"], data.draw(NONZERO))
-    elif what == "h.coeff":
-        coeffs = rec["h"]["coeffs"]
-        i = data.draw(st.integers(0, len(coeffs) - 1))
-        coeffs[i] = _shifted(coeffs[i], data.draw(NONZERO))
-    elif what == "h.length":
+        i = data.draw(st.integers(0, len(entry["y"]) - 1))
+        entry["y"][i] = _shifted(entry["y"][i], data.draw(NONZERO))
+    elif what == "y.length":
         if data.draw(st.booleans()):
-            rec["h"]["coeffs"].append(rat_to_str(data.draw(NONZERO | st.just(0))))
+            entry["y"].append(rat_to_str(data.draw(NONZERO | st.just(0))))
         else:
-            rec["h"]["coeffs"].pop()
-    elif what == "sign":
-        rec["sign"] = data.draw(st.sampled_from(
-            [v for v in (-1, 0, 1, 2) if v != rec["sign"]]))
+            entry["y"].pop()
+    elif what == "classes":
+        i = data.draw(st.integers(0, len(entry["classes"]) - 1))
+        entry["classes"][i] = data.draw(wire_classes.filter(
+            lambda k: k != entry["classes"][i])
+            | st.sampled_from([entry["classes"][i] + 0.5, 1.0, "1", None]))
+    elif what == "missing":
+        table.remove(entry)
+    elif what == "extra":
+        table.append({"classes": data.draw(st.lists(wire_classes, max_size=5)),
+                      "y": list(entry["y"])})
+    elif what == "duplicate":
+        # the copy may be a valid null vector of its tuple: still a duplicate
+        q = data.draw(NONZERO)
+        table.append({"classes": list(entry["classes"]),
+                      "y": [rat_to_str(rat_from_str(v) * q) for v in entry["y"]]})
+    elif data.draw(st.booleans()):
+        del d["schema"]
     else:
-        # 1-based on the wire: 0 and 2m + 1 are out of range
-        wire_sides = st.integers(0, 2 * len(d["box"]["lo"]) + 1)
-        if what == "alpha":
-            i = data.draw(st.integers(0, len(rec["alpha"]) - 1))
-            rec["alpha"][i] = data.draw(wire_sides.filter(
-                lambda a: a != rec["alpha"][i]))
-        else:
-            extra = copy.deepcopy(rec)
-            extra["alpha"] = data.draw(st.one_of(
-                st.just(list(rec["alpha"])),
-                st.lists(wire_sides, min_size=0, max_size=5)))
-            kills.append(extra)
+        d["schema"] = data.draw(st.sampled_from([1, 3, "2", 2.0, True, None]))
+    return d, what
+
+
+def _polygon_mutation(poly, data):
+    i = data.draw(st.integers(0, len(poly["offsets"]) - 1))
+    if data.draw(st.booleans()):
+        poly["offsets"][i] = _shifted(poly["offsets"][i],
+                                      data.draw(NONZERO) / 100)
+    else:
+        j = data.draw(st.integers(0, 1))
+        poly["normals"][i][j] = _shifted(poly["normals"][i][j],
+                                         Fraction(data.draw(st.integers(-3, 3)
+                                                            .filter(bool))))
+
+
+def _mutate_field(payload, data):
+    """A copy of the payload with one field outside the table changed (or
+    dropped), and a description of the change."""
+    d = copy.deepcopy(payload)
+    what = data.draw(st.sampled_from((
+        "box", "box.length", "polygon", "polygon.m", "system.l",
+        "system.coeff", "witness", "delta", "degenerate", "drop")), label="field")
+    if what == "box":
+        side = d["box"][data.draw(st.sampled_from(("lo", "hi")))]
+        i = data.draw(st.integers(0, len(side) - 1))
+        side[i] = _shifted(side[i], data.draw(NONZERO) / 100)
+    elif what == "box.length":
+        side = d["box"][data.draw(st.sampled_from(("lo", "hi")))]
+        side.pop() if data.draw(st.booleans()) else side.append(side[-1])
+    elif what == "polygon":
+        _polygon_mutation(d["polygon"], data)
+    elif what == "polygon.m":
+        d["polygon"]["m"] += data.draw(st.integers(-2, 2).filter(bool))
+    elif what == "system.l":
+        d["system"]["l"] += data.draw(st.integers(-1, 2).filter(bool))
+    elif what == "system.coeff":
+        row = d["system"]["coeffs"][data.draw(st.integers(0, 1))]
+        row[0] += data.draw(st.integers(-3, 3).filter(bool))
+    elif what == "witness":
+        _polygon_mutation(
+            d["witness"][data.draw(st.sampled_from(("in", "mid", "out")))], data)
+    elif what == "delta":
+        d["delta"] = _shifted(d["delta"], data.draw(NONZERO))
+    elif what == "degenerate":
+        d["degenerate"] = data.draw(st.sampled_from([True, None, 0, 1, "false"]))
+    else:
+        del d[data.draw(st.sampled_from(
+            ("box", "polygon", "system", "witness", "delta", "degenerate")))]
     return d, what
 
 
@@ -226,23 +299,38 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_kill_record_mutation_never_checks_ok(self, oct_payload, data):
-        payload, what = _mutate(oct_payload, data)
-        rep = check_certificate(jsonio.certificate_from_json(payload))
+        # kill records are implied by the null-vector table: mutate it
+        payload, what = _mutate_table(oct_payload, data)
+        try:
+            cert = jsonio.certificate_from_json(payload)
+        except jsonio.PayloadError:
+            return
+        rep = check_certificate(cert)
         assert not rep.ok, what
         assert rep.failing_alphas, what
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_field_mutation_never_checks_ok(self, oct_cert, oct_payload, data):
+        payload, what = _mutate_field(oct_payload, data)
+        try:
+            cert = jsonio.certificate_from_json(payload)
+        except jsonio.PayloadError:
+            return
+        # a re-encoding of the same object (a polygon normal negated or
+        # scaled together with its offset) is not a change
+        assume(cert != oct_cert)
+        assert not check_certificate(cert).ok, what
+
     @settings(max_examples=30, deadline=None)
-    @given(q=st.fractions(min_value=Fraction(1, 50), max_value=50,
-                          max_denominator=50),
+    @given(q=st.fractions(min_value=-50, max_value=50,
+                          max_denominator=50).filter(bool),
            every=st.booleans())
     def test_rational_rescaling_checks_ok(self, oct_payload, q, every):
-        # (y, h) ↦ (q·y, q·h) with q > 0 keeps yᵀA = 0, h = yᵀb and the sign,
-        # so only the denominators of y change
+        # y ↦ q·y with q ≠ 0 keeps yᵀA = 0 and scales h by q, so h stays
+        # sign-definite (its sign flips when q < 0); no sign is stored
         d = copy.deepcopy(oct_payload)
-        for rec in d["kills"] if every else d["kills"][:1]:
-            rec["y"] = [rat_to_str(rat_from_str(v) * q) for v in rec["y"]]
-            h = rec["h"]
-            h["const"] = rat_to_str(rat_from_str(h["const"]) * q)
-            h["coeffs"] = [rat_to_str(rat_from_str(c) * q) for c in h["coeffs"]]
+        for entry in d["null_vectors"] if every else d["null_vectors"][:1]:
+            entry["y"] = [rat_to_str(rat_from_str(v) * q) for v in entry["y"]]
         rep = check_certificate(jsonio.certificate_from_json(d))
         assert rep.ok, rep.failures[:3]

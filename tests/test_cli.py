@@ -9,6 +9,7 @@ import pytest
 from conftest import octagon
 from udnorm import cli, jsonio
 from udnorm.certify import certify_box, witness_norm
+from udnorm.colored import MAX_EXHAUSTIVE_CAP
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import AngleBound, square
 
@@ -214,13 +215,18 @@ def _zero_delta(payload):
     payload["delta"] = "1/0"
 
 
-def _scalar_kills(payload):
-    payload["kills"] = 5
+def _scalar_null_vectors(payload):
+    payload["null_vectors"] = 5
+
+
+def _schema_1(payload):
+    payload["schema"] = 1
 
 
 class TestMalformedPayload:
-    @pytest.mark.parametrize("mutate", [_drop_box, _zero_delta, _scalar_kills],
-                             ids=["missing-box", "delta-1/0", "kills-scalar"])
+    @pytest.mark.parametrize(
+        "mutate", [_drop_box, _zero_delta, _scalar_null_vectors, _schema_1],
+        ids=["missing-box", "delta-1/0", "null-vectors-scalar", "schema-1"])
     def test_check_reports_payload_error(self, tmp_path, mutate):
         cert = witness_norm(certify_box(TOY, octagon(), Fraction(1, 100),
                                         AngleBound.of(Fraction(5, 9))))
@@ -245,6 +251,43 @@ class TestMalformedPayload:
         assert json.loads(r.stdout)["error"] == "malformed-payload"
 
 
+class TestNumberArguments:
+    @pytest.mark.parametrize("args", [
+        ["pipeline", "--n", "0"],
+        ["gen", "--kind", "subset-sum", "--k", "0"],
+        ["gen", "--kind", "grid", "--step", "0"],
+        ["gen", "--kind", "flat", "--n", "-2"],
+        ["gen", "--kind", "grid", "--w", "0"],
+        ["gen", "--kind", "grid", "--h", "-1"],
+        ["gen", "--kind", "grid", "--w", "two"],
+        ["pipeline", "--exhaustive-cap", "23"],
+        ["pipeline", "--exhaustive-cap", "-1"],
+        ["lindep", "--udg", "G.json", "--exhaustive-cap", "64"],
+        ["prop1", "--graph", "G.json", "--exhaustive-cap", "64"],
+    ], ids=lambda a: " ".join(a[-3:]))
+    def test_out_of_range_is_usage_error(self, tmp_path, args):
+        # argparse rejects the value before anything is read, searched or
+        # written (G.json does not exist)
+        option = args[-2]
+        if args[0] == "pipeline":
+            args = args + ["--out-dir", str(tmp_path / "run")]
+        r = run_cli(*args)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert f"argument {option}:" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_cap_accepted(self):
+        args = cli.build_parser().parse_args(
+            ["prop1", "--graph", "G.json", "--exhaustive-cap", "22"])
+        assert args.exhaustive_cap == 22 == MAX_EXHAUSTIVE_CAP
+
+    def test_pipeline_failure_writes_nothing(self, tmp_path):
+        r = run_cli("pipeline", "--out-dir", str(tmp_path / "run"), "--n", "3")
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["error"] == "extraction-failure"
+        assert not (tmp_path / "run").exists()
+
+
 class TestPipeline:
     def test_end_to_end(self, tmp_path):
         r = run_cli("pipeline", "--out-dir", str(tmp_path / "run"),
@@ -265,7 +308,7 @@ class TestPipeline:
         assert rc == 0, capsys.readouterr().out
         digest = hashlib.sha256((tmp_path / "certificate.json").read_bytes())
         assert digest.hexdigest() == (
-            "d89df989e1473dafe5dfc5c4c248594efa9f8ad065fd40f9110afef38df33c0a")
+            "891f109fa1d63cb05ba43d94ccc45dc646531c2ac3f331b9187c0bd92de008e8")
 
     def test_prop1_failure_exit(self, tmp_path):
         # default C = 1 makes r too large for the 10-point instance
