@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Time the two hot kernels.
 
-Two hot loops: the O(n²) unit-pair scan over integer-scaled coordinates and
-the exhaustive weak-cut search. Both backends must return identical results;
-this script reports wall times and the speedup.
+The O(n²) unit-pair scan over integer-scaled coordinates runs on both
+backends when the compiled extension is importable; both must return
+identical pairs, and the speedup is reported. The exhaustive weak-cut
+search has one (pure-Python) implementation and is timed alone.
 
-Usage: python benchmarks/bench_kernels.py [--k 10] [--cut-n 16] [--repeat 3]
+Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16] [--repeat 3]
 """
 
 import argparse
@@ -73,12 +74,8 @@ def main():
                 adj[j] |= 1 << i
     thr = weak_delta_table(w, Fraction(2))
     print(f"\nweak-cut search: {w} vertices, {(1 << (w - 1)) - 1} cuts")
-    t_py, r_py = bench(lambda: _kern_py.min_weak_cut(adj, w, thr), args.repeat)
+    t_py, r_py = bench(lambda: kernels.min_weak_cut(adj, thr), args.repeat)
     print(f"  python : {t_py * 1e3:10.1f} ms   (result {r_py})")
-    if _kern_cy is not None:
-        t_cy, r_cy = bench(lambda: _kern_cy.min_weak_cut(adj, w, thr), args.repeat)
-        assert r_cy == r_py, "backends disagree"
-        print(f"  cython : {t_cy * 1e3:10.1f} ms   (speedup {t_py / t_cy:.1f}x)")
 
 
 if __name__ == "__main__":

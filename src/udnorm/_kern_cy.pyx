@@ -1,7 +1,6 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernels for the two hot loops: the O(n²) unit-pair scan over
-integer-scaled coordinates and the exhaustive weak-cut search over bitmask
-bipartitions.
+"""Compiled kernel for the O(n²) unit-pair scan over integer-scaled
+coordinates.
 
 Callers guarantee all values fit in int64 (the dispatch layer checks an
 a-priori bound); results are bit-identical to the pure-Python reference in
@@ -9,19 +8,6 @@ a-priori bound); results are bit-identical to the pure-Python reference in
 """
 
 from libc.stdlib cimport free, malloc
-
-cdef extern from *:
-    """
-    #include <stdint.h>
-    static inline int popcnt_u64(uint64_t x) {
-    #if defined(__GNUC__) || defined(__clang__)
-        return __builtin_popcountll(x);
-    #else
-        int c = 0; while (x) { x &= x - 1; ++c; } return c;
-    #endif
-    }
-    """
-    int popcnt_u64(unsigned long long x) nogil
 
 
 def unit_pairs(vals, bounds):
@@ -64,49 +50,3 @@ def unit_pairs(vals, bounds):
     finally:
         free(v)
         free(d)
-
-
-def min_weak_cut(adj, int w, thr):
-    """See _kern_py.min_weak_cut; identical semantics and tie-breaking."""
-    cdef unsigned long long amask[64]
-    cdef long long tt[64]
-    cdef int v, s
-    for v in range(w):
-        amask[v] = adj[v]
-    for s in range(w + 1):
-        if s < len(thr):
-            tt[s] = thr[s]
-        else:
-            tt[s] = -1
-    cdef unsigned long long full = ((<unsigned long long> 1) << w) - 1
-    cdef unsigned long long a, mask, other, side
-    cdef long long best_delta = -1, delta, limit, t
-    cdef long long best_mask = -1
-    cdef int pc, mn, dcur
-    cdef unsigned long long top = (<unsigned long long> 1) << (w - 1)
-    for a in range(1, top):
-        mask = a << 1
-        pc = popcnt_u64(mask)
-        mn = pc if pc * 2 <= w else w - pc
-        t = tt[mn]
-        if t < 0:
-            continue
-        limit = t if best_delta < 0 else (t if t < best_delta - 1 else best_delta - 1)
-        if limit < 0:
-            continue
-        other = full ^ mask
-        delta = 0
-        for v in range(w):
-            side = other if (mask >> v) & 1 else mask
-            dcur = popcnt_u64(amask[v] & side)
-            if dcur > delta:
-                delta = dcur
-                if delta > limit:
-                    break
-        else:
-            if best_delta < 0 or delta < best_delta:
-                best_mask = <long long> mask
-                best_delta = delta
-    if best_mask < 0:
-        return None
-    return int(best_mask), int(best_delta)

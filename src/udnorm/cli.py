@@ -4,8 +4,9 @@ Subcommands: gen, udg, prop1, lindep, certify, check, verify, pipeline.
 Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
 2 usage errors (including a count or size out of range: `--n`, `--k`,
 `--w`, `--h`, `--trials`, and `--exhaustive-cap` outside [0, 22]; a
-`--step` of 0; a `--delta0` that is not positive; and `certify` with
-neither `--polygon` nor `--oracle`), 3 malformed input payload (a JSON file
+`gen --kind subset-sum --k` above the polygon's side count; a `--step` of
+0; a `--delta0` that is not positive; and `certify` with neither
+`--polygon` nor `--oracle`), 3 malformed input payload (a JSON file
 that does not describe a valid object of its kind, including a certificate
 that is not schema 2). Module failures and malformed payloads emit a
 structured error JSON on stdout; `pipeline` writes no file when it fails.
@@ -117,6 +118,10 @@ def cmd_gen(args) -> int:
     if args.kind == "subset-sum":
         B = (jsonio.polygon_from_json(jsonio.read_json(args.polygon))
              if args.polygon else square())
+        if args.k > 2 * B.m:
+            _error("usage", f"--k {args.k} exceeds the polygon's {2 * B.m} "
+                            f"sides (one generic unit vector per side)")
+            return 2
         vectors = generic_unit_vectors(B, args.k)
         P = subset_sum_pointset(vectors)
     elif args.kind == "flat":
@@ -273,8 +278,8 @@ def _add_exhaustive_cap(p: argparse.ArgumentParser):
         "--exhaustive-cap", type=_int_in(0, MAX_EXHAUSTIVE_CAP), default=None,
         help=f"largest vertex set searched exhaustively for a weak cut "
              f"(default {DEFAULT_EXHAUSTIVE_CAP}, at most {MAX_EXHAUSTIVE_CAP}; "
-             f"each extra vertex doubles the search, and one search over "
-             f"{MAX_EXHAUSTIVE_CAP} vertices took up to 4 s)")
+             f"each extra vertex can double the search, and one search over "
+             f"{MAX_EXHAUSTIVE_CAP} vertices took up to 1.3 s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

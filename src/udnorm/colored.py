@@ -22,9 +22,11 @@ from .udg import DecoratedUDG
 Edge = tuple[int, int]
 
 DEFAULT_EXHAUSTIVE_CAP = 18
-# An exhaustive search over w vertices tries 2^(w−1) − 1 cuts, so each step
-# up doubles its cost: one search over 22 vertices took up to 4.0 s with the
-# pure-Python kernel (random G(22, p), p from 0.3 to 1; x86-64, Python 3.11).
+# An exhaustive search over w vertices covers 2^(w−1) − 1 cuts; pruning
+# skips most of them, but a dense graph at a large r leaves up to about
+# twice the work per added vertex. One search over 22 vertices took up to
+# 1.3 s (312 random G(22, p), p from 0.3 to 1, r from 1/4 to 1024; x86-64,
+# Python 3.11).
 MAX_EXHAUSTIVE_CAP = 22
 
 
@@ -243,6 +245,7 @@ def _heuristic_weak_cut(W: tuple[int, ...], masks: list[int], thr: list[int],
             if ball != full:
                 add(ball)
     # seeded local search: flip vertices to reduce Δ
+    deg = [m.bit_count() for m in masks]
     rng = random.Random(seed)
     for _ in range(8):
         mask = 0
@@ -253,29 +256,67 @@ def _heuristic_weak_cut(W: tuple[int, ...], masks: list[int], thr: list[int],
             continue
         for _ in range(2 * w):
             add(mask)
-            cur = kernels.cut_max_degree(masks, mask)
-            best_v, best_d = -1, cur
-            for v in range(w):
-                flip = mask ^ (1 << v)
-                if flip in (0, full):
-                    continue
-                d = kernels.cut_max_degree(masks, flip)
-                if d < best_d:
-                    best_v, best_d = v, d
-            if best_v < 0:
+            v = _best_flip(masks, deg, mask, full)
+            if v < 0:
                 break
-            mask ^= 1 << best_v
-    best: Optional[tuple[int, int]] = None  # (delta, mask)
+            mask ^= 1 << v
+    best_mask, best_delta = -1, w  # every Δ is below w
     for mask in sorted(candidates):
         pc = mask.bit_count()
-        mn = min(pc, w - pc)
-        delta = kernels.cut_max_degree(masks, mask)
-        if thr[mn] >= 0 and delta <= thr[mn]:
-            if best is None or (delta, mask) < best:
-                best = (delta, mask)
-    if best is None:
+        limit = min(thr[min(pc, w - pc)], best_delta - 1)
+        if limit < 0:
+            continue
+        delta = kernels.cut_max_degree(masks, mask, limit)
+        if delta <= limit:
+            best_mask, best_delta = mask, delta
+    if best_mask < 0:
         return None
-    return _mask_to_cut(W, best[1], best[0])
+    return _mask_to_cut(W, best_mask, best_delta)
+
+
+def _best_flip(masks: list[int], deg: list[int], mask: int, full: int) -> int:
+    """The first vertex, in index order, whose flip gives the smallest Δ
+    below Δ(mask), or −1; flips that empty a side are skipped.
+
+    Flipping v changes only the cross degrees c of v (to deg v − c[v]), of
+    its same-side neighbours (+1) and of its other-side neighbours (−1).
+    With atleast[d] the vertices whose c ≥ d, some vertex has c ≥ d after
+    the flip iff deg v − c[v] ≥ d or one of three AND tests hits, so each
+    flip is decided in O(1) big-int operations and the exact Δ is walked
+    down the levels only for a flip that wins.
+    """
+    w = len(masks)
+    other = full ^ mask
+    cross = [(masks[v] & (other if (mask >> v) & 1 else mask)).bit_count()
+             for v in range(w)]
+    cur = max(cross)
+    atleast = [0] * (cur + 2)
+    for v, c in enumerate(cross):
+        atleast[c] |= 1 << v
+    for d in range(cur - 1, -1, -1):
+        atleast[d] |= atleast[d + 1]
+
+    def reaches(d: int, rest: int, same: int, opp: int) -> bool:
+        return bool(atleast[d] & rest or atleast[d - 1] & same
+                    or atleast[d + 1] & opp)
+
+    best_v, best_d = -1, cur
+    for v in range(w):
+        bit = 1 << v
+        dv = deg[v] - cross[v]
+        if dv >= best_d or mask in (bit, full ^ bit):
+            continue
+        nv = masks[v]
+        same = nv & (mask if mask & bit else other)
+        opp = nv ^ same
+        rest = ~(nv | bit)
+        if reaches(best_d, rest, same, opp):
+            continue
+        d = best_d - 1
+        while d > dv and not reaches(d, rest, same, opp):
+            d -= 1
+        best_v, best_d = v, d
+    return best_v
 
 
 @dataclass(frozen=True)

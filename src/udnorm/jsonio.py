@@ -8,7 +8,8 @@ table of `{"classes": [...], "y": [...]}` entries, one per class tuple;
 kill records are not serialized, the checker derives them. Every reader
 (`read_json` and each `*_from_json`) raises `PayloadError` on a payload
 that does not describe a valid object of its kind, including a certificate
-without `"schema": 2`.
+without `"schema": 2` and an integer field holding a float, string or
+boolean.
 """
 
 from __future__ import annotations
@@ -49,9 +50,19 @@ def _reader(fn):
 
 
 def _wire_int(v) -> int:
+    """v itself when it is a JSON integer; a float, string or boolean is
+    rejected rather than coerced."""
     if type(v) is not int:
         raise ValueError(f"not an integer: {v!r}")
     return v
+
+
+def _wire_ints(vs) -> tuple[int, ...]:
+    return tuple(_wire_int(v) for v in vs)
+
+
+def _wire_edges(pairs) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((_wire_int(a), _wire_int(b)) for a, b in pairs))
 
 
 def _vec(v: Vec2) -> list[str]:
@@ -127,13 +138,13 @@ def udg_to_json(G: DecoratedUDG) -> dict:
 
 @_reader
 def udg_from_json(d: dict) -> DecoratedUDG:
-    edges = tuple(sorted((int(a), int(b)) for a, b in d["edges"]))
-    colors = tuple(int(d["color"][_edge_key(e)]) for e in edges)
-    signs = tuple(int(d["sign"][_edge_key(e)]) for e in edges)
+    edges = _wire_edges(d["edges"])
+    colors = tuple(_wire_int(d["color"][_edge_key(e)]) for e in edges)
+    signs = tuple(_wire_int(d["sign"][_edge_key(e)]) for e in edges)
     directions = None
     if d.get("directions") is not None:
         directions = tuple(_unvec(u) for u in d["directions"])
-    return DecoratedUDG(int(d["n"]), edges, colors, signs, directions)
+    return DecoratedUDG(_wire_int(d["n"]), edges, colors, signs, directions)
 
 
 def graph_to_json(G: EdgeColoredGraph) -> dict:
@@ -146,9 +157,9 @@ def graph_to_json(G: EdgeColoredGraph) -> dict:
 
 @_reader
 def graph_from_json(d: dict) -> EdgeColoredGraph:
-    edges = tuple(sorted((int(a), int(b)) for a, b in d["edges"]))
-    colors = tuple(int(d["color"][_edge_key(e)]) for e in edges)
-    return EdgeColoredGraph(int(d["n"]), edges, colors)
+    edges = _wire_edges(d["edges"])
+    colors = tuple(_wire_int(d["color"][_edge_key(e)]) for e in edges)
+    return EdgeColoredGraph(_wire_int(d["n"]), edges, colors)
 
 
 def cover_to_json(res: CoverResult) -> dict:
@@ -180,17 +191,18 @@ def cover_to_json(res: CoverResult) -> dict:
 @_reader
 def cover_from_json(d: dict) -> CoverResult:
     return CoverResult(
-        W=tuple(d["W"]),
-        I=tuple(d["I"]),
-        colors_in_W=int(d["colors_in_W"]),
+        W=_wire_ints(d["W"]),
+        I=_wire_ints(d["I"]),
+        colors_in_W=_wire_int(d["colors_in_W"]),
         trace=GreedyTrace(
-            tuple(d["trace"]["colors"]),
-            tuple(d["trace"]["component_counts"]),
+            _wire_ints(d["trace"]["colors"]),
+            _wire_ints(d["trace"]["component_counts"]),
         ),
         robust=RobustCoreResult(
-            W=tuple(d["robust"]["W"]),
+            W=_wire_ints(d["robust"]["W"]),
             trace=tuple(
-                WeakCut(tuple(c["A"]), tuple(c["B"]), int(c["delta"]))
+                WeakCut(_wire_ints(c["A"]), _wire_ints(c["B"]),
+                        _wire_int(c["delta"]))
                 for c in d["robust"]["cuts"]
             ),
             hypothesis_met=bool(d["robust"]["hypothesis_met"]),
@@ -215,9 +227,9 @@ def system_to_json(S: DependenceSystem) -> dict:
 @_reader
 def system_from_json(d: dict) -> DependenceSystem:
     return DependenceSystem(
-        ell=int(d["l"]),
-        indices=tuple(int(i) for i in d["indices"]),
-        coeffs=tuple(tuple(int(c) for c in row) for row in d["coeffs"]),
+        ell=_wire_int(d["l"]),
+        indices=_wire_ints(d["indices"]),
+        coeffs=tuple(_wire_ints(row) for row in d["coeffs"]),
     )
 
 

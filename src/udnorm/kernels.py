@@ -1,9 +1,9 @@
-"""Backend dispatch for the hot kernels.
+"""Entry points for the hot kernels.
 
-At import time the compiled extension is preferred; the pure-Python
-reference is used when the extension is missing or when an input's
-magnitude bound does not provably fit in int64 (exactness is never traded
-for speed).
+The unit-pair scan prefers the compiled extension, chosen at import time;
+the pure-Python scan is used when the extension is missing or when an
+input's magnitude bound does not provably fit in int64 (exactness is never
+traded for speed). The weak-cut kernels are pure Python.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ _INT64_SAFE = 2**62
 def active_backend() -> str:
     """'cython' when the compiled extension is in use, else 'python'."""
     return "python" if _kern_cy is None else "cython"
-
-
-def _impl(int64_safe: bool):
-    return _kern_py if (_kern_cy is None or not int64_safe) else _kern_cy
 
 
 def scaled_unit_pair_input(
@@ -69,7 +65,7 @@ def unit_pair_indices(
 ) -> list[tuple[int, int]]:
     """All 0-based index pairs (i < j) at exact gauge distance 1."""
     vals, bounds, max_dv = scaled_unit_pair_input(points, constraints)
-    impl = _impl(max_dv < _INT64_SAFE)
+    impl = _kern_py if _kern_cy is None or max_dv >= _INT64_SAFE else _kern_cy
     return impl.unit_pairs(vals, bounds)
 
 
@@ -81,15 +77,18 @@ def min_weak_cut(
 
     adj_masks[v] = neighborhood bitmask among the set's vertices;
     thresholds[s] = largest weak Δ for min-side size s (−1: none).
-    Enumerates all subsets not containing vertex 0, ascending mask order.
+    Covers every subset not containing vertex 0; ties go to the smallest
+    mask.
     """
     w = len(adj_masks)
     if w < 2:
         return None
-    impl = _impl(w <= 63)
-    return impl.min_weak_cut(list(adj_masks), w, list(thresholds))
+    return _kern_py.min_weak_cut(list(adj_masks), w, list(thresholds))
 
 
-def cut_max_degree(adj_masks: Sequence[int], mask: int) -> int:
-    """Δ(A, B) for the bipartition A = mask over the given vertex set."""
-    return _kern_py.cut_max_degree(list(adj_masks), len(adj_masks), mask)
+def cut_max_degree(adj_masks: Sequence[int], mask: int,
+                   limit: Optional[int] = None) -> int:
+    """Δ(A, B) for the bipartition A = mask over the given vertex set; with
+    a limit, any value above it once Δ is known to exceed it."""
+    return _kern_py.cut_max_degree(list(adj_masks), len(adj_masks), mask,
+                                   limit)

@@ -41,6 +41,16 @@ class TestGen:
         r = run_cli("gen", "--kind", "nonsense")
         assert r.returncode == 2
 
+    def test_subset_sum_k_above_side_count(self):
+        # the default square has 4 sides
+        assert run_cli("gen", "--kind", "subset-sum", "--k", "4").returncode == 0
+        r = run_cli("gen", "--kind", "subset-sum", "--k", "9")
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        err = json.loads(r.stdout)
+        assert err["error"] == "usage"
+        assert "4 sides" in err["message"]
+
 
 class TestUdg:
     def test_delegation(self, tmp_path):
@@ -242,6 +252,17 @@ class TestMalformedPayload:
         err = json.loads(r.stdout)
         assert err["error"] == "malformed-payload"
         assert "certificate_from_json" in err["message"]
+
+    @pytest.mark.parametrize("value", [2.9, "2", True],
+                             ids=["float", "string", "bool"])
+    def test_non_integer_coefficient(self, tmp_path, value):
+        path = tmp_path / "S.json"
+        jsonio.write_json(str(path), {"l": 1, "indices": [1, 2, 3],
+                                      "coeffs": [[value], [-1]]})
+        r = run_cli("certify", "--system", str(path), "--eta-sin2", "5/9")
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stdout)["error"] == "malformed-payload"
 
     def test_prop1_non_object_graph(self, tmp_path):
         path = tmp_path / "G.json"

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udnorm import colored, jsonio
 from udnorm.colored import (
@@ -175,6 +176,117 @@ class TestFindWeakCut:
         monkeypatch.setattr(colored, "_heuristic_weak_cut", heuristic)
         assert find_weak_cut(rainbow_complete(8), tuple(range(1, 9)), 1,
                              cap=8) is None
+
+def _cut_degree(masks, mask):
+    """Δ of the cut A = mask, from scratch."""
+    other = ((1 << len(masks)) - 1) ^ mask
+    return max((m & (other if (mask >> v) & 1 else mask)).bit_count()
+               for v, m in enumerate(masks))
+
+
+def reference_heuristic_weak_cut(W, masks, thr, seed):
+    """Reference: the heuristic search with every local-search flip scored
+    from scratch and every candidate scored in full."""
+    w = len(W)
+    full = (1 << w) - 1
+
+    def cut_degree(mask):
+        return _cut_degree(masks, mask)
+
+    candidates = set()
+
+    def add(mask):
+        if mask & 1:
+            mask ^= full
+        if mask not in (0, full):
+            candidates.add(mask)
+
+    for i in range(w):
+        add(1 << i)
+    for src in range(w):
+        ball = frontier = 1 << src
+        while True:
+            nxt = 0
+            for v in range(w):
+                if (frontier >> v) & 1:
+                    nxt |= masks[v]
+            nxt &= ~ball & full
+            if not nxt:
+                break
+            ball |= nxt
+            frontier = nxt
+            if ball != full:
+                add(ball)
+    rng = random.Random(seed)
+    for _ in range(8):
+        mask = 0
+        for v in range(w):
+            if rng.random() < 0.5:
+                mask |= 1 << v
+        if mask in (0, full):
+            continue
+        for _ in range(2 * w):
+            add(mask)
+            best_v, best_d = -1, cut_degree(mask)
+            for v in range(w):
+                flip = mask ^ (1 << v)
+                if flip in (0, full):
+                    continue
+                d = cut_degree(flip)
+                if d < best_d:
+                    best_v, best_d = v, d
+            if best_v < 0:
+                break
+            mask ^= 1 << best_v
+    best = None
+    for mask in sorted(candidates):
+        pc = mask.bit_count()
+        mn = min(pc, w - pc)
+        delta = cut_degree(mask)
+        if thr[mn] >= 0 and delta <= thr[mn]:
+            if best is None or (delta, mask) < best:
+                best = (delta, mask)
+    if best is None:
+        return None
+    return colored._mask_to_cut(W, best[1], best[0])
+
+
+def _random_masks(rng, w, p):
+    masks = [0] * w
+    for i, j in itertools.combinations(range(w), 2):
+        if rng.random() < p:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
+
+
+class TestHeuristicSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 16), st.floats(0, 1), st.integers(0, 2**32))
+    def test_best_flip_matches_rescoring(self, w, p, seed):
+        rng = random.Random(seed)
+        masks = _random_masks(rng, w, p)
+        deg = [m.bit_count() for m in masks]
+        full = (1 << w) - 1
+        for _ in range(20):
+            mask = rng.randrange(1, full)
+            best_v, best_d = -1, _cut_degree(masks, mask)
+            for v in range(w):
+                flip = mask ^ (1 << v)
+                if flip not in (0, full) and _cut_degree(masks, flip) < best_d:
+                    best_v, best_d = v, _cut_degree(masks, flip)
+            assert colored._best_flip(masks, deg, mask, full) == best_v
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(19, 60), st.floats(0.02, 0.98), st.integers(0, 2**32),
+           st.integers(1, 4096), st.integers(0, 9))
+    def test_matches_reference(self, w, p, graph_seed, r4, seed):
+        masks = _random_masks(random.Random(graph_seed), w, p)
+        W = tuple(range(1, w + 1))
+        thr = weak_delta_table(w, Fraction(r4, 4))
+        assert colored._heuristic_weak_cut(W, masks, thr, seed) == \
+            reference_heuristic_weak_cut(W, masks, thr, seed)
+
 
 class TestRobustCore:
     def test_k4(self):

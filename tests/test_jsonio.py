@@ -10,7 +10,7 @@ import pytest
 from conftest import octagon, random_polygon
 from udnorm import jsonio
 from udnorm.certify import certify_box, sample_verify, witness_norm
-from udnorm.colored import color_cover
+from udnorm.colored import EdgeColoredGraph, color_cover
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import AngleBound, NormOracle, square
 from udnorm.pointsets import flat_side_quadratic
@@ -92,6 +92,72 @@ class TestRoundTrips:
             jsonio.polygon_to_json(jsonio.polygon_from_json(d)),
             sort_keys=True)
         assert blob == again
+
+
+def _system():
+    return jsonio.system_to_json(TOY)
+
+
+def _udg():
+    return jsonio.udg_to_json(build_udg(flat_side_quadratic(8), square()))
+
+
+def _graph():
+    G = build_udg(flat_side_quadratic(8), square())
+    return jsonio.graph_to_json(EdgeColoredGraph.from_udg(G))
+
+
+def _cover():
+    H = EdgeColoredGraph.from_udg(build_udg(flat_side_quadratic(10), square()))
+    d = jsonio.cover_to_json(color_cover(H, Fraction(2001, 1000),
+                                         Fraction(1, 4)))
+    d["robust"]["cuts"].append({"A": [1], "B": [2], "delta": 0})
+    return d
+
+
+def _put(d, path, value):
+    """Set the entry at path; a None step is the first key of a dict."""
+    *steps, last = path
+    for step in steps:
+        d = d[sorted(d)[0] if step is None else step]
+    d[sorted(d)[0] if last is None else last] = value
+
+
+# (reader, payload, where an integer sits on the wire)
+INT_FIELDS = {
+    "system-l": (jsonio.system_from_json, _system, ["l"]),
+    "system-indices": (jsonio.system_from_json, _system, ["indices", 0]),
+    "system-coeffs": (jsonio.system_from_json, _system, ["coeffs", 0, 0]),
+    "udg-n": (jsonio.udg_from_json, _udg, ["n"]),
+    "udg-edge": (jsonio.udg_from_json, _udg, ["edges", 0, 1]),
+    "udg-color": (jsonio.udg_from_json, _udg, ["color", None]),
+    "udg-sign": (jsonio.udg_from_json, _udg, ["sign", None]),
+    "graph-n": (jsonio.graph_from_json, _graph, ["n"]),
+    "graph-edge": (jsonio.graph_from_json, _graph, ["edges", 0, 0]),
+    "graph-color": (jsonio.graph_from_json, _graph, ["color", None]),
+    "cover-W": (jsonio.cover_from_json, _cover, ["W", 0]),
+    "cover-colors_in_W": (jsonio.cover_from_json, _cover, ["colors_in_W"]),
+    "cover-delta": (jsonio.cover_from_json, _cover,
+                    ["robust", "cuts", -1, "delta"]),
+}
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("value", [2.9, "2", True], ids=["float", "string",
+                                                            "bool"])
+    @pytest.mark.parametrize("field", sorted(INT_FIELDS))
+    def test_non_integer_is_payload_error(self, field, value):
+        reader, build, path = INT_FIELDS[field]
+        payload = build()
+        reader(payload)  # the unchanged payload reads
+        _put(payload, path, value)
+        with pytest.raises(jsonio.PayloadError):
+            reader(payload)
+
+    def test_truncated_coefficient_reported(self):
+        with pytest.raises(jsonio.PayloadError, match="2.9"):
+            jsonio.system_from_json(
+                {"l": 1, "indices": [1, 2, 3], "coeffs": [[2.9], [-1]]})
 
 
 class TestFiles:

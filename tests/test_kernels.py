@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udnorm import _kern_py, kernels
 from udnorm.colored import weak_delta_table
@@ -59,22 +61,99 @@ class TestUnitPairsBackends:
         assert fast == _kern_py.unit_pairs(vals, bounds)
 
 
+def flat_min_weak_cut(adj, thr):
+    """Reference: the flat scan over every mask in ascending order, each
+    scored with an early exit at min(thr[min side], best Δ − 1)."""
+    w = len(adj)
+    best_mask = -1
+    best_delta = -1
+    full = (1 << w) - 1
+    for a in range(1, 1 << (w - 1)):
+        mask = a << 1
+        pc = mask.bit_count()
+        mn = pc if pc * 2 <= w else w - pc
+        t = thr[mn]
+        if t < 0:
+            continue
+        limit = t if best_delta < 0 else min(t, best_delta - 1)
+        if limit < 0:
+            continue
+        other = full ^ mask
+        delta = 0
+        for v in range(w):
+            side = other if (mask >> v) & 1 else mask
+            d = (adj[v] & side).bit_count()
+            if d > delta:
+                delta = d
+                if delta > limit:
+                    break
+        else:
+            if best_delta < 0 or delta < best_delta:
+                best_mask = mask
+                best_delta = delta
+    if best_mask < 0:
+        return None
+    return best_mask, best_delta
+
+
+def cut_degree(adj, mask):
+    """Reference Δ of the cut A = mask: the largest count of neighbours
+    across."""
+    w = len(adj)
+    return max((adj[v] & (((1 << w) - 1) ^ mask if (mask >> v) & 1 else mask))
+               .bit_count() for v in range(w))
+
+
+@st.composite
+def weak_cut_inputs(draw):
+    """A graph on at most 12 vertices and r in [1/4, 1024]. Disjoint copies
+    of one block and complete multipartite graphs have many tied minima."""
+    w = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["random", "copies", "multipartite"]))
+    edges = set()
+    if kind == "random":
+        pairs = list(itertools.combinations(range(w), 2))
+        flags = draw(st.lists(st.booleans(), min_size=len(pairs),
+                              max_size=len(pairs)))
+        edges = {e for e, on in zip(pairs, flags) if on}
+    elif kind == "copies":
+        size = draw(st.integers(1, w))
+        block = draw(st.sets(st.tuples(st.integers(0, size - 1),
+                                       st.integers(0, size - 1))))
+        for start in range(0, w - size + 1, size):
+            edges |= {(start + i, start + j) for i, j in block if i < j}
+    else:
+        part = draw(st.lists(st.integers(0, 3), min_size=w, max_size=w))
+        edges = {(i, j) for i, j in itertools.combinations(range(w), 2)
+                 if part[i] != part[j]}
+    adj = [0] * w
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    r = Fraction(draw(st.integers(1, 4096)), 4)
+    return adj, r
+
+
 class TestWeakCutBackends:
-    @needs_ext
-    @pytest.mark.parametrize("seed", range(10))
-    def test_agreement(self, seed):
-        rng = random.Random(seed)
-        w = rng.randint(2, 14)
-        adj = [0] * w
-        for i in range(w):
-            for j in range(i + 1, w):
-                if rng.random() < 0.5:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        r = rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)])
-        thr = weak_delta_table(w, r)
-        assert _kern_py.min_weak_cut(adj, w, thr) == \
-            _kern_cy.min_weak_cut(adj, w, thr)
+    @settings(max_examples=300, deadline=None)
+    @given(weak_cut_inputs())
+    def test_matches_flat_reference(self, inputs):
+        adj, r = inputs
+        thr = weak_delta_table(len(adj), r)
+        hit = kernels.min_weak_cut(adj, thr)
+        assert hit == flat_min_weak_cut(adj, thr)
+        if hit is not None:
+            assert cut_degree(adj, hit[0]) == hit[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(weak_cut_inputs(), st.integers(0, 2**12 - 1), st.integers(-1, 12))
+    def test_cut_max_degree_limit(self, inputs, mask, limit):
+        adj, _ = inputs
+        mask &= (1 << len(adj)) - 1
+        delta = cut_degree(adj, mask)
+        assert kernels.cut_max_degree(adj, mask) == delta
+        got = kernels.cut_max_degree(adj, mask, limit)
+        assert got == delta if delta <= limit else got > limit
 
     def test_trivial_cases(self):
         # no weak cut in a K3 at r=1/2
