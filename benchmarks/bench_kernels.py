@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Time the two hot kernels.
 
-The O(n²) unit-pair scan over integer-scaled coordinates runs on both
-backends when the compiled extension is importable; both must return
-identical pairs, and the speedup is reported. The exhaustive weak-cut
-search has one (pure-Python) implementation and is timed alone.
+The unit-pair scan (a hash join over integer-scaled coordinates) is timed
+on the flat-side quadratic set under the square norm, whose pair count
+grows as n²/4; the exhaustive weak-cut search on a random graph.
 
 Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16] [--repeat 3]
 """
@@ -14,15 +13,10 @@ import random
 import time
 from fractions import Fraction
 
-from udnorm import _kern_py, kernels
+from udnorm import kernels
 from udnorm.colored import weak_delta_table
 from udnorm.norms import square
 from udnorm.pointsets import flat_side_quadratic
-
-try:
-    from udnorm import _kern_cy
-except ImportError:
-    _kern_cy = None
 
 
 def bench(fn, repeat):
@@ -46,23 +40,15 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print(f"compiled extension available: {_kern_cy is not None}")
-    print("(the dispatch layer only uses it when the scaled integers "
-          "provably fit in int64; otherwise the exact big-int path runs)")
-
     B = square()
     P = flat_side_quadratic(args.n)
     constraints = list(zip(B.normals, B.offsets))
     vals, bounds, max_dv = kernels.scaled_unit_pair_input(list(P), constraints)
     n = len(vals)
-    print(f"\nunit-pair scan: n = {n} points, {n * (n - 1) // 2} pairs, "
-          f"{len(bounds)} constraints, max scaled value {max_dv}")
-    t_py, r_py = bench(lambda: _kern_py.unit_pairs(vals, bounds), args.repeat)
-    print(f"  python : {t_py * 1e3:10.1f} ms   ({len(r_py)} pairs)")
-    if _kern_cy is not None and max_dv < 2**62:
-        t_cy, r_cy = bench(lambda: _kern_cy.unit_pairs(vals, bounds), args.repeat)
-        assert r_cy == r_py, "backends disagree"
-        print(f"  cython : {t_cy * 1e3:10.1f} ms   (speedup {t_py / t_cy:.1f}x)")
+    print(f"unit-pair scan: n = {n} points, {len(bounds)} constraints, "
+          f"max scaled value {max_dv}")
+    t, pairs = bench(lambda: kernels.unit_pairs(vals, bounds), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   ({len(pairs)} pairs)")
 
     w = args.cut_n
     rng = random.Random(args.seed)
@@ -74,8 +60,8 @@ def main():
                 adj[j] |= 1 << i
     thr = weak_delta_table(w, Fraction(2))
     print(f"\nweak-cut search: {w} vertices, {(1 << (w - 1)) - 1} cuts")
-    t_py, r_py = bench(lambda: kernels.min_weak_cut(adj, thr), args.repeat)
-    print(f"  python : {t_py * 1e3:10.1f} ms   (result {r_py})")
+    t, hit = bench(lambda: kernels.min_weak_cut(adj, thr), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   (result {hit})")
 
 
 if __name__ == "__main__":

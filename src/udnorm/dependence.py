@@ -18,7 +18,7 @@ from .colored import CoverFailure, CoverResult, EdgeColoredGraph, color_cover
 from .norms import SymmetricPolygon
 from .pointsets import PointSeq
 from .ratlin import rat
-from .udg import DecoratedUDG, Edge, build_udg, prune_to_proper, verify_realization
+from .udg import DecoratedUDG, Edge, _realized_udg, prune_to_proper
 
 DEFAULT_Q = Fraction(2001, 1000)
 
@@ -213,9 +213,10 @@ def verify_on_realization(S: DependenceSystem, G: DecoratedUDG, P: PointSeq,
                           B: SymmetricPolygon) -> bool:
     """True iff every coefficient row holds exactly on the realization's
     directions. Precondition: P realizes G under B."""
-    if not verify_realization(G, P, B):
+    built = _realized_udg(G, P, B)
+    if built is None:
         raise ValueError("P does not realize G under B")
-    directions = build_udg(P, B).directions
+    directions = built.directions
     assert directions is not None
     for j, row in enumerate(S.coeffs):
         lhs = directions[S.indices[S.ell + j] - 1]

@@ -560,10 +560,8 @@ def _approx_pnorm(oracle: NormOracle, eps: Fraction, eta: AngleBound,
             ))
         sym = pts + [-q for q in pts]
         B1 = polygon_from_hull(sym)
-        if B1.is_eta_short(eta) and 2 * B1.m <= side_cap:
-            hd = hausdorff_to_oracle(B1, oracle)
-            if hd.hi <= eps / 2:
-                return B1
+        if _verify_approx(B1, oracle, eps, eta, side_cap):
+            return B1
         M *= 2
     raise ApproxError("p-norm approximation did not converge")
 

@@ -104,8 +104,8 @@ class DecoratedUDG:
 def build_udg(P: PointSeq, B: SymmetricPolygon) -> DecoratedUDG:
     """The decorated unit-distance graph of P under the polygonal norm B.
 
-    The edge test gauge(p_b − p_a) == 1 is exact; the O(n²) scan runs on the
-    active kernel backend over integer-scaled coordinates.
+    The edge test gauge(p_b − p_a) == 1 is exact: `kernels.unit_pair_indices`
+    joins the points on integer-scaled coordinates in Python ints.
     """
     constraints = list(zip(B.normals, B.offsets))
     pairs = kernels.unit_pair_indices(list(P), constraints)
@@ -132,7 +132,7 @@ def build_udg(P: PointSeq, B: SymmetricPolygon) -> DecoratedUDG:
 
 
 def count_unit_distances(P: PointSeq, B: SymmetricPolygon) -> int:
-    """Number of pairs at exact polygonal distance 1 (brute-force O(n²) scan)."""
+    """Number of pairs at exact polygonal distance 1."""
     constraints = list(zip(B.normals, B.offsets))
     return len(kernels.unit_pair_indices(list(P), constraints))
 
@@ -157,14 +157,21 @@ def count_unit_distances_oracle(P: PointSeq, oracle: NormOracle) -> int:
 def verify_realization(G: DecoratedUDG, P: PointSeq, B: SymmetricPolygon) -> bool:
     """True iff the decorated graph of P under B equals G (directions too,
     when G carries them). Equality, not isomorphism."""
+    return _realized_udg(G, P, B) is not None
+
+
+def _realized_udg(G: DecoratedUDG, P: PointSeq,
+                  B: SymmetricPolygon) -> Optional[DecoratedUDG]:
+    """The decorated graph of P under B if it equals G as
+    `verify_realization` tests, else None."""
     built = build_udg(P, B)
     if (built.n, built.edges, built.colors, built.signs) != (
         G.n, G.edges, G.colors, G.signs
     ):
-        return False
+        return None
     if G.directions is not None and built.directions != G.directions:
-        return False
-    return True
+        return None
+    return built
 
 
 class PruneError(ValueError):

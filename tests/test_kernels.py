@@ -1,64 +1,122 @@
 import itertools
-import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from udnorm import _kern_py, kernels
+from conftest import octagon, twelve_gon
+from udnorm import kernels
 from udnorm.colored import weak_delta_table
 from udnorm.norms import square
-from udnorm.pointsets import flat_side_quadratic
 from udnorm.ratlin import Vec2
 
-try:
-    from udnorm import _kern_cy
-except ImportError:
-    _kern_cy = None
 
-needs_ext = pytest.mark.skipif(_kern_cy is None,
-                               reason="compiled kernels unavailable")
+def flat_unit_pairs(vals, bounds):
+    """Reference: every pair i < j in row-major order, kept iff |Δv_c| ≤ d_c
+    for every c with equality for some c."""
+    n = len(vals)
+    m = len(bounds)
+    out = []
+    for i in range(n):
+        vi = vals[i]
+        for j in range(i + 1, n):
+            vj = vals[j]
+            tight = False
+            ok = True
+            for c in range(m):
+                dv = vj[c] - vi[c]
+                if dv < 0:
+                    dv = -dv
+                d = bounds[c]
+                if dv > d:
+                    ok = False
+                    break
+                if dv == d:
+                    tight = True
+            if ok and tight:
+                out.append((i, j))
+    return out
 
 
-def random_unit_pair_input(rng, n, m):
-    vals = [[rng.randint(-10**6, 10**6) for _ in range(m)] for _ in range(n)]
-    bounds = [rng.randint(1, 10**6) for _ in range(m)]
-    # plant exact hits: duplicate some rows shifted by exactly a bound
-    for _ in range(n // 4):
-        i = rng.randrange(n)
-        row = list(vals[i])
-        c = rng.randrange(m)
-        row[c] += bounds[c] * rng.choice([-1, 1])
-        vals.append(row)
-    return vals, bounds
+@st.composite
+def unit_pair_inputs(draw):
+    """Rows on a small grid, so that pairs tight on one or on two
+    constraints are common, then each column mapped by v ↦ shift + scale·v
+    (its bound scaled too): values reach far past ±2⁶² and below zero.
+    Some rows are planted at an exact bound from another row, tight on one
+    or two constraints and strictly inside the others, and some are
+    repeated."""
+    m = draw(st.integers(1, 4))
+    grid = draw(st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m),
+                         min_size=1, max_size=14))
+    bounds = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 4))):
+        row = list(draw(st.sampled_from(grid)))
+        tight = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=2))
+        for c, d in enumerate(bounds):
+            if c in tight:
+                row[c] += draw(st.sampled_from([-d, d]))
+            else:
+                row[c] += draw(st.integers(1 - d, d - 1))
+        grid.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        grid.append(list(draw(st.sampled_from(grid))))
+    grid = draw(st.permutations(grid))
+    scale = draw(st.lists(st.sampled_from([1, 7, 2**62 + 1, 3**50]),
+                          min_size=m, max_size=m))
+    shift = draw(st.lists(st.integers(-2**90, 2**90), min_size=m, max_size=m))
+    vals = [[shift[c] + scale[c] * x for c, x in enumerate(row)]
+            for row in grid]
+    return vals, [d * s for d, s in zip(bounds, scale)]
 
 
-class TestUnitPairsBackends:
-    @needs_ext
-    @pytest.mark.parametrize("seed", range(10))
-    def test_agreement(self, seed):
-        rng = random.Random(seed)
-        vals, bounds = random_unit_pair_input(rng, rng.randint(2, 60),
-                                              rng.randint(1, 5))
-        assert _kern_py.unit_pairs(vals, bounds) == \
-            _kern_cy.unit_pairs(vals, bounds)
+@st.composite
+def unit_pair_points(draw):
+    """Points on a grid of step 1/q around a far-off origin, under the
+    square, octagon or 12-gon norm, plus points planted at a vertex (tight
+    on two constraints) or a side midpoint (tight on one) from another."""
+    B = draw(st.sampled_from([square(), octagon(), twelve_gon()]))
+    q = draw(st.sampled_from([1, 2, 5]))
+    origin = Vec2(Fraction(draw(st.integers(-10**25, 10**25)), 3),
+                  Fraction(draw(st.integers(-10**25, 10**25)), 7))
+    coords = st.integers(-2 * q, 2 * q)
+    pts = [origin + Vec2(Fraction(a, q), Fraction(b, q))
+           for a, b in draw(st.lists(st.tuples(coords, coords), min_size=1,
+                                     max_size=16))]
+    verts = B.vertices()
+    steps = list(verts) + [(a + b).scale(Fraction(1, 2))
+                           for a, b in zip(verts, verts[1:] + verts[:1])]
+    for _ in range(draw(st.integers(0, 6))):
+        pts.append(draw(st.sampled_from(pts)) + draw(st.sampled_from(steps)))
+    return pts, list(zip(B.normals, B.offsets))
 
-    def test_bigint_dispatch(self):
-        # huge coordinates exceed the int64 bound: dispatch must still be exact
+
+class TestUnitPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_pair_inputs())
+    def test_scan_matches_flat_reference(self, inputs):
+        vals, bounds = inputs
+        assert kernels.unit_pairs(vals, bounds) == flat_unit_pairs(vals, bounds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unit_pair_points())
+    def test_indices_match_flat_reference(self, inputs):
+        pts, constraints = inputs
+        vals, bounds, _ = kernels.scaled_unit_pair_input(pts, constraints)
+        assert kernels.unit_pair_indices(pts, constraints) == \
+            flat_unit_pairs(vals, bounds)
+
+    def test_exact_beyond_int64(self):
+        # scaled values far beyond int64 are compared exactly
         big = Fraction(10**30)
         pts = [Vec2.of(0, 0), Vec2.of(big, 0), Vec2.of(2 * big, 0)]
         constraints = [(Vec2.of(1, 0), big), (Vec2.of(0, 1), big)]
         pairs = kernels.unit_pair_indices(pts, constraints)
         assert pairs == [(0, 1), (1, 2)]
         _, _, max_dv = kernels.scaled_unit_pair_input(pts, constraints)
-        assert max_dv >= 2**62  # confirms the fallback path was required
+        assert max_dv >= 2**62
 
-    def test_dispatch_matches_forced_python(self):
-        P = flat_side_quadratic(30)
-        constraints = list(zip(square().normals, square().offsets))
-        fast = kernels.unit_pair_indices(list(P), constraints)
-        vals, bounds, _ = kernels.scaled_unit_pair_input(list(P), constraints)
-        assert fast == _kern_py.unit_pairs(vals, bounds)
+    def test_single_backend(self):
+        assert kernels.active_backend() == "python"
 
 
 def flat_min_weak_cut(adj, thr):
@@ -165,6 +223,3 @@ class TestWeakCutBackends:
         thr = weak_delta_table(4, Fraction(1))
         hit = kernels.min_weak_cut(adj, thr)
         assert hit is not None and hit[1] == 0
-
-    def test_backend_reported(self):
-        assert kernels.active_backend() in ("python", "cython")

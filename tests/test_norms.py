@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import octagon, random_polygon, twelve_gon
 from udnorm.norms import (
     AngleBound,
+    ApproxError,
     NormOracle,
     OffsetVector,
     PolygonError,
@@ -183,6 +185,25 @@ class TestPolygonApprox:
         assert B1.is_eta_short(eta)
         hd = hausdorff_to_oracle(B1, NormOracle.euclidean())
         assert hd.hi <= Fraction(1, 10)
+
+    @pytest.mark.parametrize("oracle", [NormOracle.euclidean(),
+                                        NormOracle.pnorm(3)],
+                             ids=["euclidean", "pnorm3"])
+    def test_side_cap_raises(self, oracle):
+        # 48 sides are needed at η = arcsin(1/2): the cap must stop the
+        # doubling at once, so an alarm turns a runaway search into a failure
+        def runaway(signum, frame):
+            raise TimeoutError("side_cap did not stop the search")
+
+        previous = signal.signal(signal.SIGALRM, runaway)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ApproxError, match="exceeds cap 8"):
+                polygon_approx(oracle, Fraction(1, 4),
+                               AngleBound.of(Fraction(1, 4)), side_cap=8)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_square_bulged(self):
         eta = AngleBound.of(Fraction(1, 4))
