@@ -10,6 +10,7 @@ certified dyadic upper bound, and the final contract never depends on it.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,9 +100,6 @@ class EdgeColoredGraph:
             if a in wset and b in wset
         ]
 
-    def colors_on(self, W: Sequence[int]) -> set[int]:
-        return {c for _, c in self.induced_edges(W)}
-
 
 # --- exact threshold comparisons ----------------------------------------------
 
@@ -173,14 +171,24 @@ class WeakCut:
     delta: int
 
 
-def _restricted_masks(G: EdgeColoredGraph, W: Sequence[int]) -> list[int]:
+def _vertex_set(G: EdgeColoredGraph, W: Sequence[int]) -> tuple[int, ...]:
+    """W sorted, once its vertices are known to be distinct and in [1, n]."""
+    W = tuple(sorted(W))
+    if any(a == b for a, b in zip(W, W[1:])):
+        raise GraphError("vertex set has a repeated vertex")
+    if W and not (1 <= W[0] and W[-1] <= G.n):
+        raise GraphError(f"vertex set has a vertex outside [1, {G.n}]")
+    return W
+
+
+def _restricted_masks(W: Sequence[int], edges: list[tuple[Edge, int]]) -> list[int]:
+    """Neighbourhood bitmasks of the sorted set W from its induced edges."""
     pos = {v: i for i, v in enumerate(W)}
-    masks = [0] * len(pos)
-    for a, b in G.edges:
-        i, j = pos.get(a), pos.get(b)
-        if i is not None and j is not None:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+    masks = [0] * len(W)
+    for (a, b), _ in edges:
+        i, j = pos[a], pos[b]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
     return masks
 
 
@@ -198,12 +206,18 @@ def find_weak_cut(G: EdgeColoredGraph, W: Sequence[int], r: RationalLike,
     (returning the minimum-Δ weak cut, ties to the earliest in canonical
     order); otherwise a heuristic search over singleton cuts, BFS-ball cuts
     from every vertex at every radius, and a seeded local-search pass.
+    W must be at least two distinct vertices of G.
     """
-    W = tuple(sorted(W))
+    W = _vertex_set(G, W)
     if len(W) < 2:
         raise GraphError("need at least two vertices")
-    r = rat(r)
-    masks = _restricted_masks(G, W)
+    masks = _restricted_masks(W, G.induced_edges(W))
+    return _weak_cut(W, masks, rat(r), cap, seed)
+
+
+def _weak_cut(W: tuple[int, ...], masks: list[int], r: Fraction,
+              cap: Optional[int], seed: int) -> Optional[WeakCut]:
+    """find_weak_cut on the sorted set W with its neighbourhood bitmasks."""
     thr = weak_delta_table(len(W), r)
     if len(W) > exhaustive_cap(cap):
         return _heuristic_weak_cut(W, masks, thr, seed)
@@ -234,9 +248,10 @@ def _heuristic_weak_cut(W: tuple[int, ...], masks: list[int], thr: list[int],
         frontier = 1 << src
         while True:
             nxt = 0
-            for v in range(w):
-                if (frontier >> v) & 1:
-                    nxt |= masks[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= masks[low.bit_length() - 1]
+                frontier ^= low
             nxt &= ~ball & full
             if not nxt:
                 break
@@ -331,15 +346,19 @@ def robust_core(G: EdgeColoredGraph, r: RationalLike,
     """Shrink V by descending into the smaller side of weak cuts (ties to A)
     until no weak cut is found; |W| ≥ 2 guaranteed when the minimum-degree
     hypothesis holds and the search is exhaustive."""
-    return _descend(G, tuple(range(1, G.n + 1)), rat(r), cap, seed)
+    return _descend(G, tuple(range(1, G.n + 1)), rat(r), cap, seed)[0]
 
 
 def _descend(G: EdgeColoredGraph, V: tuple[int, ...], r: Fraction,
-             cap: Optional[int], seed: int) -> RobustCoreResult:
+             cap: Optional[int], seed: int,
+             ) -> tuple[RobustCoreResult, list[tuple[Edge, int]]]:
     """robust_core on the subgraph induced by the sorted vertex set V, with
-    n = |V| and degrees taken inside V."""
+    n = |V| and degrees taken inside V; also returns the final W's induced
+    edges. G is scanned once: each cut filters the current W's edge list to
+    the side the descent keeps."""
+    edges = G.induced_edges(V)
     deg = dict.fromkeys(V, 0)
-    for (a, b), _ in G.induced_edges(V):
+    for (a, b), _ in edges:
         deg[a] += 1
         deg[b] += 1
     n = Fraction(len(V))
@@ -347,11 +366,13 @@ def _descend(G: EdgeColoredGraph, V: tuple[int, ...], r: Fraction,
     W = V
     trace = []
     while len(W) >= 2:
-        cut = find_weak_cut(G, W, r, cap=cap, seed=seed)
+        cut = _weak_cut(W, _restricted_masks(W, edges), r, cap, seed)
         if cut is None:
-            return RobustCoreResult(W, tuple(trace), hypothesis)
+            return RobustCoreResult(W, tuple(trace), hypothesis), edges
         trace.append(cut)
         W = cut.A if len(cut.A) <= len(cut.B) else cut.B
+        wset = set(W)
+        edges = [e for e in edges if e[0][0] in wset and e[0][1] in wset]
     raise CoverFailure(
         "cut descent reached a single vertex (hypothesis unmet or heuristic miss)",
         trace=tuple(trace),
@@ -361,10 +382,10 @@ def _descend(G: EdgeColoredGraph, V: tuple[int, ...], r: Fraction,
 def verify_no_weak_cut(G: EdgeColoredGraph, W: Sequence[int],
                        r: RationalLike) -> bool:
     """Exhaustive check that every cut (A,B) of W has Δ(A,B) ≥ r·log₂ imb."""
-    W = tuple(sorted(W))
+    W = _vertex_set(G, W)
     if len(W) < 2:
         return False
-    masks = _restricted_masks(G, W)
+    masks = _restricted_masks(W, G.induced_edges(W))
     thr = weak_delta_table(len(W), rat(r))
     return kernels.min_weak_cut(masks, thr) is None
 
@@ -425,33 +446,68 @@ def greedy_color_cover(G: EdgeColoredGraph, W: Sequence[int]) -> tuple[tuple[int
     """Colors I chosen greedily (component-count-minimizing, ties to the
     smallest color id) until G[I, W] is connected; m strictly decreases.
 
+    A color's gain is the drop in the component count if it were added:
+    the rank increment of its edges in the graphic matroid of G[W]. Rank
+    is submodular, so a gain never grows as colors are chosen, and gains
+    are rescored lazily (Minoux's accelerated greedy): a heap holds each
+    color under a stale gain, which is never below its current gain, and
+    only the top is rescored. The top is taken once its fresh (−gain, id)
+    key is still at most both children's stale keys, so the choice, ties
+    included, is the one a full rescoring would make.
+
     Runs on any coloring; properness (needed for the color-count contract)
-    is enforced by color_cover, not here.
+    is enforced by color_cover, not here. W must be distinct vertices of G.
     """
-    W = tuple(sorted(W))
-    induced = G.induced_edges(W)
+    W = _vertex_set(G, W)
+    return _greedy_cover(W, _color_classes(G.induced_edges(W)))
+
+
+def _color_classes(edges: list[tuple[Edge, int]]) -> dict[int, list[Edge]]:
     by_color: dict[int, list[Edge]] = {}
-    for e, c in induced:
+    for e, c in edges:
         by_color.setdefault(c, []).append(e)
+    return by_color
+
+
+def _greedy_cover(W: tuple[int, ...], by_color: dict[int, list[Edge]],
+                  ) -> tuple[tuple[int, ...], GreedyTrace]:
+    """greedy_color_cover on the sorted set W with its color classes."""
     dsu = _DSU(W)
+    find = dsu.find
+
+    def gain(c: int) -> int:
+        edges = by_color[c]
+        if len(edges) == 1:
+            (a, b), = edges
+            return int(find(a) != find(b))
+        return _merges_if_added(dsu, edges)
+
+    # a color's edge count bounds its gain
+    heap = [(-len(edges), c) for c, edges in by_color.items()]
+    heapq.heapify(heap)
     chosen: list[int] = []
     counts = [len(W)]
     while dsu.count > 1:
-        best_color, best_merges = -1, 0
-        for c in sorted(by_color):
-            if c in chosen:
+        while heap:
+            c = heap[0][1]
+            g = gain(c)
+            if not g:  # gains never grow: c can never be chosen
+                heapq.heappop(heap)
                 continue
-            m = _merges_if_added(dsu, by_color[c])
-            if m > best_merges:
-                best_color, best_merges = c, m
-        if best_color < 0:
+            key, size = (-g, c), len(heap)
+            if ((size < 2 or key < heap[1])
+                    and (size < 3 or key < heap[2])):
+                heapq.heappop(heap)
+                break
+            heapq.heapreplace(heap, key)
+        else:
             raise CoverFailure(
                 "no color reduces the component count (G[W] disconnected)",
                 trace=GreedyTrace(tuple(chosen), tuple(counts)),
             )
-        for a, b in by_color[best_color]:
+        for a, b in by_color[c]:
             dsu.union(a, b)
-        chosen.append(best_color)
+        chosen.append(c)
         counts.append(dsu.count)
     return tuple(chosen), GreedyTrace(tuple(chosen), tuple(counts))
 
@@ -522,10 +578,13 @@ def verify_cover(G: EdgeColoredGraph, W: Sequence[int], I: Sequence[int],
         return False
     iset = set(I)
     adj: dict[int, set[int]] = {v: set() for v in W}
-    for (a, b), c in G.induced_edges(W):
-        if c in iset:
-            adj[a].add(b)
-            adj[b].add(a)
+    colors = set()
+    for (a, b), c in zip(G.edges, G.colors):
+        if a in adj and b in adj:
+            colors.add(c)
+            if c in iset:
+                adj[a].add(b)
+                adj[b].add(a)
     seen = {W[0]}
     stack = [W[0]]
     while stack:
@@ -536,13 +595,16 @@ def verify_cover(G: EdgeColoredGraph, W: Sequence[int], I: Sequence[int],
                 stack.append(u)
     if len(seen) != len(W):
         return False
-    return Fraction(len(G.colors_on(W))) >= rat(q) * len(I)
+    return Fraction(len(colors)) >= rat(q) * len(I)
 
 
 def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
                 cap: Optional[int] = None, seed: int = 0) -> CoverResult:
     """Pipeline min_degree_core → robust_core (r = C·q·log₂log₂ n) → greedy
     cover, with the output contract verified before returning.
+
+    The descent and the greedy share one induced edge list, which the
+    descent narrows to each W it keeps; only verify_cover rescans G.
 
     Raises CoverFailure when any stage or the final contract check fails —
     a legitimate outcome below the density hypothesis.
@@ -554,13 +616,14 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
         raise GraphError("edge coloring must be proper")
     logs = _log_bounds(G.n)
     r = _rationalized_r(logs, q, C)
-    robust = _descend(G, min_degree_core(G), r, cap, seed)
+    robust, edges = _descend(G, min_degree_core(G), r, cap, seed)
     W = robust.W
-    I, trace = greedy_color_cover(G, W)
+    by_color = _color_classes(edges)
+    I, trace = _greedy_cover(W, by_color)
     result = CoverResult(
         W=W,
         I=tuple(sorted(I)),
-        colors_in_W=len(G.colors_on(W)),
+        colors_in_W=len(by_color),
         trace=trace,
         robust=robust,
         params=CutParams(r=r, q=q, C=C),
@@ -573,4 +636,3 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
             trace=result,
         )
     return result
-

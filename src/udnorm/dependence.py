@@ -58,14 +58,6 @@ class DependenceSystem:
             if all(c == 0 for c in row):
                 raise ValueError("zero coefficient row")
 
-    @property
-    def base_colors(self) -> tuple[int, ...]:
-        return self.indices[: self.ell]
-
-    @property
-    def dependent_colors(self) -> tuple[int, ...]:
-        return self.indices[self.ell:]
-
 
 def signed_path_sum(G: DecoratedUDG, path: Sequence[int],
                     target_edge: Edge) -> dict[int, int]:
@@ -134,8 +126,16 @@ def extract_dependences(G: DecoratedUDG,
                                 detail=exc.trace) from exc
     W, I = cover.W, cover.I
     ell = len(I)
-    colors_on_W = sorted(H.colors_on(W))
-    eligible = [c for c in colors_on_W if c not in set(I)]
+    # H's edges are pruned's edges: one scan gives the colors on W and the
+    # edges of each
+    wset = set(W)
+    by_color: dict[int, list[Edge]] = {}
+    for (x, y), c in zip(pruned.edges, pruned.colors):
+        if x in wset and y in wset:
+            by_color.setdefault(c, []).append((x, y))
+    colors_on_W = sorted(by_color)
+    iset = set(I)
+    eligible = [c for c in colors_on_W if c not in iset]
     if len(eligible) < ell + 1:
         raise ExtractionFailure(
             f"only {len(colors_on_W)} colors on the pruned subgraph; "
@@ -143,12 +143,7 @@ def extract_dependences(G: DecoratedUDG,
     J = eligible[: ell + 1]
     base = tuple(sorted(I))
     base_pos = {c: s for s, c in enumerate(base)}
-    wset = set(W)
-    by_color: dict[int, list[Edge]] = {}
-    for (x, y), c in zip(pruned.edges, pruned.colors):
-        if x in wset and y in wset:
-            by_color.setdefault(c, []).append((x, y))
-    adj = _cover_adjacency(pruned, wset, set(I))
+    adj = _cover_adjacency(wset, [by_color[c] for c in base])
     rows = []
     paths = []
     for j in J:
@@ -177,10 +172,11 @@ def extract_dependences(G: DecoratedUDG,
     )
 
 
-def _cover_adjacency(G: DecoratedUDG, wset: set[int], iset: set[int]):
+def _cover_adjacency(wset: set[int], classes: list[list[Edge]]):
+    """Sorted adjacency lists on W of the given color classes' edges."""
     adj: dict[int, list[int]] = {v: [] for v in wset}
-    for (x, y), c in zip(G.edges, G.colors):
-        if c in iset and x in wset and y in wset:
+    for edges in classes:
+        for x, y in edges:
             adj[x].append(y)
             adj[y].append(x)
     for v in adj:

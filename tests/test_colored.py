@@ -13,6 +13,7 @@ from udnorm.colored import (
     CoverFailure,
     EdgeColoredGraph,
     GraphError,
+    GreedyTrace,
     color_cover,
     degree_at_least_r_log,
     delta_below_r_log_imb,
@@ -415,6 +416,157 @@ class TestGreedyCover:
             assert counts[-1] == 1
 
 
+def _reference_find(parent, v):
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
+def _reference_merges_if_added(parent, edges):
+    """Union count if these edges were added, without mutating parent."""
+    local = {}
+
+    def find(x):
+        local.setdefault(x, x)
+        root = x
+        while local[root] != root:
+            root = local[root]
+        while local[x] != root:
+            local[x], x = root, local[x]
+        return root
+
+    merges = 0
+    for a, b in edges:
+        ra = find(_reference_find(parent, a))
+        rb = find(_reference_find(parent, b))
+        if ra != rb:
+            local[rb] = ra
+            merges += 1
+    return merges
+
+
+def reference_greedy_color_cover(G, W):
+    """Reference: the greedy with every unchosen color rescored in every
+    round, ties to the smallest color id."""
+    W = tuple(sorted(W))
+    wset = set(W)
+    by_color = {}
+    for (a, b), c in zip(G.edges, G.colors):
+        if a in wset and b in wset:
+            by_color.setdefault(c, []).append((a, b))
+    parent = {v: v for v in W}
+    count = len(W)
+    chosen = []
+    counts = [len(W)]
+    while count > 1:
+        best_color, best_merges = -1, 0
+        for c in sorted(by_color):
+            if c in chosen:
+                continue
+            m = _reference_merges_if_added(parent, by_color[c])
+            if m > best_merges:
+                best_color, best_merges = c, m
+        if best_color < 0:
+            raise CoverFailure(
+                "no color reduces the component count (G[W] disconnected)",
+                trace=GreedyTrace(tuple(chosen), tuple(counts)),
+            )
+        for a, b in by_color[best_color]:
+            ra, rb = _reference_find(parent, a), _reference_find(parent, b)
+            if ra != rb:
+                parent[rb] = ra
+                count -= 1
+        chosen.append(best_color)
+        counts.append(count)
+    return tuple(chosen), GreedyTrace(tuple(chosen), tuple(counts))
+
+
+def _greedy_outcome(greedy, G, W):
+    try:
+        return greedy(G, W)
+    except CoverFailure as exc:
+        return str(exc), exc.trace
+
+
+class TestLazyGreedy:
+    @pytest.mark.parametrize("coloring", ["rainbow", "proper", "improper"])
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 28), st.floats(0, 1), st.integers(1, 8),
+           st.booleans(), st.integers(0, 2**32))
+    def test_matches_rescoring_loop(self, coloring, n, p, palette, split,
+                                    seed):
+        # split drops every edge across a random bipartition, so G[W] is
+        # disconnected whenever W meets both sides; rainbow ids are drawn
+        # out of edge order, and an improper palette mixes one-edge colors
+        # with colors whose edges close cycles
+        rng = random.Random(seed)
+        side = {v for v in range(1, n + 1) if rng.random() < 0.5}
+        edges = tuple(
+            (a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+            if rng.random() < p and not (split and (a in side) != (b in side)))
+        if coloring == "rainbow":
+            colors = tuple(rng.sample(range(1, 3 * len(edges) + 2),
+                                      len(edges)))
+        elif coloring == "proper":
+            colors = greedy_proper_coloring(n, edges)
+        else:
+            colors = tuple(rng.randint(1, palette) for _ in edges)
+        G = EdgeColoredGraph(n, edges, colors)
+        W = rng.sample(range(1, n + 1), rng.randint(1, n))
+        assert _greedy_outcome(greedy_color_cover, G, W) == \
+            _greedy_outcome(reference_greedy_color_cover, G, W)
+
+    def test_rescores_fewer_colors(self, monkeypatch):
+        # a proper coloring of a dense graph, covered in three rounds: a
+        # loop that rescores every unchosen color in every round makes
+        # nearly three calls per color
+        rng = random.Random(3)
+        n = 40
+        edges = tuple(e for e in itertools.combinations(range(1, n + 1), 2)
+                      if rng.random() < 0.6)
+        G = EdgeColoredGraph(n, edges, greedy_proper_coloring(n, edges))
+        calls = []
+        real = colored._merges_if_added
+        monkeypatch.setattr(colored, "_merges_if_added",
+                            lambda dsu, e: calls.append(1) or real(dsu, e))
+        W = range(1, n + 1)
+        I, trace = greedy_color_cover(G, W)
+        assert (I, trace) == reference_greedy_color_cover(G, W)
+        assert len(I) == 3
+        assert len(calls) < 2 * len(set(G.colors))
+
+
+class TestVertexSetValidation:
+    # a repeated vertex or one outside [1, n] is rejected, not answered
+    BAD = ([1, 1, 2, 3, 4, 5], [1, 2, 9], [1, 1, 2], [0, 1, 2])
+
+    @pytest.mark.parametrize("W", BAD)
+    def test_find_weak_cut(self, W):
+        with pytest.raises(GraphError):
+            find_weak_cut(rainbow_complete(5), W, 1)
+
+    @pytest.mark.parametrize("W", BAD)
+    def test_verify_no_weak_cut(self, W):
+        with pytest.raises(GraphError):
+            verify_no_weak_cut(rainbow_complete(5), W, 1)
+
+    @pytest.mark.parametrize("W", BAD)
+    def test_greedy_color_cover(self, W):
+        with pytest.raises(GraphError):
+            greedy_color_cover(rainbow_complete(5), W)
+
+    @pytest.mark.parametrize("W", BAD)
+    def test_verify_cover_false(self, W):
+        G = rainbow_complete(5)
+        assert verify_cover(G, W, set(G.colors), Fraction(1, 2)) is False
+
+    def test_unsorted_distinct_accepted(self):
+        G = rainbow_complete(5)
+        assert find_weak_cut(G, [5, 3, 1, 2, 4], 1) is None
+        assert greedy_color_cover(G, [3, 1, 2]) == \
+            greedy_color_cover(G, [1, 2, 3])
+
+
 class TestColorCover:
     def test_rainbow_k6(self):
         res = color_cover(rainbow_complete(6), 2, Fraction(1, 4))
@@ -517,3 +669,39 @@ class TestPinnedOutputs:
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
         assert digest.hexdigest() == (
             "4b78446db3285d71db0623d9b9cbe2d1a46dc3bc2d0f9d7b2a6abafe05ccc497")
+
+
+def _large_pinned_graphs():
+    """Seeded graphs at the sizes of the benchmark's covers (n 60…200,
+    p 0.4…0.95): rainbow ones on which the greedy runs one round per
+    vertex, proper ones, and planted halves that the heuristic cut search
+    (|W| above the exhaustive cap) splits with Δ = 0 and Δ = 1."""
+    rng = random.Random(60)
+    for n, p, p_across, rainbow in ((60, 0.95, None, True),
+                                    (80, 0.5, 0.0, True),
+                                    (100, 0.6, 0.002, True),
+                                    (160, 0.9, 0.0008, False),
+                                    (200, 0.45, None, False)):
+        half = set(rng.sample(range(1, n + 1), n // 2))
+        edges = tuple(
+            (a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+            if rng.random() < (p if p_across is None
+                               or (a in half) == (b in half) else p_across))
+        colors = (tuple(range(1, len(edges) + 1)) if rainbow
+                  else greedy_proper_coloring(n, edges))
+        yield EdgeColoredGraph(n, edges, colors)
+
+
+class TestPinnedLargeCovers:
+    def test_large_cover_outputs_pinned(self):
+        rows = []
+        for i, G in enumerate(_large_pinned_graphs()):
+            try:
+                cover = jsonio.cover_to_json(
+                    color_cover(G, 2, Fraction(1, 4), seed=i))
+            except CoverFailure as exc:
+                cover = str(exc)
+            rows.append(cover)
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "db1e75decdc053fa4dec3c7180f0dd0ce313f9abfd9190f4151c431eaccd4f35")

@@ -73,9 +73,9 @@ class TestDependenceSystem:
 class TestExtraction:
     def test_embedded_golden_row(self):
         res = extract_dependences(NINE_GRAPH, DependenceConfig(C=Fraction(1, 10)))
-        assert res.system.base_colors == (2, 3, 4)
         assert res.system.ell == 3
-        assert res.system.dependent_colors[0] == 1
+        assert res.system.indices[:3] == (2, 3, 4)  # base colors
+        assert res.system.indices[3] == 1  # first dependent color
         assert res.system.coeffs[0] == (-3, 1, -1)
         assert res.paths[0] == (1, 2, 3, 4, 5, 6)
 
