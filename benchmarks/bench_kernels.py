@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Time the two hot kernels.
+"""Time the two hot kernels and the exact certificate core.
 
 The unit-pair scan (a hash join over integer-scaled coordinates) is timed
 on the flat-side quadratic set under the square norm, whose pair count
-grows as n²/4; the exhaustive weak-cut search on a random graph.
+grows as n²/4; the exhaustive weak-cut search on a random graph. The exact
+core is timed on what `udnorm pipeline` certifies at its defaults: the
+left null basis of each of the built-in decagon's class-tuple matrices,
+and the sign test of every kill record's affine form on the certified box.
 
 Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16] [--repeat 3]
 """
@@ -14,9 +17,14 @@ import time
 from fractions import Fraction
 
 from udnorm import kernels
+from udnorm.certify import build_system, certify_box, enumerate_admissible
+from udnorm.cli import build_parser, pipeline_decagon
 from udnorm.colored import weak_delta_table
-from udnorm.norms import square
+from udnorm.dependence import DependenceConfig, extract_dependences
+from udnorm.norms import AngleBound, NormOracle, choose_delta0, square
 from udnorm.pointsets import flat_side_quadratic
+from udnorm.ratlin import left_null_basis
+from udnorm.udg import build_udg
 
 
 def bench(fn, repeat):
@@ -62,6 +70,29 @@ def main():
     print(f"\nweak-cut search: {w} vertices, {(1 << (w - 1)) - 1} cuts")
     t, hit = bench(lambda: kernels.min_weak_cut(adj, thr), args.repeat)
     print(f"  {t * 1e3:10.1f} ms   (result {hit})")
+
+    # the pipeline's system and certificate at the CLI defaults
+    d = build_parser().parse_args(["pipeline", "--out-dir", "."])
+    G = build_udg(flat_side_quadratic(d.n), square())
+    S = extract_dependences(G, DependenceConfig(
+        q=d.q, C=d.C, exhaustive_cap=d.exhaustive_cap, seed=d.seed)).system
+    B1 = pipeline_decagon()
+    eta = AngleBound(d.eta_sin2)
+    cert = certify_box(S, B1, choose_delta0(B1, NormOracle.of_polygon(B1),
+                                            d.eps, eta), eta)
+    systems = {}
+    for alpha in enumerate_admissible(S.ell, B1.m):
+        systems.setdefault(tuple(a % B1.m for a in alpha.alpha),
+                           build_system(S, B1, alpha))
+    print(f"\nleft null basis: {len(systems)} class-tuple matrices "
+          f"({S.ell * 2 + 1}×{S.ell * 2}, pipeline decagon)")
+    t, _ = bench(lambda: [left_null_basis(A) for A in systems.values()],
+                 args.repeat)
+    print(f"  {t * 1e3:10.1f} ms")
+    forms = [rec.h for rec in cert.kills]
+    print(f"\nsign_on: {len(forms)} kill-record forms on the certified box")
+    t, signs = bench(lambda: [h.sign_on(cert.box) for h in forms], args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   ({signs.count(0)} with a root in the box)")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,17 @@ from .norms import (
     eta_separated,
     offset_polygon,
 )
-from .ratlin import Mat, RatInterval, RationalLike, Vec2, left_null_basis, rat, solve, sqrt_interval
+from .ratlin import (
+    Mat,
+    RatInterval,
+    RationalLike,
+    Vec2,
+    left_null_basis,
+    over_common_denominator,
+    rat,
+    solve,
+    sqrt_interval,
+)
 
 # re-exported here because the angle machinery is part of this module's surface
 __all__ = [
@@ -133,42 +143,70 @@ class OffsetBox:
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D, lo·D, hi·D): the bounds over their common denominator D."""
-        D, ints = _over_common_denominator(tuple(self.lo) + tuple(self.hi))
+        D, ints = over_common_denominator(tuple(self.lo) + tuple(self.hi))
         return D, ints[:self.m], ints[self.m:]
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """(D, values·D) with D the least common denominator of the values."""
-    D = math.lcm(*(v.denominator for v in values))
-    return D, tuple(v.numerator * (D // v.denominator) for v in values)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class AffineForm:
-    """t ↦ const + Σ coeffs[i]·tᵢ over the m offset coordinates."""
+    """t ↦ (num + Σ nums[i]·tᵢ)/den over the m offset coordinates.
 
-    const: Fraction
-    coeffs: tuple[Fraction, ...]
+    Stored in integers reduced so that gcd(num, nums, den) = 1 and den > 0,
+    so equal forms have equal fields and hash equal. `AffineForm(const,
+    coeffs)` takes the rational constant and coefficients; `const` and
+    `coeffs` read them back as `Fraction`s.
+    """
+
+    num: int
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, const: RationalLike, coeffs: Sequence[RationalLike]):
+        # over the least common denominator the fields are already reduced:
+        # an entry with the highest power of a prime p in its denominator
+        # has a numerator that p does not divide
+        den, (num, *nums) = over_common_denominator(
+            (rat(const), *(rat(c) for c in coeffs)))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, num: int, nums: tuple[int, ...], den: int) -> "AffineForm":
+        """The form with these fields; the caller guarantees they are reduced."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "num", num)
+        object.__setattr__(form, "nums", nums)
+        object.__setattr__(form, "den", den)
+        return form
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def eval(self, t: Sequence[Fraction]) -> Fraction:
-        return self.const + sum(
-            (c * v for c, v in zip(self.coeffs, t)), Fraction(0)
-        )
+        T, ts = over_common_denominator(t)
+        return Fraction(self.num * T + sum(c * v for c, v in zip(self.nums, ts)),
+                        self.den * T)
 
     def _bounds_on(self, box: OffsetBox) -> tuple[int, int, int]:
         """(lo, hi, den) with [lo/den, hi/den] the exact range of the form on
-        the box and den > 0, in integer arithmetic over common denominators."""
-        E, (K, *C) = _over_common_denominator((self.const, *self.coeffs))
+        the box and den > 0, in integer arithmetic over the box's common
+        denominator."""
         D, L, H = box.scaled
-        lo = hi = K * D
-        for c, a, b in zip(C, L, H):
+        lo = hi = self.num * D
+        for c, a, b in zip(self.nums, L, H):
             if c > 0:
                 lo += c * a
                 hi += c * b
             elif c < 0:
                 lo += c * b
                 hi += c * a
-        return lo, hi, E * D
+        return lo, hi, self.den * D
 
     def interval_on(self, box: OffsetBox) -> RatInterval:
         lo, hi, den = self._bounds_on(box)
@@ -214,26 +252,29 @@ Functionals = list[tuple[tuple[Fraction, ...], AffineForm]]
 NullVectors = tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]
 
 
-def _functional(sides: Sequence[int], y: Sequence[Fraction],
+def _functional(sides: Sequence[int], y: tuple[int, Sequence[int]],
                 offsets: tuple[int, Sequence[int]]) -> AffineForm:
-    """h = yᵀb(t) for the assignment with these sides. Row i reads
-    ⟨n, z⟩ = εᵢ(cₖ + tₖ) with k = sideᵢ mod m and εᵢ = −1 for sides ≥ m, so
-    h has coefficient yᵢεᵢ at coordinate k and constant Σ yᵢεᵢcₖ, one
-    integer sum over the common denominators of y and of the offsets, which
-    come as (D, c·D)."""
-    (L, yints), (D, cs) = _over_common_denominator(y), offsets
+    """h = yᵀb(t) for the assignment with these sides, from y and the
+    offsets over their least common denominators, (L, y·L) and (D, c·D).
+    Row i reads ⟨n, z⟩ = εᵢ(cₖ + tₖ) with k = sideᵢ mod m and εᵢ = −1 for
+    sides ≥ m, so h·L·D has coefficient εᵢ·(yᵢL)·D at coordinate k and
+    constant Σ εᵢ·(yᵢL)·(cₖD): integer sums only."""
+    (L, ys), (D, cs) = y, offsets
     m = len(cs)
-    const = 0
-    coeffs = [Fraction(0)] * m
-    for yi, yl, side in zip(y, yints, sides):
-        k = side % m
+    num = 0
+    nums = [0] * m
+    for yl, side in zip(ys, sides):
         if side < m:
-            coeffs[k] = yi
-            const += yl * cs[k]
+            nums[side] = yl
+            num += yl * cs[side]
         else:
-            coeffs[k] = -yi
-            const -= yl * cs[k]
-    return AffineForm(Fraction(const, L * D), tuple(coeffs))
+            nums[side - m] = -yl
+            num -= yl * cs[side - m]
+    # L is y's least common denominator, so gcd(y·L, L) = 1 and the
+    # reduced form divides num, nums·D and L·D by gcd(num, D)
+    g = math.gcd(num, D)
+    s = D // g
+    return AffineForm._reduced(num // g, tuple(c * s for c in nums), L * s)
 
 
 def null_functionals(S: DependenceSystem, B1: SymmetricPolygon
@@ -247,15 +288,17 @@ def null_functionals(S: DependenceSystem, B1: SymmetricPolygon
     distinct coordinates, so h ≠ 0 whenever y ≠ 0.
     """
     m = B1.m
-    offsets = _over_common_denominator(B1.offsets)
+    offsets = over_common_denominator(B1.offsets)
     bases = {}
     for alpha in enumerate_admissible(S.ell, m):
         classes = tuple(a % m for a in alpha.alpha)
         if classes not in bases:
             A = build_system(S, B1, alpha)
-            bases[classes] = (A, left_null_basis(A))
+            bases[classes] = (A, [(y, over_common_denominator(y))
+                                  for y in left_null_basis(A)])
         A, ys = bases[classes]
-        yield alpha, A, [(y, _functional(alpha.alpha, y, offsets)) for y in ys]
+        yield alpha, A, [(y, _functional(alpha.alpha, scaled, offsets))
+                         for y, scaled in ys]
 
 
 def kill_assignment(alpha: AdmissibleAssignment, functionals: Functionals,
@@ -276,7 +319,7 @@ def kill_assignment(alpha: AdmissibleAssignment, functionals: Functionals,
     sign = 1 if h.eval(center) >= 0 else -1
     lo = list(box.lo)
     hi = list(box.hi)
-    for j, c in enumerate(h.coeffs):
+    for j, c in enumerate(h.nums):
         if c == 0:
             continue
         width = hi[j] - lo[j]
@@ -318,12 +361,13 @@ class NormCertificate:
         a root in the box). Needs every class tuple in the table; the
         checker reads the table itself."""
         m = self.polygon.m
-        offsets = _over_common_denominator(self.polygon.offsets)
-        ys = dict(self.null_vectors)
+        offsets = over_common_denominator(self.polygon.offsets)
+        ys = {classes: (y, over_common_denominator(y))
+              for classes, y in self.null_vectors}
         records = []
         for alpha in enumerate_admissible(self.system.ell, m):
-            y = ys[tuple(a % m for a in alpha.alpha)]
-            h = _functional(alpha.alpha, y, offsets)
+            y, scaled = ys[tuple(a % m for a in alpha.alpha)]
+            h = _functional(alpha.alpha, scaled, offsets)
             records.append(KillRecord(alpha, y, h, h.sign_on(self.box)))
         return tuple(records)
 
@@ -536,14 +580,14 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
                 try_solve(alpha, A, root, "directed")
         if len(hforms) > 1:
             open_systems.append((alpha, A, hforms))
-    # random pass
+    # random pass: tᵢ = loᵢ + (hiᵢ − loᵢ)·r/GRID, drawn over the box's common
+    # denominator D; only open systems can be hit, so without them no t is drawn
     rng = random.Random(seed)
     GRID = 1 << 30
-    for _ in range(trials):
-        t = tuple(
-            lo + (hi - lo) * Fraction(rng.randrange(GRID + 1), GRID)
-            for lo, hi in zip(box.lo, box.hi)
-        )
+    D, lo, hi = box.scaled
+    for _ in range(trials if open_systems else 0):
+        t = tuple(Fraction(a * GRID + (b - a) * rng.randrange(GRID + 1), D * GRID)
+                  for a, b in zip(lo, hi))
         for alpha, A, hforms in open_systems:
             if all(hf.eval(t) == 0 for hf in hforms):
                 try_solve(alpha, A, t, "random")

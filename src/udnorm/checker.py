@@ -6,9 +6,11 @@ rows (no construction code paths). The certificate's table holds one
 left-null vector y per class tuple α mod m (sides s and s+m share a
 normal); every class tuple of an admissible assignment must appear exactly
 once, and each y is verified once by direct multiplication yᵀA = 0 with
-y ≠ 0. For each admissible α, h = yᵀb(t) is rebuilt and its sign decided by
-interval evaluation on the box in integer arithmetic: y, the offsets and
-the box are scaled to common denominators, so every comparison is exact.
+y ≠ 0, in integers: y, the normals and the coefficient rows are scaled to
+common denominators, the latter two once per check. For each admissible α,
+h = yᵀb(t) is rebuilt and its sign decided by interval evaluation on the
+box in integer arithmetic: y, the offsets and the box are scaled to common
+denominators, so every comparison is exact.
 The witness sandwich, margin rule, trapezoid tiling, and sweep property are
 checked by exact rational geometry.
 """
@@ -57,23 +59,23 @@ def _side_line(B: SymmetricPolygon, side: int) -> tuple[Vec2, Fraction]:
     return B.normals[side - m], -B.offsets[side - m]
 
 
-def _system_rows(B: SymmetricPolygon, ell: int, coeffs, classes):
-    """Rows of A for a class tuple: row i applies normal n_(classes[i]) to
-    the direction uᵢ (a base direction, or a combination of them)."""
-    weights = [[Fraction(1 if s == i else 0) for s in range(ell)]
-               for i in range(ell)]
-    weights += [[rat(c) for c in row] for row in coeffs]
-    rows = []
-    for k, row in zip(classes, weights):
-        n = B.normals[k]
-        rows.append([w * v for w in row for v in (n.x, n.y)])
-    return rows
-
-
 def _scaled(values) -> tuple[int, list[int]]:
     """(D, values·D) with D the least common denominator of the values."""
     D = math.lcm(*(v.denominator for v in values))
     return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def _integer_system(B: SymmetricPolygon, ell: int, coeffs):
+    """The normals and the weight rows over common denominators. Row i of A
+    for a class tuple applies normal n_(classes[i]) to the direction uᵢ (a
+    base direction, or a combination of them), so the integer row
+    wᵢ ⊗ n_k is A's row times one constant shared by every class tuple."""
+    _, ns = _scaled([v for n in B.normals for v in (n.x, n.y)])
+    normals = list(zip(ns[0::2], ns[1::2]))
+    weights = [[int(s == i) for s in range(ell)] for i in range(ell)]
+    weights += [[rat(c) for c in row] for row in coeffs]
+    _, ws = _scaled([w for row in weights for w in row])
+    return normals, [ws[i:i + ell] for i in range(0, len(ws), ell)]
 
 
 def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
@@ -82,6 +84,7 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
     y kills nothing. A malformed entry fails naming its class tuple as the
     assignment with every side in the first half."""
     arity = 2 * S.ell + 1
+    normals, weights = _integer_system(B, S.ell, S.coeffs)
     table = {}
     for classes, y in entries:
         classes, y = tuple(classes), [rat(v) for v in y]
@@ -97,12 +100,14 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
         elif not any(y):
             table[classes] = "zero null vector"
         else:
-            # y·L is an integer vector with the same null property and signs
+            # y·L is an integer vector with the same null property and signs;
+            # column (s, xy) of yᵀA sums yᵢ·wᵢ[s]·n_(classes[i])[xy]
             _, ys = _scaled(y)
-            rows = _system_rows(B, S.ell, S.coeffs, classes)
+            rows = [(yi, weights[i], normals[k])
+                    for i, (yi, k) in enumerate(zip(ys, classes))]
             table[classes] = ys if all(
-                sum(yi * row[col] for yi, row in zip(ys, rows)) == 0
-                for col in range(2 * S.ell)) else "yᵀA ≠ 0"
+                sum(yi * w[s] * n[xy] for yi, w, n in rows) == 0
+                for s in range(S.ell) for xy in (0, 1)) else "yᵀA ≠ 0"
     return table
 
 

@@ -2,9 +2,10 @@
 interval helpers.
 
 Everything here is pure and exact: scalars are `fractions.Fraction`, matrix
-algorithms use Gaussian elimination with first-nonzero pivoting so results
-are reproducible bit for bit, and the only irrational quantities (square
-roots, base-2 logarithms) are returned as enclosing rational intervals.
+algorithms scale rows to integers and run one fraction-free elimination
+with first-nonzero pivoting so results are reproducible bit for bit, and
+the only irrational quantities (square roots, base-2 logarithms) are
+returned as enclosing rational intervals.
 """
 
 from __future__ import annotations
@@ -103,12 +104,6 @@ class Mat:
             raise ValueError("rows must be nonempty and equally long")
         return Mat(grid)
 
-    @staticmethod
-    def identity(n: int) -> "Mat":
-        return Mat.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -117,21 +112,28 @@ class Mat:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def mul_vec(self, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        vv = [rat(t) for t in v]
-        if len(vv) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum((r[j] * vv[j] for j in range(self.cols)), Fraction(0))
-            for r in self.entries
-        )
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(D, values·D) with D the least common denominator of the values."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, tuple(v.numerator * (D // v.denominator) for v in values)
 
 
-def _forward_eliminate(grid: list[list[Fraction]], lead_cols: int):
-    """Row-echelon reduction of the first `lead_cols` columns, in place.
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the least common denominator of its entries."""
+    return [list(over_common_denominator(row)[1]) for row in rows]
+
+
+def _eliminate(grid: list[list[int]], lead_cols: int) -> list[int]:
+    """Fraction-free row-echelon reduction of the first `lead_cols` columns,
+    in place. Returns the pivot column list.
 
     Pivot row = first row with a nonzero entry in the pivot column
-    (determinism over numerical niceties). Returns the pivot column list.
+    (determinism over numerical niceties). Each lower row becomes
+    piv·row_i − f·row_c, a nonzero multiple of the row that rational
+    elimination would leave, so the pivots, the zero rows and every row's
+    direction are those of rational elimination. An entry's bit length can
+    double per pivot step; Python ints absorb that on these few-row systems.
     """
     pivots = []
     cur = 0
@@ -146,15 +148,15 @@ def _forward_eliminate(grid: list[list[Fraction]], lead_cols: int):
             continue
         if sel != cur:
             grid[cur], grid[sel] = grid[sel], grid[cur]
-        piv = grid[cur][col]
+        row_c = grid[cur]
+        piv = row_c[col]
         for i in range(cur + 1, nrows):
-            f = grid[i][col]
+            row_i = grid[i]
+            f = row_i[col]
             if f == 0:
                 continue
-            ratio = f / piv
-            row_i, row_c = grid[i], grid[cur]
             for j in range(col, len(row_i)):
-                row_i[j] = row_i[j] - ratio * row_c[j]
+                row_i[j] = piv * row_i[j] - f * row_c[j]
         pivots.append(col)
         cur += 1
         if cur == nrows:
@@ -164,63 +166,65 @@ def _forward_eliminate(grid: list[list[Fraction]], lead_cols: int):
 
 def rank(M: Mat) -> int:
     """Exact rank over the rationals."""
-    grid = [list(r) for r in M.entries]
-    return len(_forward_eliminate(grid, M.cols))
+    return len(_eliminate(_integer_rows(M.entries), M.cols))
 
 
 def solve(M: Mat, b: Sequence[RationalLike]) -> Optional[tuple[Fraction, ...]]:
     """Some exact x with M·x = b, or None when the system is inconsistent.
 
-    Free variables are set to zero, so the result is deterministic.
+    Free variables are set to zero, so the result is deterministic. Each
+    augmented row [M | b] is scaled to integers on its own, which keeps the
+    solution set; elimination and back substitution run in integers over
+    one common denominator of x.
     """
     bb = [rat(t) for t in b]
     if len(bb) != M.rows:
         raise ValueError("right-hand side length must equal row count")
-    grid = [list(M.entries[i]) + [bb[i]] for i in range(M.rows)]
-    pivots = _forward_eliminate(grid, M.cols)
+    n = M.cols
+    grid = _integer_rows(row + (v,) for row, v in zip(M.entries, bb))
+    pivots = _eliminate(grid, n)
     for i in range(len(pivots), M.rows):
-        if grid[i][M.cols] != 0:
+        if grid[i][n] != 0:
             return None
-    x = [Fraction(0)] * M.cols
+    # x = X / d; pivot row i gives x_col = (rhs·d − Σ a_ij·X_j) / (a_i,col·d)
+    X = [0] * n
+    d = 1
     for i in range(len(pivots) - 1, -1, -1):
         col = pivots[i]
-        acc = grid[i][M.cols]
-        for j in range(col + 1, M.cols):
-            acc -= grid[i][j] * x[j]
-        x[col] = acc / grid[i][col]
-    return tuple(x)
+        row = grid[i]
+        acc = row[n] * d - sum(row[j] * X[j] for j in range(col + 1, n))
+        a = row[col]
+        X = [v * a for v in X]
+        X[col] = acc
+        d *= a
+    return tuple(Fraction(v, d) for v in X)
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a nonzero rational vector to primitive integers, first nonzero > 0."""
-    den = math.lcm(*(t.denominator for t in vec))
-    ints = [int(t * den) for t in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [t // g for t in ints]
-    for t in ints:
-        if t != 0:
-            if t < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(Fraction(t) for t in ints)
+def _primitive(vec: Sequence[int]) -> tuple[Fraction, ...]:
+    """Scale a nonzero integer vector to primitive integers, first nonzero > 0."""
+    g = math.gcd(*vec)
+    lead = next(t for t in vec if t != 0)
+    if lead < 0:
+        g = -g
+    return tuple(Fraction(t // g) for t in vec)
 
 
 def left_null_basis(M: Mat) -> list[tuple[Fraction, ...]]:
     """Basis {y} of the left null space: yᵀM = 0, |basis| = rows − rank(M).
 
-    Each basis vector is scaled to a primitive integer vector with positive
-    leading entry so certificates serialize canonically.
+    M is scaled by the least common denominator of all its entries, which
+    keeps the left null space, and [M·L | I] is reduced fraction-free: the
+    pivots and the zero rows are those of rational elimination, and each
+    basis vector is the identity part of a zero row, scaled to a primitive
+    integer vector with positive leading entry so certificates serialize
+    canonically.
     """
-    n = M.rows
-    grid = [list(M.entries[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
+    n, c = M.rows, M.cols
+    _, scaled = over_common_denominator([v for row in M.entries for v in row])
+    grid = [list(scaled[i * c:(i + 1) * c]) + [int(j == i) for j in range(n)]
             for i in range(n)]
-    pivots = _forward_eliminate(grid, M.cols)
-    basis = []
-    for i in range(len(pivots), n):
-        y = grid[i][M.cols:]
-        basis.append(_primitive(y))
-    return basis
+    pivots = _eliminate(grid, c)
+    return [_primitive(grid[i][c:]) for i in range(len(pivots), n)]
 
 
 @dataclass(frozen=True)

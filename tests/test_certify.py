@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -161,6 +162,14 @@ class TestBuildSystem:
                 for t in (box.lo, box.center(), box.hi):
                     b = side_rhs(B1, alpha.alpha, t)
                     assert h.eval(t) == sum(yi * bi for yi, bi in zip(y, b))
+                # the same form built from Fraction const and coefficients
+                b0 = side_rhs(B1, alpha.alpha, [Fraction(0)] * m)
+                coeffs = [Fraction(0)] * m
+                for yi, side in zip(y, alpha.alpha):
+                    coeffs[side % m] = yi if side < m else -yi
+                want = AffineForm(sum(yi * bi for yi, bi in zip(y, b0)), coeffs)
+                assert h == want and hash(h) == hash(want)
+                assert_reduced(h)
 
     def test_rows_encode_side_membership(self, octagon):
         # u2 = 2·u1, u3 = u1; alpha = (side x=1, side y=1, side x=-1):
@@ -170,7 +179,7 @@ class TestBuildSystem:
         A = build_system(S, octagon, alpha)
         u1 = Vec2.of(1, Fraction(1, 3))
         t = (Fraction(1, 10), Fraction(-1, 20), Fraction(0), Fraction(0))
-        lhs = A.mul_vec((u1.x, u1.y))
+        lhs = [a * u1.x + b * u1.y for a, b in A.entries]
         # row 0: <(1,0), u1> = 1 + t_0 ; row 1: <(0,1), 2 u1> = 1 + t_2;
         # row 2: <(1,0), u1> = -(1 + t_0)
         assert lhs[0] == u1.x
@@ -233,6 +242,14 @@ class TestKillAssignment:
             assert solve(A, side_rhs(octagon, alpha.alpha, t)) is None
 
 
+def assert_reduced(h):
+    """The stored integers are in lowest terms with a positive denominator."""
+    assert h.den > 0
+    assert math.gcd(h.num, h.den, *h.nums) == 1
+    assert (h.const, h.coeffs) == (Fraction(h.num, h.den),
+                                   tuple(Fraction(c, h.den) for c in h.nums))
+
+
 def _reference_range(h, box):
     """[lo, hi] of h on the box, summed term by term in Fraction."""
     lo = hi = h.const
@@ -271,6 +288,21 @@ class TestIntegerCore:
         iv = h.interval_on(box)
         assert (iv.lo, iv.hi) == (lo, hi)
         assert h.sign_on(box) == (1 if lo > 0 else -1 if hi < 0 else 0)
+        t = box.center()
+        assert h.eval(t) == h.const + sum(c * v for c, v in zip(h.coeffs, t))
+
+    @given(RATIONALS, st.lists(RATIONALS, min_size=1, max_size=5))
+    def test_reduced_and_hashable(self, const, coeffs):
+        h = AffineForm(const, coeffs)
+        assert_reduced(h)
+        assert (h.const, h.coeffs) == (const, tuple(coeffs))
+        # the same rationals given as strings, or as ints where integral
+        same = AffineForm(f"{const.numerator}/{const.denominator}",
+                          [int(c) if c.denominator == 1 else c for c in coeffs])
+        assert same == h and hash(same) == hash(h)
+        assert len({h, same}) == 1
+        if any(coeffs):
+            assert h != AffineForm(const, [2 * c for c in coeffs])
 
 
 def _toy_certificate(polygon, eta, with_witness=True):
@@ -533,11 +565,37 @@ class TestOpenAssignments:
                 null_functionals(self.S, B1), 0, None, 97):
             assert len(functionals) == 2
 
-    def test_certify_check_verify(self):
+    @classmethod
+    def certificate(cls):
         B1 = pipeline_decagon()
         eta = AngleBound.of(Fraction(2, 5))
         delta0 = choose_delta0(B1, NormOracle.of_polygon(B1), Fraction(1, 4), eta)
-        cert = witness_norm(certify_box(self.S, B1, delta0, eta))
+        return witness_norm(certify_box(cls.S, B1, delta0, eta))
+
+    def test_random_pass_points(self, monkeypatch):
+        # the random pass tests the open systems at tᵢ = loᵢ + (hiᵢ − loᵢ)·r/2³⁰
+        # with r drawn from Random(seed) coordinate by coordinate; on the
+        # certified box the directed pass evaluates nothing
+        cert = self.certificate()
+        seen = []
+        evaluate = AffineForm.eval
+
+        def recording(h, t):
+            if not seen or seen[-1] != t:
+                seen.append(t)
+            return evaluate(h, t)
+
+        monkeypatch.setattr(AffineForm, "eval", recording)
+        sample_verify(cert, 3, seed=5)
+        rng = random.Random(5)
+        GRID = 1 << 30
+        expected = [tuple(lo + (hi - lo) * Fraction(rng.randrange(GRID + 1), GRID)
+                          for lo, hi in zip(cert.box.lo, cert.box.hi))
+                    for _ in range(3)]
+        assert seen == expected
+
+    def test_certify_check_verify(self):
+        cert = self.certificate()
         assert len(cert.kills) == 3840
         assert cert.delta > 0
         assert check_certificate(cert).ok

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from udnorm.ratlin import (
     Mat,
@@ -20,6 +21,14 @@ from udnorm.ratlin import (
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
 )
+
+IDENTITY_2 = Mat.from_rows([[1, 0], [0, 1]])
+
+
+def mat_vec(M, v):
+    """M·v, summed term by term in Fraction."""
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
+                 for row in M.entries)
 
 
 class TestRationalStrings:
@@ -55,7 +64,7 @@ class TestVec2:
 
 class TestRank:
     def test_identity(self):
-        assert rank(Mat.identity(2)) == 2
+        assert rank(IDENTITY_2) == 2
 
     def test_proportional_rows(self):
         assert rank(Mat.from_rows([[2, 4], [1, 2], [3, 6]])) == 1
@@ -66,7 +75,7 @@ class TestRank:
 
 class TestSolve:
     def test_identity(self):
-        assert solve(Mat.identity(2), [3, 5]) == (3, 5)
+        assert solve(IDENTITY_2, [3, 5]) == (3, 5)
 
     def test_consistent_sum(self):
         M = Mat.from_rows([[1, 0], [0, 1], [1, 1]])
@@ -78,7 +87,7 @@ class TestSolve:
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            solve(Mat.identity(2), [1, 2, 3])
+            solve(IDENTITY_2, [1, 2, 3])
 
 
 class TestLeftNull:
@@ -90,7 +99,7 @@ class TestLeftNull:
         assert y[0] != 0
 
     def test_full_row_rank(self):
-        assert left_null_basis(Mat.identity(2)) == []
+        assert left_null_basis(IDENTITY_2) == []
 
     def test_rank_one(self):
         M = Mat.from_rows([[2, 4], [1, 2], [3, 6]])
@@ -133,13 +142,129 @@ class TestLinalgProperties:
         ))
         x = solve(M, b)
         if x is not None:
-            assert M.mul_vec(x) == tuple(rat(v) for v in b)
+            assert mat_vec(M, x) == tuple(rat(v) for v in b)
         else:
             # some left-null vector witnesses the inconsistency
             assert any(
                 sum(y[i] * rat(b[i]) for i in range(M.rows)) != 0
                 for y in left_null_basis(M)
             )
+
+
+def reference_eliminate(grid, lead_cols):
+    """Reference: row-echelon reduction of the first `lead_cols` columns in
+    Fraction arithmetic, in place. Pivot row = first row with a nonzero
+    entry in the pivot column. Returns the pivot column list."""
+    pivots = []
+    cur = 0
+    nrows = len(grid)
+    for col in range(lead_cols):
+        sel = None
+        for i in range(cur, nrows):
+            if grid[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != cur:
+            grid[cur], grid[sel] = grid[sel], grid[cur]
+        piv = grid[cur][col]
+        for i in range(cur + 1, nrows):
+            f = grid[i][col]
+            if f == 0:
+                continue
+            ratio = f / piv
+            row_i, row_c = grid[i], grid[cur]
+            for j in range(col, len(row_i)):
+                row_i[j] = row_i[j] - ratio * row_c[j]
+        pivots.append(col)
+        cur += 1
+        if cur == nrows:
+            break
+    return pivots
+
+
+def reference_rank(M):
+    return len(reference_eliminate([list(r) for r in M.entries], M.cols))
+
+
+def reference_solve(M, b):
+    grid = [list(row) + [rat(v)] for row, v in zip(M.entries, b)]
+    pivots = reference_eliminate(grid, M.cols)
+    if any(grid[i][M.cols] != 0 for i in range(len(pivots), M.rows)):
+        return None
+    x = [Fraction(0)] * M.cols
+    for i in range(len(pivots) - 1, -1, -1):
+        col = pivots[i]
+        acc = grid[i][M.cols] - sum(grid[i][j] * x[j]
+                                    for j in range(col + 1, M.cols))
+        x[col] = acc / grid[i][col]
+    return tuple(x)
+
+
+def reference_left_null_basis(M):
+    n = M.rows
+    grid = [list(M.entries[i]) + [Fraction(int(j == i)) for j in range(n)]
+            for i in range(n)]
+    pivots = reference_eliminate(grid, M.cols)
+    basis = []
+    for i in range(len(pivots), n):
+        y = grid[i][M.cols:]
+        den = math.lcm(*(v.denominator for v in y))
+        ints = [int(v * den) for v in y]
+        g = math.gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        basis.append(tuple(Fraction(v // g) for v in ints))
+    return basis
+
+
+# mixed denominators, exact zeros, and matrices with repeated or
+# proportional rows or an all-zero column, so rank deficiency is common
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def deficient_matrices(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    grid = draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        f = draw(ENTRIES)
+        grid[i] = [f * a + b for a, b in zip(grid[j], grid[k])]
+    if draw(st.booleans()):
+        col = draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[col] = Fraction(0)
+    return Mat.from_rows(grid)
+
+
+class TestAgainstFractionReference:
+    # the integer elimination keeps the Fraction elimination's pivots, zero
+    # rows and row directions, so every result equals the reference exactly
+    @settings(max_examples=200, deadline=None)
+    @given(deficient_matrices(), st.data())
+    def test_equal_results(self, M, data):
+        b = data.draw(st.lists(ENTRIES, min_size=M.rows, max_size=M.rows))
+        assert rank(M) == reference_rank(M)
+        assert left_null_basis(M) == reference_left_null_basis(M)
+        assert solve(M, b) == reference_solve(M, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(deficient_matrices(), st.data())
+    def test_consistent_right_hand_side(self, M, data):
+        # b = M·x0 is always consistent: the free-variables-zero solution
+        # must agree with the reference, not just both be None
+        x0 = data.draw(st.lists(ENTRIES, min_size=M.cols, max_size=M.cols))
+        b = mat_vec(M, x0)
+        x = solve(M, b)
+        assert x is not None and x == reference_solve(M, b)
+        assert mat_vec(M, x) == b
 
 
 class TestIntervals:
