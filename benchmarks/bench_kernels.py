@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the two hot kernels and the exact certificate core.
+"""Time the two hot kernels, the exact certificate core and the polygon
+geometry.
 
 The unit-pair scan (a hash join over integer-scaled coordinates) is timed
 on the flat-side quadratic set under the square norm, whose pair count
@@ -7,6 +8,10 @@ grows as n²/4; the exhaustive weak-cut search on a random graph. The exact
 core is timed on what `udnorm pipeline` certifies at its defaults: the
 left null basis of each of the built-in decagon's class-tuple matrices,
 and the sign test of every kill record's affine form on the certified box.
+The geometry is timed on the built-in decagon: `choose_delta0` at the
+pipeline defaults, and one `hausdorff` between the decagon and its
+offset polygon at +δ₀. Each repeat builds fresh polygons, so no vertex
+table is reused from an earlier repeat.
 
 Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16] [--repeat 3]
 """
@@ -21,7 +26,16 @@ from udnorm.certify import build_system, certify_box, enumerate_admissible
 from udnorm.cli import build_parser, pipeline_decagon
 from udnorm.colored import weak_delta_table
 from udnorm.dependence import DependenceConfig, extract_dependences
-from udnorm.norms import AngleBound, NormOracle, choose_delta0, square
+from udnorm.norms import (
+    AngleBound,
+    NormOracle,
+    OffsetVector,
+    SymmetricPolygon,
+    choose_delta0,
+    hausdorff,
+    offset_polygon,
+    square,
+)
 from udnorm.pointsets import flat_side_quadratic
 from udnorm.ratlin import left_null_basis
 from udnorm.udg import build_udg
@@ -78,8 +92,22 @@ def main():
         q=d.q, C=d.C, exhaustive_cap=d.exhaustive_cap, seed=d.seed)).system
     B1 = pipeline_decagon()
     eta = AngleBound(d.eta_sin2)
-    cert = certify_box(S, B1, choose_delta0(B1, NormOracle.of_polygon(B1),
-                                            d.eps, eta), eta)
+    delta0 = choose_delta0(B1, NormOracle.of_polygon(B1), d.eps, eta)
+    cert = certify_box(S, B1, delta0, eta)
+
+    def fresh(P):
+        return SymmetricPolygon(P.normals, P.offsets)
+
+    print(f"\nchoose_delta0: pipeline decagon (m = {B1.m}), eps {d.eps}, "
+          f"sin²η {d.eta_sin2}")
+    t, _ = bench(lambda: choose_delta0(
+        fresh(B1), NormOracle.of_polygon(fresh(B1)), d.eps, eta), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   (δ₀ = {delta0})")
+    B_out = offset_polygon(B1, OffsetVector.uniform(delta0, B1.m))
+    print("\nhausdorff: pipeline decagon against its offset polygon at +δ₀")
+    t, hd = bench(lambda: hausdorff(fresh(B1), fresh(B_out)), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   (upper bound {float(hd.hi):.6g})")
+
     systems = {}
     for alpha in enumerate_admissible(S.ell, B1.m):
         systems.setdefault(tuple(a % B1.m for a in alpha.alpha),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -146,9 +147,9 @@ def min_degree_core(G: EdgeColoredGraph) -> tuple[int, ...]:
     adj = G.adjacency()
     alive = set(range(1, G.n + 1))
     deg = {v: len(adj[v]) for v in alive}
-    queue = sorted(v for v in alive if deg[v] < threshold)
+    queue = deque(sorted(v for v in alive if deg[v] < threshold))
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if v not in alive or deg[v] >= threshold:
             continue
         alive.remove(v)

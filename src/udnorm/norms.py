@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .ratlin import (
     RatInterval,
     RationalLike,
     Vec2,
+    over_common_denominator,
     rat,
     sqrt_interval,
 )
@@ -96,14 +98,21 @@ def _primitive_pair(n: Vec2, c: Fraction) -> tuple[Vec2, Fraction]:
 class SymmetricPolygon:
     """0-symmetric convex 2m-gon {z : |⟨nᵢ, z⟩| ≤ cᵢ, i = 1..m}.
 
-    Constraints are canonicalized on construction: normals are primitive
+    Constraints are canonicalized by `from_pairs`: normals are primitive
     integer vectors in the upper halfplane, listed in ascending angular
     order over the half-turn; side s_{m+i} is −s_i. Every constraint must
-    be facet-defining.
+    be facet-defining. Direct construction requires integer normals.
+
+    Geometry reads one integer vertex table per polygon, computed once.
     """
 
     normals: tuple[Vec2, ...]
     offsets: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        for n in self.normals:
+            if n.x.denominator != 1 or n.y.denominator != 1:
+                raise PolygonError(f"normal {n} is not an integer vector")
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Vec2, RationalLike]]) -> "SymmetricPolygon":
@@ -131,6 +140,42 @@ class SymmetricPolygon:
     def m(self) -> int:
         return len(self.normals)
 
+    # --- the integer tables -------------------------------------------------
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """(D, integer normals, offsets·D), D the offsets' least common
+        denominator."""
+        D, cs = over_common_denominator(self.offsets)
+        return D, tuple((n.x.numerator, n.y.numerator) for n in self.normals), cs
+
+    @cached_property
+    def _vertex_table(self) -> tuple[tuple[int, int, int], ...]:
+        """Vertex i as integers (X, Y, E), E > 0: the point (X/E, Y/E).
+
+        With side i on ⟨n₁, z⟩ = O₁/D and side i+1 on ⟨n₂, z⟩ = O₂/D,
+        det = n₁×n₂, X = O₁n₂ʸ − O₂n₁ʸ, Y = n₁ˣO₂ − n₂ˣO₁ and E = det·D.
+        Vertex m+i is −vertex i, so only the first m are solved.
+        """
+        D, ns, cs = self._scaled
+        m = len(ns)
+        half = []
+        for i in range(m):
+            (ax, ay), o1 = ns[i], cs[i]
+            if i + 1 < m:
+                (bx, by), o2 = ns[i + 1], cs[i + 1]
+            else:
+                (bx, by), o2 = ns[0], -cs[0]
+            det = ax * by - ay * bx
+            X, Y, E = o1 * by - o2 * ay, ax * o2 - bx * o1, det * D
+            half.append((X, Y, E) if E > 0 else (-X, -Y, -E))
+        return tuple(half) + tuple((-X, -Y, E) for X, Y, E in half)
+
+    @cached_property
+    def _vertices(self) -> tuple[Vec2, ...]:
+        return tuple(Vec2(Fraction(X, E), Fraction(Y, E))
+                     for X, Y, E in self._vertex_table)
+
     # --- side indexing: sides 0..2m−1, side m+i = −side i ------------------
 
     def side_line(self, i: int) -> tuple[Vec2, Fraction]:
@@ -142,30 +187,29 @@ class SymmetricPolygon:
         return self.normals[i - m], -self.offsets[i - m]
 
     def vertex(self, i: int) -> Vec2:
-        """Vertex between side i and side i+1 (exact 2×2 solve)."""
-        n1, o1 = self.side_line(i)
-        n2, o2 = self.side_line(i + 1)
-        det = n1.cross(n2)
-        x = (o1 * n2.y - o2 * n1.y) / det
-        y = (n1.x * o2 - n2.x * o1) / det
-        return Vec2(x, y)
+        """Vertex between side i and side i+1."""
+        return self._vertices[i % (2 * self.m)]
 
     def vertices(self) -> tuple[Vec2, ...]:
-        return tuple(self.vertex(i) for i in range(2 * self.m))
+        return self._vertices
 
     def side_segment(self, i: int) -> tuple[Vec2, Vec2]:
         """Endpoints of side i (between vertices i−1 and i)."""
         return self.vertex(i - 1), self.vertex(i)
 
     def _validate_facets(self):
-        verts = self.vertices()
-        for k in range(2 * self.m):
-            v = verts[k]
-            if v == verts[k - 1]:
+        # vertex m+k is −vertex k and the constraints are symmetric, so a
+        # failure at k+m repeats one at k: the first m vertices decide, in
+        # the order (side k degenerate, then vertex k infeasible)
+        D, ns, cs = self._scaled
+        table = self._vertex_table
+        for k in range(self.m):
+            X, Y, E = table[k]
+            pX, pY, pE = table[k - 1]
+            if X * pE == pX * E and Y * pE == pY * E:
                 raise PolygonError(f"side {k} degenerates to a point")
-            for n, c in zip(self.normals, self.offsets):
-                d = n.dot(v)
-                if d > c or -d > c:
+            for (nx, ny), C in zip(ns, cs):
+                if abs(nx * X + ny * Y) * D > C * E:
                     raise PolygonError("redundant constraint: candidate vertex infeasible")
 
     # --- norm evaluation ----------------------------------------------------
@@ -177,18 +221,33 @@ class SymmetricPolygon:
     def contains(self, z: Vec2) -> bool:
         return all(abs(n.dot(z)) <= c for n, c in zip(self.normals, self.offsets))
 
-    def contains_strictly(self, z: Vec2) -> bool:
-        return all(abs(n.dot(z)) < c for n, c in zip(self.normals, self.offsets))
+    def _contains_scaled(self, X: int, Y: int, E: int) -> bool:
+        """`contains` for the point (X/E, Y/E), E > 0, times D·E."""
+        D, ns, cs = self._scaled
+        return all(abs(nx * X + ny * Y) * D <= C * E
+                   for (nx, ny), C in zip(ns, cs))
 
     def contains_polygon(self, other: "SymmetricPolygon") -> bool:
-        return all(self.contains(v) for v in other.vertices())
+        # both polygons are 0-symmetric, so other's first m vertices suffice
+        return all(self._contains_scaled(X, Y, E)
+                   for X, Y, E in other._vertex_table[:other.m])
 
     def is_eta_short(self, eta: AngleBound) -> bool:
-        """True iff every side is so short that no two η-separated lines meet it."""
-        return all(
-            segment_is_eta_short(*self.side_segment(i), eta)
-            for i in range(2 * self.m)
-        )
+        """True iff every side is so short that no two η-separated lines meet it.
+
+        `segment_is_eta_short` on each side, in integers: the vertices'
+        positive denominators cancel from both tests. Side m+i is −side i.
+        """
+        s_num, s_den = eta.sin_sq.numerator, eta.sin_sq.denominator
+        table = self._vertex_table
+        for i in range(self.m):
+            (ax, ay, _), (bx, by, _) = table[i - 1], table[i]
+            if ax * bx + ay * by <= 0:
+                return False
+            c = ax * by - ay * bx
+            if c * c * s_den >= s_num * (ax * ax + ay * ay) * (bx * bx + by * by):
+                return False
+        return True
 
     def area(self) -> Fraction:
         verts = self.vertices()
@@ -235,44 +294,65 @@ class OffsetVector:
 
 
 def offset_polygon(B1: SymmetricPolygon, t) -> SymmetricPolygon:
-    """B₁(t): the polygon with offsets cᵢ + tᵢ; fails if a side goes redundant."""
+    """B₁(t): the polygon with offsets cᵢ + tᵢ; fails if a side goes redundant.
+
+    B₁'s normals are already canonical (primitive, upper halfplane, sorted,
+    pairwise non-parallel), so B₁(t) keeps them as they are and only the
+    offsets' positivity and the facets are checked.
+    """
     ts = list(t)
     if len(ts) != B1.m:
         raise PolygonError("offset vector length must match side-pair count")
-    return SymmetricPolygon.from_pairs(
-        (n, c + rat(dt)) for (n, c, dt) in zip(B1.normals, B1.offsets, ts)
-    )
+    offsets = tuple(c + rat(dt) for c, dt in zip(B1.offsets, ts))
+    if any(c <= 0 for c in offsets):
+        raise PolygonError("offsets must be positive (0 interior)")
+    poly = SymmetricPolygon(B1.normals, offsets)
+    poly._validate_facets()
+    return poly
 
 
 # --- Hausdorff distance ------------------------------------------------------
 
 
-def _point_segment_dist_sq(p: Vec2, a: Vec2, b: Vec2) -> Fraction:
-    ab = b - a
-    ap = p - a
-    denom = ab.norm_sq()
-    t = ap.dot(ab) / denom
-    if t <= 0:
-        return ap.norm_sq()
-    if t >= 1:
-        return (p - b).norm_sq()
-    foot = a + ab.scale(t)
-    return (p - foot).norm_sq()
-
-
-def point_polygon_dist_sq(p: Vec2, B: SymmetricPolygon) -> Fraction:
-    """Exact squared Euclidean distance from p to the polygon (0 if inside)."""
-    if B.contains(p):
-        return Fraction(0)
-    verts = B.vertices()
-    return min(
-        _point_segment_dist_sq(p, verts[i - 1], verts[i]) for i in range(len(verts))
-    )
+def _point_segment_dist_sq(p: tuple[int, int], a: tuple[int, int],
+                           b: tuple[int, int]) -> tuple[int, int]:
+    """Squared distance from p to segment ab (integer points, a ≠ b) as an
+    integer pair (num, den): the foot of the perpendicular is never formed,
+    since |ap|²|ab|² = (ap·ab)² + (ap×ab)²."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    dot = apx * abx + apy * aby
+    if dot <= 0:
+        return apx * apx + apy * apy, 1
+    denom = abx * abx + aby * aby
+    if dot >= denom:
+        bpx, bpy = p[0] - b[0], p[1] - b[1]
+        return bpx * bpx + bpy * bpy, 1
+    cross = apx * aby - apy * abx
+    return cross * cross, denom
 
 
 def _directed_hausdorff_sq(A: SymmetricPolygon, B: SymmetricPolygon) -> Fraction:
-    # sup over A of dist(·, B) is attained at a vertex of A (convexity).
-    return max(point_polygon_dist_sq(v, B) for v in A.vertices())
+    """sup over A of the squared distance to B, attained at a vertex of A
+    (convexity); both vertex tables are scaled to one denominator L."""
+    # A and B are 0-symmetric, so A's first m vertices suffice; vertex m+i
+    # of either table repeats the denominator of vertex i
+    ta, tb = A._vertex_table[:A.m], B._vertex_table
+    L = math.lcm(*(E for _, _, E in ta), *(E for _, _, E in tb[:B.m]))
+    pa = [(X * (L // E), Y * (L // E)) for X, Y, E in ta]
+    pb = [(X * (L // E), Y * (L // E)) for X, Y, E in tb]
+    best_num, best_den = 0, 1
+    for p in pa:
+        if B._contains_scaled(p[0], p[1], L):
+            continue
+        num, den = _point_segment_dist_sq(p, pb[-1], pb[0])
+        for i in range(1, len(pb)):
+            n2, d2 = _point_segment_dist_sq(p, pb[i - 1], pb[i])
+            if n2 * den < num * d2:
+                num, den = n2, d2
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den * L * L)
 
 
 def hausdorff(A: SymmetricPolygon, B: SymmetricPolygon,
@@ -345,7 +425,8 @@ def hausdorff_to_oracle(B1: SymmetricPolygon, oracle: NormOracle,
     if oracle.kind == "polygon":
         return hausdorff(B1, oracle.polygon, max_width)
     if oracle.kind == "euclidean":
-        out_sq = max(v.norm_sq() for v in B1.vertices())
+        out_sq = max(Fraction(X * X + Y * Y, E * E)
+                     for X, Y, E in B1._vertex_table[:B1.m])
         out_iv = sqrt_interval(out_sq, max_width)
         h_out = RatInterval(max(Fraction(0), out_iv.lo - 1),
                             max(Fraction(0), out_iv.hi - 1))
@@ -569,17 +650,21 @@ def _approx_pnorm(oracle: NormOracle, eps: Fraction, eta: AngleBound,
 # --- offset box radius -------------------------------------------------------
 
 
+def _norm_uppers(B1: SymmetricPolygon) -> list[Fraction]:
+    """Rational upper bounds uᵢ ≥ ‖nᵢ‖, one per normal."""
+    return [sqrt_interval(n.norm_sq()).hi for n in B1.normals]
+
+
 def vertex_displacement_factor(B1: SymmetricPolygon) -> Fraction:
     """Rational K with: any offset t moves every vertex by ≤ K·max|tᵢ| (Euclidean)."""
     K = Fraction(0)
     m = B1.m
+    us = _norm_uppers(B1)
     for i in range(m):
         n1 = B1.normals[i]
         n2 = B1.normals[(i + 1) % m]
         det = abs(n1.cross(n2))
-        u1 = sqrt_interval(n1.norm_sq()).hi
-        u2 = sqrt_interval(n2.norm_sq()).hi
-        K = max(K, (u1 + u2) / det)
+        K = max(K, (us[i] + us[(i + 1) % m]) / det)
     return K
 
 
@@ -591,29 +676,44 @@ def _validity_radius(B1: SymmetricPolygon, K: Fraction) -> Fraction:
     for every constraint not defining it (vertex moves ≤ δK while the
     constraint line moves ≤ δ in functional scale), and consecutive
     vertices stay distinct (each moves ≤ δK against their initial gap).
+    The polygon is 0-symmetric, so vertices m..2m−1 repeat the margins of
+    vertices 0..m−1.
     """
-    verts = B1.vertices()
+    m = B1.m
+    D, ns, cs = B1._scaled
+    table = B1._vertex_table
     bound = min(B1.offsets) / 4
-    for i, v in enumerate(verts):
-        for n, c in zip(B1.normals, B1.offsets):
-            gap = c - abs(n.dot(v))
-            if gap <= 0:
-                continue  # a defining line of this vertex
-            u = sqrt_interval(n.norm_sq()).hi
-            bound = min(bound, gap / (2 * (K * u + 1)))
-        side_gap = sqrt_interval((v - verts[i - 1]).norm_sq()).lo
+    # over one denominator L·D, the gap cᵢ − |⟨nᵢ, v⟩| of vertex v = P/L
+    # is the integer Cᵢ·L − |⟨nᵢ, P⟩|·D; only positive gaps bind
+    L = math.lcm(*(E for _, _, E in table[:m]))
+    pts = [(X * (L // E), Y * (L // E)) for X, Y, E in table]
+    for (nx, ny), C, u in zip(ns, cs, _norm_uppers(B1)):
+        gaps = [g for g in (C * L - abs(nx * px + ny * py) * D for px, py in pts[:m])
+                if g > 0]
+        if gaps:
+            bound = min(bound, Fraction(min(gaps), L * D) / (2 * (K * u + 1)))
+    for i in range(m):
+        (px, py), (qx, qy) = pts[i], pts[i - 1]
+        side_gap = sqrt_interval(Fraction((px - qx) ** 2 + (py - qy) ** 2, L * L)).lo
         bound = min(bound, side_gap / (4 * K))
     return bound
 
 
 def choose_delta0(B1: SymmetricPolygon, B0: NormOracle, eps: RationalLike,
                   eta: AngleBound) -> Fraction:
-    """δ₀ > 0 such that every |tᵢ| ≤ δ₀ keeps B₁(t) valid, η-short (when B₁
-    is), and within Hausdorff ε of the oracle.
+    """δ₀ > 0 for offset polygons B₁(t), |tᵢ| ≤ δ₀. What is checked:
 
-    Conservative vertex-displacement bound, then verified at the extreme
-    uniform offsets (and all sign corners for m ≤ 12); halved until the
-    checks pass.
+    - validity: every such B₁(t) is a 2m-gon with every side
+      facet-defining, because δ₀ never exceeds `_validity_radius`, whose
+      margins are at most half of the gaps they protect; for m ≤ 12 the
+      2^m sign corners ±δ₀ are also built;
+    - ε-closeness: K·δ₀ ≤ slack/2 with K the vertex-displacement factor
+      and slack = ε − d_H(B₁, oracle), and d_H(B₁(t), oracle) < ε is
+      tested at the two uniform offsets ±δ₀;
+    - η-shortness (when B₁ is η-short): tested only at the two uniform
+      offsets ±δ₀, not proved for the whole box.
+
+    δ₀ is halved until the checks at the tested offsets pass.
     """
     eps = rat(eps)
     hd = hausdorff_to_oracle(B1, B0)

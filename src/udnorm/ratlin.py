@@ -277,12 +277,20 @@ def sqrt_interval(q: RationalLike, max_width: RationalLike = Fraction(1, 10**12)
     if q == 0:
         return RatInterval.point(0)
     max_width = rat(max_width)
-    # √(num/den) = √(num·den)/den; integer sqrt at scale S gives width 1/(S·den)
+    if max_width <= 0:
+        raise ValueError("max_width must be positive")
+    # √(num/den) = √(num·den)/den; integer sqrt at scale S gives width 1/(S·den).
+    # S is the least power of two with 1/(S·den) ≤ max_width, i.e. with
+    # S·have ≥ need for have = den·max_width.numerator and need =
+    # max_width.denominator: have·2^k ≥ need needs k ≥ the bit-length
+    # difference, and one more bit at most
     t = q.numerator * q.denominator
     den = q.denominator
-    S = 1
-    while Fraction(1, S * den) > max_width:
-        S *= 2
+    have, need = den * max_width.numerator, max_width.denominator
+    k = max(0, need.bit_length() - have.bit_length())
+    if have << k < need:
+        k += 1
+    S = 1 << k
     a = math.isqrt(t * S * S)
     lo = Fraction(a, S * den)
     if a * a == t * S * S:

@@ -1,12 +1,15 @@
+import hashlib
+import json
 import math
 import random
 import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import octagon, random_polygon, twelve_gon
+from udnorm.cli import pipeline_decagon
 from udnorm.norms import (
     AngleBound,
     ApproxError,
@@ -14,6 +17,11 @@ from udnorm.norms import (
     OffsetVector,
     PolygonError,
     SymmetricPolygon,
+    _angle_sort_key,
+    _canonical_halfplane,
+    _directed_hausdorff_sq,
+    _primitive_pair,
+    _validity_radius,
     choose_delta0,
     diamond,
     eta_separated,
@@ -21,10 +29,12 @@ from udnorm.norms import (
     hausdorff_to_oracle,
     offset_polygon,
     polygon_approx,
+    polygon_from_hull,
     segment_is_eta_short,
     square,
+    vertex_displacement_factor,
 )
-from udnorm.ratlin import Vec2
+from udnorm.ratlin import Vec2, rat, sqrt_interval
 
 SQRT2 = Fraction(2)
 
@@ -213,7 +223,7 @@ class TestPolygonApprox:
         assert hausdorff_to_oracle(B1, oracle).hi <= Fraction(1, 10)
         # side midpoints of the square, displaced outward, are inside B1
         for mid in (Vec2.of(1, 0), Vec2.of(0, 1)):
-            assert B1.contains_strictly(mid)
+            assert B1.gauge(mid) < 1
         # and every square side carries a vertex strictly outside its line
         assert any(v.x > 1 for v in B1.vertices())
         assert any(v.y > 1 for v in B1.vertices())
@@ -314,3 +324,302 @@ class TestOracles:
                 assert o.gauge_float(x + y) <= gx + gy + 1e-9
                 assert abs(o.gauge_float(-x) - gx) <= 1e-12
                 assert abs(o.gauge_float(x.scale(3)) - 3 * gx) <= 1e-9
+
+
+# --- reference geometry in Fractions ------------------------------------------
+# Each vertex solved as a 2×2 system in Fractions, offset polygons
+# re-canonicalized by `from_pairs`, Hausdorff distances through the foot of
+# the perpendicular. The integer vertex tables must reproduce every value
+# and every PolygonError message of this reference.
+
+
+def _meet(n1, o1, n2, o2):
+    """The point on both lines ⟨n₁, z⟩ = o₁ and ⟨n₂, z⟩ = o₂ (exact 2×2 solve)."""
+    det = n1.cross(n2)
+    return Vec2((o1 * n2.y - o2 * n1.y) / det, (n1.x * o2 - n2.x * o1) / det)
+
+
+def _ref_vertex(B, i):
+    return _meet(*B.side_line(i), *B.side_line(i + 1))
+
+
+def _ref_vertices(B):
+    return tuple(_ref_vertex(B, i) for i in range(2 * B.m))
+
+
+def _ref_validate_facets(B):
+    verts = _ref_vertices(B)
+    for k in range(2 * B.m):
+        v = verts[k]
+        if v == verts[k - 1]:
+            raise PolygonError(f"side {k} degenerates to a point")
+        for n, c in zip(B.normals, B.offsets):
+            d = n.dot(v)
+            if d > c or -d > c:
+                raise PolygonError("redundant constraint: candidate vertex infeasible")
+
+
+def _ref_from_pairs(pairs):
+    canon = []
+    for n, c in pairs:
+        c = rat(c)
+        if n.is_zero():
+            raise PolygonError("zero normal")
+        if c <= 0:
+            raise PolygonError("offsets must be positive (0 interior)")
+        canon.append(_primitive_pair(_canonical_halfplane(n), c))
+    canon.sort(key=lambda pc: _angle_sort_key(pc[0]))
+    if len(canon) < 2:
+        raise PolygonError("need at least two side pairs to bound the plane")
+    for (a, _), (b, _) in zip(canon, canon[1:]):
+        if a.cross(b) == 0:
+            raise PolygonError(f"parallel normals {a} and {b}")
+    poly = SymmetricPolygon(tuple(n for n, _ in canon), tuple(c for _, c in canon))
+    _ref_validate_facets(poly)
+    return poly
+
+
+def _ref_offset_polygon(B1, t):
+    ts = list(t)
+    if len(ts) != B1.m:
+        raise PolygonError("offset vector length must match side-pair count")
+    return _ref_from_pairs(
+        (n, c + rat(dt)) for (n, c, dt) in zip(B1.normals, B1.offsets, ts))
+
+
+def _ref_point_segment_dist_sq(p, a, b):
+    ab = b - a
+    ap = p - a
+    t = ap.dot(ab) / ab.norm_sq()
+    if t <= 0:
+        return ap.norm_sq()
+    if t >= 1:
+        return (p - b).norm_sq()
+    foot = a + ab.scale(t)
+    return (p - foot).norm_sq()
+
+
+def _ref_directed_hausdorff_sq(A, B):
+    verts = _ref_vertices(B)
+
+    def dist_sq(p):
+        if B.contains(p):
+            return Fraction(0)
+        return min(_ref_point_segment_dist_sq(p, verts[i - 1], verts[i])
+                   for i in range(len(verts)))
+
+    return max(dist_sq(v) for v in _ref_vertices(A))
+
+
+def _ref_is_eta_short(B, eta):
+    verts = _ref_vertices(B)
+    return all(segment_is_eta_short(verts[i - 1], verts[i], eta)
+               for i in range(2 * B.m))
+
+
+def _ref_validity_radius(B1, K):
+    verts = _ref_vertices(B1)
+    bound = min(B1.offsets) / 4
+    for i, v in enumerate(verts):
+        for n, c in zip(B1.normals, B1.offsets):
+            gap = c - abs(n.dot(v))
+            if gap <= 0:
+                continue
+            u = sqrt_interval(n.norm_sq()).hi
+            bound = min(bound, gap / (2 * (K * u + 1)))
+        side_gap = sqrt_interval((v - verts[i - 1]).norm_sq()).lo
+        bound = min(bound, side_gap / (4 * K))
+    return bound
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PolygonError as exc:
+        return ("PolygonError", str(exc))
+
+
+_coord = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def hulls(draw):
+    """A symmetric polygon: the hull of 3–7 random points with mixed
+    denominators and their negatives."""
+    pts = draw(st.lists(st.tuples(_coord, _coord).filter(lambda p: p != (0, 0)),
+                        min_size=3, max_size=7))
+    sym = [Vec2(x, y) for x, y in pts]
+    try:
+        return polygon_from_hull(sym + [-p for p in sym])
+    except PolygonError:
+        assume(False)
+
+
+def _collapse_offset(B, i):
+    """tᵢ that moves side i through the meeting point of sides i−1 and i+1,
+    so that side i shrinks to a point (None when those sides are parallel)."""
+    n1, o1 = B.side_line(i - 1)
+    n2, o2 = B.side_line(i + 1)
+    if n1.cross(n2) == 0:
+        return None
+    return B.normals[i].dot(_meet(n1, o1, n2, o2)) - B.offsets[i]
+
+
+@st.composite
+def offset_cases(draw):
+    """A polygon and an offset vector whose entries are drawn to keep a
+    side, move it a little, make it redundant, collapse it to a point (exact
+    when its neighbours are kept), or make its offset zero or negative."""
+    B = draw(hulls())
+    t = []
+    for i in range(B.m):
+        c = B.offsets[i]
+        kind = draw(st.sampled_from(["keep", "keep", "keep", "small", "redundant",
+                                     "collapse", "zero", "negative"]))
+        if kind == "keep":
+            dt = Fraction(0)
+        elif kind == "redundant":
+            dt = c * draw(st.integers(2, 10))
+        elif kind == "collapse":
+            dt = _collapse_offset(B, i)
+            if dt is None:
+                dt = Fraction(0)
+        elif kind == "zero":
+            dt = -c
+        elif kind == "negative":
+            dt = -c - draw(st.fractions(min_value=0, max_value=1, max_denominator=9))
+        else:
+            dt = c * draw(st.fractions(min_value=-1, max_value=1, max_denominator=40)) / 4
+        t.append(dt)
+    return B, t
+
+
+class TestIntegerGeometryEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(hulls())
+    def test_vertex_table(self, B):
+        assert B.vertices() == _ref_vertices(B)
+        for i in range(-2 * B.m, 4 * B.m):
+            assert B.vertex(i) == _ref_vertex(B, i)
+            assert B.side_segment(i) == (_ref_vertex(B, i - 1), _ref_vertex(B, i))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hulls(), st.fractions(min_value=Fraction(1, 50), max_value=1,
+                                 max_denominator=50))
+    def test_eta_short_and_validity_radius(self, B, sin_sq):
+        # the drawn bound, and each side's own sin² (where "short" is strict)
+        verts = _ref_vertices(B)
+        bounds = {sin_sq}
+        for a, b in zip(verts, verts[1:]):
+            if a.dot(b) > 0:
+                bounds.add(a.cross(b) ** 2 / (a.norm_sq() * b.norm_sq()))
+        for s in bounds - {0}:
+            eta = AngleBound(s)
+            assert B.is_eta_short(eta) == _ref_is_eta_short(B, eta)
+        K = vertex_displacement_factor(B)
+        assert _validity_radius(B, K) == _ref_validity_radius(B, K)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset_cases())
+    def test_offset_polygon_matches_from_pairs(self, case):
+        B, t = case
+        new, ref = _outcome(offset_polygon, B, t), _outcome(_ref_offset_polygon, B, t)
+        assert new == ref
+        if isinstance(new, SymmetricPolygon):
+            assert new.vertices() == _ref_vertices(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hulls(), hulls())
+    def test_hausdorff_without_common_normals(self, A, B):
+        assert _directed_hausdorff_sq(A, B) == _ref_directed_hausdorff_sq(A, B)
+        assert _directed_hausdorff_sq(B, A) == _ref_directed_hausdorff_sq(B, A)
+        d_sq = max(_ref_directed_hausdorff_sq(A, B), _ref_directed_hausdorff_sq(B, A))
+        assert hausdorff(A, B) == sqrt_interval(d_sq, Fraction(1, 10**12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hulls(), st.data())
+    def test_hausdorff_with_common_normals(self, A, data):
+        t = [c * data.draw(st.fractions(min_value=-1, max_value=1,
+                                        max_denominator=30)) / 8
+             for c in A.offsets]
+        B = _outcome(offset_polygon, A, t)
+        assume(isinstance(B, SymmetricPolygon))
+        assert _directed_hausdorff_sq(A, B) == _ref_directed_hausdorff_sq(A, B)
+        assert _directed_hausdorff_sq(B, A) == _ref_directed_hausdorff_sq(B, A)
+        d_sq = max(_ref_directed_hausdorff_sq(A, B), _ref_directed_hausdorff_sq(B, A))
+        assert hausdorff(A, B) == sqrt_interval(d_sq, Fraction(1, 10**12))
+
+    def test_rejects_fractional_normal(self):
+        with pytest.raises(PolygonError, match="not an integer vector"):
+            SymmetricPolygon((Vec2.of(Fraction(1, 2), 1), Vec2.of(1, 0)),
+                             (Fraction(1), Fraction(1)))
+
+
+def _geometry_rows():
+    eta14 = AngleBound.of(Fraction(1, 4))
+    cases = [
+        (pipeline_decagon(), Fraction(1, 4), AngleBound.of(Fraction(2, 5))),
+        (octagon(), Fraction(1, 4), AngleBound.of(Fraction(5, 9))),
+        (twelve_gon(), Fraction(1, 4), AngleBound.of(Fraction(2, 5))),
+        (polygon_approx(NormOracle.of_polygon(square()), Fraction(1, 5), eta14),
+         Fraction(1, 5), eta14),
+        (polygon_approx(NormOracle.of_polygon(twelve_gon()), Fraction(1, 4),
+                        AngleBound.of(Fraction(3, 5))),
+         Fraction(1, 4), AngleBound.of(Fraction(3, 5))),
+        (polygon_approx(NormOracle.euclidean(), Fraction(1, 5), eta14),
+         Fraction(1, 5), eta14),
+    ]
+    rows = []
+    for B, eps, eta in cases:
+        for oracle in (NormOracle.of_polygon(B), NormOracle.euclidean()):
+            hd = hausdorff_to_oracle(B, oracle)
+            rows.append([str(hd.lo), str(hd.hi)])
+        d0 = choose_delta0(B, NormOracle.of_polygon(B), eps, eta)
+        rows.append(str(d0))
+        for s in (d0, -d0):
+            Bt = offset_polygon(B, OffsetVector.uniform(s, B.m))
+            for oracle in (NormOracle.of_polygon(B), NormOracle.euclidean()):
+                hd = hausdorff_to_oracle(Bt, oracle)
+                rows.append([str(hd.lo), str(hd.hi)])
+    A, C = octagon(), twelve_gon()
+    for P, Q in ((A, C), (C, A), (cases[0][0], A)):
+        hd = hausdorff(P, Q)
+        rows.append([str(hd.lo), str(hd.hi)])
+    return rows
+
+
+def test_delta0_and_hausdorff_pinned():
+    """choose_delta0 and hausdorff_to_oracle on the pipeline decagon, the
+    octagon, the 12-gon and three polygon_approx outputs (m = 24, 16, 24),
+    pinned by the digest of the Fraction geometry they replaced."""
+    digest = hashlib.sha256(json.dumps(_geometry_rows()).encode())
+    assert digest.hexdigest() == (
+        "023552aaaa0a2015a97d0e9aae5c23f8bbf932d40ef7e1952c7e96c5023bc3da")
+
+
+class TestValidityRadius:
+    """For m > 12, choose_delta0 tries no sign corners, so _validity_radius
+    alone must keep every offset polygon inside its box valid."""
+
+    @pytest.mark.parametrize("oracle,eps,sin_sq", [
+        (NormOracle.euclidean(), Fraction(1, 5), Fraction(3, 5)),
+        (NormOracle.euclidean(), Fraction(1, 5), Fraction(2, 5)),
+        (NormOracle.euclidean(), Fraction(1, 5), Fraction(1, 4)),
+        (NormOracle.of_polygon(twelve_gon()), Fraction(1, 4), Fraction(3, 5)),
+        (NormOracle.pnorm(3), Fraction(1, 4), Fraction(2, 5)),
+    ], ids=["euclidean-m15", "euclidean-m19", "euclidean-m24", "12gon-m16",
+            "pnorm3-m19"])
+    def test_random_offsets_stay_valid(self, oracle, eps, sin_sq):
+        B = polygon_approx(oracle, eps, AngleBound.of(sin_sq))
+        assert 13 <= B.m <= 30
+        r = _validity_radius(B, vertex_displacement_factor(B))
+        assert r > 0
+        rng = random.Random(B.m)
+        draws = [[r * Fraction(rng.randint(-999, 999), 1000) for _ in range(B.m)]
+                 for _ in range(40)]
+        draws += [[r * Fraction(999 if (j >> i) & 1 else -999, 1000)
+                   for i in range(B.m)] for j in (0, 1, 2, 5, (1 << B.m) - 1)]
+        for t in draws:
+            Bt = offset_polygon(B, t)
+            assert Bt.m == B.m
+            assert len(set(Bt.vertices())) == 2 * B.m

@@ -287,6 +287,27 @@ class TestIntervals:
         assert iv.lo * iv.lo <= q
         assert iv.hi * iv.hi >= q
 
+    @given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),
+           st.integers(0, 40), st.integers(1, 10**4), st.integers(-2, 2))
+    def test_sqrt_scale_matches_doubling(self, q, k, w_den, nudge):
+        # the scale S comes from bit lengths; it must be the S the doubling
+        # loop finds, also where 1/(S·den) equals max_width exactly
+        max_width = Fraction(1, q.denominator << k) if nudge == 0 else (
+            Fraction(w_den + nudge + 2, w_den * (1 + k)))
+        S = 1
+        while Fraction(1, S * q.denominator) > max_width:
+            S *= 2
+        t, den = q.numerator * q.denominator, q.denominator
+        a = math.isqrt(t * S * S)
+        ref = (Fraction(a, S * den),
+               Fraction(a if a * a == t * S * S else a + 1, S * den))
+        iv = sqrt_interval(q, max_width)
+        assert (iv.lo, iv.hi) == (ref if q else (0, 0))
+
+    def test_sqrt_rejects_nonpositive_width(self):
+        with pytest.raises(ValueError):
+            sqrt_interval(2, 0)
+
     def test_log2_exact_powers(self):
         assert log2_interval(4) == RatInterval.point(2)
         assert log2_interval(Fraction(1, 8)) == RatInterval.point(-3)
