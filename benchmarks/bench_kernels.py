@@ -110,7 +110,7 @@ def main():
 
     systems = {}
     for alpha in enumerate_admissible(S.ell, B1.m):
-        systems.setdefault(tuple(a % B1.m for a in alpha.alpha),
+        systems.setdefault(tuple(a % B1.m for a in alpha),
                            build_system(S, B1, alpha))
     print(f"\nleft null basis: {len(systems)} class-tuple matrices "
           f"({S.ell * 2 + 1}×{S.ell * 2}, pipeline decagon)")

@@ -2,7 +2,6 @@
 planar polygonal norms."""
 
 from .certify import (
-    AdmissibleAssignment,
     AngleBound,
     NormCertificate,
     OffsetBox,

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
 2 usage errors (including a count or size out of range: `--n`, `--k`,
 `--w`, `--h`, `--trials`, and `--exhaustive-cap` outside [0, 22]; a
 `gen --kind subset-sum --k` above the polygon's side count; a `--step` of
-0; a `--delta0` that is not positive; and `certify` with neither
+0; a `--q`, `--C`, `--eps` or `--delta0` that is not positive; an
+`--eta-sin2` outside (0, 1]; and `certify` with neither
 `--polygon` nor `--oracle`), 3 malformed input payload (a JSON file
 that does not describe a valid object of its kind, including a certificate
 that is not schema 2). Module failures and malformed payloads emit a
@@ -62,6 +63,13 @@ def _positive(s: str) -> Fraction:
     x = _rational(s)
     if x <= 0:
         raise argparse.ArgumentTypeError(f"not a rational > 0: {s!r}")
+    return x
+
+
+def _sin_sq(s: str) -> Fraction:
+    x = _rational(s)
+    if not 0 < x <= 1:
+        raise argparse.ArgumentTypeError(f"not a rational in (0, 1]: {s!r}")
     return x
 
 
@@ -314,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prop1", help="connected color cover search")
     p.add_argument("--graph", required=True,
                    help="edge-colored graph (or decorated UDG) JSON")
-    p.add_argument("--q", type=_rational, default=Fraction(2001, 1000))
-    p.add_argument("--C", type=_rational, default=Fraction(1))
+    p.add_argument("--q", type=_positive, default=Fraction(2001, 1000))
+    p.add_argument("--C", type=_positive, default=Fraction(1))
     _add_exhaustive_cap(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -323,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lindep", help="extract direction dependences")
     p.add_argument("--udg", required=True)
-    p.add_argument("--q", type=_rational, default=Fraction(2001, 1000))
-    p.add_argument("--C", type=_rational, default=Fraction(1))
+    p.add_argument("--q", type=_positive, default=Fraction(2001, 1000))
+    p.add_argument("--C", type=_positive, default=Fraction(1))
     _add_exhaustive_cap(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -335,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--polygon", help="η-short certificate polygon JSON")
     p.add_argument("--oracle", help="norm oracle JSON to approximate instead")
-    p.add_argument("--eps", type=_rational, default=None)
-    p.add_argument("--eta-sin2", type=_rational, required=True,
+    p.add_argument("--eps", type=_positive, default=None)
+    p.add_argument("--eta-sin2", type=_sin_sq, required=True,
                    help="(sin η)² as a rational")
     p.add_argument("--delta0", type=_positive, default=None)
     p.add_argument("--out")
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="independently re-validate a certificate")
     p.add_argument("--cert", required=True)
     p.add_argument("--oracle")
-    p.add_argument("--eps", type=_rational, default=None)
+    p.add_argument("--eps", type=_positive, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
@@ -364,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="end to end: points → udg → lindep → certify → verify")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n", type=_int_in(2), default=10)
-    p.add_argument("--q", type=_rational, default=Fraction(2001, 1000))
-    p.add_argument("--C", type=_rational, default=Fraction(1, 4))
-    p.add_argument("--eta-sin2", type=_rational, default=Fraction(2, 5))
-    p.add_argument("--eps", type=_rational, default=Fraction(1, 4))
+    p.add_argument("--q", type=_positive, default=Fraction(2001, 1000))
+    p.add_argument("--C", type=_positive, default=Fraction(1, 4))
+    p.add_argument("--eta-sin2", type=_sin_sq, default=Fraction(2, 5))
+    p.add_argument("--eps", type=_positive, default=Fraction(1, 4))
     p.add_argument("--delta0", type=_positive, default=None)
     p.add_argument("--cert-polygon")
     p.add_argument("--trials", type=_int_in(0), default=200, help="as in verify")

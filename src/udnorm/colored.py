@@ -544,31 +544,18 @@ def _log_bounds(n: int) -> _LogBounds:
     return (lg, log2_interval(lg).hi) if lg > 1 else None
 
 
-def rationalized_r(n: int, q: Fraction, C: Fraction) -> Fraction:
-    """Upper bound for C·q·log₂ log₂ n with denominator ≤ 256.
+def _rationalized_r(logs: _LogBounds, q: Fraction, C: Fraction) -> Fraction:
+    """Upper bound for C·q·log₂ log₂ n with denominator ≤ 256, from
+    `_log_bounds(n)`.
 
     The small denominator keeps the exact power comparisons 2^(Δ·den)
     cheap; rounding up only strengthens the robustness requirement, and the
     cover contract is verified independently of r.
     """
-    return _rationalized_r(_log_bounds(n), q, C)
-
-
-def _rationalized_r(logs: _LogBounds, q: Fraction, C: Fraction) -> Fraction:
     # log₂ log₂ n ≤ 0 would make r nonpositive; clamp
     r = C * q * logs[1] if logs else C * q
     num = -((-r.numerator * 256) // r.denominator)  # ceil(r·256)
     return Fraction(num, 256)
-
-
-def edge_hypothesis_met(G: EdgeColoredGraph, q: Fraction, C: Fraction) -> bool:
-    """|E| ≥ C·q·n·log₂ n·log₂ log₂ n, decided against the certified upper bound."""
-    return _edge_hypothesis_met(G, _log_bounds(G.n), q, C)
-
-
-def _edge_hypothesis_met(G: EdgeColoredGraph, logs: _LogBounds, q: Fraction,
-                         C: Fraction) -> bool:
-    return logs is None or G.edge_count >= C * q * G.n * logs[0] * logs[1]
 
 
 def verify_cover(G: EdgeColoredGraph, W: Sequence[int], I: Sequence[int],
@@ -608,9 +595,12 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
     descent narrows to each W it keeps; only verify_cover rescans G.
 
     Raises CoverFailure when any stage or the final contract check fails —
-    a legitimate outcome below the density hypothesis.
+    a legitimate outcome below the density hypothesis — and ValueError when
+    q ≤ 0 or C ≤ 0, which would make r ≤ 0.
     """
     q, C = rat(q), rat(C)
+    if q <= 0 or C <= 0:
+        raise ValueError("q and C must be positive")
     if G.n < 4:
         raise GraphError("need n >= 4")
     if not G.is_proper():
@@ -628,7 +618,9 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
         trace=trace,
         robust=robust,
         params=CutParams(r=r, q=q, C=C),
-        edge_hypothesis_met=_edge_hypothesis_met(G, logs, q, C),
+        # |E| ≥ C·q·n·log₂ n·log₂ log₂ n against the certified upper bounds
+        edge_hypothesis_met=(logs is None or G.edge_count
+                             >= C * q * G.n * logs[0] * logs[1]),
     )
     if not verify_cover(G, W, I, q):
         raise CoverFailure(

@@ -1,5 +1,6 @@
-"""JSON (de)serialization for every public type, plus atomic file writes,
-CSV color-count emission, and a minimal SVG renderer for point/edge sets.
+"""JSON (de)serialization of what the CLI reads and writes, plus atomic file
+writes, CSV color-count emission, and a minimal SVG renderer for point/edge
+sets.
 
 All rationals serialize as canonical strings ('n' or 'num/den' in lowest
 terms); side ids and side-pair (class) ids are 1-based on the wire. A
@@ -23,7 +24,7 @@ import tempfile
 from typing import IO, Iterator, Optional
 
 from .certify import NormCertificate, OffsetBox, VerifyReport
-from .colored import CoverResult, CutParams, EdgeColoredGraph, GreedyTrace, RobustCoreResult, WeakCut
+from .colored import CoverResult, EdgeColoredGraph
 from .dependence import DependenceSystem
 from .norms import AngleBound, NormOracle, OffsetVector, SymmetricPolygon
 from .pointsets import PointSeq
@@ -91,14 +92,6 @@ def polygon_from_json(d: dict) -> SymmetricPolygon:
     return B
 
 
-def oracle_to_json(o: NormOracle) -> dict:
-    if o.kind == "polygon":
-        return {"kind": "polygon", "polygon": polygon_to_json(o.polygon)}
-    if o.kind == "pnorm":
-        return {"kind": "pnorm", "p": rat_to_str(o.p)}
-    return {"kind": "euclidean"}
-
-
 @_reader
 def oracle_from_json(d: dict) -> NormOracle:
     kind = d["kind"]
@@ -147,14 +140,6 @@ def udg_from_json(d: dict) -> DecoratedUDG:
     return DecoratedUDG(_wire_int(d["n"]), edges, colors, signs, directions)
 
 
-def graph_to_json(G: EdgeColoredGraph) -> dict:
-    return {
-        "n": G.n,
-        "edges": [list(e) for e in G.edges],
-        "color": {_edge_key(e): c for e, c in zip(G.edges, G.colors)},
-    }
-
-
 @_reader
 def graph_from_json(d: dict) -> EdgeColoredGraph:
     edges = _wire_edges(d["edges"])
@@ -186,34 +171,6 @@ def cover_to_json(res: CoverResult) -> dict:
         },
         "edge_hypothesis_met": res.edge_hypothesis_met,
     }
-
-
-@_reader
-def cover_from_json(d: dict) -> CoverResult:
-    return CoverResult(
-        W=_wire_ints(d["W"]),
-        I=_wire_ints(d["I"]),
-        colors_in_W=_wire_int(d["colors_in_W"]),
-        trace=GreedyTrace(
-            _wire_ints(d["trace"]["colors"]),
-            _wire_ints(d["trace"]["component_counts"]),
-        ),
-        robust=RobustCoreResult(
-            W=_wire_ints(d["robust"]["W"]),
-            trace=tuple(
-                WeakCut(_wire_ints(c["A"]), _wire_ints(c["B"]),
-                        _wire_int(c["delta"]))
-                for c in d["robust"]["cuts"]
-            ),
-            hypothesis_met=bool(d["robust"]["hypothesis_met"]),
-        ),
-        params=CutParams(
-            r=rat_from_str(d["params"]["r"]),
-            q=rat_from_str(d["params"]["q"]),
-            C=rat_from_str(d["params"]["C"]),
-        ),
-        edge_hypothesis_met=bool(d["edge_hypothesis_met"]),
-    )
 
 
 def system_to_json(S: DependenceSystem) -> dict:
@@ -309,7 +266,7 @@ def report_to_json(rep: VerifyReport) -> dict:
         "counterexample_found": rep.counterexample_found,
         "hits": [
             {
-                "alpha": [a + 1 for a in h.alpha.alpha],
+                "alpha": [a + 1 for a in h.alpha],
                 "t": [rat_to_str(v) for v in h.t],
                 "directions": [_vec(u) for u in h.directions],
                 "in_trapezoids": h.in_trapezoids,

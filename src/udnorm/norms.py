@@ -218,11 +218,9 @@ class SymmetricPolygon:
         """The norm of z: max_i |⟨nᵢ, z⟩| / cᵢ (exact)."""
         return max(abs(n.dot(z)) / c for n, c in zip(self.normals, self.offsets))
 
-    def contains(self, z: Vec2) -> bool:
-        return all(abs(n.dot(z)) <= c for n, c in zip(self.normals, self.offsets))
-
     def _contains_scaled(self, X: int, Y: int, E: int) -> bool:
-        """`contains` for the point (X/E, Y/E), E > 0, times D·E."""
+        """Whether the point (X/E, Y/E), E > 0, lies in the polygon: each
+        |⟨n, z⟩| ≤ c, times D·E."""
         D, ns, cs = self._scaled
         return all(abs(nx * X + ny * Y) * D <= C * E
                    for (nx, ny), C in zip(ns, cs))
@@ -261,12 +259,6 @@ def square(half_side: RationalLike = 1) -> SymmetricPolygon:
     """Coordinate-max unit ball [−a, a]²."""
     a = rat(half_side)
     return SymmetricPolygon.from_pairs([(Vec2.of(1, 0), a), (Vec2.of(0, 1), a)])
-
-
-def diamond(half_diag: RationalLike = 1) -> SymmetricPolygon:
-    """ℓ₁ unit ball |x| + |y| ≤ a."""
-    a = rat(half_diag)
-    return SymmetricPolygon.from_pairs([(Vec2.of(1, 1), a), (Vec2.of(-1, 1), a)])
 
 
 @dataclass(frozen=True)

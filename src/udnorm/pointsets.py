@@ -40,9 +40,6 @@ class PointSeq:
     def __getitem__(self, i: int) -> Vec2:
         return self.points[i]
 
-    def translate(self, shift: Vec2) -> "PointSeq":
-        return PointSeq(tuple(p + shift for p in self.points))
-
 
 class SubsetSumCollision(ValueError):
     """Two subset sums coincide, so the generator cannot produce 2^k points."""

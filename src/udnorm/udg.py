@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import kernels
-from .norms import NormOracle, SymmetricPolygon
+from .norms import SymmetricPolygon
 from .pointsets import PointSeq
 from .ratlin import Vec2
 
@@ -135,23 +135,6 @@ def count_unit_distances(P: PointSeq, B: SymmetricPolygon) -> int:
     """Number of pairs at exact polygonal distance 1."""
     constraints = list(zip(B.normals, B.offsets))
     return len(kernels.unit_pair_indices(list(P), constraints))
-
-
-def count_unit_distances_oracle(P: PointSeq, oracle: NormOracle) -> int:
-    """Unit-pair count under a norm oracle.
-
-    Polygonal and euclidean tests are exact; p-norms use the documented
-    float tolerance and are for experiments only.
-    """
-    if oracle.kind == "polygon":
-        return count_unit_distances(P, oracle.polygon)
-    pts = list(P)
-    count = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if oracle.is_unit(pts[j] - pts[i]):
-                count += 1
-    return count
 
 
 def verify_realization(G: DecoratedUDG, P: PointSeq, B: SymmetricPolygon) -> bool:

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import octagon, twelve_gon
-from udnorm import certify
+from udnorm import certify, jsonio
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
 from udnorm.certify import (
-    AdmissibleAssignment,
     AffineForm,
     CertifierError,
     NormCertificate,
@@ -95,14 +96,14 @@ class TestEnumerateAdmissible:
 
     @pytest.mark.parametrize("ell,m", [(1, 3), (1, 4), (2, 5), (2, 6)])
     def test_matches_brute_force(self, ell, m):
-        got = [a.alpha for a in enumerate_admissible(ell, m)]
+        got = list(enumerate_admissible(ell, m))
         brute = brute_admissible(ell, m)
         assert sorted(got) == sorted(brute)
         assert got == sorted(got)  # lexicographic emission order
 
     def test_no_opposite_pairs(self):
         for a in enumerate_admissible(1, 4):
-            classes = [v % 4 for v in a.alpha]
+            classes = [v % 4 for v in a]
             assert len(set(classes)) == 3
 
 
@@ -119,7 +120,7 @@ class TestBuildSystem:
         # bᵢ = ±(c + tₖ) with k = αᵢ mod m, so h = yᵀb carries ±yᵢ at k
         for alpha, _, functionals in itertools.islice(
                 null_functionals(TOY, octagon), 20):
-            coords = [a % 4 for a in alpha.alpha]
+            coords = [a % 4 for a in alpha]
             assert len(set(coords)) == 3  # admissibility: distinct mod m
             for y, h in functionals:
                 nz = [j for j, c in enumerate(h.coeffs) if c != 0]
@@ -152,7 +153,7 @@ class TestBuildSystem:
         items = list(null_functionals(S, B1))
         assert [a for a, _, _ in items] == list(enumerate_admissible(S.ell, m))
         for alpha, A, functionals in items[::step]:
-            ref = side_matrix(S, B1, alpha.alpha)
+            ref = side_matrix(S, B1, alpha)
             assert A == ref == build_system(S, B1, alpha)
             assert len(functionals) == ref.rows - rank(ref)
             for y, h in functionals:
@@ -160,12 +161,12 @@ class TestBuildSystem:
                 assert all(sum((yi * ref.entries[i][j] for i, yi in enumerate(y)),
                                Fraction(0)) == 0 for j in range(ref.cols))
                 for t in (box.lo, box.center(), box.hi):
-                    b = side_rhs(B1, alpha.alpha, t)
+                    b = side_rhs(B1, alpha, t)
                     assert h.eval(t) == sum(yi * bi for yi, bi in zip(y, b))
                 # the same form built from Fraction const and coefficients
-                b0 = side_rhs(B1, alpha.alpha, [Fraction(0)] * m)
+                b0 = side_rhs(B1, alpha, [Fraction(0)] * m)
                 coeffs = [Fraction(0)] * m
-                for yi, side in zip(y, alpha.alpha):
+                for yi, side in zip(y, alpha):
                     coeffs[side % m] = yi if side < m else -yi
                 want = AffineForm(sum(yi * bi for yi, bi in zip(y, b0)), coeffs)
                 assert h == want and hash(h) == hash(want)
@@ -175,7 +176,7 @@ class TestBuildSystem:
         # u2 = 2·u1, u3 = u1; alpha = (side x=1, side y=1, side x=-1):
         # octagon side ids 0 ((1,0) normal), 2 ((0,1) normal), 4 (= -side 0)
         S = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (1,)))
-        alpha = AdmissibleAssignment((0, 2, 4))
+        alpha = (0, 2, 4)
         A = build_system(S, octagon, alpha)
         u1 = Vec2.of(1, Fraction(1, 3))
         t = (Fraction(1, 10), Fraction(-1, 20), Fraction(0), Fraction(0))
@@ -186,13 +187,13 @@ class TestBuildSystem:
         assert lhs[1] == 2 * u1.y
         assert lhs[2] == u1.x
         # b(t) as the reference tests read it off the side lines
-        assert side_rhs(octagon, alpha.alpha, t) == [
+        assert side_rhs(octagon, alpha, t) == [
             1 + t[0], 1 + t[2], -(1 + t[0])]
 
 
 class TestKillAssignment:
     # A = [[1], [1]] has the left null vector y = (1, −1), so h = b₀ − b₁
-    ALPHA = AdmissibleAssignment((0, 1))
+    ALPHA = (0, 1)
     Y = (Fraction(1), Fraction(-1))
 
     def test_constant_nonzero_unchanged(self):
@@ -239,7 +240,7 @@ class TestKillAssignment:
                 lo + (hi - lo) * Fraction(rng.randrange(1024), 1024)
                 for lo, hi in zip(sub.lo, sub.hi)
             )
-            assert solve(A, side_rhs(octagon, alpha.alpha, t)) is None
+            assert solve(A, side_rhs(octagon, alpha, t)) is None
 
 
 def assert_reduced(h):
@@ -317,7 +318,7 @@ class TestCertifyBox:
         assert not cert.degenerate
         # one null vector per class tuple, in the order certify met them
         first_met = list(dict.fromkeys(
-            tuple(a % 4 for a in rec.alpha.alpha) for rec in cert.kills))
+            tuple(a % 4 for a in rec.alpha) for rec in cert.kills))
         assert [classes for classes, _ in cert.null_vectors] == first_met
         assert len(first_met) == 4 * 3 * 2
         for rec in cert.kills:
@@ -452,10 +453,10 @@ class TestTrapezoids:
     def test_sweep_offsets_in_range(self, octagon):
         cert = _toy_certificate(octagon, ETA_OCT)
         for side in range(2 * octagon.m):
-            iv = cert.box.interval(side % octagon.m)
+            k = side % octagon.m
             for corner in trapezoid_corners(cert, side):
                 t = side_offset_of_point(octagon, side, corner)
-                assert iv.lo <= t <= iv.hi
+                assert cert.box.lo[k] <= t <= cert.box.hi[k]
 
 
 class TestBoxUnsolvability:
@@ -474,7 +475,20 @@ class TestBoxUnsolvability:
                 for lo, hi in zip(cert.box.lo, cert.box.hi)
             )
             for alpha, A in systems:
-                assert solve(A, side_rhs(octagon, alpha.alpha, t)) is None
+                assert solve(A, side_rhs(octagon, alpha, t)) is None
+
+
+def _widened(cert):
+    """The certificate with its box scaled by the first power of two (up to
+    32) on which some kill record's h has a root."""
+    for factor in (2, 4, 8, 16, 32):
+        wide = OffsetBox(
+            OffsetVector(tuple(v * factor for v in cert.box.lo)),
+            OffsetVector(tuple(v * factor for v in cert.box.hi)),
+        )
+        if any(rec.h.sign_on(wide) == 0 for rec in cert.kills):
+            break
+    return dataclasses.replace(cert, box=wide)
 
 
 class TestSampleVerify:
@@ -506,24 +520,30 @@ class TestSampleVerify:
         assert all(h.source == "directed" for h in rep.hits)
 
     def test_mutation_found(self, octagon):
-        cert = _toy_certificate(octagon, ETA_OCT)
-        for factor in (2, 4, 8, 16, 32):
-            wide = OffsetBox(
-                OffsetVector(tuple(v * factor for v in cert.box.lo)),
-                OffsetVector(tuple(v * factor for v in cert.box.hi)),
-            )
-            if any(not rec.h.interval_on(wide).excludes_zero()
-                   for rec in cert.kills):
-                break
-        bad = dataclasses.replace(cert, box=wide)
+        bad = _widened(_toy_certificate(octagon, ETA_OCT))
         rep = sample_verify(bad, 100, seed=0)
         assert rep.counterexample_found
         assert any(h.source == "directed" for h in rep.hits)
         # every reported hit is a genuine solvable system inside the box
         for hit in rep.hits[:5]:
             A = build_system(TOY, octagon, hit.alpha)
-            assert bad.box.contains(hit.t)
-            assert solve(A, side_rhs(octagon, hit.alpha.alpha, hit.t)) is not None
+            assert all(lo <= v <= hi for lo, v, hi
+                       in zip(bad.box.lo, hit.t, bad.box.hi))
+            assert solve(A, side_rhs(octagon, hit.alpha, hit.t)) is not None
+
+    @pytest.mark.parametrize("polygon,sin_sq,digest", [
+        (octagon, Fraction(5, 9),
+         "345cdf74bb80414bf7056c07fe97a448f39d0dbd0a14530ae0df49977d715310"),
+        (twelve_gon, Fraction(2, 5),
+         "b7fa1ceecaf4a9df4664ac1dae6a9b7abc7f98805a7e605a13011fcd3efa9e36"),
+    ], ids=["octagon", "twelve_gon"])
+    def test_refutation_report_pinned(self, polygon, sin_sq, digest):
+        # changes meant to preserve behaviour must leave every hit's α, t,
+        # directions and flags unchanged
+        cert = _toy_certificate(polygon(), AngleBound.of(sin_sq))
+        rep = sample_verify(_widened(cert), 100, seed=0)
+        payload = json.dumps(jsonio.report_to_json(rep), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")

@@ -292,7 +292,7 @@ class TestFuzz:
                 lo += c * a if c > 0 else c * b
                 hi += c * b if c > 0 else c * a
             if not (lo > 0 if rec.sign > 0 else hi < 0):
-                expected.add(rec.alpha.alpha)
+                expected.add(rec.alpha)
         rep = check_certificate(_tamper(oct_cert, box=bad))
         assert set(rep.failing_alphas) == expected
 

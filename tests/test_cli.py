@@ -285,6 +285,18 @@ class TestNumberArguments:
         ["pipeline", "--exhaustive-cap", "-1"],
         ["lindep", "--udg", "G.json", "--exhaustive-cap", "64"],
         ["prop1", "--graph", "G.json", "--exhaustive-cap", "64"],
+        ["pipeline", "--q", "-1"],
+        ["pipeline", "--C", "0"],
+        ["pipeline", "--eta-sin2", "0"],
+        ["pipeline", "--eta-sin2", "3/2"],
+        ["pipeline", "--eps", "0"],
+        ["prop1", "--graph", "G.json", "--q", "0"],
+        ["prop1", "--graph", "G.json", "--C", "-1"],
+        ["lindep", "--udg", "U.json", "--q", "-2"],
+        ["lindep", "--udg", "U.json", "--C", "0"],
+        ["certify", "--system", "S.json", "--eta-sin2", "2"],
+        ["certify", "--system", "S.json", "--eps", "0"],
+        ["check", "--cert", "C.json", "--eps", "-1"],
     ], ids=lambda a: " ".join(a[-3:]))
     def test_out_of_range_is_usage_error(self, tmp_path, args):
         # argparse rejects the value before anything is read, searched or

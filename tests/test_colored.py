@@ -14,13 +14,14 @@ from udnorm.colored import (
     EdgeColoredGraph,
     GraphError,
     GreedyTrace,
+    _log_bounds,
+    _rationalized_r,
     color_cover,
     degree_at_least_r_log,
     delta_below_r_log_imb,
     find_weak_cut,
     greedy_color_cover,
     min_degree_core,
-    rationalized_r,
     robust_core,
     verify_cover,
     verify_no_weak_cut,
@@ -82,7 +83,7 @@ class TestThresholds:
 
     def test_rationalized_r_small_denominator(self):
         for n in (4, 5, 16, 100, 200):
-            r = rationalized_r(n, Fraction(2001, 1000), Fraction(1))
+            r = _rationalized_r(_log_bounds(n), Fraction(2001, 1000), Fraction(1))
             assert r.denominator <= 256
             assert float(r) >= 2.001 * math.log2(math.log2(n)) - 1e-9
 
@@ -593,6 +594,13 @@ class TestColorCover:
         with pytest.raises(GraphError):
             color_cover(EdgeColoredGraph(3, ((1, 2),), (1,)), 2)
 
+    @pytest.mark.parametrize("q,C", [(-1, 1), (0, 1), (2, 0),
+                                     (2, Fraction(-1, 4))])
+    def test_requires_positive_q_and_C(self, q, C):
+        # q ≤ 0 or C ≤ 0 makes r = C·q·log₂ log₂ n ≤ 0
+        with pytest.raises(ValueError, match="must be positive"):
+            color_cover(rainbow_complete(6), q, C)
+
     def test_never_false_success(self):
         rng = random.Random(17)
         successes = 0
@@ -659,8 +667,8 @@ class TestPinnedOutputs:
             except CoverFailure as exc:
                 cover = str(exc)
             try:
-                res = robust_core(G, rationalized_r(G.n, q, C), cap=cap,
-                                  seed=seed)
+                res = robust_core(G, _rationalized_r(_log_bounds(G.n), q, C),
+                                  cap=cap, seed=seed)
                 core = [list(res.W), res.hypothesis_met,
                         [[list(c.A), list(c.B), c.delta] for c in res.trace]]
             except CoverFailure as exc:

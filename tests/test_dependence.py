@@ -13,7 +13,7 @@ from udnorm.dependence import (
     verify_on_realization,
 )
 from udnorm.norms import square
-from udnorm.pointsets import flat_side_quadratic, two_row_pointset
+from udnorm.pointsets import PointSeq, flat_side_quadratic, two_row_pointset
 from udnorm.ratlin import Vec2
 from udnorm.udg import DecoratedUDG, build_udg
 
@@ -173,7 +173,7 @@ class TestSoundness:
         G = build_udg(P, B)
         res = extract_dependences(G, DependenceConfig(C=Fraction(1, 8)))
         shift = Vec2.of(Fraction(9, 7), Fraction(-3, 5))
-        P2 = P.translate(shift)
+        P2 = PointSeq.of([p + shift for p in P])
         assert verify_on_realization(res.system, G.without_directions(), P2, B)
 
     def test_precondition_checked(self):

@@ -23,7 +23,6 @@ from udnorm.norms import (
     _primitive_pair,
     _validity_radius,
     choose_delta0,
-    diamond,
     eta_separated,
     hausdorff,
     hausdorff_to_oracle,
@@ -37,6 +36,11 @@ from udnorm.norms import (
 from udnorm.ratlin import Vec2, rat, sqrt_interval
 
 SQRT2 = Fraction(2)
+
+
+def diamond() -> SymmetricPolygon:
+    """ℓ₁ unit ball |x| + |y| ≤ 1."""
+    return SymmetricPolygon.from_pairs([(Vec2.of(1, 1), 1), (Vec2.of(-1, 1), 1)])
 
 
 class TestPolygonConstruction:
@@ -403,7 +407,7 @@ def _ref_directed_hausdorff_sq(A, B):
     verts = _ref_vertices(B)
 
     def dist_sq(p):
-        if B.contains(p):
+        if B.gauge(p) <= 1:
             return Fraction(0)
         return min(_ref_point_segment_dist_sq(p, verts[i - 1], verts[i])
                    for i in range(len(verts)))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from udnorm.pointsets import (
     two_row_pointset,
 )
 from udnorm.ratlin import Vec2
-from udnorm.udg import count_unit_distances, count_unit_distances_oracle
+from udnorm.udg import count_unit_distances
 
 
 class TestPointSeq:
@@ -80,18 +81,21 @@ class TestFlatSide:
             flat_side_quadratic(1)
 
 
+def _euclidean_unit_pairs(P):
+    unit = NormOracle.euclidean().is_unit
+    return sum(unit(q - p) for p, q in itertools.combinations(P, 2))
+
+
 class TestGrid:
     def test_single(self):
         P = grid_pointset(1, 1)
         assert list(P) == [Vec2.of(0, 0)]
 
     def test_unit_square(self):
-        P = grid_pointset(2, 2, 1)
-        assert count_unit_distances_oracle(P, NormOracle.euclidean()) == 4
+        assert _euclidean_unit_pairs(grid_pointset(2, 2, 1)) == 4
 
     def test_3x3_euclidean(self):
-        P = grid_pointset(3, 3, 1)
-        assert count_unit_distances_oracle(P, NormOracle.euclidean()) == 12
+        assert _euclidean_unit_pairs(grid_pointset(3, 3, 1)) == 12
 
 
 class TestTwoRow:

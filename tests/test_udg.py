@@ -87,7 +87,7 @@ class TestBuildUDG:
             shift = Vec2.of(Fraction(rng.randint(-9, 9), 4),
                             Fraction(rng.randint(-9, 9), 4))
             G1 = build_udg(P, B)
-            G2 = build_udg(P.translate(shift), B)
+            G2 = build_udg(PointSeq.of([p + shift for p in P]), B)
             assert (G1.edges, G1.colors, G1.signs, G1.directions) == \
                    (G2.edges, G2.colors, G2.signs, G2.directions)
 
