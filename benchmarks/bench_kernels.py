@@ -29,7 +29,6 @@ from udnorm.dependence import DependenceConfig, extract_dependences
 from udnorm.norms import (
     AngleBound,
     NormOracle,
-    OffsetVector,
     SymmetricPolygon,
     choose_delta0,
     hausdorff,
@@ -103,7 +102,7 @@ def main():
     t, _ = bench(lambda: choose_delta0(
         fresh(B1), NormOracle.of_polygon(fresh(B1)), d.eps, eta), args.repeat)
     print(f"  {t * 1e3:10.1f} ms   (δ₀ = {delta0})")
-    B_out = offset_polygon(B1, OffsetVector.uniform(delta0, B1.m))
+    B_out = offset_polygon(B1, (delta0,) * B1.m)
     print("\nhausdorff: pipeline decagon against its offset polygon at +δ₀")
     t, hd = bench(lambda: hausdorff(fresh(B1), fresh(B_out)), args.repeat)
     print(f"  {t * 1e3:10.1f} ms   (upper bound {float(hd.hi):.6g})")

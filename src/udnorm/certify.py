@@ -14,6 +14,7 @@ the polygon and the box.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -123,14 +124,14 @@ class OffsetBox:
         d = rat(delta0)
         if d <= 0:
             raise ValueError("delta0 must be positive")
-        return OffsetBox(OffsetVector.uniform(-d, m), OffsetVector.uniform(d, m))
+        return OffsetBox((-d,) * m, (d,) * m)
 
     @property
     def m(self) -> int:
         return len(self.lo)
 
     def center(self) -> OffsetVector:
-        return OffsetVector(tuple((a + b) / 2 for a, b in zip(self.lo, self.hi)))
+        return tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -269,28 +270,38 @@ def _functional(sides: Sequence[int], y: tuple[int, Sequence[int]],
     return AffineForm._reduced(num // g, tuple(c * s for c in nums), L * s)
 
 
+def _assignment_functionals(
+        ell: int, B1: SymmetricPolygon,
+        null_spaces: dict[tuple[int, ...], Sequence[tuple[Fraction, ...]]]
+) -> Iterator[tuple[Assignment, tuple[int, ...], Functionals]]:
+    """(α, α mod m, [(y, h = yᵀb)]) per admissible assignment α, in
+    lexicographic order, one pair per y that `null_spaces` maps α's class
+    tuple to; the side choice only flips signs in h (`_functional`)."""
+    m = B1.m
+    offsets = over_common_denominator(B1.offsets)
+    scaled = {classes: [(y, over_common_denominator(y)) for y in basis]
+              for classes, basis in null_spaces.items()}
+    for alpha in enumerate_admissible(ell, m):
+        classes = tuple(a % m for a in alpha)
+        yield alpha, classes, [(y, _functional(alpha, y_scaled, offsets))
+                               for y, y_scaled in scaled[classes]]
+
+
 def null_functionals(S: DependenceSystem, B1: SymmetricPolygon
                      ) -> Iterator[tuple[Assignment, Mat, Functionals]]:
     """(α, A, [(y, h = yᵀb)]) per admissible assignment α, in lexicographic
     order, one pair per left-null basis vector y of A: A·x = b(t) is
     solvable exactly where every such h vanishes.
 
-    A and its left null basis are derived once per class tuple α mod m; the
-    side choice only flips signs in h (`_functional`). Admissible rows touch
-    distinct coordinates, so h ≠ 0 whenever y ≠ 0.
+    A and its left null basis are derived once per class tuple α mod m.
+    Admissible rows touch distinct coordinates, so h ≠ 0 whenever y ≠ 0.
     """
-    m = B1.m
-    offsets = over_common_denominator(B1.offsets)
-    bases = {}
-    for alpha in enumerate_admissible(S.ell, m):
-        classes = tuple(a % m for a in alpha)
-        if classes not in bases:
-            A = build_system(S, B1, alpha)
-            bases[classes] = (A, [(y, over_common_denominator(y))
-                                  for y in left_null_basis(A)])
-        A, ys = bases[classes]
-        yield alpha, A, [(y, _functional(alpha, scaled, offsets))
-                         for y, scaled in ys]
+    systems = {classes: build_system(S, B1, classes)
+               for classes in itertools.permutations(range(B1.m), 2 * S.ell + 1)}
+    null_spaces = {classes: left_null_basis(A) for classes, A in systems.items()}
+    for alpha, classes, functionals in _assignment_functionals(
+            S.ell, B1, null_spaces):
+        yield alpha, systems[classes], functionals
 
 
 def kill_assignment(alpha: Assignment, functionals: Functionals,
@@ -298,29 +309,30 @@ def kill_assignment(alpha: Assignment, functionals: Functionals,
     """Sub-box on which the first left-null functional h = yᵀb is
     sign-definite, with the kill record of α.
 
-    Already sign-definite boxes pass through unchanged. Otherwise each
-    coordinate appearing in h keeps its favorable portion
-    [center + width/8, hi] (or the mirror image), which makes h sign-definite
-    in one pass and keeps at least 3/8 of each shrunk coordinate's width.
+    Already sign-definite boxes pass through unchanged. Otherwise h takes
+    the sign of its value at the box center (+1 at 0), and each coordinate
+    appearing in h keeps its favorable portion [center + width/8, hi] =
+    [(3·lo + 5·hi)/8, hi] (or the mirror image), which makes h
+    sign-definite in one pass and keeps 3/8 of each shrunk coordinate's
+    width.
     """
     y, h = functionals[0]
     sign = h.sign_on(box)
     if sign:
         return box, KillRecord(alpha, y, h, sign)
-    center = box.center()
-    sign = 1 if h.eval(center) >= 0 else -1
+    # h at the center is the midpoint of its range [lo, hi]/den on the box
+    h_lo, h_hi, _ = h._bounds_on(box)
+    sign = 1 if h_lo + h_hi >= 0 else -1
     lo = list(box.lo)
     hi = list(box.hi)
     for j, c in enumerate(h.nums):
         if c == 0:
             continue
-        width = hi[j] - lo[j]
-        mid = center[j]
         if (c > 0) == (sign > 0):
-            lo[j] = mid + width / 8
+            lo[j] = (3 * lo[j] + 5 * hi[j]) / 8
         else:
-            hi[j] = mid - width / 8
-    sub = OffsetBox(OffsetVector(tuple(lo)), OffsetVector(tuple(hi)))
+            hi[j] = (5 * lo[j] + 3 * hi[j]) / 8
+    sub = OffsetBox(tuple(lo), tuple(hi))
     if h.sign_on(sub) != sign:
         raise CertifierError("shrink rule failed to make h sign-definite")
     return sub, KillRecord(alpha, y, h, sign)
@@ -352,16 +364,11 @@ class NormCertificate:
         class tuple's y, h = yᵀb(t), and h's sign on the box (0 where h has
         a root in the box). Needs every class tuple in the table; the
         checker reads the table itself."""
-        m = self.polygon.m
-        offsets = over_common_denominator(self.polygon.offsets)
-        ys = {classes: (y, over_common_denominator(y))
-              for classes, y in self.null_vectors}
-        records = []
-        for alpha in enumerate_admissible(self.system.ell, m):
-            y, scaled = ys[tuple(a % m for a in alpha)]
-            h = _functional(alpha, scaled, offsets)
-            records.append(KillRecord(alpha, y, h, h.sign_on(self.box)))
-        return tuple(records)
+        null_spaces = {classes: [y] for classes, y in self.null_vectors}
+        return tuple(
+            KillRecord(alpha, y, h, h.sign_on(self.box))
+            for alpha, _, [(y, h)] in _assignment_functionals(
+                self.system.ell, self.polygon, null_spaces))
 
 
 def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
@@ -477,29 +484,26 @@ class VerifyReport:
         return bool(self.hits)
 
 
-def _root_in_box(h: AffineForm, box: OffsetBox,
-                 center: OffsetVector) -> Optional[tuple[Fraction, ...]]:
-    """A t in the box with h(t) = 0, or None when h is sign-definite there.
+def _root_in_box(h: AffineForm, box: OffsetBox) -> tuple[Fraction, ...]:
+    """A t in the box with h(t) = 0, for an h whose range on the box
+    contains 0 (`h.sign_on(box) == 0`).
 
-    Starting at the center, each coordinate absorbs as much of the residual
-    value as its half-width allows; the residual reaches zero exactly when
-    the interval evaluation straddles zero.
+    Starting at the center, where h is the midpoint of its range, each
+    coordinate absorbs as much of the residual value as its half-width
+    allows; the residual reaches zero because the range contains it.
     """
-    value = h.eval(center)
-    t = list(center)
+    lo, hi, den = h._bounds_on(box)
+    value = Fraction(lo + hi, 2 * den)
+    t = [(a + b) / 2 for a, b in zip(box.lo, box.hi)]
     for j, c in enumerate(h.coeffs):
         if value == 0:
             break
         if c == 0:
             continue
-        half = (box.hi[j] - box.lo[j]) / 2
-        reach = abs(c) * half
-        desired = -value
-        shift = max(-reach, min(reach, desired))
-        t[j] = center[j] + shift / c
+        reach = abs(c) * (box.hi[j] - box.lo[j]) / 2
+        shift = max(-reach, min(reach, -value))
+        t[j] += shift / c
         value += shift
-    if value != 0:
-        return None
     return tuple(t)
 
 
@@ -562,7 +566,6 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
     # whenever its interval straddles zero (complete for 1-dim null spaces;
     # with several independent functionals a root of one must still zero the
     # others, so those assignments stay open for the random pass)
-    center = box.center()
     alphas_checked = 0
     open_systems = []
     for alpha, A, functionals in null_functionals(S, B1):
@@ -570,9 +573,9 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
         hforms = [h for _, h in functionals]
         for h in hforms:
             if h.sign_on(box):
-                continue  # sign-definite: _root_in_box would find no root
-            root = _root_in_box(h, box, center)
-            if root is not None and all(hf.eval(root) == 0 for hf in hforms):
+                continue  # sign-definite: no root in the box
+            root = _root_in_box(h, box)
+            if all(hf.eval(root) == 0 for hf in hforms):
                 try_solve(alpha, A, root, "directed")
         if len(hforms) > 1:
             open_systems.append((alpha, A, hforms))

@@ -18,13 +18,12 @@ checked by exact rational geometry.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .norms import NormOracle, SymmetricPolygon, hausdorff_to_oracle
-from .ratlin import RationalLike, Vec2, rat
+from .ratlin import RationalLike, over_common_denominator, rat
 
 
 @dataclass
@@ -51,30 +50,16 @@ def _admissible_assignments(ell: int, m: int):
             yield tuple(c + m * s for c, s in zip(classes, sides))
 
 
-def _side_line(B: SymmetricPolygon, side: int) -> tuple[Vec2, Fraction]:
-    m = B.m
-    side %= 2 * m
-    if side < m:
-        return B.normals[side], B.offsets[side]
-    return B.normals[side - m], -B.offsets[side - m]
-
-
-def _scaled(values) -> tuple[int, list[int]]:
-    """(D, values·D) with D the least common denominator of the values."""
-    D = math.lcm(*(v.denominator for v in values))
-    return D, [v.numerator * (D // v.denominator) for v in values]
-
-
 def _integer_system(B: SymmetricPolygon, ell: int, coeffs):
     """The normals and the weight rows over common denominators. Row i of A
     for a class tuple applies normal n_(classes[i]) to the direction uᵢ (a
     base direction, or a combination of them), so the integer row
     wᵢ ⊗ n_k is A's row times one constant shared by every class tuple."""
-    _, ns = _scaled([v for n in B.normals for v in (n.x, n.y)])
+    _, ns = over_common_denominator([v for n in B.normals for v in (n.x, n.y)])
     normals = list(zip(ns[0::2], ns[1::2]))
     weights = [[int(s == i) for s in range(ell)] for i in range(ell)]
     weights += [[rat(c) for c in row] for row in coeffs]
-    _, ws = _scaled([w for row in weights for w in row])
+    _, ws = over_common_denominator([w for row in weights for w in row])
     return normals, [ws[i:i + ell] for i in range(0, len(ws), ell)]
 
 
@@ -102,7 +87,7 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
         else:
             # y·L is an integer vector with the same null property and signs;
             # column (s, xy) of yᵀA sums yᵢ·wᵢ[s]·n_(classes[i])[xy]
-            _, ys = _scaled(y)
+            _, ys = over_common_denominator(y)
             rows = [(yi, weights[i], normals[k])
                     for i, (yi, k) in enumerate(zip(ys, classes))]
             table[classes] = ys if all(
@@ -134,8 +119,8 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
         report.fail("base polygon sides are not η-short")
 
     table = _null_vector_table(report, B1, S, cert.null_vectors)
-    offsets = _scaled(B1.offsets)
-    D, ints = _scaled(box_lo + box_hi)
+    offsets = over_common_denominator(B1.offsets)
+    D, ints = over_common_denominator(box_lo + box_hi)
     box = D, ints[:m], ints[m:]
     expected = 0
     for alpha in _admissible_assignments(S.ell, m):
@@ -219,7 +204,7 @@ def _check_witness(report: CheckReport, cert):
     for side in range(2 * m):
         a_in, bb_in = b_in.side_segment(side)
         a_out, bb_out = b_out.side_segment(side)
-        n, _ = _side_line(B1, side)
+        n = B1.normals[side % m]
         c = B1.offsets[side % m]
         for p in (a_in, bb_in, bb_out, a_out):
             t = (n.dot(p) - c) if side < m else (-n.dot(p) - c)

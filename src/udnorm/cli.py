@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -307,6 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_int_in(1), default=3)
     p.add_argument("--h", type=_int_in(1), default=3)
     p.add_argument("--step", type=_nonzero, default=Fraction(1))
+    # argparse takes a value that starts with '-' for an option unless it
+    # looks like a negative number; let a negative fraction such as
+    # `--step -1/2` count as one too
+    p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     p.add_argument("--polygon", help="subset-sum: polygon JSON for unit vectors")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)

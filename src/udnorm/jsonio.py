@@ -26,7 +26,7 @@ from typing import IO, Iterator, Optional
 from .certify import NormCertificate, OffsetBox, VerifyReport
 from .colored import CoverResult, EdgeColoredGraph
 from .dependence import DependenceSystem
-from .norms import AngleBound, NormOracle, OffsetVector, SymmetricPolygon
+from .norms import AngleBound, NormOracle, SymmetricPolygon
 from .pointsets import PointSeq
 from .ratlin import Vec2, rat_from_str, rat_to_str
 from .udg import DecoratedUDG
@@ -199,10 +199,8 @@ def box_to_json(box: OffsetBox) -> dict:
 
 @_reader
 def box_from_json(d: dict) -> OffsetBox:
-    return OffsetBox(
-        OffsetVector(tuple(rat_from_str(v) for v in d["lo"])),
-        OffsetVector(tuple(rat_from_str(v) for v in d["hi"])),
-    )
+    return OffsetBox(tuple(rat_from_str(v) for v in d["lo"]),
+                     tuple(rat_from_str(v) for v in d["hi"]))
 
 
 def certificate_to_json(cert: NormCertificate) -> dict:

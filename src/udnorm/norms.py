@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .ratlin import (
     RatInterval,
@@ -261,28 +261,8 @@ def square(half_side: RationalLike = 1) -> SymmetricPolygon:
     return SymmetricPolygon.from_pairs([(Vec2.of(1, 0), a), (Vec2.of(0, 1), a)])
 
 
-@dataclass(frozen=True)
-class OffsetVector:
-    """Per-side-pair offsets t, measured in the functional scale ⟨nᵢ,·⟩ = cᵢ + tᵢ."""
-
-    values: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(values: Sequence[RationalLike]) -> "OffsetVector":
-        return OffsetVector(tuple(rat(v) for v in values))
-
-    @staticmethod
-    def uniform(t: RationalLike, m: int) -> "OffsetVector":
-        return OffsetVector(tuple(rat(t) for _ in range(m)))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
+# Per-side-pair offsets t, measured in the functional scale ⟨nᵢ,·⟩ = cᵢ + tᵢ.
+OffsetVector = tuple[Fraction, ...]
 
 
 def offset_polygon(B1: SymmetricPolygon, t) -> SymmetricPolygon:
@@ -523,8 +503,21 @@ def polygon_approx(oracle: NormOracle, eps: RationalLike, eta: AngleBound,
     if oracle.kind == "polygon":
         return _approx_from_polygon(oracle, oracle.polygon, eps, eta, side_cap)
     if oracle.kind == "euclidean":
-        return _approx_euclidean(oracle, eps, eta, side_cap)
-    return _approx_pnorm(oracle, eps, eta, side_cap)
+        B1 = _approx_sampled(oracle, eps, eta, side_cap, _circle_point, "circle")
+        # vertices land exactly on the unit circle
+        assert all(v.norm_sq() == 1 for v in B1.vertices())
+        return B1
+    p = float(oracle.p)
+
+    def pnorm_point(th: float) -> Vec2:
+        x, y = math.cos(th), math.sin(th)
+        g = (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+        # snap slightly inward so rationalization stays inside the ball
+        shrink = 1.0 - 1e-9
+        return Vec2(Fraction(x / g * shrink).limit_denominator(10**9),
+                    Fraction(y / g * shrink).limit_denominator(10**9))
+
+    return _approx_sampled(oracle, eps, eta, side_cap, pnorm_point, "p-norm")
 
 
 def _subtended_angle(a: Vec2, b: Vec2) -> float:
@@ -593,50 +586,28 @@ def _build_bulged(B0: SymmetricPolygon, counts: list[int],
         return None
 
 
-def _approx_euclidean(oracle: NormOracle, eps: Fraction, eta: AngleBound,
-                      side_cap: int) -> SymmetricPolygon:
+def _circle_point(th: float) -> Vec2:
+    """The rational point (1 − t², 2t)/(1 + t²) of the unit circle, with
+    t ≈ tan(θ/2)."""
+    t = Fraction(math.tan(th / 2)).limit_denominator(10**8)
+    den = 1 + t * t
+    return Vec2((1 - t * t) / den, 2 * t / den)
+
+
+def _approx_sampled(oracle: NormOracle, eps: Fraction, eta: AngleBound,
+                    side_cap: int, point: Callable[[float], Vec2],
+                    what: str) -> SymmetricPolygon:
+    """The hull of point(πj/M), j < M, and their negatives, with M doubled
+    until it passes `_verify_approx` (at most 20 rounds)."""
     step = eta.radians() / 4
     M = max(3, math.ceil(math.pi / step))
     for _ in range(20):
-        pts = []
-        for j in range(M):
-            th = math.pi * j / M
-            t = Fraction(math.tan(th / 2)).limit_denominator(10**8)
-            den = 1 + t * t
-            pts.append(Vec2((1 - t * t) / den, 2 * t / den))
-        sym = pts + [-p for p in pts]
-        B1 = polygon_from_hull(sym)
-        # vertices land exactly on the unit circle
-        assert all(v.norm_sq() == 1 for v in B1.vertices())
+        pts = [point(math.pi * j / M) for j in range(M)]
+        B1 = polygon_from_hull(pts + [-q for q in pts])
         if _verify_approx(B1, oracle, eps, eta, side_cap):
             return B1
         M *= 2
-    raise ApproxError("circle approximation did not converge")
-
-
-def _approx_pnorm(oracle: NormOracle, eps: Fraction, eta: AngleBound,
-                  side_cap: int) -> SymmetricPolygon:
-    step = eta.radians() / 4
-    M = max(3, math.ceil(math.pi / step))
-    p = float(oracle.p)
-    for _ in range(20):
-        pts = []
-        for j in range(M):
-            th = math.pi * j / M
-            x, y = math.cos(th), math.sin(th)
-            g = (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
-            # snap slightly inward so rationalization stays inside the ball
-            shrink = 1.0 - 1e-9
-            pts.append(Vec2(
-                Fraction(x / g * shrink).limit_denominator(10**9),
-                Fraction(y / g * shrink).limit_denominator(10**9),
-            ))
-        sym = pts + [-q for q in pts]
-        B1 = polygon_from_hull(sym)
-        if _verify_approx(B1, oracle, eps, eta, side_cap):
-            return B1
-        M *= 2
-    raise ApproxError("p-norm approximation did not converge")
+    raise ApproxError(f"{what} approximation did not converge")
 
 
 # --- offset box radius -------------------------------------------------------
@@ -726,7 +697,7 @@ def _delta0_ok(B1: SymmetricPolygon, B0: NormOracle, eps: Fraction,
                eta: AngleBound, eta_applies: bool, delta0: Fraction) -> bool:
     try:
         for s in (delta0, -delta0):
-            Bt = offset_polygon(B1, OffsetVector.uniform(s, B1.m))
+            Bt = offset_polygon(B1, (s,) * B1.m)
             if eta_applies and not Bt.is_eta_short(eta):
                 return False
             if not hausdorff_to_oracle(Bt, B0).strictly_below(eps):

@@ -306,6 +306,77 @@ class TestIntegerCore:
             assert h != AffineForm(const, [2 * c for c in coeffs])
 
 
+def _reference_kill(h, box):
+    """The shrink rule in Fraction: the box itself when h is sign-definite
+    on it, else h takes the sign of h(center) (+1 at 0) and each coordinate
+    with c ≠ 0 keeps [center + width/8, hi] or [lo, center − width/8]."""
+    lo, hi = _reference_range(h, box)
+    if lo > 0 or hi < 0:
+        return box, 1 if lo > 0 else -1
+    center = [(a + b) / 2 for a, b in zip(box.lo, box.hi)]
+    at_center = h.const + sum(c * v for c, v in zip(h.coeffs, center))
+    sign = 1 if at_center >= 0 else -1
+    new_lo, new_hi = list(box.lo), list(box.hi)
+    for j, c in enumerate(h.coeffs):
+        width = box.hi[j] - box.lo[j]
+        if c != 0 and (c > 0) == (sign > 0):
+            new_lo[j] = center[j] + width / 8
+        elif c != 0:
+            new_hi[j] = center[j] - width / 8
+    return OffsetBox(tuple(new_lo), tuple(new_hi)), sign
+
+
+@st.composite
+def forms_with_zero_at(draw, definite=True):
+    """A form and a box with the constant moved so that h vanishes at the
+    center or at a drawn point of its range, or (when `definite`) so that
+    the range lies above or below 0."""
+    h, box = draw(forms_and_boxes())
+    lo, hi = _reference_range(h, box)
+    lam = draw(st.sampled_from(
+        [Fraction(1, 2), Fraction(0), Fraction(1),
+         draw(st.fractions(min_value=0, max_value=1, max_denominator=30))]))
+    root = -(lo + lam * (hi - lo))
+    shift = draw(st.sampled_from(
+        [Fraction(0), root, 1 - lo, -1 - hi] if definite else [root]))
+    return AffineForm(h.const + shift, h.coeffs), box
+
+
+class TestKillRule:
+    """kill_assignment and _root_in_box evaluate h on the box through its
+    integer range only; both agree with the Fraction rule they replaced."""
+
+    ALPHA = (0, 1)
+    Y = (Fraction(1), Fraction(-1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(forms_with_zero_at())
+    def test_kill_matches_fraction_reference(self, case):
+        h, box = case
+        want_box, want_sign = _reference_kill(h, box)
+        lo, hi = _reference_range(h, want_box)
+        if not (lo > 0 if want_sign > 0 else hi < 0):
+            # only h ≡ 0 survives the shrink
+            assert not any(h.coeffs) and h.const == 0
+            with pytest.raises(CertifierError):
+                kill_assignment(self.ALPHA, [(self.Y, h)], box)
+            return
+        sub, rec = kill_assignment(self.ALPHA, [(self.Y, h)], box)
+        assert (sub.lo, sub.hi) == (want_box.lo, want_box.hi)
+        assert (sub is box) == (want_box is box)
+        assert (rec.alpha, rec.y, rec.h, rec.sign) == (
+            self.ALPHA, self.Y, h, want_sign)
+
+    @settings(max_examples=200, deadline=None)
+    @given(forms_with_zero_at(definite=False))
+    def test_root_in_box(self, case):
+        h, box = case
+        assert h.sign_on(box) == 0
+        t = certify._root_in_box(h, box)
+        assert all(a <= v <= b for a, v, b in zip(box.lo, t, box.hi))
+        assert h.const + sum(c * v for c, v in zip(h.coeffs, t)) == 0
+
+
 def _toy_certificate(polygon, eta, with_witness=True):
     cert = certify_box(TOY, polygon, Fraction(1, 100), eta)
     return witness_norm(cert) if with_witness else cert
@@ -352,8 +423,8 @@ class TestWitness:
     def test_square_margin_rule(self):
         # T̃ = [1/8, 1/4] uniform on the square: B_in = 9/8, B_out = 5/4,
         # δ = 1/16 (unit normals make the bound exact)
-        box = OffsetBox(OffsetVector.of([Fraction(1, 8), Fraction(1, 8)]),
-                        OffsetVector.of([Fraction(1, 4), Fraction(1, 4)]))
+        box = OffsetBox((Fraction(1, 8), Fraction(1, 8)),
+                        (Fraction(1, 4), Fraction(1, 4)))
         cert = NormCertificate(polygon=square(), box=box, null_vectors=(),
                                system=TOY, eta=AngleBound.of(1),
                                degenerate=True)
@@ -364,8 +435,8 @@ class TestWitness:
         assert cert.delta == Fraction(1, 16)
 
     def test_sandwich_containment_under_jitter(self):
-        box = OffsetBox(OffsetVector.of([Fraction(1, 8), Fraction(1, 8)]),
-                        OffsetVector.of([Fraction(1, 4), Fraction(1, 4)]))
+        box = OffsetBox((Fraction(1, 8), Fraction(1, 8)),
+                        (Fraction(1, 4), Fraction(1, 4)))
         cert = witness_norm(NormCertificate(
             polygon=square(), box=box, null_vectors=(), system=TOY,
             eta=AngleBound.of(1), degenerate=True))
@@ -413,7 +484,7 @@ class TestCorrectnessChecks:
     def test_margin_positive(self):
         # a degenerate box (lo = hi) that skipped OffsetBox's validation
         box = object.__new__(OffsetBox)
-        flat = OffsetVector.of([Fraction(1, 8), Fraction(1, 8)])
+        flat = (Fraction(1, 8), Fraction(1, 8))
         object.__setattr__(box, "lo", flat)
         object.__setattr__(box, "hi", flat)
         cert = NormCertificate(polygon=square(), box=box, null_vectors=(),

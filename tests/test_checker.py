@@ -154,7 +154,7 @@ class TestCorruptions:
     def test_witness_offsets_tampered(self, oct_cert):
         from udnorm.norms import offset_polygon
         bad_mid = offset_polygon(oct_cert.polygon,
-                                 OffsetVector.uniform(Fraction(1, 7), 4))
+                                 (Fraction(1, 7),) * 4)
         rep = check_certificate(_tamper(oct_cert, witness_mid=bad_mid))
         assert not rep.ok
 

@@ -104,6 +104,16 @@ class TestGridGen:
         assert len(pts) == 6
         assert pts[1] == ["1/2", "0"]
 
+    def test_negative_fraction_step(self):
+        # `--step -1/2` is a value, not an option, and reads like `--step=-1/2`
+        spaced = run_cli("gen", "--kind", "grid", "--w", "2", "--h", "1",
+                         "--step", "-1/2")
+        joined = run_cli("gen", "--kind", "grid", "--w", "2", "--h", "1",
+                         "--step=-1/2")
+        assert spaced.returncode == joined.returncode == 0
+        assert spaced.stdout == joined.stdout
+        assert json.loads(spaced.stdout)["points"] == [["0", "0"], ["-1/2", "0"]]
+
 
 class TestLindepAndVerify:
     def test_lindep_then_certify_then_verify(self, tmp_path):

@@ -14,7 +14,6 @@ from udnorm.norms import (
     AngleBound,
     ApproxError,
     NormOracle,
-    OffsetVector,
     PolygonError,
     SymmetricPolygon,
     _angle_sort_key,
@@ -251,7 +250,7 @@ class TestPolygonApprox:
 
 class TestOffsetPolygon:
     def test_zero_offset(self, octagon):
-        assert offset_polygon(octagon, OffsetVector.uniform(0, 4)) == octagon
+        assert offset_polygon(octagon, (Fraction(0),) * 4) == octagon
 
     def test_uniform_inflation(self):
         out = offset_polygon(square(), [Fraction(1, 10), Fraction(1, 10)])
@@ -287,7 +286,7 @@ class TestChooseDelta0:
 
     def test_tight_approximation_shrinks(self, octagon):
         eta = AngleBound.of(Fraction(5, 9))
-        inflated = offset_polygon(octagon, OffsetVector.uniform(Fraction(1, 5), 4))
+        inflated = offset_polygon(octagon, (Fraction(1, 5),) * 4)
         hd = hausdorff_to_oracle(octagon, NormOracle.of_polygon(inflated))
         eps = hd.hi + Fraction(1, 10**6)
         d0 = choose_delta0(octagon, NormOracle.of_polygon(inflated), eps, eta)
@@ -300,7 +299,7 @@ class TestChooseDelta0:
         assert d0 > 0
         # extremes are valid and within eps
         for s in (d0, -d0):
-            Bt = offset_polygon(twelve_gon, OffsetVector.uniform(s, 6))
+            Bt = offset_polygon(twelve_gon, (s,) * 6)
             assert Bt.is_eta_short(eta)
             hd = hausdorff_to_oracle(Bt, NormOracle.of_polygon(twelve_gon))
             assert hd.strictly_below(Fraction(1, 4))
@@ -581,7 +580,7 @@ def _geometry_rows():
         d0 = choose_delta0(B, NormOracle.of_polygon(B), eps, eta)
         rows.append(str(d0))
         for s in (d0, -d0):
-            Bt = offset_polygon(B, OffsetVector.uniform(s, B.m))
+            Bt = offset_polygon(B, (s,) * B.m)
             for oracle in (NormOracle.of_polygon(B), NormOracle.euclidean()):
                 hd = hausdorff_to_oracle(Bt, oracle)
                 rows.append([str(hd.lo), str(hd.hi)])
@@ -599,6 +598,22 @@ def test_delta0_and_hausdorff_pinned():
     digest = hashlib.sha256(json.dumps(_geometry_rows()).encode())
     assert digest.hexdigest() == (
         "023552aaaa0a2015a97d0e9aae5c23f8bbf932d40ef7e1952c7e96c5023bc3da")
+
+
+def test_pnorm_approx_pinned():
+    """polygon_approx on p-norms (p = 3 needs a second, doubled round;
+    p = 3/2 passes the first), pinned by the digest of the normals and
+    offsets that the separate Euclidean and p-norm loops returned."""
+    rows = []
+    for p, eps, sin_sq in ((3, Fraction(1, 20), Fraction(3, 5)),
+                           (Fraction(3, 2), Fraction(1, 5), Fraction(1, 4))):
+        B = polygon_approx(NormOracle.pnorm(p), eps, AngleBound.of(sin_sq))
+        rows.append([[str(n.x), str(n.y), str(c)]
+                     for n, c in zip(B.normals, B.offsets)])
+    assert [len(r) for r in rows] == [30, 24]
+    digest = hashlib.sha256(json.dumps(rows).encode())
+    assert digest.hexdigest() == (
+        "79f53f9ce6ba899b08f61e20f55b4a718afd046626c04eda94545040234e1604")
 
 
 class TestValidityRadius:
