@@ -11,8 +11,9 @@ common denominators, the latter two once per check. For each admissible α,
 h = yᵀb(t) is rebuilt and its sign decided by interval evaluation on the
 box in integer arithmetic: y, the offsets and the box are scaled to common
 denominators, so every comparison is exact.
-The witness sandwich, margin rule, trapezoid tiling, and sweep property are
-checked by exact rational geometry.
+The witness sandwich, margin rule, trapezoid tiling, sweep property, and
+η-shortness of every trapezoid of B_out ∖ B_in (each pair of its corners
+spans an angle < η) are checked by exact rational geometry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .norms import NormOracle, SymmetricPolygon, hausdorff_to_oracle
+from .norms import (
+    NormOracle,
+    SymmetricPolygon,
+    hausdorff_to_oracle,
+    segment_is_eta_short,
+)
 from .ratlin import RationalLike, over_common_denominator, rat
 
 
@@ -211,6 +217,13 @@ def _check_witness(report: CheckReport, cert):
             if not lo[side % m] <= t <= hi[side % m]:
                 report.fail(f"sweep property fails at side {side}")
                 break
+    # η-short trapezoids: a convex quad avoiding 0 spans its widest angle
+    # between two corners; trapezoid m+i is −trapezoid i
+    for side in range(m):
+        quad = b_in.side_segment(side) + b_out.side_segment(side)
+        if not all(segment_is_eta_short(p, q, cert.eta)
+                   for p, q in itertools.combinations(quad, 2)):
+            report.fail(f"trapezoid {side} is not η-short")
     # trapezoid tiling: areas add up to the annulus area exactly
     total = Fraction(0)
     for side in range(2 * m):

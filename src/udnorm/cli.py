@@ -104,10 +104,7 @@ def _emit(payload: dict, path: str | None):
 
 
 def _error(kind: str, message: str, **extra) -> int:
-    payload = {"error": kind, "message": message}
-    payload.update(extra)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _emit({"error": kind, "message": message, **extra}, None)
     return 1
 
 
@@ -158,7 +155,7 @@ def cmd_udg(args) -> int:
 def _load_colored_graph(path: str) -> EdgeColoredGraph:
     d = jsonio.read_json(path)
     if isinstance(d, dict) and "sign" in d:
-        return EdgeColoredGraph.from_udg(jsonio.udg_from_json(d))
+        return jsonio.udg_from_json(d)
     return jsonio.graph_from_json(d)
 
 
@@ -276,8 +273,7 @@ def cmd_pipeline(args) -> int:
                       jsonio.certificate_to_json(cert))
     jsonio.write_json(f"{out}/report.json", jsonio.report_to_json(verify))
     jsonio.write_json(f"{out}/summary.json", summary)
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _emit(summary, None)
     ok = check.ok and not verify.counterexample_found and verify.sweep_ok
     return 0 if ok else 1
 

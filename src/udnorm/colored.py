@@ -1,6 +1,7 @@
-"""Edge-colored graph machinery: average-degree core, cut-robust vertex
-sets, and the greedy connected color cover, each with an independently
-verifiable output contract.
+"""Edge-colored graph machinery: the graph type `EdgeColoredGraph`, which
+`udg.DecoratedUDG` extends with edge signs and directions, the
+average-degree core, cut-robust vertex sets, and the greedy connected
+color cover, each with an independently verifiable output contract.
 
 Every threshold comparison Δ < r·log₂(imb) is decided exactly: for rational
 r = p/q it reduces to the integer comparison 2^(Δq)·min^p < |W|^p. The only
@@ -15,11 +16,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import kernels
 from .ratlin import RationalLike, log2_interval, rat
-from .udg import DecoratedUDG
 
 Edge = tuple[int, int]
 
@@ -68,10 +68,6 @@ class EdgeColoredGraph:
             if (a, b) in seen:
                 raise GraphError(f"duplicate edge ({a},{b})")
             seen.add((a, b))
-
-    @staticmethod
-    def from_udg(G: DecoratedUDG) -> "EdgeColoredGraph":
-        return EdgeColoredGraph(G.n, G.edges, G.colors)
 
     @property
     def edge_count(self) -> int:
@@ -463,7 +459,8 @@ def greedy_color_cover(G: EdgeColoredGraph, W: Sequence[int]) -> tuple[tuple[int
     return _greedy_cover(W, _color_classes(G.induced_edges(W)))
 
 
-def _color_classes(edges: list[tuple[Edge, int]]) -> dict[int, list[Edge]]:
+def _color_classes(edges: Iterable[tuple[Edge, int]]) -> dict[int, list[Edge]]:
+    """Each color's edges, in the given order."""
     by_color: dict[int, list[Edge]] = {}
     for e, c in edges:
         by_color.setdefault(c, []).append(e)

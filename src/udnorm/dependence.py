@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .colored import CoverFailure, CoverResult, EdgeColoredGraph, color_cover
+from .colored import (CoverFailure, CoverResult, Edge, _color_classes,
+                      color_cover)
 from .norms import SymmetricPolygon
 from .pointsets import PointSeq
 from .ratlin import rat
-from .udg import DecoratedUDG, Edge, _realized_udg, prune_to_proper
+from .udg import DecoratedUDG, _realized_udg, prune_to_proper
 
 DEFAULT_Q = Fraction(2001, 1000)
 
@@ -117,22 +118,15 @@ def extract_dependences(G: DecoratedUDG,
         raise ExtractionFailure("need n >= 4")
     pruned = prune_to_proper(G)
     assert 3 * pruned.edge_count >= G.edge_count, "pruning keeps >= |E|/3"
-    H = EdgeColoredGraph.from_udg(pruned)
     try:
-        cover = color_cover(H, config.q, config.C,
+        cover = color_cover(pruned, config.q, config.C,
                             cap=config.exhaustive_cap, seed=config.seed)
     except CoverFailure as exc:
         raise ExtractionFailure(f"cover search failed: {exc}",
                                 detail=exc.trace) from exc
     W, I = cover.W, cover.I
     ell = len(I)
-    # H's edges are pruned's edges: one scan gives the colors on W and the
-    # edges of each
-    wset = set(W)
-    by_color: dict[int, list[Edge]] = {}
-    for (x, y), c in zip(pruned.edges, pruned.colors):
-        if x in wset and y in wset:
-            by_color.setdefault(c, []).append((x, y))
+    by_color = _color_classes(pruned.induced_edges(W))
     colors_on_W = sorted(by_color)
     iset = set(I)
     eligible = [c for c in colors_on_W if c not in iset]
@@ -143,7 +137,7 @@ def extract_dependences(G: DecoratedUDG,
     J = eligible[: ell + 1]
     base = tuple(sorted(I))
     base_pos = {c: s for s, c in enumerate(base)}
-    adj = _cover_adjacency(wset, [by_color[c] for c in base])
+    adj = _cover_adjacency(W, [by_color[c] for c in base])
     rows = []
     paths = []
     for j in J:
@@ -172,9 +166,9 @@ def extract_dependences(G: DecoratedUDG,
     )
 
 
-def _cover_adjacency(wset: set[int], classes: list[list[Edge]]):
+def _cover_adjacency(W: Sequence[int], classes: list[list[Edge]]):
     """Sorted adjacency lists on W of the given color classes' edges."""
-    adj: dict[int, list[int]] = {v: [] for v in wset}
+    adj: dict[int, list[int]] = {v: [] for v in W}
     for edges in classes:
         for x, y in edges:
             adj[x].append(y)

@@ -129,22 +129,26 @@ def udg_to_json(G: DecoratedUDG) -> dict:
     return out
 
 
-@_reader
-def udg_from_json(d: dict) -> DecoratedUDG:
+def _graph_fields(d: dict) -> tuple:
+    """(n, edges, colors) of a graph payload, edges sorted."""
     edges = _wire_edges(d["edges"])
     colors = tuple(_wire_int(d["color"][_edge_key(e)]) for e in edges)
+    return _wire_int(d["n"]), edges, colors
+
+
+@_reader
+def udg_from_json(d: dict) -> DecoratedUDG:
+    n, edges, colors = _graph_fields(d)
     signs = tuple(_wire_int(d["sign"][_edge_key(e)]) for e in edges)
     directions = None
     if d.get("directions") is not None:
         directions = tuple(_unvec(u) for u in d["directions"])
-    return DecoratedUDG(_wire_int(d["n"]), edges, colors, signs, directions)
+    return DecoratedUDG(n, edges, colors, signs, directions)
 
 
 @_reader
 def graph_from_json(d: dict) -> EdgeColoredGraph:
-    edges = _wire_edges(d["edges"])
-    colors = tuple(_wire_int(d["color"][_edge_key(e)]) for e in edges)
-    return EdgeColoredGraph(_wire_int(d["n"]), edges, colors)
+    return EdgeColoredGraph(*_graph_fields(d))
 
 
 def cover_to_json(res: CoverResult) -> dict:

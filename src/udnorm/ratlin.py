@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, str, Fraction]
 
 
@@ -245,19 +243,6 @@ class RatInterval:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, q: RationalLike) -> bool:
-        q = rat(q)
-        return self.lo <= q <= self.hi
-
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def scale(self, k: RationalLike) -> "RatInterval":
-        k = rat(k)
-        if k >= 0:
-            return RatInterval(self.lo * k, self.hi * k)
-        return RatInterval(self.hi * k, self.lo * k)
 
     def max_with(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(max(self.lo, other.lo), max(self.hi, other.hi))

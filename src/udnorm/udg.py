@@ -2,10 +2,12 @@
 and a polygonal norm, verify realizations, and prune color classes to a
 proper edge coloring.
 
-Vertices are 1-based. Edges are stored sorted; an edge's color is the index
-of its canonical direction in the lexicographically sorted distinct
-direction list, and its sign records which endpoint order realizes that
-canonical direction.
+A `DecoratedUDG` is a `colored.EdgeColoredGraph` that also carries a sign
+per edge and, when built from a realization, the direction list, so every
+stage after pruning takes it as it is. Vertices are 1-based. Edges are
+stored sorted; an edge's color is the index of its canonical direction in
+the lexicographically sorted distinct direction list, and its sign records
+which endpoint order realizes that canonical direction.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import kernels
+from .colored import Edge, EdgeColoredGraph, _color_classes
 from .norms import SymmetricPolygon
 from .pointsets import PointSeq
 from .ratlin import Vec2
-
-Edge = tuple[int, int]
 
 
 def canonical_direction(v: Vec2) -> tuple[Vec2, int]:
@@ -32,41 +33,30 @@ def canonical_direction(v: Vec2) -> tuple[Vec2, int]:
 
 
 @dataclass(frozen=True)
-class DecoratedUDG:
-    """Graph on [n] with edge colors, signs, and (optionally) the direction list.
+class DecoratedUDG(EdgeColoredGraph):
+    """An edge-colored graph whose edges also carry signs, with
+    (optionally) the direction list; edges are sorted and colors are ≥ 1.
 
     An abstract decorated graph carries directions=None; graphs built from a
     realization carry the sorted distinct canonical directions, and color i
     refers to directions[i−1].
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    colors: tuple[int, ...]
     signs: tuple[int, ...]
     directions: Optional[tuple[Vec2, ...]] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
-        if not (len(self.edges) == len(self.colors) == len(self.signs)):
-            raise ValueError("edge decoration lengths differ")
-        prev = None
-        for (a, b) in self.edges:
-            if not (1 <= a < b <= self.n):
-                raise ValueError(f"bad edge ({a},{b})")
-            if prev is not None and not (prev < (a, b)):
-                raise ValueError("edges must be sorted and distinct")
-            prev = (a, b)
-        k = self.k
-        for c in self.colors:
-            if not (1 <= c <= k):
-                raise ValueError("color out of range")
-        for s in self.signs:
-            if s not in (-1, 1):
-                raise ValueError("signs must be ±1")
+        super().__post_init__()
+        if any(e >= f for e, f in zip(self.edges, self.edges[1:])):
+            raise ValueError("edges must be sorted")
+        if any(c < 1 for c in self.colors):
+            raise ValueError("color out of range")
+        if len(self.signs) != len(self.edges):
+            raise ValueError("one sign per edge required")
+        if any(s not in (-1, 1) for s in self.signs):
+            raise ValueError("signs must be ±1")
         if self.directions is not None:
-            if len(self.directions) != k:
+            if len(self.directions) != self.k:
                 raise ValueError("need one direction per color")
             for u, v in zip(self.directions, self.directions[1:]):
                 if not (u.as_tuple() < v.as_tuple()):
@@ -76,21 +66,11 @@ class DecoratedUDG:
     def k(self) -> int:
         return max(self.colors, default=0)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def decoration(self) -> dict[Edge, tuple[int, int]]:
         return {e: (c, s) for e, c, s in zip(self.edges, self.colors, self.signs)}
 
     def without_directions(self) -> "DecoratedUDG":
         return DecoratedUDG(self.n, self.edges, self.colors, self.signs, None)
-
-    def color_classes(self) -> dict[int, list[Edge]]:
-        out: dict[int, list[Edge]] = {}
-        for e, c in zip(self.edges, self.colors):
-            out.setdefault(c, []).append(e)
-        return out
 
     def max_color_degree(self) -> int:
         """Largest number of equal-colored edges at a single vertex."""
@@ -166,7 +146,7 @@ def prune_to_proper(G: DecoratedUDG) -> DecoratedUDG:
     ⌈e/2⌉ edges, cycles ⌊e/2⌋), yielding a proper coloring with ≥ |E|/3 of
     the edges."""
     keep: set[Edge] = set()
-    for color, class_edges in G.color_classes().items():
+    for color, class_edges in _color_classes(zip(G.edges, G.colors)).items():
         adj: dict[int, list[int]] = {}
         for a, b in class_edges:
             adj.setdefault(a, []).append(b)
@@ -175,24 +155,18 @@ def prune_to_proper(G: DecoratedUDG) -> DecoratedUDG:
             if len(nbrs) > 2:
                 raise PruneError(
                     f"color {color} has {len(nbrs)} edges at vertex {v}")
+        # walk each path from its smaller endpoint, then each cycle from its
+        # smallest vertex, keeping the 1st, 3rd, … edge of the walk; a cycle
+        # walk omits its closing edge, so an odd cycle keeps ⌊e/2⌋
         visited: set[int] = set()
-        # path components: walk from the smallest degree-1 endpoint,
-        # keep edges at even walk positions (⌈e/2⌉ of them)
-        for start in sorted(adj):
-            if start in visited or len(adj[start]) != 1:
-                continue
-            walk = _walk_path(adj, start, visited)
-            for idx in range(0, len(walk) - 1, 2):
-                keep.add(_norm_edge(walk[idx], walk[idx + 1]))
-        # everything left is a cycle: keep ⌊e/2⌋ alternating edges
-        for start in sorted(adj):
+        order = sorted(adj)
+        for start in [v for v in order if len(adj[v]) == 1] + order:
             if start in visited:
                 continue
-            walk = _walk_cycle(adj, start, visited)
-            e = len(walk)
-            stop = e - 1 if e % 2 else e
-            for idx in range(0, stop, 2):
-                keep.add(_norm_edge(walk[idx], walk[(idx + 1) % e]))
+            walk = _walk(adj, start)
+            visited.update(walk)
+            for i in range(0, len(walk) - 1, 2):
+                keep.add(_norm_edge(walk[i], walk[i + 1]))
     kept = [
         (e, c, s) for e, c, s in zip(G.edges, G.colors, G.signs) if e in keep
     ]
@@ -209,27 +183,16 @@ def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def _walk_path(adj: dict[int, list[int]], start: int, visited: set[int]) -> list[int]:
+def _walk(adj: dict[int, list[int]], start: int) -> list[int]:
+    """The vertices met stepping from start to the smallest neighbour other
+    than the previous vertex, until there is none or it is start."""
     walk = [start]
-    visited.add(start)
     prev, cur = None, start
     while True:
         nxt = [u for u in adj[cur] if u != prev]
-        if not nxt:
+        if not nxt:  # a path's far end
             return walk
         prev, cur = cur, min(nxt)
-        visited.add(cur)
-        walk.append(cur)
-
-
-def _walk_cycle(adj: dict[int, list[int]], start: int, visited: set[int]) -> list[int]:
-    walk = [start]
-    visited.add(start)
-    prev, cur = None, start
-    while True:
-        step = min(u for u in adj[cur] if u != prev)
-        if step == start:
+        if cur == start:  # back round a cycle
             return walk
-        visited.add(step)
-        walk.append(step)
-        prev, cur = cur, step
+        walk.append(cur)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import octagon, twelve_gon
 from udnorm import jsonio
-from udnorm.certify import OffsetBox, certify_box, witness_norm
+from udnorm.certify import (OffsetBox, certify_box, trapezoid_corners,
+                            witness_norm)
 from udnorm.checker import check_certificate
+from udnorm.cli import pipeline_decagon
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import (AngleBound, NormOracle, OffsetVector,
                           SymmetricPolygon, square)
@@ -46,6 +49,75 @@ class TestValidCertificates:
         cert = witness_norm(certify_box(wide, octagon, Fraction(1, 100),
                                         AngleBound.of(Fraction(5, 9))))
         assert check_certificate(cert).ok
+
+
+# the certified pipeline system, and a box on which all three witness
+# polygons have η-short sides while trapezoid 4 of B_out ∖ B_in spans
+# 1.0025 times sin²η (trapezoid 9 is its negative)
+PIPELINE_SYSTEM = DependenceSystem(ell=2, indices=(4, 5, 1, 2, 3),
+                                   coeffs=((4, -3), (3, -2), (2, -1)))
+WIDE_TRAPEZOID_BOX = OffsetBox(
+    tuple(Fraction(v) for v in ("-7/640", "-93/3200", "-1/200", "1/200",
+                                "-57/1280")),
+    tuple(Fraction(v) for v in ("133/6400", "109/6400", "133/6400",
+                                "251/6400", "-127/3200")),
+)
+
+
+@pytest.fixture(scope="module")
+def decagon_cert():
+    return certify_box(PIPELINE_SYSTEM, pipeline_decagon(), Fraction(1, 64),
+                       AngleBound.of(Fraction(2, 5)))
+
+
+def _trapezoid_failures(report):
+    return [f for f in report.failures if f.startswith("trapezoid ")
+            and f.endswith("is not η-short")]
+
+
+def _angle_spread(corners) -> float:
+    """The widest angle at 0 between two of the corners, in floats."""
+    a = corners[0]
+    angles = [math.atan2(float(a.cross(p)), float(a.dot(p))) for p in corners]
+    return max(angles) - min(angles)
+
+
+class TestTrapezoids:
+    def test_wide_trapezoid_is_reported(self, decagon_cert):
+        cert = witness_norm(_tamper(decagon_cert, box=WIDE_TRAPEZOID_BOX))
+        for poly in (cert.witness_in, cert.witness_mid, cert.witness_out):
+            assert poly.is_eta_short(cert.eta)
+        rep = check_certificate(cert)
+        assert _trapezoid_failures(rep) == ["trapezoid 4 is not η-short"]
+        assert not any("side that is not η-short" in f for f in rep.failures)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_corner_angle_reference(self, decagon_cert, data):
+        # boxes around the wide box, each bound moved by up to a quarter of
+        # its width (about half of them have a wide trapezoid): a trapezoid
+        # is reported iff, by float angles, two of its corners are at
+        # least η apart
+        shift = st.integers(-64, 64)
+        lo, hi = [], []
+        for a, b in zip(WIDE_TRAPEZOID_BOX.lo, WIDE_TRAPEZOID_BOX.hi):
+            step = (b - a) / 256
+            lo.append(a + data.draw(shift) * step)
+            hi.append(b + data.draw(shift) * step)
+        cert = witness_norm(_tamper(decagon_cert, box=OffsetBox(tuple(lo),
+                                                                tuple(hi))))
+        eta = cert.eta.radians()
+        wide = []
+        for side in range(cert.polygon.m):
+            spread = _angle_spread(trapezoid_corners(cert, side))
+            assume(abs(spread - eta) > 1e-9)
+            if spread >= eta:
+                wide.append(f"trapezoid {side} is not η-short")
+        assert _trapezoid_failures(check_certificate(cert)) == wide
+
+    def test_pipeline_certificate_has_short_trapezoids(self, decagon_cert):
+        assert not _trapezoid_failures(
+            check_certificate(witness_norm(decagon_cert)))
 
 
 def _tamper(cert, **changes):

@@ -12,6 +12,8 @@ from udnorm.certify import certify_box, witness_norm
 from udnorm.colored import MAX_EXHAUSTIVE_CAP
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import AngleBound, square
+from udnorm.pointsets import flat_side_quadratic
+from udnorm.udg import build_udg
 
 
 def run_cli(*args):
@@ -67,6 +69,24 @@ class TestUdg:
         assert len(g["edges"]) == 16
         assert (tmp_path / "c.csv").exists()
         assert (tmp_path / "g.svg").read_text().startswith("<svg")
+
+    def test_prop1_reads_decorated_and_plain_graphs_alike(self, tmp_path):
+        # a decorated graph is an edge-colored graph: its signs and
+        # directions do not change the cover
+        G = build_udg(flat_side_quadratic(10), square())
+        plain = {"n": G.n, "edges": [list(e) for e in G.edges],
+                 "color": {f"{a},{b}": c
+                           for (a, b), c in zip(G.edges, G.colors)}}
+        decorated = jsonio.udg_to_json(G)
+        assert "sign" in decorated and "directions" in decorated
+        covers = []
+        for name, payload in (("udg", decorated), ("plain", plain)):
+            graph, out = tmp_path / f"{name}.json", tmp_path / f"{name}-cover.json"
+            jsonio.write_json(str(graph), payload)
+            assert cli.main(["prop1", "--graph", str(graph), "--C", "1/4",
+                             "--out", str(out)]) == 0
+            covers.append(out.read_bytes())
+        assert covers[0] == covers[1]
 
 
 class TestCheckRoundTrip:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -188,3 +189,46 @@ class TestPrune:
             assert (a, c) not in seen and (b, c) not in seen
             seen.add((a, c))
             seen.add((b, c))
+
+    def test_output_pinned(self):
+        # seeded graphs whose color classes mix paths with odd and even
+        # cycles; the digest pins which edges survive, in order
+        h = hashlib.sha256()
+        shapes = set()
+        for seed in range(60):
+            G = _mixed_classes(random.Random(seed), shapes)
+            out = prune_to_proper(G)
+            h.update(repr((out.edges, out.colors, out.signs)).encode())
+        assert shapes == {"path", "odd cycle", "even cycle"}
+        assert h.hexdigest() == PRUNE_DIGEST
+
+
+PRUNE_DIGEST = ("8e31e2be6fecc0c5db9e3b9c53d5fbe6"
+                "1d33b22190c4772f30f5f1814946071d")
+
+
+def _mixed_classes(rng, shapes):
+    """A graph with 2–5 colors; each color's class is disjoint chains of
+    2–7 vertices, each closed into a cycle (3 or more vertices) with
+    probability 1/2. An edge another color already has is skipped."""
+    n = rng.randint(6, 40)
+    used = {}
+    for color in range(1, rng.randint(3, 6)):
+        verts = list(range(1, n + 1))
+        rng.shuffle(verts)
+        verts = verts[:rng.randint(2, n)]
+        while len(verts) >= 2:
+            size = min(rng.randint(2, 7), len(verts))
+            chain, verts = verts[:size], verts[size:]
+            closed = size >= 3 and rng.random() < 0.5
+            shapes.add(("odd cycle" if size % 2 else "even cycle")
+                       if closed else "path")
+            steps = list(zip(chain, chain[1:]))
+            if closed:
+                steps.append((chain[-1], chain[0]))
+            for a, b in steps:
+                used.setdefault((min(a, b), max(a, b)),
+                                (color, rng.choice((-1, 1))))
+    edges = sorted(used)
+    return DecoratedUDG(n, tuple(edges), tuple(used[e][0] for e in edges),
+                        tuple(used[e][1] for e in edges))
