@@ -29,6 +29,7 @@ from .norms import (
     SymmetricPolygon,
     eta_separated,
     offset_polygon,
+    segment_is_eta_short,
 )
 from .ratlin import (
     Mat,
@@ -402,7 +403,10 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
 
 def witness_norm(cert: NormCertificate) -> NormCertificate:
     """Fill the witness sandwich B_in ⊆ B ⊆ B_out and the margin δ: any
-    symmetric convex body within Hausdorff δ of B stays inside the sandwich."""
+    symmetric convex body within Hausdorff δ of B stays inside the sandwich.
+
+    Refuses a box on which some trapezoid of B_out ∖ B_in is not η-short,
+    the test the checker applies."""
     B1, box = cert.polygon, cert.box
     b_in = offset_polygon(B1, box.lo)
     b_mid = offset_polygon(B1, box.center())
@@ -417,6 +421,13 @@ def witness_norm(cert: NormCertificate) -> NormCertificate:
         raise CertifierError("margin δ must be positive")
     if not (b_out.contains_polygon(b_mid) and b_mid.contains_polygon(b_in)):
         raise CertifierError("witness sandwich B_in ⊆ B ⊆ B_out fails")
+    # a convex quad avoiding 0 spans its widest angle between two corners;
+    # trapezoid m+i is −trapezoid i
+    for side in range(B1.m):
+        quad = b_in.side_segment(side) + b_out.side_segment(side)
+        if not all(segment_is_eta_short(p, q, cert.eta)
+                   for p, q in itertools.combinations(quad, 2)):
+            raise CertifierError(f"trapezoid {side} is not η-short")
     return replace(cert, witness_in=b_in, witness_mid=b_mid,
                    witness_out=b_out, delta=delta)
 

@@ -3,6 +3,9 @@
 average-degree core, cut-robust vertex sets, and the greedy connected
 color cover, each with an independently verifiable output contract.
 
+Tables are keyed by edge endpoints, never by the vertex ids 1..n; only
+`robust_core`, whose contract covers isolated vertices, starts from [1, n].
+
 Every threshold comparison Δ < r·log₂(imb) is decided exactly: for rational
 r = p/q it reduces to the integer comparison 2^(Δq)·min^p < |W|^p. The only
 place a logarithm is *computed* (rationalizing r = C·q·log₂log₂ n) uses a
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -73,21 +76,23 @@ class EdgeColoredGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
+    def adjacency(self) -> defaultdict[int, set[int]]:
+        """Neighbour sets keyed by edge endpoints; any other vertex reads
+        as empty, so the cost does not depend on n."""
+        adj: defaultdict[int, set[int]] = defaultdict(set)
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
         return adj
 
-    def is_proper(self) -> bool:
-        seen: set[tuple[int, int]] = set()
+    def max_color_degree(self) -> int:
+        """Largest number of equal-colored edges at a single vertex; at most
+        1 iff the coloring is proper."""
+        deg: dict[tuple[int, int], int] = {}
         for (a, b), c in zip(self.edges, self.colors):
-            if (a, c) in seen or (b, c) in seen:
-                return False
-            seen.add((a, c))
-            seen.add((b, c))
-        return True
+            deg[(a, c)] = deg.get((a, c), 0) + 1
+            deg[(b, c)] = deg.get((b, c), 0) + 1
+        return max(deg.values(), default=0)
 
     def induced_edges(self, W: Sequence[int]) -> list[tuple[Edge, int]]:
         wset = set(W)
@@ -136,13 +141,17 @@ def degree_at_least_r_log(deg: int, r: Fraction, value: Fraction) -> bool:
 
 def min_degree_core(G: EdgeColoredGraph) -> tuple[int, ...]:
     """Vertices surviving repeated deletion of degree < δ/2 (δ = average
-    degree of the original graph); nonempty with min degree ≥ δ/2."""
+    degree of the original graph); nonempty with min degree ≥ δ/2.
+
+    Peeling starts from the edge endpoints: an isolated vertex has degree
+    0 < δ/2, and the surviving set does not depend on the deletion order.
+    """
     if G.edge_count == 0:
         raise GraphError("graph has no edges")
-    threshold = Fraction(2 * G.edge_count, G.n) / 2
+    threshold = Fraction(G.edge_count, G.n)  # δ/2 = (2|E|/n)/2
     adj = G.adjacency()
-    alive = set(range(1, G.n + 1))
-    deg = {v: len(adj[v]) for v in alive}
+    alive = set(adj)
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
     queue = deque(sorted(v for v in alive if deg[v] < threshold))
     while queue:
         v = queue.popleft()
@@ -600,7 +609,7 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
         raise ValueError("q and C must be positive")
     if G.n < 4:
         raise GraphError("need n >= 4")
-    if not G.is_proper():
+    if G.max_color_degree() > 1:
         raise GraphError("edge coloring must be proper")
     logs = _log_bounds(G.n)
     r = _rationalized_r(logs, q, C)

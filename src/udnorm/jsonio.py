@@ -335,9 +335,10 @@ def write_color_csv(path: str, G: DecoratedUDG):
                 writer.writerow([c, "", "", counts[c]])
 
 
-def render_svg(P: PointSeq, G: Optional[DecoratedUDG] = None,
-               size: int = 640) -> str:
-    """Display-only SVG of the point set with unit-distance edges."""
+def render_svg(P: PointSeq, G: DecoratedUDG) -> str:
+    """Display-only 640×640 SVG of the point set with its unit-distance
+    edges."""
+    size = 640
     xs = [float(p.x) for p in P]
     ys = [float(p.y) for p in P]
     x0, x1 = min(xs), max(xs)
@@ -359,15 +360,14 @@ def render_svg(P: PointSeq, G: Optional[DecoratedUDG] = None,
     ]
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
-    if G is not None:
-        for (a, b), c in zip(G.edges, G.colors):
-            pa, pb = P[a - 1], P[b - 1]
-            color = palette[(c - 1) % len(palette)]
-            parts.append(
-                f'<line x1="{sx(float(pa.x)):.2f}" y1="{sy(float(pa.y)):.2f}" '
-                f'x2="{sx(float(pb.x)):.2f}" y2="{sy(float(pb.y)):.2f}" '
-                f'stroke="{color}" stroke-width="1.2"/>'
-            )
+    for (a, b), c in zip(G.edges, G.colors):
+        pa, pb = P[a - 1], P[b - 1]
+        color = palette[(c - 1) % len(palette)]
+        parts.append(
+            f'<line x1="{sx(float(pa.x)):.2f}" y1="{sy(float(pa.y)):.2f}" '
+            f'x2="{sx(float(pb.x)):.2f}" y2="{sy(float(pb.y)):.2f}" '
+            f'stroke="{color}" stroke-width="1.2"/>'
+        )
     for p in P:
         parts.append(
             f'<circle cx="{sx(float(p.x)):.2f}" cy="{sy(float(p.y)):.2f}" '

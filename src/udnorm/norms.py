@@ -71,11 +71,14 @@ def segment_is_eta_short(a: Vec2, b: Vec2, eta: AngleBound) -> bool:
     return c * c < eta.sin_sq * a.norm_sq() * b.norm_sq()
 
 
-def _canonical_halfplane(v: Vec2) -> Vec2:
-    """Representative of ±v in the upper halfplane minus the negative x-axis."""
+def canonical_direction(v: Vec2) -> tuple[Vec2, int]:
+    """(u, s) with u = s·v in the closed upper halfplane minus the negative
+    x-axis; rejects the zero vector."""
+    if v.is_zero():
+        raise ValueError("zero vector has no canonical direction")
     if v.y > 0 or (v.y == 0 and v.x > 0):
-        return v
-    return -v
+        return v, 1
+    return -v, -1
 
 
 def _angle_sort_key(v: Vec2):
@@ -123,7 +126,7 @@ class SymmetricPolygon:
                 raise PolygonError("zero normal")
             if c <= 0:
                 raise PolygonError("offsets must be positive (0 interior)")
-            canon.append(_primitive_pair(_canonical_halfplane(n), c))
+            canon.append(_primitive_pair(canonical_direction(n)[0], c))
         canon.sort(key=lambda pc: _angle_sort_key(pc[0]))
         if len(canon) < 2:
             raise PolygonError("need at least two side pairs to bound the plane")
@@ -327,11 +330,11 @@ def _directed_hausdorff_sq(A: SymmetricPolygon, B: SymmetricPolygon) -> Fraction
     return Fraction(best_num, best_den * L * L)
 
 
-def hausdorff(A: SymmetricPolygon, B: SymmetricPolygon,
-              max_width: RationalLike = Fraction(1, 10**12)) -> RatInterval:
-    """Two-sided Hausdorff distance max(h(A,B), h(B,A)) as a tight interval."""
+def hausdorff(A: SymmetricPolygon, B: SymmetricPolygon) -> RatInterval:
+    """Two-sided Hausdorff distance max(h(A,B), h(B,A)) as an interval of
+    width ≤ 10^−12."""
     d_sq = max(_directed_hausdorff_sq(A, B), _directed_hausdorff_sq(B, A))
-    return sqrt_interval(d_sq, max_width)
+    return sqrt_interval(d_sq)
 
 
 # --- norm oracles ------------------------------------------------------------
@@ -387,25 +390,25 @@ class NormOracle:
         return abs(self.gauge_float(z) - 1.0) <= PNORM_TOL
 
 
-def hausdorff_to_oracle(B1: SymmetricPolygon, oracle: NormOracle,
-                        max_width: RationalLike = Fraction(1, 10**12)) -> RatInterval:
+def hausdorff_to_oracle(B1: SymmetricPolygon, oracle: NormOracle) -> RatInterval:
     """Hausdorff distance from B1 to the oracle's unit ball.
 
-    Exact (interval of requested width) for polygon and euclidean oracles;
-    a sampled estimate with a stated slack for p-norm oracles.
+    Exact (enclosed by square-root intervals of width ≤ 10^−12) for
+    polygon and euclidean oracles; a sampled estimate with a stated slack
+    for p-norm oracles.
     """
     if oracle.kind == "polygon":
-        return hausdorff(B1, oracle.polygon, max_width)
+        return hausdorff(B1, oracle.polygon)
     if oracle.kind == "euclidean":
         out_sq = max(Fraction(X * X + Y * Y, E * E)
                      for X, Y, E in B1._vertex_table[:B1.m])
-        out_iv = sqrt_interval(out_sq, max_width)
+        out_iv = sqrt_interval(out_sq)
         h_out = RatInterval(max(Fraction(0), out_iv.lo - 1),
                             max(Fraction(0), out_iv.hi - 1))
         # distance from 0 to side line i is cᵢ/‖nᵢ‖
         dist_ivs = []
         for n, c in zip(B1.normals, B1.offsets):
-            nn = sqrt_interval(n.norm_sq(), max_width)
+            nn = sqrt_interval(n.norm_sq())
             dist_ivs.append(RatInterval(c / nn.hi, c / nn.lo))
         min_lo = min(iv.lo for iv in dist_ivs)
         min_hi = min(iv.hi for iv in dist_ivs)
@@ -415,9 +418,10 @@ def hausdorff_to_oracle(B1: SymmetricPolygon, oracle: NormOracle,
     return _hausdorff_pnorm_estimate(B1, oracle)
 
 
-def _hausdorff_pnorm_estimate(B1: SymmetricPolygon, oracle: NormOracle,
-                              samples: int = 2048) -> RatInterval:
+def _hausdorff_pnorm_estimate(B1: SymmetricPolygon,
+                              oracle: NormOracle) -> RatInterval:
     # Float estimate; slack covers the sampling gap. Experiments only.
+    samples = 2048
     pts_b = []
     for j in range(samples):
         th = 2 * math.pi * j / samples

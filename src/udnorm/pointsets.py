@@ -1,7 +1,8 @@
-"""Point-sequence generators: subset-sum sets, two-row flat-side sets, grids.
+"""Point-sequence generators: subset-sum sets, generic unit vectors of a
+polygon, two-row and quadratic flat-side sets, grids.
 
-All generators are deterministic; randomized choices are driven by explicit
-seeds so experiment outputs are reproducible.
+Every generator is deterministic and exact (rational coordinates, no
+random draws). Subset sums are built by doubling, in binary counter order.
 """
 
 from __future__ import annotations
@@ -46,22 +47,21 @@ class SubsetSumCollision(ValueError):
 
 
 def subset_sum_pointset(vectors: Sequence[Vec2]) -> PointSeq:
-    """The 2^k subset sums of the given vectors, in binary counter order.
+    """The 2^k subset sums of the given vectors, in binary counter order
+    (bit i of the index selects vector i).
 
-    When every vector is a unit vector of some norm, the set carries at
-    least k·2^(k−1) unit distances (pairs differing in one element).
+    Built by doubling: the sums of the first i vectors, then each of them
+    plus vector i, so 2^k − 1 additions. When every vector is a unit vector
+    of some norm, the set carries at least k·2^(k−1) unit distances (pairs
+    differing in one element).
     """
-    k = len(vectors)
-    pts = []
-    for mask in range(1 << k):
-        acc = Vec2(Fraction(0), Fraction(0))
-        for i in range(k):
-            if (mask >> i) & 1:
-                acc = acc + vectors[i]
-        pts.append(acc)
-    if len(set((p.x, p.y) for p in pts)) != len(pts):
-        raise SubsetSumCollision("subset sums are not pairwise distinct")
-    return PointSeq(tuple(pts))
+    pts = [Vec2(Fraction(0), Fraction(0))]
+    for v in vectors:
+        pts += [p + v for p in pts]
+    try:
+        return PointSeq(tuple(pts))  # nonempty, so only distinctness fails
+    except ValueError:
+        raise SubsetSumCollision("subset sums are not pairwise distinct") from None
 
 
 def boundary_point(B: SymmetricPolygon, side: int, lam: RationalLike) -> Vec2:

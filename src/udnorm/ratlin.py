@@ -283,45 +283,24 @@ def sqrt_interval(q: RationalLike, max_width: RationalLike = Fraction(1, 10**12)
     return RatInterval(lo, Fraction(a + 1, S * den))
 
 
-def log2_interval(x: RationalLike, frac_bits: int = 12) -> RatInterval:
-    """Dyadic interval enclosing log₂(x), x > 0, width ≤ 2^−frac_bits.
+def log2_interval(x: RationalLike) -> RatInterval:
+    """Dyadic interval enclosing log₂(x), x > 0, of width 2^−12; the point
+    log₂ x when x is a power of two.
 
-    Decided purely by integer comparisons x^(2^p) vs 2^j, so the result is
-    exact and deterministic.
+    j = ⌊log₂ x^4096⌋ is read off the bit lengths of num^4096 and den^4096
+    (2^(b−1) ≤ v < 2^b for v of bit length b leaves two candidates) and
+    settled by one integer comparison, so the result is exact and
+    deterministic.
     """
     x = rat(x)
     if x <= 0:
         raise ValueError("log2 of nonpositive rational")
     num, den = x.numerator, x.denominator
-
-    def two_pow_le(k: int) -> bool:
-        # 2^k ≤ num/den
-        if k >= 0:
-            return den << k <= num
-        return den <= num << (-k)
-
-    # Integer part: largest k with 2^k ≤ x.
-    k = num.bit_length() - den.bit_length()
-    while two_pow_le(k + 1):
-        k += 1
-    while not two_pow_le(k):
-        k -= 1
-    if (den << k if k >= 0 else den) == (num if k >= 0 else num << (-k)):
-        return RatInterval.point(Fraction(k))
-    # Binary search for j: largest j with 2^j ≤ x^(2^p), j in [k·2^p, (k+1)·2^p].
-    p = frac_bits
-    pow_num = num ** (1 << p)
-    pow_den = den ** (1 << p)
-    lo_j, hi_j = k << p, (k + 1) << p
-    while lo_j + 1 < hi_j:
-        mid = (lo_j + hi_j) // 2
-        # compare 2^mid vs pow_num/pow_den, mid ≥ 0 not guaranteed
-        if mid >= 0:
-            le = (pow_den << mid) <= pow_num
-        else:
-            le = pow_den <= (pow_num << (-mid))
-        if le:
-            lo_j = mid
-        else:
-            hi_j = mid
-    return RatInterval(Fraction(lo_j, 1 << p), Fraction(hi_j, 1 << p))
+    if num & (num - 1) == 0 and den & (den - 1) == 0:
+        return RatInterval.point(Fraction(num.bit_length() - den.bit_length()))
+    pow_num, pow_den = num ** 4096, den ** 4096
+    j = pow_num.bit_length() - pow_den.bit_length()
+    # 2^j ≤ pow_num/pow_den, or else j − 1 is the floor
+    if (pow_den << max(j, 0)) > (pow_num << max(-j, 0)):
+        j -= 1
+    return RatInterval(Fraction(j, 4096), Fraction(j + 1, 4096))

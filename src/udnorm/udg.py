@@ -17,19 +17,9 @@ from typing import Optional
 
 from . import kernels
 from .colored import Edge, EdgeColoredGraph, _color_classes
-from .norms import SymmetricPolygon
+from .norms import SymmetricPolygon, canonical_direction
 from .pointsets import PointSeq
 from .ratlin import Vec2
-
-
-def canonical_direction(v: Vec2) -> tuple[Vec2, int]:
-    """(u, s) with u = s·v in the closed upper halfplane minus the negative
-    x-axis; rejects the zero vector."""
-    if v.is_zero():
-        raise ValueError("zero vector has no canonical direction")
-    if v.y > 0 or (v.y == 0 and v.x > 0):
-        return v, 1
-    return -v, -1
 
 
 @dataclass(frozen=True)
@@ -71,14 +61,6 @@ class DecoratedUDG(EdgeColoredGraph):
 
     def without_directions(self) -> "DecoratedUDG":
         return DecoratedUDG(self.n, self.edges, self.colors, self.signs, None)
-
-    def max_color_degree(self) -> int:
-        """Largest number of equal-colored edges at a single vertex."""
-        deg: dict[tuple[int, int], int] = {}
-        for (a, b), c in zip(self.edges, self.colors):
-            deg[(a, c)] = deg.get((a, c), 0) + 1
-            deg[(b, c)] = deg.get((b, c), 0) + 1
-        return max(deg.values(), default=0)
 
 
 def build_udg(P: PointSeq, B: SymmetricPolygon) -> DecoratedUDG:

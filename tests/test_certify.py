@@ -419,32 +419,41 @@ class TestCertifyBox:
             certify_box(TOY, octagon, Fraction(1, 100), AngleBound.of(Fraction(1, 4)))
 
 
+def _homothetic_witness():
+    """witness_norm on the pipeline decagon with tᵢ ∈ ‖nᵢ‖·[1/8, 1/4]:
+    its canonical offsets are ‖nᵢ‖, so B_in = 9/8·B and B_out = 5/4·B, and
+    its trapezoids span the decagon's own η-short sides. A square has no
+    such box: its trapezoids span a right angle, which no η ≤ π/2 passes."""
+    B = pipeline_decagon()
+    lengths = [math.isqrt(int(n.norm_sq())) for n in B.normals]
+    assert lengths == list(B.offsets)
+    box = OffsetBox(tuple(Fraction(c, 8) for c in lengths),
+                    tuple(Fraction(c, 4) for c in lengths))
+    return B, witness_norm(NormCertificate(
+        polygon=B, box=box, null_vectors=(), system=TOY,
+        eta=AngleBound.of(Fraction(2, 5)), degenerate=True))
+
+
+def _scaled(B, k):
+    return SymmetricPolygon(B.normals, tuple(c * k for c in B.offsets))
+
+
 class TestWitness:
-    def test_square_margin_rule(self):
-        # T̃ = [1/8, 1/4] uniform on the square: B_in = 9/8, B_out = 5/4,
-        # δ = 1/16 (unit normals make the bound exact)
-        box = OffsetBox((Fraction(1, 8), Fraction(1, 8)),
-                        (Fraction(1, 4), Fraction(1, 4)))
-        cert = NormCertificate(polygon=square(), box=box, null_vectors=(),
-                               system=TOY, eta=AngleBound.of(1),
-                               degenerate=True)
-        cert = witness_norm(cert)
-        assert cert.witness_in == square(Fraction(9, 8))
-        assert cert.witness_out == square(Fraction(5, 4))
-        assert cert.witness_mid == square(Fraction(19, 16))
+    def test_homothetic_margin_rule(self):
+        # integer normal lengths make the bound exact: δ = min gap/(2‖nᵢ‖)
+        B, cert = _homothetic_witness()
+        assert cert.witness_in == _scaled(B, Fraction(9, 8))
+        assert cert.witness_out == _scaled(B, Fraction(5, 4))
+        assert cert.witness_mid == _scaled(B, Fraction(19, 16))
         assert cert.delta == Fraction(1, 16)
 
     def test_sandwich_containment_under_jitter(self):
-        box = OffsetBox((Fraction(1, 8), Fraction(1, 8)),
-                        (Fraction(1, 4), Fraction(1, 4)))
-        cert = witness_norm(NormCertificate(
-            polygon=square(), box=box, null_vectors=(), system=TOY,
-            eta=AngleBound.of(1), degenerate=True))
+        _, cert = _homothetic_witness()
         rng = random.Random(5)
         B = cert.witness_mid
         for _ in range(100):
             jittered = []
-            for v in B.vertices()[: 2]:
+            for v in B.vertices()[: B.m]:
                 dx = Fraction(rng.randint(-1000, 1000), 10**5)
                 dy = Fraction(rng.randint(-1000, 1000), 10**5)
                 jittered.append(Vec2(v.x + dx, v.y + dy))

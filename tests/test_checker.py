@@ -8,14 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import octagon, twelve_gon
 from udnorm import jsonio
-from udnorm.certify import (OffsetBox, certify_box, trapezoid_corners,
-                            witness_norm)
+from udnorm.certify import (CertifierError, OffsetBox, certify_box,
+                            trapezoid_corners, witness_norm)
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import (AngleBound, NormOracle, OffsetVector,
-                          SymmetricPolygon, square)
-from udnorm.ratlin import rat_from_str, rat_to_str
+                          SymmetricPolygon, offset_polygon, square)
+from udnorm.ratlin import rat_from_str, rat_to_str, sqrt_interval
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
 
@@ -84,7 +84,7 @@ def _angle_spread(corners) -> float:
 
 class TestTrapezoids:
     def test_wide_trapezoid_is_reported(self, decagon_cert):
-        cert = witness_norm(_tamper(decagon_cert, box=WIDE_TRAPEZOID_BOX))
+        cert = _unguarded_witness(_tamper(decagon_cert, box=WIDE_TRAPEZOID_BOX))
         for poly in (cert.witness_in, cert.witness_mid, cert.witness_out):
             assert poly.is_eta_short(cert.eta)
         rep = check_certificate(cert)
@@ -104,8 +104,8 @@ class TestTrapezoids:
             step = (b - a) / 256
             lo.append(a + data.draw(shift) * step)
             hi.append(b + data.draw(shift) * step)
-        cert = witness_norm(_tamper(decagon_cert, box=OffsetBox(tuple(lo),
-                                                                tuple(hi))))
+        boxed = _tamper(decagon_cert, box=OffsetBox(tuple(lo), tuple(hi)))
+        cert = _unguarded_witness(boxed)
         eta = cert.eta.radians()
         wide = []
         for side in range(cert.polygon.m):
@@ -114,6 +114,18 @@ class TestTrapezoids:
             if spread >= eta:
                 wide.append(f"trapezoid {side} is not η-short")
         assert _trapezoid_failures(check_certificate(cert)) == wide
+        # witness_norm refuses exactly these boxes, naming the first
+        if wide:
+            with pytest.raises(CertifierError) as exc:
+                witness_norm(boxed)
+            assert str(exc.value) == wide[0]
+        else:
+            assert witness_norm(boxed) == cert
+
+    def test_witness_norm_refuses_wide_trapezoid(self, decagon_cert):
+        with pytest.raises(CertifierError) as exc:
+            witness_norm(_tamper(decagon_cert, box=WIDE_TRAPEZOID_BOX))
+        assert str(exc.value) == "trapezoid 4 is not η-short"
 
     def test_pipeline_certificate_has_short_trapezoids(self, decagon_cert):
         assert not _trapezoid_failures(
@@ -122,6 +134,18 @@ class TestTrapezoids:
 
 def _tamper(cert, **changes):
     return dataclasses.replace(cert, **changes)
+
+
+def _unguarded_witness(cert):
+    """The sandwich and margin-rule δ that witness_norm fills, without its
+    trapezoid test: offset polygons at lo, mid and hi of the box, and
+    δ = min gap / (2·‖n‖ upper bound)."""
+    B1, box = cert.polygon, cert.box
+    delta = min((hi - lo) / (2 * sqrt_interval(n.norm_sq()).hi)
+                for n, lo, hi in zip(B1.normals, box.lo, box.hi))
+    return _tamper(cert, witness_in=offset_polygon(B1, box.lo),
+                   witness_mid=offset_polygon(B1, box.center()),
+                   witness_out=offset_polygon(B1, box.hi), delta=delta)
 
 
 def _table(cert, entries):

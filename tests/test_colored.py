@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,25 @@ class TestThresholds:
             assert float(r) >= 2.001 * math.log2(math.log2(n)) - 1e-9
 
 
+class TestMaxColorDegree:
+    @pytest.mark.parametrize("coloring", ["proper", "improper"])
+    def test_matches_brute_count(self, coloring):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(2, 10)
+            edges = tuple(e for e in itertools.combinations(range(1, n + 1), 2)
+                          if rng.random() < 0.5)
+            colors = (greedy_proper_coloring(n, edges) if coloring == "proper"
+                      else tuple(rng.randint(1, 3) for _ in edges))
+            G = EdgeColoredGraph(n, edges, colors)
+            brute = max((sum(v in e and c == col for e, c in zip(edges, colors))
+                         for v in range(1, n + 1) for col in set(colors)),
+                        default=0)
+            assert G.max_color_degree() == brute
+            if coloring == "proper":
+                assert brute <= 1
+
+
 class TestMinDegreeCore:
     def test_regular_graph_kept(self):
         G = rainbow_complete(4)
@@ -106,6 +126,20 @@ class TestMinDegreeCore:
     def test_requires_edges(self):
         with pytest.raises(GraphError):
             min_degree_core(EdgeColoredGraph(3, (), ()))
+
+    def test_isolated_vertices_cost_nothing(self):
+        # K4 plus 99,996 isolated vertices: peeling starts from the edge
+        # endpoints, so memory does not grow with n
+        G = EdgeColoredGraph(100_000, tuple(itertools.combinations(range(1, 5), 2)),
+                             tuple(range(1, 7)))
+        tracemalloc.start()
+        try:
+            core = min_degree_core(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert core == (1, 2, 3, 4)
+        assert peak < 1 << 20
 
     def test_min_degree_property(self):
         rng = random.Random(0)

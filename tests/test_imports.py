@@ -43,3 +43,12 @@ def test_checker_imports_no_construction_code():
 def test_colored_does_not_import_udg():
     # udg builds on colored's graph type, not the other way round
     assert "udg" not in udnorm_imports("colored")
+
+
+def test_front_end_layering():
+    # the exact-arithmetic base sits under the polygon geometry, which sits
+    # under the point generators; the graph machinery needs neither
+    assert udnorm_imports("ratlin") == set()
+    assert udnorm_imports("norms") <= {"ratlin"}
+    assert udnorm_imports("colored") <= {"kernels", "ratlin"}
+    assert udnorm_imports("pointsets") <= {"norms", "ratlin"}

@@ -17,10 +17,10 @@ from udnorm.norms import (
     PolygonError,
     SymmetricPolygon,
     _angle_sort_key,
-    _canonical_halfplane,
     _directed_hausdorff_sq,
     _primitive_pair,
     _validity_radius,
+    canonical_direction,
     choose_delta0,
     eta_separated,
     hausdorff,
@@ -370,7 +370,7 @@ def _ref_from_pairs(pairs):
             raise PolygonError("zero normal")
         if c <= 0:
             raise PolygonError("offsets must be positive (0 interior)")
-        canon.append(_primitive_pair(_canonical_halfplane(n), c))
+        canon.append(_primitive_pair(canonical_direction(n)[0], c))
     canon.sort(key=lambda pc: _angle_sort_key(pc[0]))
     if len(canon) < 2:
         raise PolygonError("need at least two side pairs to bound the plane")

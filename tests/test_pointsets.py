@@ -56,6 +56,19 @@ class TestSubsetSum:
         vecs = generic_unit_vectors(octagon(), 5)
         assert len(subset_sum_pointset(vecs)) == 32
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_matches_per_mask_sums(self, twelve_gon, k):
+        # doubling gives every mask's sum, in binary counter order
+        vecs = generic_unit_vectors(twelve_gon, k) if k else []
+        ref = []
+        for mask in range(1 << k):
+            acc = Vec2.of(0, 0)
+            for i in range(k):
+                if (mask >> i) & 1:
+                    acc = acc + vecs[i]
+            ref.append(acc)
+        assert list(subset_sum_pointset(vecs)) == ref
+
     def test_generic_vectors_are_unit(self, twelve_gon):
         for k in (1, 4, 9):
             for v in generic_unit_vectors(twelve_gon, k):

@@ -333,9 +333,56 @@ class TestIntervals:
         else:
             assert num**p << (-hn) <= den**p
 
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6,
+                     max_denominator=10**6),
+        st.integers(-40, 40).map(lambda e: Fraction(2) ** e),
+        st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+    ).filter(lambda q: q > 0))
+    def test_log2_matches_binary_search(self, q):
+        # the bound comes from bit lengths; it must be the interval the
+        # integer-part walk and binary search find
+        assert log2_interval(q) == _log2_by_search(q)
+
     def test_interval_arithmetic(self):
         a = RatInterval(Fraction(1), Fraction(2))
         b = RatInterval(Fraction(-1), Fraction(1))
         assert not b.excludes_zero()
         assert a.excludes_zero()
         assert a.strictly_below(3)
+
+
+def _log2_by_search(x: Fraction, frac_bits: int = 12) -> RatInterval:
+    """Reference log₂ enclosure: the integer part by stepping, then a binary
+    search for the largest j with 2^j ≤ x^(2^frac_bits)."""
+    num, den = x.numerator, x.denominator
+
+    def two_pow_le(k: int) -> bool:
+        # 2^k ≤ num/den
+        if k >= 0:
+            return den << k <= num
+        return den <= num << (-k)
+
+    k = num.bit_length() - den.bit_length()
+    while two_pow_le(k + 1):
+        k += 1
+    while not two_pow_le(k):
+        k -= 1
+    if (den << k if k >= 0 else den) == (num if k >= 0 else num << (-k)):
+        return RatInterval.point(Fraction(k))
+    p = frac_bits
+    pow_num = num ** (1 << p)
+    pow_den = den ** (1 << p)
+    lo_j, hi_j = k << p, (k + 1) << p
+    while lo_j + 1 < hi_j:
+        mid = (lo_j + hi_j) // 2
+        if mid >= 0:
+            le = (pow_den << mid) <= pow_num
+        else:
+            le = pow_den <= (pow_num << (-mid))
+        if le:
+            lo_j = mid
+        else:
+            hi_j = mid
+    return RatInterval(Fraction(lo_j, 1 << p), Fraction(hi_j, 1 << p))
