@@ -5,9 +5,10 @@ geometry.
 The unit-pair scan (a hash join over integer-scaled coordinates) is timed
 on the flat-side quadratic set under the square norm, whose pair count
 grows as n²/4; the exhaustive weak-cut search on a random graph. The exact
-core is timed on what `udnorm pipeline` certifies at its defaults: the
-left null basis of each of the built-in decagon's class-tuple matrices,
-and the sign test of every kill record's affine form on the certified box.
+core is timed on what `udnorm pipeline` certifies at its defaults: each
+class tuple's null vector from `build_system` + `left_null_basis` and in
+closed form, and the sign test of every kill record's affine form on the
+certified box against one signed-sum test per class tuple.
 The geometry is timed on the built-in decagon: `choose_delta0` at the
 pipeline defaults, and one `hausdorff` between the decagon and its
 offset polygon at +δ₀. Each repeat builds fresh polygons, so no vertex
@@ -17,12 +18,20 @@ Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16] [--repeat 3]
 """
 
 import argparse
+import itertools
 import random
 import time
 from fractions import Fraction
 
 from udnorm import kernels
-from udnorm.certify import build_system, certify_box, enumerate_admissible
+from udnorm.certify import (
+    _class_tuple_killed,
+    _closed_form_null_vector,
+    _integer_system,
+    build_system,
+    certify_box,
+    enumerate_admissible,
+)
 from udnorm.cli import build_parser, pipeline_decagon
 from udnorm.colored import weak_delta_table
 from udnorm.dependence import DependenceConfig, extract_dependences
@@ -36,7 +45,7 @@ from udnorm.norms import (
     square,
 )
 from udnorm.pointsets import flat_side_quadratic
-from udnorm.ratlin import left_null_basis
+from udnorm.ratlin import left_null_basis, over_common_denominator
 from udnorm.udg import build_udg
 
 
@@ -116,11 +125,32 @@ def main():
     t, _ = bench(lambda: [left_null_basis(A) for A in systems.values()],
                  args.repeat)
     print(f"  {t * 1e3:10.1f} ms")
+
+    tuples = list(itertools.permutations(range(B1.m), 2 * S.ell + 1))
+    print(f"\nnull vector per class tuple: {len(tuples)} class tuples")
+    t, basis = bench(lambda: [left_null_basis(build_system(S, B1, k))[0]
+                              for k in tuples], args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   build_system + left_null_basis")
+
+    def closed_form():
+        normals, weights, W = _integer_system(S, B1)
+        return [_closed_form_null_vector(normals, weights, W, k) for k in tuples]
+
+    t, ys = bench(closed_form, args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   closed form "
+          f"({'same' if ys == basis else 'DIFFERENT'} vectors)")
+
     forms = [rec.h for rec in cert.kills]
     print(f"\nsign_on: {len(forms)} kill-record forms on the certified box")
     t, signs = bench(lambda: [h.sign_on(cert.box) for h in forms], args.repeat)
     print(f"  {t * 1e3:10.1f} ms   ({signs.count(0)} with a root in the box)")
-
+    offsets = over_common_denominator(B1.offsets)
+    table = [(k, over_common_denominator(y)[1]) for k, y in cert.null_vectors]
+    print(f"class-tuple test: {len(table)} class tuples, "
+          f"{len(forms) // len(table)} side choices each")
+    t, killed = bench(lambda: [_class_tuple_killed(ys, k, offsets, cert.box)
+                               for k, ys in table], args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   ({killed.count(False)} not killed)")
 
 if __name__ == "__main__":
     main()

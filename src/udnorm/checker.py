@@ -7,10 +7,12 @@ left-null vector y per class tuple α mod m (sides s and s+m share a
 normal); every class tuple of an admissible assignment must appear exactly
 once, and each y is verified once by direct multiplication yᵀA = 0 with
 y ≠ 0, in integers: y, the normals and the coefficient rows are scaled to
-common denominators, the latter two once per check. For each admissible α,
-h = yᵀb(t) is rebuilt and its sign decided by interval evaluation on the
-box in integer arithmetic: y, the offsets and the box are scaled to common
-denominators, so every comparison is exact.
+common denominators, the latter two once per check. For each class tuple,
+one integer test decides whether h = yᵀb(t) is sign-definite on the box
+for all 2^(2ℓ+1) side choices at once: y, the offsets and the box are
+scaled to common denominators, so every comparison is exact. A class tuple
+that fails it, or has no usable table entry, is checked side choice by side
+choice, so each failing assignment is named.
 The witness sandwich, margin rule, trapezoid tiling, sweep property, and
 η-shortness of every trapezoid of B_out ∖ B_in (each pair of its corners
 spans an angle < η) are checked by exact rational geometry.
@@ -43,17 +45,6 @@ class CheckReport:
         self.failures.append(message)
         if alpha is not None:
             self.failing_alphas.append(tuple(alpha))
-
-
-def _admissible_assignments(ell: int, m: int):
-    """Independent enumeration: injections into opposite-pair classes times
-    a side choice per item."""
-    count = 2 * ell + 1
-    if count > m:
-        return
-    for classes in itertools.permutations(range(m), count):
-        for sides in itertools.product((0, 1), repeat=count):
-            yield tuple(c + m * s for c, s in zip(classes, sides))
 
 
 def _integer_system(B: SymmetricPolygon, ell: int, coeffs):
@@ -128,15 +119,22 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     offsets = over_common_denominator(B1.offsets)
     D, ints = over_common_denominator(box_lo + box_hi)
     box = D, ints[:m], ints[m:]
-    expected = 0
-    for alpha in _admissible_assignments(S.ell, m):
-        expected += 1
-        _check_kill(report, offsets, box, alpha,
-                    table.get(tuple(a % m for a in alpha)))
-    if expected == 0 and not cert.degenerate:
+    # independent enumeration of the admissible assignments: injections into
+    # opposite-pair classes times a side choice per item
+    count = 2 * S.ell + 1
+    class_tuples = 0
+    for classes in itertools.permutations(range(m), count):
+        class_tuples += 1
+        ys = table.get(classes)
+        if isinstance(ys, tuple) and _class_tuple_killed(offsets, box, classes, ys):
+            continue
+        for sides in itertools.product((0, 1), repeat=count):
+            _check_kill(report, offsets, box,
+                        tuple(c + m * s for c, s in zip(classes, sides)), ys)
+    if class_tuples == 0 and not cert.degenerate:
         report.fail("no admissible assignments exist but certificate "
                     "is not flagged degenerate")
-    if expected > 0 and cert.degenerate:
+    if class_tuples > 0 and cert.degenerate:
         report.fail("certificate flagged degenerate despite admissible assignments")
 
     if cert.has_witness():
@@ -148,6 +146,28 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
                     f"witness norm not within eps of the target oracle "
                     f"(d_H upper bound {hd.hi})")
     return report
+
+
+def _class_tuple_killed(offsets, box, classes, ys) -> bool:
+    """h = yᵀb(t) is sign-definite on the box for every side choice of the
+    class tuple, y given as the integers ys.
+
+    A side choice multiplies yᵢ by εᵢ = ±1. Over the offsets' denominator Dc
+    and the box's D, 2·h·L·Dc·D ranges over Σ εᵢaᵢ ± R with
+    aᵢ = yᵢ·(2·c_k·D + Dc·(lo_k + hi_k)) and R = Σ |yᵢ|·Dc·(hi_k − lo_k),
+    k = classes[i] (c_k, lo_k, hi_k already scaled), so it is sign-definite
+    iff |Σ εᵢaᵢ| > R. ε and −ε give the same |Σ εᵢaᵢ|, so ε₀ = +1; a tie
+    fails.
+    """
+    (Dc, cs), (D, box_lo, box_hi) = offsets, box
+    terms = [yi * (2 * cs[k] * D + Dc * (box_lo[k] + box_hi[k]))
+             for yi, k in zip(ys, classes)]
+    radius = Dc * sum(abs(yi) * (box_hi[k] - box_lo[k])
+                      for yi, k in zip(ys, classes))
+    sums = [terms[0]]
+    for a in terms[1:]:
+        sums = [v + a for v in sums] + [v - a for v in sums]
+    return min(map(abs, sums)) > radius
 
 
 def _check_kill(report: CheckReport, offsets, box, alpha, ys):

@@ -358,9 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("verify", help="refutation search: the directed pass "
-                       "decides each assignment with a 1-dim left null space, "
-                       "random trials sample the rest")
+    verify_help = ("refutation search: the directed pass decides each "
+                   "assignment with a 1-dim left null space, a whole class "
+                   "tuple at once when one signed-sum test shows no root in "
+                   "the box; random trials sample the rest")
+    p = sub.add_parser("verify", help=verify_help, description=verify_help)
     p.add_argument("--cert", required=True)
     p.add_argument("--trials", type=_int_in(0), default=1000,
                    help="random box points tried against the assignments "

@@ -198,7 +198,7 @@ def solve(M: Mat, b: Sequence[RationalLike]) -> Optional[tuple[Fraction, ...]]:
     return tuple(Fraction(v, d) for v in X)
 
 
-def _primitive(vec: Sequence[int]) -> tuple[Fraction, ...]:
+def primitive(vec: Sequence[int]) -> tuple[Fraction, ...]:
     """Scale a nonzero integer vector to primitive integers, first nonzero > 0."""
     g = math.gcd(*vec)
     lead = next(t for t in vec if t != 0)
@@ -222,7 +222,7 @@ def left_null_basis(M: Mat) -> list[tuple[Fraction, ...]]:
     grid = [list(scaled[i * c:(i + 1) * c]) + [int(j == i) for j in range(n)]
             for i in range(n)]
     pivots = _eliminate(grid, c)
-    return [_primitive(grid[i][c:]) for i in range(len(pivots), n)]
+    return [primitive(grid[i][c:]) for i in range(len(pivots), n)]
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import octagon, twelve_gon
+from conftest import octagon, random_polygon, twelve_gon
 from udnorm import certify, jsonio
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
@@ -22,7 +22,6 @@ from udnorm.certify import (
     certify_box,
     enumerate_admissible,
     kill_assignment,
-    null_functionals,
     point_in_trapezoid,
     sample_verify,
     side_offset_of_point,
@@ -38,10 +37,12 @@ from udnorm.norms import (
     choose_delta0,
     hausdorff,
     offset_polygon,
+    polygon_from_hull,
     square,
 )
 from udnorm.pointsets import flat_side_quadratic
-from udnorm.ratlin import Mat, Vec2, rank, solve
+from udnorm.ratlin import (Mat, Vec2, left_null_basis, over_common_denominator,
+                           rank, solve)
 from udnorm.udg import build_udg
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
@@ -67,6 +68,23 @@ def side_matrix(S, B1, alpha):
         n, _ = B1.side_line(side)
         rows.append([w * v for w in row for v in (n.x, n.y)])
     return Mat.from_rows(rows)
+
+
+def assignment_functionals(S, B1):
+    """(α, α mod m, [(y, h = yᵀb)]) per admissible assignment, one pair per
+    left-null basis vector of its class tuple, in lexicographic order."""
+    return certify._assignment_functionals(
+        B1, certify._null_spaces(S, B1), enumerate_admissible(S.ell, B1.m))
+
+
+def reference_form(B1, alpha, y):
+    """h = yᵀb(t) built from the side lines in Fraction."""
+    m = B1.m
+    b0 = side_rhs(B1, alpha, [Fraction(0)] * m)
+    coeffs = [Fraction(0)] * m
+    for yi, side in zip(y, alpha):
+        coeffs[side % m] = yi if side < m else -yi
+    return AffineForm(sum(yi * bi for yi, bi in zip(y, b0)), coeffs)
 
 
 def pipeline_system():
@@ -112,14 +130,14 @@ class TestBuildSystem:
         alpha = next(enumerate_admissible(1, 4))
         A = build_system(TOY, octagon, alpha)
         assert (A.rows, A.cols) == (3, 2)
-        first, A0, functionals = next(null_functionals(TOY, octagon))
-        assert (first, A0) == (alpha, A)
+        first, classes, functionals = next(assignment_functionals(TOY, octagon))
+        assert first == alpha == classes
         assert len(functionals) == 1
 
     def test_b_components_single_coordinate(self, octagon):
         # bᵢ = ±(c + tₖ) with k = αᵢ mod m, so h = yᵀb carries ±yᵢ at k
         for alpha, _, functionals in itertools.islice(
-                null_functionals(TOY, octagon), 20):
+                assignment_functionals(TOY, octagon), 20):
             coords = [a % 4 for a in alpha]
             assert len(set(coords)) == 3  # admissibility: distinct mod m
             for y, h in functionals:
@@ -130,14 +148,9 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize("case", ["octagon", "twelve_gon", "pipeline", "open",
                                       "rational_y"])
-    def test_null_functionals_match_reference(self, case, monkeypatch):
+    def test_null_functionals_match_reference(self, case):
         # each α against its own A and a b(t) read off the side lines:
         # yᵀA = 0, one functional per left-null dimension, h(t) = yᵀb(t)
-        if case == "rational_y":
-            # null vectors that are not integral (the basis is scaled by 2/3)
-            basis = certify.left_null_basis
-            monkeypatch.setattr(certify, "left_null_basis", lambda A: [
-                tuple(v * Fraction(2, 3) for v in y) for y in basis(A)])
         S, B1, step = {
             "octagon": (TOY, octagon(), 1),
             "rational_y": (TOY, twelve_gon(), 1),
@@ -150,11 +163,21 @@ class TestBuildSystem:
             OffsetVector(tuple(Fraction(-(j + 1), 100) for j in range(m))),
             OffsetVector(tuple(Fraction(j + 2, 70) for j in range(m))),
         )
-        items = list(null_functionals(S, B1))
-        assert [a for a, _, _ in items] == list(enumerate_admissible(S.ell, m))
-        for alpha, A, functionals in items[::step]:
+        if case == "rational_y":
+            # null vectors that are not integral (the table scaled by 2/3),
+            # read through the certificate's derived kill records
+            table = tuple((classes, tuple(v * Fraction(2, 3) for v in basis[0]))
+                          for classes, basis in certify._null_spaces(S, B1).items())
+            cert = NormCertificate(polygon=B1, box=box, null_vectors=table,
+                                   system=S, eta=ETA_OCT)
+            items = [(rec.alpha, [(rec.y, rec.h)]) for rec in cert.kills]
+            assert all(rec.sign == rec.h.sign_on(box) for rec in cert.kills)
+        else:
+            items = [(a, f) for a, _, f in assignment_functionals(S, B1)]
+        assert [a for a, _ in items] == list(enumerate_admissible(S.ell, m))
+        for alpha, functionals in items[::step]:
             ref = side_matrix(S, B1, alpha)
-            assert A == ref == build_system(S, B1, alpha)
+            assert build_system(S, B1, alpha) == ref
             assert len(functionals) == ref.rows - rank(ref)
             for y, h in functionals:
                 assert any(y)
@@ -164,11 +187,7 @@ class TestBuildSystem:
                     b = side_rhs(B1, alpha, t)
                     assert h.eval(t) == sum(yi * bi for yi, bi in zip(y, b))
                 # the same form built from Fraction const and coefficients
-                b0 = side_rhs(B1, alpha, [Fraction(0)] * m)
-                coeffs = [Fraction(0)] * m
-                for yi, side in zip(y, alpha):
-                    coeffs[side % m] = yi if side < m else -yi
-                want = AffineForm(sum(yi * bi for yi, bi in zip(y, b0)), coeffs)
+                want = reference_form(B1, alpha, y)
                 assert h == want and hash(h) == hash(want)
                 assert_reduced(h)
 
@@ -231,8 +250,9 @@ class TestKillAssignment:
 
     def test_unsolvable_downstream(self, octagon):
         rng = random.Random(4)
-        alpha, A, functionals = list(null_functionals(TOY, octagon))[17]
+        alpha, _, functionals = list(assignment_functionals(TOY, octagon))[17]
         assert alpha == list(enumerate_admissible(1, 4))[17]
+        A = build_system(TOY, octagon, alpha)
         box = OffsetBox.symmetric(Fraction(1, 100), 4)
         sub, rec = kill_assignment(alpha, functionals, box)
         for _ in range(100):
@@ -377,6 +397,192 @@ class TestKillRule:
         assert h.const + sum(c * v for c, v in zip(h.coeffs, t)) == 0
 
 
+def circle_polygon(ts):
+    """The polygon whose vertices are the rational points of the unit circle
+    ((1 − t²)/(1 + t²), 2t/(1 + t²)) for t in ts and their negatives: one side
+    pair per t, since no three of the points are collinear."""
+    pts = [Vec2((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+           for t in map(Fraction, ts)]
+    return polygon_from_hull(pts + [-p for p in pts])
+
+
+@st.composite
+def class_tuple_systems(draw, rank_deficient=False):
+    """(S, B, class tuple) with ℓ = 1..3 and 2ℓ+1 ≤ m. A rank-deficient
+    system has every dependent row equal to ±e_b for one base direction b,
+    so M's other rows vanish and nullity ≥ 2 once ℓ ≥ 2."""
+    if draw(st.booleans()):
+        B = circle_polygon(draw(st.lists(
+            st.fractions(min_value=Fraction(1, 9), max_value=40,
+                         max_denominator=9), min_size=3, max_size=8, unique=True)))
+    else:
+        B = random_polygon(random.Random(draw(st.integers(0, 2**32 - 1))),
+                           points=draw(st.integers(4, 9)))
+    assume(B.m >= 3)
+    ell = draw(st.integers(1, min(3, (B.m - 1) // 2)))
+    if rank_deficient:
+        b = draw(st.integers(0, ell - 1))
+        coeffs = tuple(tuple(sign * int(s == b) for s in range(ell))
+                       for sign in draw(st.lists(st.sampled_from((1, -1)),
+                                                 min_size=ell + 1, max_size=ell + 1)))
+    else:
+        entry = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=5)
+        row = st.lists(entry, min_size=ell, max_size=ell).filter(any)
+        coeffs = tuple(map(tuple, draw(st.lists(row, min_size=ell + 1,
+                                                max_size=ell + 1))))
+    S = DependenceSystem(ell=ell, indices=tuple(range(1, 2 * ell + 2)),
+                         coeffs=coeffs)
+    classes = tuple(draw(st.permutations(range(B.m)))[:2 * ell + 1])
+    return S, B, classes
+
+
+class TestClosedForm:
+    """The closed-form null vector is `left_null_basis`'s, entries and sign
+    included, and it declines exactly when rank(M) < ℓ."""
+
+    @staticmethod
+    def check(S, B, classes):
+        ell = S.ell
+        normals, weights, W = certify._integer_system(S, B)
+        y = certify._closed_form_null_vector(normals, weights, W, classes)
+        basis = left_null_basis(build_system(S, B, classes))
+        # M[s][j] = w_j[s]·[n_s, n_j] on the dependent entries, in Fraction
+        n = [B.normals[k] for k in classes]
+        M = Mat.from_rows([[Fraction(S.coeffs[j][s]) * n[s].cross(n[ell + j])
+                            for j in range(ell + 1)] for s in range(ell)])
+        assert (y is None) == (rank(M) < ell) == (len(basis) >= 2)
+        if y is not None:
+            assert [y] == basis
+        return y
+
+    @settings(max_examples=300, deadline=None)
+    @given(class_tuple_systems())
+    def test_matches_left_null_basis(self, case):
+        self.check(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(class_tuple_systems(rank_deficient=True))
+    def test_rank_deficient(self, case):
+        S, _, _ = case
+        assert (self.check(*case) is None) == (S.ell >= 2)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_every_class_tuple(self, ell):
+        # ℓ = 3 needs m ≥ 7: a circle polygon with 7 side pairs
+        B = circle_polygon([Fraction(1, 5), Fraction(1, 2), Fraction(4, 5), 1,
+                            Fraction(3, 2), Fraction(5, 2), 6])
+        rng = random.Random(ell)
+        S = DependenceSystem(
+            ell=ell, indices=tuple(range(1, 2 * ell + 2)),
+            coeffs=tuple(tuple(rng.choice((-3, -2, -1, 1, 2, 3))
+                               for _ in range(ell)) for _ in range(ell + 1)))
+        perms = list(itertools.permutations(range(B.m), 2 * ell + 1))
+        for classes in perms[::max(1, len(perms) // 150)]:
+            self.check(S, B, classes)
+
+
+@st.composite
+def class_tuple_boxes(draw):
+    """(B, class tuple, integer y, box). Half the time one bound of the box
+    is moved so that one side choice's form has a range ending exactly at 0."""
+    B = draw(st.sampled_from([octagon(), twelve_gon(), pipeline_decagon()]))
+    m = B.m
+    ell = draw(st.integers(1, (m - 1) // 2))
+    classes = tuple(draw(st.permutations(range(m)))[:2 * ell + 1])
+    y = draw(st.lists(st.integers(-6, 6), min_size=2 * ell + 1,
+                      max_size=2 * ell + 1))
+    small = st.fractions(min_value=-1, max_value=1, max_denominator=40)
+    lo = draw(st.lists(small, min_size=m, max_size=m))
+    widths = draw(st.lists(st.fractions(min_value=Fraction(1, 40), max_value=1,
+                                        max_denominator=40),
+                           min_size=m, max_size=m))
+    box = OffsetBox(tuple(lo), tuple(a + w for a, w in zip(lo, widths)))
+    if draw(st.booleans()):
+        alpha = tuple(k + m * draw(st.integers(0, 1)) for k in classes)
+        h = reference_form(B, alpha, y)
+        coords = [j for j, c in enumerate(h.coeffs) if c]
+        if coords:
+            j = draw(st.sampled_from(coords))
+            c = h.coeffs[j]
+            low, high = _reference_range(h, box)
+            new_lo, new_hi = list(box.lo), list(box.hi)
+            if draw(st.booleans()):
+                # the low end reads lo_j when c > 0 and hi_j when c < 0
+                (new_lo if c > 0 else new_hi)[j] -= low / c
+            else:
+                (new_hi if c > 0 else new_lo)[j] -= high / c
+            if all(a < b for a, b in zip(new_lo, new_hi)):
+                box = OffsetBox(tuple(new_lo), tuple(new_hi))
+    return B, classes, y, box
+
+
+class TestClassTupleTest:
+    @settings(max_examples=300, deadline=None)
+    @given(class_tuple_boxes())
+    def test_matches_every_side_choice(self, case):
+        B, classes, y, box = case
+        m = B.m
+        want = all(reference_form(B, tuple(k + m * s for k, s in zip(classes, sides)),
+                                  y).sign_on(box) != 0
+                   for sides in itertools.product((0, 1), repeat=len(classes)))
+        offsets = over_common_denominator(B.offsets)
+        assert certify._class_tuple_killed(y, classes, offsets, box) == want
+
+
+def reference_certify_box(S, B1, delta0, eta):
+    """certify_box as one kill_assignment per assignment in lexicographic
+    order, with each class tuple's y from `left_null_basis` and each form
+    from the side lines."""
+    m = B1.m
+    box = OffsetBox.symmetric(delta0, m)
+    firsts = {classes: left_null_basis(side_matrix(S, B1, classes))[0]
+              for classes in itertools.permutations(range(m), 2 * S.ell + 1)}
+    for alpha in enumerate_admissible(S.ell, m):
+        y = firsts[tuple(a % m for a in alpha)]
+        box, _ = kill_assignment(alpha, [(y, reference_form(B1, alpha, y))], box)
+    return NormCertificate(polygon=B1, box=box, null_vectors=tuple(firsts.items()),
+                           system=S, eta=eta, degenerate=not firsts)
+
+
+def _random_systems(count, seed=11):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(3))
+        if all(any(r) for r in rows):
+            out.append(DependenceSystem(ell=2, indices=(1, 2, 3, 4, 5), coeffs=rows))
+    return out
+
+
+REFERENCE_CASES = {
+    "toy-octagon": lambda: (TOY, octagon(), ETA_OCT),
+    "toy-twelve_gon": lambda: (TOY, twelve_gon(), AngleBound.of(Fraction(2, 5))),
+    "pipeline": lambda: (pipeline_system(), pipeline_decagon(),
+                         AngleBound.of(Fraction(2, 5))),
+    **{f"random-{i}": (lambda S=S: (S, pipeline_decagon(),
+                                    AngleBound.of(Fraction(2, 5))))
+       for i, S in enumerate(_random_systems(5))},
+}
+
+
+class TestCertifyBoxReference:
+    @pytest.mark.parametrize("delta0", ["1/100", "1/20", "1/10", "1/5"])
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_same_certificate(self, case, delta0):
+        # the larger δ₀ force shrinks; the class-tuple walk must leave the
+        # same box and the same table
+        S, B1, eta = REFERENCE_CASES[case]()
+        try:
+            want = jsonio.certificate_to_json(
+                reference_certify_box(S, B1, Fraction(delta0), eta))
+        except CertifierError as err:
+            with pytest.raises(CertifierError, match=str(err)):
+                certify_box(S, B1, Fraction(delta0), eta)
+            return
+        assert jsonio.certificate_to_json(
+            certify_box(S, B1, Fraction(delta0), eta)) == want
+
+
 def _toy_certificate(polygon, eta, with_witness=True):
     cert = certify_box(TOY, polygon, Fraction(1, 100), eta)
     return witness_norm(cert) if with_witness else cert
@@ -480,15 +686,45 @@ class TestCorrectnessChecks:
     # each check raises CertifierError, so it also runs under python -O
 
     def test_final_recheck(self, octagon, monkeypatch):
+        # at δ₀ = 1/20 the toy box shrinks, so kill_assignment makes records
+        # (at 1/100 every class tuple is proven on the first box and none is)
         kill = certify.kill_assignment
+        calls = []
 
         def flipped(alpha, functionals, box):
             box, rec = kill(alpha, functionals, box)
+            calls.append(alpha)
             return box, dataclasses.replace(rec, sign=-rec.sign)
 
         monkeypatch.setattr(certify, "kill_assignment", flipped)
-        with pytest.raises(CertifierError, match="not sign-definite"):
-            certify_box(TOY, octagon, Fraction(1, 100), ETA_OCT)
+        with pytest.raises(CertifierError, match="not sign-definite") as err:
+            certify_box(TOY, octagon, Fraction(1, 20), ETA_OCT)
+        assert calls
+        assert f"kill record for {min(calls)} " in str(err.value)
+
+    def test_final_recheck_retests_class_tuples(self, octagon, monkeypatch):
+        # the loop's 24 class-tuple tests (one per class tuple) pass by fiat,
+        # so nothing shrinks the box at δ₀ = 1/5; the final recheck retests
+        # every class tuple and names the first assignment in lexicographic
+        # order whose form has a root on the box
+        killed = certify._class_tuple_killed
+        calls = []
+
+        def lenient(*args):
+            calls.append(args)
+            return len(calls) <= 24 or killed(*args)
+
+        monkeypatch.setattr(certify, "_class_tuple_killed", lenient)
+        with pytest.raises(CertifierError, match="not sign-definite") as err:
+            certify_box(TOY, octagon, Fraction(1, 5), ETA_OCT)
+        box = OffsetBox.symmetric(Fraction(1, 5), 4)
+        ys = {classes: basis[0]
+              for classes, basis in certify._null_spaces(TOY, octagon).items()}
+        first = next(alpha for alpha in enumerate_admissible(1, 4)
+                     if reference_form(octagon, alpha,
+                                       ys[tuple(a % 4 for a in alpha)]
+                                       ).sign_on(box) == 0)
+        assert f"kill record for {first} " in str(err.value)
 
     def test_margin_positive(self):
         # a degenerate box (lo = hi) that skipped OffsetBox's validation
@@ -660,10 +896,12 @@ class TestOpenAssignments:
                          coeffs=((1, 0), (1, 0), (1, 0)))
 
     def test_two_dim_null_spaces(self):
-        B1 = pipeline_decagon()
-        for _, _, functionals in itertools.islice(
-                null_functionals(self.S, B1), 0, None, 97):
-            assert len(functionals) == 2
+        spaces = certify._null_spaces(self.S, pipeline_decagon())
+        assert len(spaces) == 120
+        for classes, basis in spaces.items():
+            assert len(basis) == 2
+            assert basis == left_null_basis(build_system(self.S, pipeline_decagon(),
+                                                         classes))
 
     @classmethod
     def certificate(cls):

@@ -1,13 +1,15 @@
 import copy
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import octagon, twelve_gon
-from udnorm import jsonio
+from udnorm import checker, jsonio
 from udnorm.certify import (CertifierError, OffsetBox, certify_box,
                             trapezoid_corners, witness_norm)
 from udnorm.checker import check_certificate
@@ -15,7 +17,8 @@ from udnorm.cli import pipeline_decagon
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import (AngleBound, NormOracle, OffsetVector,
                           SymmetricPolygon, offset_polygon, square)
-from udnorm.ratlin import rat_from_str, rat_to_str, sqrt_interval
+from udnorm.ratlin import (over_common_denominator, rat_from_str, rat_to_str,
+                           sqrt_interval)
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
 
@@ -49,6 +52,26 @@ class TestValidCertificates:
         cert = witness_norm(certify_box(wide, octagon, Fraction(1, 100),
                                         AngleBound.of(Fraction(5, 9))))
         assert check_certificate(cert).ok
+
+    def test_degenerate_with_large_ell_is_quick(self, octagon):
+        # 2ℓ+1 = 41 > m: no class tuple exists, so the 2^41 side choices
+        # must not be built; the guard fails instead of exhausting memory
+        def bounded_product(*args, repeat=1):
+            assert repeat <= 2 * 4 + 1, "side choices for a missing class tuple"
+            return itertools.product(*args, repeat=repeat)
+
+        ell = 20
+        wide = DependenceSystem(
+            ell=ell, indices=tuple(range(1, 2 * ell + 2)),
+            coeffs=tuple(tuple(int(i == j) + 1 for j in range(ell))
+                         for i in range(ell + 1)))
+        cert = witness_norm(certify_box(wide, octagon, Fraction(1, 100),
+                                        AngleBound.of(Fraction(5, 9))))
+        assert cert.degenerate
+        payload = jsonio.certificate_to_json(cert)
+        guarded = mock.Mock(wraps=itertools, product=bounded_product)
+        with mock.patch.object(checker, "itertools", guarded):
+            assert check_certificate(jsonio.certificate_from_json(payload)).ok
 
 
 # the certified pipeline system, and a box on which all three witness
@@ -430,3 +453,66 @@ class TestFuzz:
             entry["y"] = [rat_to_str(rat_from_str(v) * q) for v in entry["y"]]
         rep = check_certificate(jsonio.certificate_from_json(d))
         assert rep.ok, rep.failures[:3]
+
+
+class TestClassTupleTest:
+    """The checker's class-tuple test against its per-assignment fallback."""
+
+    @staticmethod
+    def _box(oct_cert, stretch, moved):
+        """oct_cert's box stretched per coordinate; with `moved` = (i, end),
+        one bound then moved so that the range of record i's h ends exactly
+        at 0 (at its low end when end is 0)."""
+        box = oct_cert.box
+        widths = [hi - lo for lo, hi in zip(box.lo, box.hi)]
+        lo = [a - w * Fraction(s, 8) for a, w, (s, _) in zip(box.lo, widths, stretch)]
+        hi = [b + w * Fraction(s, 8) for b, w, (_, s) in zip(box.hi, widths, stretch)]
+        if moved is not None:
+            i, end = moved
+            h = oct_cert.kills[i].h
+            j = next(j for j, c in enumerate(h.coeffs) if c)
+            c = h.coeffs[j]
+            low = h.const + sum(c * (a if c > 0 else b)
+                                for c, a, b in zip(h.coeffs, lo, hi))
+            high = h.const + sum(c * (b if c > 0 else a)
+                                 for c, a, b in zip(h.coeffs, lo, hi))
+            if end == 0:
+                (lo if c > 0 else hi)[j] -= low / c
+            else:
+                (hi if c > 0 else lo)[j] -= high / c
+            assume(all(a < b for a, b in zip(lo, hi)))
+        return OffsetBox(OffsetVector(tuple(lo)), OffsetVector(tuple(hi)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 16), st.integers(-3, 16)),
+                    min_size=4, max_size=4),
+           st.none() | st.tuples(st.integers(0, 191), st.integers(0, 1)))
+    def test_same_report_as_per_assignment_checks(self, oct_cert, stretch, moved):
+        # with the class-tuple test switched off, every assignment goes
+        # through _check_kill: the report must not change, order included
+        bad = _tamper(oct_cert, box=self._box(oct_cert, stretch, moved))
+        rep = check_certificate(bad)
+        with mock.patch.object(checker, "_class_tuple_killed",
+                               lambda *args: False):
+            want = check_certificate(bad)
+        assert (rep.ok, rep.failures, rep.failing_alphas) == (
+            want.ok, want.failures, want.failing_alphas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 16), st.integers(-3, 16)),
+                    min_size=4, max_size=4),
+           st.none() | st.tuples(st.integers(0, 191), st.integers(0, 1)))
+    def test_matches_check_kill(self, oct_cert, stretch, moved):
+        # per class tuple: killed iff no side choice fails _check_kill
+        box = self._box(oct_cert, stretch, moved)
+        m = oct_cert.polygon.m
+        offsets = over_common_denominator(oct_cert.polygon.offsets)
+        D, ints = over_common_denominator(tuple(box.lo) + tuple(box.hi))
+        scaled = D, ints[:m], ints[m:]
+        for classes, y in oct_cert.null_vectors:
+            ys = over_common_denominator(y)[1]
+            report = checker.CheckReport(ok=True)
+            for sides in itertools.product((0, 1), repeat=len(classes)):
+                alpha = tuple(c + m * s for c, s in zip(classes, sides))
+                checker._check_kill(report, offsets, scaled, alpha, ys)
+            assert checker._class_tuple_killed(offsets, scaled, classes, ys) == report.ok
