@@ -9,12 +9,17 @@ core is timed on what `udnorm pipeline` certifies at its defaults: each
 class tuple's null vector from `build_system` + `left_null_basis` and in
 closed form, and the sign test of every kill record's affine form on the
 certified box against one signed-sum test per class tuple.
+The front end is timed on `build_udg` over the k-vector generic
+subset-sum set of a 12-gon (integer edge directions) and on `color_cover`
+over a dense G(n, 0.9) with a greedy proper edge coloring (its large
+robust-core sets are settled by the degree-sequence proof).
 The geometry is timed on the built-in decagon: `choose_delta0` at the
 pipeline defaults, and one `hausdorff` between the decagon and its
 offset polygon at +δ₀. Each repeat builds fresh polygons, so no vertex
 table is reused from an earlier repeat.
 
-Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16] [--repeat 3]
+Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16]
+       [--udg-k 11] [--cover-n 200] [--repeat 3]
 """
 
 import argparse
@@ -33,7 +38,7 @@ from udnorm.certify import (
     enumerate_admissible,
 )
 from udnorm.cli import build_parser, pipeline_decagon
-from udnorm.colored import weak_delta_table
+from udnorm.colored import EdgeColoredGraph, color_cover, weak_delta_table
 from udnorm.dependence import DependenceConfig, extract_dependences
 from udnorm.norms import (
     AngleBound,
@@ -44,8 +49,12 @@ from udnorm.norms import (
     offset_polygon,
     square,
 )
-from udnorm.pointsets import flat_side_quadratic
-from udnorm.ratlin import left_null_basis, over_common_denominator
+from udnorm.pointsets import (
+    flat_side_quadratic,
+    generic_unit_vectors,
+    subset_sum_pointset,
+)
+from udnorm.ratlin import Vec2, left_null_basis, over_common_denominator
 from udnorm.udg import build_udg
 
 
@@ -66,6 +75,10 @@ def main():
                     help="flat-side point count for the pair scan")
     ap.add_argument("--cut-n", type=int, default=16,
                     help="vertex count for the exhaustive weak-cut search")
+    ap.add_argument("--udg-k", type=int, default=11,
+                    help="generic unit vectors in the subset-sum set for build_udg")
+    ap.add_argument("--cover-n", type=int, default=200,
+                    help="vertex count of the dense graph for color_cover")
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -92,6 +105,34 @@ def main():
     print(f"\nweak-cut search: {w} vertices, {(1 << (w - 1)) - 1} cuts")
     t, hit = bench(lambda: kernels.min_weak_cut(adj, thr), args.repeat)
     print(f"  {t * 1e3:10.1f} ms   (result {hit})")
+
+    B12 = SymmetricPolygon.from_pairs([
+        (Vec2.of(1, 0), 1), (Vec2.of(0, 1), 1),
+        (Vec2.of(2, 1), Fraction(11, 5)), (Vec2.of(1, 2), Fraction(11, 5)),
+        (Vec2.of(-1, 2), Fraction(11, 5)), (Vec2.of(-2, 1), Fraction(11, 5)),
+    ])
+    P12 = subset_sum_pointset(generic_unit_vectors(B12, args.udg_k))
+    print(f"\nbuild_udg: {len(P12)} subset sums of {args.udg_k} generic unit "
+          "vectors, 12-gon")
+    t, U = bench(lambda: build_udg(P12, B12), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   ({U.edge_count} edges, {U.k} colors)")
+
+    n = args.cover_n
+    edges = [e for e in itertools.combinations(range(1, n + 1), 2)
+             if rng.random() < 0.9]
+    used = {}
+    colors = []
+    for a, b in edges:  # smallest color free at both ends
+        c = 1
+        while (a, c) in used or (b, c) in used:
+            c += 1
+        used[(a, c)] = used[(b, c)] = True
+        colors.append(c)
+    H = EdgeColoredGraph(n, tuple(edges), tuple(colors))
+    print(f"\ncolor_cover: G({n}, 0.9), {len(edges)} edges, greedy proper "
+          "coloring, q = 2, C = 1/4")
+    t, cov = bench(lambda: color_cover(H, 2, Fraction(1, 4)), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   (|W| = {len(cov.W)}, |I| = {len(cov.I)})")
 
     # the pipeline's system and certificate at the CLI defaults
     d = build_parser().parse_args(["pipeline", "--out-dir", "."])

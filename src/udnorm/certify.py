@@ -191,8 +191,12 @@ class AffineForm:
 
     def eval(self, t: Sequence[Fraction]) -> Fraction:
         T, ts = over_common_denominator(t)
-        return Fraction(self.num * T + sum(c * v for c, v in zip(self.nums, ts)),
-                        self.den * T)
+        return Fraction(self._scaled_value(T, ts), self.den * T)
+
+    def _scaled_value(self, T: int, ts: Sequence[int]) -> int:
+        """The form's value at t times den·T, from t over a common
+        denominator T > 0 as the integers ts = t·T."""
+        return self.num * T + sum(c * v for c, v in zip(self.nums, ts))
 
     def _bounds_on(self, box: OffsetBox) -> tuple[int, int, int]:
         """(lo, hi, den) with [lo/den, hi/den] the exact range of the form on
@@ -734,16 +738,20 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
         if len(hforms) > 1:
             open_systems.append((alpha, classes, hforms))
     # random pass: tᵢ = loᵢ + (hiᵢ − loᵢ)·r/GRID, drawn over the box's common
-    # denominator D; only open systems can be hit, so without them no t is drawn
+    # denominator D; only open systems can be hit, so without them no t is
+    # drawn. Every t of a trial has the denominator D·GRID, so h(t) = 0 is
+    # tested on the numerators, and t is built only for a solve.
     rng = random.Random(seed)
     GRID = 1 << 30
     D, lo, hi = box.scaled
+    DG = D * GRID
     for _ in range(trials if open_systems else 0):
-        t = tuple(Fraction(a * GRID + (b - a) * rng.randrange(GRID + 1), D * GRID)
-                  for a, b in zip(lo, hi))
+        ts = [a * GRID + (b - a) * rng.randrange(GRID + 1)
+              for a, b in zip(lo, hi)]
         for alpha, classes, hforms in open_systems:
-            if all(hf.eval(t) == 0 for hf in hforms):
-                try_solve(alpha, classes, t, "random")
+            if all(hf._scaled_value(DG, ts) == 0 for hf in hforms):
+                try_solve(alpha, classes, tuple(Fraction(v, DG) for v in ts),
+                          "random")
     # every admissible assignment is decided: 2^(2ℓ+1) side choices per class tuple
     alphas_checked = len(null_spaces) << (2 * S.ell + 1)
     return VerifyReport(trials, alphas_checked, sweep_ok, tuple(hits))

@@ -208,10 +208,16 @@ def find_weak_cut(G: EdgeColoredGraph, W: Sequence[int], r: RationalLike,
                   cap: Optional[int] = None, seed: int = 0) -> Optional[WeakCut]:
     """A bipartition (A, B) of W with Δ(A,B) < r·log₂ imb(A,B), or None.
 
-    Exhaustive over all 2^(|W|−1)−1 cuts when |W| ≤ the exhaustive cap
-    (returning the minimum-Δ weak cut, ties to the earliest in canonical
-    order); otherwise a heuristic search over singleton cuts, BFS-ball cuts
-    from every vertex at every radius, and a seeded local-search pass.
+    First the degree sequence of G[W] is tested: a cut whose smaller side
+    has s vertices has Δ ≥ d₍ₛ₎ − s + 1, d₍ₛ₎ the s-th smallest degree
+    (`kernels.weak_cut_bounds`), and when that exceeds the weak threshold
+    for every s, None is returned without a search. Either search would
+    return None there too, since each returns only a cut whose Δ it has
+    checked against the threshold. Otherwise exhaustive over all
+    2^(|W|−1)−1 cuts when |W| ≤ the exhaustive cap (returning the
+    minimum-Δ weak cut, ties to the earliest in canonical order); beyond
+    the cap a heuristic search over singleton cuts, BFS-ball cuts from
+    every vertex at every radius, and a seeded local-search pass.
     W must be at least two distinct vertices of G.
     """
     W = _vertex_set(G, W)
@@ -225,6 +231,8 @@ def _weak_cut(W: tuple[int, ...], masks: list[int], r: Fraction,
               cap: Optional[int], seed: int) -> Optional[WeakCut]:
     """find_weak_cut on the sorted set W with its neighbourhood bitmasks."""
     thr = weak_delta_table(len(W), r)
+    if kernels.weak_cut_bounds(masks, thr)[1] < 0:
+        return None  # the degree sequence rules out every weak cut
     if len(W) > exhaustive_cap(cap):
         return _heuristic_weak_cut(W, masks, thr, seed)
     hit = kernels.min_weak_cut(masks, thr)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ratlin import Vec2
+from .ratlin import Vec2, scaled_points
 
 
 def active_backend() -> str:
@@ -33,9 +33,7 @@ def scaled_unit_pair_input(
     largest possible |Δv|, is returned only because udbench's run
     fingerprint reads it.
     """
-    D = math.lcm(*(q.denominator for p in points for q in (p.x, p.y)))
-    qx = [int(p.x * D) for p in points]
-    qy = [int(p.y * D) for p in points]
+    D, qx, qy = scaled_points(points)
     rows = []
     bounds = []
     for n, c in constraints:
@@ -92,6 +90,29 @@ def unit_pair_indices(
     return unit_pairs(vals, bounds)
 
 
+def weak_cut_bounds(adj_masks: Sequence[int],
+                    thresholds: Sequence[int]) -> list[int]:
+    """bound[s] for s ≥ 1: the largest Δ of any weak cut whose smaller side
+    has at least s vertices, −1 when there is none; bound[1] < 0 proves
+    that the set has no weak cut at all.
+
+    adj_masks and thresholds are as in `min_weak_cut`. A smaller side of s
+    vertices holds a vertex of degree at least d₍ₛ₎, the s-th smallest
+    degree of the set, with at most s − 1 neighbours on its own side, so
+    such a cut has Δ ≥ d₍ₛ₎ − s + 1 and is weak only if thresholds[s]
+    reaches that.
+    """
+    deg = sorted(m.bit_count() for m in adj_masks)
+    bound = [-1] * len(thresholds)
+    top = -1
+    for s in range(len(thresholds) - 1, 0, -1):
+        t = thresholds[s]
+        if t > top and t >= deg[s - 1] - s + 1:
+            top = t
+        bound[s] = top
+    return bound
+
+
 def min_weak_cut(
     adj_masks: Sequence[int],
     thresholds: Sequence[int],
@@ -107,9 +128,11 @@ def min_weak_cut(
     Vertices w−1 down to 1 are placed depth first, B before A, so complete
     cuts are reached in ascending mask order. A branch is cut off once some
     placed vertex has more neighbours across than min(bound[s], best Δ − 1),
-    s the min side so far (at least 1): cross degrees only grow as vertices
-    are placed, and the final min side is at least s, so no cut below that
-    branch is weak and beats the best.
+    s the min side so far (at least 1), with bound from `weak_cut_bounds`:
+    cross degrees only grow as vertices are placed, and the final min side
+    is at least s, so no cut below that branch is weak and beats the best.
+    When bound[1] < 0 the degree sequence alone rules out every weak cut
+    and nothing is searched.
 
     Returns (mask_of_A, delta) or None.
     """
@@ -118,17 +141,7 @@ def min_weak_cut(
     w = len(adj)
     if w < 2:
         return None
-    # bound[s]: the largest Δ of a weak cut whose min side has at least s
-    # vertices. A min side of s' vertices holds a vertex of degree ≥ dmin
-    # with at most s' − 1 neighbours on its side, so such a cut has
-    # Δ ≥ dmin − s' + 1 and is weak only if thr[s'] reaches that.
-    dmin = min(m.bit_count() for m in adj)
-    bound = [-1] * len(thr)
-    top = -1
-    for s in range(len(thr) - 1, 0, -1):
-        if thr[s] >= dmin - s + 1 and thr[s] > top:
-            top = thr[s]
-        bound[s] = top
+    bound = weak_cut_bounds(adj, thr)
     if bound[1] < 0:
         return None
     best_mask, best_delta = 0, w  # every Δ is below w

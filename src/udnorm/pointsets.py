@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .norms import SymmetricPolygon
-from .ratlin import RationalLike, Vec2, rat
+from .ratlin import RationalLike, Vec2, rat, scaled_points
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,22 @@ def _primes_from(start: int, count: int) -> list[int]:
     return out
 
 
+def _subset_sums_distinct(vectors: Sequence[Vec2]) -> bool:
+    """Whether the 2^k subset sums are pairwise distinct, decided in ints.
+
+    Over the common denominator, (x, y) is encoded as x·S + y with
+    S > 2·Σ|y|: a subset sum's y lies strictly between −S/2 and S/2, so
+    the encoding of the sums is injective and sums by doubling as ints.
+    """
+    _, xs, ys = scaled_points(vectors)
+    S = 2 * sum(map(abs, ys)) + 1
+    sums = [0]
+    for x, y in zip(xs, ys):
+        e = x * S + y
+        sums += [s + e for s in sums]
+    return len(set(sums)) == len(sums)
+
+
 def generic_unit_vectors(B: SymmetricPolygon, k: int) -> list[Vec2]:
     """k unit vectors of the polygon in generic position, one per side.
 
@@ -89,7 +105,8 @@ def generic_unit_vectors(B: SymmetricPolygon, k: int) -> list[Vec2]:
     denominators, so no subset-sum difference lands on the boundary except
     the single-vector differences themselves. Needs k ≤ 2m (three vectors
     on one side pair would let sums slide along that side exactly); on a
-    subset-sum collision the prime pattern is advanced and retried.
+    subset-sum collision the prime pattern is advanced and retried; the
+    collision test runs on integer-scaled sums, so no point set is built.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -104,13 +121,8 @@ def generic_unit_vectors(B: SymmetricPolygon, k: int) -> list[Vec2]:
             p = primes[j]
             num = (p * (2 * j + 3)) // (8 * k + 11) % p or 1
             vecs.append(boundary_point(B, j % (2 * B.m), Fraction(num, p)))
-        if len(set((v.x, v.y) for v in vecs)) != k:
-            continue
-        try:
-            subset_sum_pointset(vecs)
-        except SubsetSumCollision:
-            continue
-        return vecs
+        if _subset_sums_distinct(vecs):
+            return vecs
     raise SubsetSumCollision("no generic parameter pattern found")
 
 

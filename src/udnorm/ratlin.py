@@ -117,6 +117,13 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int,
     return D, tuple(v.numerator * (D // v.denominator) for v in values)
 
 
+def scaled_points(points: Sequence[Vec2]) -> tuple[int, list[int], list[int]]:
+    """(D, x·D, y·D): the coordinates over their least common denominator
+    D > 0, so differences, signs and lexicographic order carry over."""
+    D, flat = over_common_denominator([q for p in points for q in (p.x, p.y)])
+    return D, list(flat[0::2]), list(flat[1::2])
+
+
 def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     """Each row times the least common denominator of its entries."""
     return [list(over_common_denominator(row)[1]) for row in rows]

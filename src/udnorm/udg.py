@@ -13,13 +13,14 @@ which endpoint order realizes that canonical direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import kernels
 from .colored import Edge, EdgeColoredGraph, _color_classes
-from .norms import SymmetricPolygon, canonical_direction
+from .norms import SymmetricPolygon, canonical_direction  # re-exported
 from .pointsets import PointSeq
-from .ratlin import Vec2
+from .ratlin import Vec2, scaled_points
 
 
 @dataclass(frozen=True)
@@ -67,27 +68,35 @@ def build_udg(P: PointSeq, B: SymmetricPolygon) -> DecoratedUDG:
     """The decorated unit-distance graph of P under the polygonal norm B.
 
     The edge test gauge(p_b − p_a) == 1 is exact: `kernels.unit_pair_indices`
-    joins the points on integer-scaled coordinates in Python ints.
+    joins the points on integer-scaled coordinates in Python ints. Edge
+    directions are taken on the same scaling: over the points' common
+    denominator D > 0 each difference is an integer pair, and dividing by D
+    changes neither the canonical half-plane (`canonical_direction`'s rule)
+    nor the lexicographic order, so only the distinct directions become
+    rational vectors.
     """
     constraints = list(zip(B.normals, B.offsets))
     pairs = kernels.unit_pair_indices(list(P), constraints)
-    edges = []
-    decorated = []
+    D, xs, ys = scaled_points(P)
+    canonical = []
+    signs = []
     for i, j in pairs:
-        a, b = i + 1, j + 1
-        u, s = canonical_direction(P[j] - P[i])
-        edges.append((a, b))
-        decorated.append((u, s))
-    directions = sorted(set(u.as_tuple() for u, _ in decorated))
-    index = {t: pos + 1 for pos, t in enumerate(directions)}
-    colors = tuple(index[u.as_tuple()] for u, _ in decorated)
-    signs = tuple(s for _, s in decorated)
+        dx, dy = xs[j] - xs[i], ys[j] - ys[i]
+        if dy > 0 or (dy == 0 and dx > 0):
+            canonical.append((dx, dy))
+            signs.append(1)
+        else:
+            canonical.append((-dx, -dy))
+            signs.append(-1)
+    directions = sorted(set(canonical))
+    index = {t: pos for pos, t in enumerate(directions, 1)}
     G = DecoratedUDG(
         n=len(P),
-        edges=tuple(edges),
-        colors=colors,
-        signs=signs,
-        directions=tuple(Vec2(x, y) for x, y in directions),
+        edges=tuple((i + 1, j + 1) for i, j in pairs),
+        colors=tuple(map(index.__getitem__, canonical)),
+        signs=tuple(signs),
+        directions=tuple(Vec2(Fraction(x, D), Fraction(y, D))
+                         for x, y in directions),
     )
     assert G.max_color_degree() <= 2, "geometry bounds color degree by two"
     return G

@@ -397,6 +397,21 @@ class TestKillRule:
         assert h.const + sum(c * v for c, v in zip(h.coeffs, t)) == 0
 
 
+class TestRandomPassCore:
+    """The random verify pass tests h(t) = 0 on t·T, with T = D·2³⁰ a
+    common denominator of every t of a trial but not always the least."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(forms_with_zero_at(definite=False), st.integers(1, 2**30))
+    def test_scaled_value_matches_fractions(self, case, extra):
+        h, box = case
+        for t in (box.center(), certify._root_in_box(h, box), box.lo):
+            T, ts = over_common_denominator(t)
+            value = h._scaled_value(T * extra, [v * extra for v in ts])
+            want = h.const + sum(c * v for c, v in zip(h.coeffs, t))
+            assert Fraction(value, h.den * T * extra) == want == h.eval(t)
+
+
 def circle_polygon(ts):
     """The polygon whose vertices are the rational points of the unit circle
     ((1 − t²)/(1 + t²), 2t/(1 + t²)) for t in ts and their negatives: one side
@@ -913,17 +928,19 @@ class TestOpenAssignments:
     def test_random_pass_points(self, monkeypatch):
         # the random pass tests the open systems at tᵢ = loᵢ + (hiᵢ − loᵢ)·r/2³⁰
         # with r drawn from Random(seed) coordinate by coordinate; on the
-        # certified box the directed pass evaluates nothing
+        # certified box the directed pass evaluates nothing. Every evaluation
+        # goes through the integer core, which sees t as (T, t·T)
         cert = self.certificate()
         seen = []
-        evaluate = AffineForm.eval
+        evaluate = AffineForm._scaled_value
 
-        def recording(h, t):
+        def recording(h, T, ts):
+            t = tuple(Fraction(v, T) for v in ts)
             if not seen or seen[-1] != t:
                 seen.append(t)
-            return evaluate(h, t)
+            return evaluate(h, T, ts)
 
-        monkeypatch.setattr(AffineForm, "eval", recording)
+        monkeypatch.setattr(AffineForm, "_scaled_value", recording)
         sample_verify(cert, 3, seed=5)
         rng = random.Random(5)
         GRID = 1 << 30

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udnorm import colored, jsonio
+from udnorm import colored, jsonio, kernels
 from udnorm.colored import (
     CoverFailure,
     EdgeColoredGraph,
@@ -212,6 +212,43 @@ class TestFindWeakCut:
         monkeypatch.setattr(colored, "_heuristic_weak_cut", heuristic)
         assert find_weak_cut(rainbow_complete(8), tuple(range(1, 9)), 1,
                              cap=8) is None
+
+class TestDegreeProof:
+    """find_weak_cut returns None without a search when the degree sequence
+    rules out every weak cut (`kernels.weak_cut_bounds`)."""
+
+    def test_skips_both_searches(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("searched a set the degree proof settles")
+        monkeypatch.setattr(colored, "_heuristic_weak_cut", search)
+        monkeypatch.setattr(kernels, "min_weak_cut", search)
+        G = rainbow_complete(12)
+        for cap in (6, None):
+            assert find_weak_cut(G, tuple(range(1, 13)), 1, cap=cap) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(9, 40), st.sampled_from([0.5, 0.8, 0.95, 1.0]),
+           st.booleans(), st.integers(0, 2**32), st.integers(1, 64),
+           st.integers(0, 9))
+    def test_heuristic_result_unchanged(self, w, p, planted, graph_seed, r16,
+                                        seed):
+        # above the cap, with and without the proof; a planted side of up
+        # to w/2 vertices with sparse edges across makes a weak cut likely
+        rng = random.Random(graph_seed)
+        part = set(rng.sample(range(1, w + 1), rng.randint(1, w // 2))
+                   ) if planted else set()
+        edges = tuple(
+            (a, b) for a, b in itertools.combinations(range(1, w + 1), 2)
+            if rng.random() < (p if (a in part) == (b in part) else 0.05))
+        G = EdgeColoredGraph(w, edges, tuple(range(1, len(edges) + 1)))
+        W, r = tuple(range(1, w + 1)), Fraction(r16, 16)
+        got = find_weak_cut(G, W, r, cap=8, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            # every Δ is below w: a bound that proves nothing
+            mp.setattr(kernels, "weak_cut_bounds",
+                       lambda masks, thr: [len(masks)] * len(thr))
+            assert find_weak_cut(G, W, r, cap=8, seed=seed) == got
+
 
 def _cut_degree(masks, mask):
     """Δ of the cut A = mask, from scratch."""

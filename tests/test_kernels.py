@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -214,6 +215,13 @@ class TestWeakCutBackends:
         assert got == delta if delta <= limit else got > limit
 
     def test_trivial_cases(self):
+        # the degree sequence rules out every cut of K3 at r = 1/2 and of K14
+        # at r = 1
+        adj = [0b110, 0b101, 0b011]
+        assert kernels.weak_cut_bounds(adj, weak_delta_table(3, Fraction(1, 2)))[1] < 0
+        full = (1 << 14) - 1
+        adj = [full ^ (1 << v) for v in range(14)]
+        assert kernels.weak_cut_bounds(adj, weak_delta_table(14, Fraction(1)))[1] < 0
         # no weak cut in a K3 at r=1/2
         adj = [0b110, 0b101, 0b011]
         thr = weak_delta_table(3, Fraction(1, 2))
@@ -223,3 +231,51 @@ class TestWeakCutBackends:
         thr = weak_delta_table(4, Fraction(1))
         hit = kernels.min_weak_cut(adj, thr)
         assert hit is not None and hit[1] == 0
+
+
+@st.composite
+def dense_weak_cut_inputs(draw):
+    """A graph on at most 14 vertices, often dense, and r in [1/16, 64],
+    mostly at most 3: the degree proof fires on about a third of them."""
+    w = draw(st.integers(2, 14))
+    p = draw(st.sampled_from([0.3, 0.6, 0.8, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adj = [0] * w
+    for i, j in itertools.combinations(range(w), 2):
+        if rng.random() < p:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    r = Fraction(draw(st.one_of(st.integers(1, 48), st.integers(1, 1024))), 16)
+    return adj, r
+
+
+class TestDegreeProof:
+    """kernels.weak_cut_bounds: bound[s] is at least the Δ of every weak cut
+    whose smaller side has s or more vertices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_weak_cut_inputs())
+    def test_bound_holds_for_every_weak_cut(self, inputs):
+        adj, r = inputs
+        w = len(adj)
+        thr = weak_delta_table(w, r)
+        bound = kernels.weak_cut_bounds(adj, thr)
+        assert all(a >= b for a, b in zip(bound[1:], bound[2:]))
+        for a in range(1, 1 << (w - 1)):
+            mask = a << 1
+            pc = mask.bit_count()
+            mn = min(pc, w - pc)
+            delta = cut_degree(adj, mask)
+            if delta <= thr[mn]:
+                assert delta <= bound[mn]
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_weak_cut_inputs())
+    def test_proof_implies_no_weak_cut(self, inputs):
+        adj, r = inputs
+        thr = weak_delta_table(len(adj), r)
+        if kernels.weak_cut_bounds(adj, thr)[1] < 0:
+            assert kernels.min_weak_cut(adj, thr) is None
+            assert flat_min_weak_cut(adj, thr) is None
+        else:
+            assert kernels.min_weak_cut(adj, thr) == flat_min_weak_cut(adj, thr)

@@ -3,12 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import octagon, random_polygon, twelve_gon
 from udnorm.norms import NormOracle, square
 from udnorm.pointsets import (
     PointSeq,
     SubsetSumCollision,
+    _primes_from,
+    _subset_sums_distinct,
+    boundary_point,
     flat_side_quadratic,
     generic_unit_vectors,
     grid_pointset,
@@ -17,6 +21,9 @@ from udnorm.pointsets import (
 )
 from udnorm.ratlin import Vec2
 from udnorm.udg import count_unit_distances
+
+# mixed denominators and signs; small enough that sums collide by accident
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 class TestPointSeq:
@@ -77,6 +84,49 @@ class TestSubsetSum:
     def test_generic_needs_enough_sides(self):
         with pytest.raises(ValueError):
             generic_unit_vectors(square(), 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(SMALL_RATIONALS, SMALL_RATIONALS), min_size=0,
+                    max_size=7),
+           st.sampled_from(["none", "sum", "negation", "repeat"]),
+           st.randoms(use_true_random=False))
+    def test_distinct_sums_match_fraction_set(self, coords, plant, rnd):
+        vecs = [Vec2(x, y) for x, y in coords]
+        if len(vecs) >= 2 and plant != "none":
+            a, b = rnd.sample(range(len(vecs)), 2)
+            vecs.append({"sum": vecs[a] + vecs[b], "negation": -vecs[a],
+                         "repeat": vecs[a]}[plant])
+        sums = {(p.x, p.y) for p in
+                [sum((v for i, v in enumerate(vecs) if (mask >> i) & 1),
+                     Vec2.of(0, 0)) for mask in range(1 << len(vecs))]}
+        assert _subset_sums_distinct(vecs) == (len(sums) == 1 << len(vecs))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generic_vectors_match_fraction_reference(self, twelve_gon, seed):
+        B = twelve_gon if seed == 0 else random_polygon(random.Random(seed))
+        for k in range(1, min(2 * B.m, 11) + 1):
+            assert generic_unit_vectors(B, k) == \
+                reference_generic_unit_vectors(B, k)
+
+
+def reference_generic_unit_vectors(B, k):
+    """Reference: the retry loop that tests each pattern by building its
+    Fraction subset-sum set."""
+    for attempt in range(16):
+        primes = _primes_from(8 * k + 13 + 97 * attempt, k)
+        vecs = []
+        for j in range(k):
+            p = primes[j]
+            num = (p * (2 * j + 3)) // (8 * k + 11) % p or 1
+            vecs.append(boundary_point(B, j % (2 * B.m), Fraction(num, p)))
+        if len(set((v.x, v.y) for v in vecs)) != k:
+            continue
+        try:
+            subset_sum_pointset(vecs)
+        except SubsetSumCollision:
+            continue
+        return vecs
+    raise SubsetSumCollision("no generic parameter pattern found")
 
 
 class TestFlatSide:

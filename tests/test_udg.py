@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_polygon
+from conftest import octagon, random_polygon, twelve_gon
+from udnorm import kernels
 from udnorm.norms import square
 from udnorm.pointsets import PointSeq, two_row_pointset
 from udnorm.ratlin import Vec2
@@ -104,6 +105,57 @@ class TestBuildUDG:
         eps = Fraction(1, 10**12)
         P = PointSeq.of([Vec2.of(0, 0), Vec2.of(1 - eps, 0), Vec2.of(-1 - eps, 0)])
         assert count_unit_distances(P, square()) == 0
+
+
+def reference_build_udg(P, B):
+    """Reference: the direction of every edge as a Fraction difference put
+    in canonical form, colored by its rank among the distinct ones."""
+    pairs = kernels.unit_pair_indices(list(P), list(zip(B.normals, B.offsets)))
+    decorated = [canonical_direction(P[j] - P[i]) for i, j in pairs]
+    directions = sorted(set(u.as_tuple() for u, _ in decorated))
+    index = {t: pos + 1 for pos, t in enumerate(directions)}
+    return (tuple((i + 1, j + 1) for i, j in pairs),
+            tuple(index[u.as_tuple()] for u, _ in decorated),
+            tuple(s for _, s in decorated),
+            tuple(Vec2(x, y) for x, y in directions))
+
+
+@st.composite
+def udg_inputs(draw):
+    """Points on a grid of step 1/q around an origin with denominators 3 and
+    7, on either side of 0, under the square, octagon or 12-gon norm, plus
+    points planted one vertex, side midpoint or horizontal unit step (dy = 0,
+    either way) from another, in a drawn order."""
+    B = draw(st.sampled_from([square(), octagon(), twelve_gon()]))
+    q = draw(st.sampled_from([1, 2, 5]))
+    origin = Vec2(Fraction(draw(st.integers(-10**6, 10**6)), 3),
+                  Fraction(draw(st.integers(-10**6, 10**6)), 7))
+    coords = st.integers(-2 * q, 2 * q)
+    pts = [origin + Vec2(Fraction(a, q), Fraction(b, q))
+           for a, b in draw(st.lists(st.tuples(coords, coords), min_size=1,
+                                     max_size=12))]
+    verts = B.vertices()
+    steps = list(verts) + [(a + b).scale(Fraction(1, 2))
+                           for a, b in zip(verts, verts[1:] + verts[:1])]
+    # (1, 0) is on the boundary of all three polygons
+    horizontal = [Vec2.of(1, 0), Vec2.of(-1, 0)]
+    pts.append(pts[0] + draw(st.sampled_from(horizontal)))
+    for _ in range(draw(st.integers(0, 8))):
+        pts.append(draw(st.sampled_from(pts))
+                   + draw(st.sampled_from(steps + horizontal)))
+    pts = list(dict.fromkeys(pts))
+    return PointSeq.of(draw(st.permutations(pts))), B
+
+
+class TestBuildUDGReference:
+    @settings(max_examples=200, deadline=None)
+    @given(udg_inputs())
+    def test_matches_fraction_directions(self, inputs):
+        P, B = inputs
+        G = build_udg(P, B)
+        assert (G.edges, G.colors, G.signs, G.directions) == \
+            reference_build_udg(P, B)
+        assert any(u.y == 0 for u in G.directions)
 
 
 class TestVerifyRealization:
