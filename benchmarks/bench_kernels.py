@@ -9,17 +9,16 @@ core is timed on what `udnorm pipeline` certifies at its defaults: each
 class tuple's null vector from `build_system` + `left_null_basis` and in
 closed form, and the sign test of every kill record's affine form on the
 certified box against one signed-sum test per class tuple.
-The front end is timed on `build_udg` over the k-vector generic
-subset-sum set of a 12-gon (integer edge directions) and on `color_cover`
-over a dense G(n, 0.9) with a greedy proper edge coloring (its large
-robust-core sets are settled by the degree-sequence proof).
+The front end is timed on `build_udg` over the subset-sum set of 11
+generic unit vectors of a 12-gon (integer edge directions) and on
+`color_cover` over a dense G(200, 0.9) with a greedy proper edge coloring
+(its large robust-core sets are settled by the degree-sequence proof).
 The geometry is timed on the built-in decagon: `choose_delta0` at the
 pipeline defaults, and one `hausdorff` between the decagon and its
 offset polygon at +δ₀. Each repeat builds fresh polygons, so no vertex
 table is reused from an earlier repeat.
 
-Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16]
-       [--udg-k 11] [--cover-n 200] [--repeat 3]
+Usage: python benchmarks/bench_kernels.py [--n 1000] [--cut-n 16] [--repeat 3]
 """
 
 import argparse
@@ -75,10 +74,6 @@ def main():
                     help="flat-side point count for the pair scan")
     ap.add_argument("--cut-n", type=int, default=16,
                     help="vertex count for the exhaustive weak-cut search")
-    ap.add_argument("--udg-k", type=int, default=11,
-                    help="generic unit vectors in the subset-sum set for build_udg")
-    ap.add_argument("--cover-n", type=int, default=200,
-                    help="vertex count of the dense graph for color_cover")
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -111,13 +106,13 @@ def main():
         (Vec2.of(2, 1), Fraction(11, 5)), (Vec2.of(1, 2), Fraction(11, 5)),
         (Vec2.of(-1, 2), Fraction(11, 5)), (Vec2.of(-2, 1), Fraction(11, 5)),
     ])
-    P12 = subset_sum_pointset(generic_unit_vectors(B12, args.udg_k))
-    print(f"\nbuild_udg: {len(P12)} subset sums of {args.udg_k} generic unit "
+    P12 = subset_sum_pointset(generic_unit_vectors(B12, 11))
+    print(f"\nbuild_udg: {len(P12)} subset sums of 11 generic unit "
           "vectors, 12-gon")
     t, U = bench(lambda: build_udg(P12, B12), args.repeat)
     print(f"  {t * 1e3:10.1f} ms   ({U.edge_count} edges, {U.k} colors)")
 
-    n = args.cover_n
+    n = 200
     edges = [e for e in itertools.combinations(range(1, n + 1), 2)
              if rng.random() < 0.9]
     used = {}

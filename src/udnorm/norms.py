@@ -71,14 +71,22 @@ def segment_is_eta_short(a: Vec2, b: Vec2, eta: AngleBound) -> bool:
     return c * c < eta.sin_sq * a.norm_sq() * b.norm_sq()
 
 
+def canonical_sign(x, y) -> int:
+    """The s = ±1 with s·(x, y) in the closed upper halfplane minus the
+    negative x-axis; rejects (0, 0). Works on any ordered coordinates, so
+    integer-scaled pairs get the same sign as their rational originals."""
+    if y > 0 or (y == 0 and x > 0):
+        return 1
+    if y == 0 and x == 0:
+        raise ValueError("zero vector has no canonical direction")
+    return -1
+
+
 def canonical_direction(v: Vec2) -> tuple[Vec2, int]:
     """(u, s) with u = s·v in the closed upper halfplane minus the negative
     x-axis; rejects the zero vector."""
-    if v.is_zero():
-        raise ValueError("zero vector has no canonical direction")
-    if v.y > 0 or (v.y == 0 and v.x > 0):
-        return v, 1
-    return -v, -1
+    s = canonical_sign(v.x, v.y)
+    return (v if s == 1 else -v), s
 
 
 def _angle_sort_key(v: Vec2):

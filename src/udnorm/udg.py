@@ -18,7 +18,11 @@ from typing import Optional
 
 from . import kernels
 from .colored import Edge, EdgeColoredGraph, _color_classes
-from .norms import SymmetricPolygon, canonical_direction  # re-exported
+from .norms import (  # canonical_direction is re-exported
+    SymmetricPolygon,
+    canonical_direction,
+    canonical_sign,
+)
 from .pointsets import PointSeq
 from .ratlin import Vec2, scaled_points
 
@@ -71,8 +75,8 @@ def build_udg(P: PointSeq, B: SymmetricPolygon) -> DecoratedUDG:
     joins the points on integer-scaled coordinates in Python ints. Edge
     directions are taken on the same scaling: over the points' common
     denominator D > 0 each difference is an integer pair, and dividing by D
-    changes neither the canonical half-plane (`canonical_direction`'s rule)
-    nor the lexicographic order, so only the distinct directions become
+    changes neither the canonical half-plane (`norms.canonical_sign`) nor
+    the lexicographic order, so only the distinct directions become
     rational vectors.
     """
     constraints = list(zip(B.normals, B.offsets))
@@ -82,12 +86,9 @@ def build_udg(P: PointSeq, B: SymmetricPolygon) -> DecoratedUDG:
     signs = []
     for i, j in pairs:
         dx, dy = xs[j] - xs[i], ys[j] - ys[i]
-        if dy > 0 or (dy == 0 and dx > 0):
-            canonical.append((dx, dy))
-            signs.append(1)
-        else:
-            canonical.append((-dx, -dy))
-            signs.append(-1)
+        s = canonical_sign(dx, dy)
+        canonical.append((s * dx, s * dy))
+        signs.append(s)
     directions = sorted(set(canonical))
     index = {t: pos for pos, t in enumerate(directions, 1)}
     G = DecoratedUDG(

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import octagon, random_polygon, twelve_gon
 from udnorm import kernels
-from udnorm.norms import square
+from udnorm.norms import canonical_sign, square
 from udnorm.pointsets import PointSeq, two_row_pointset
 from udnorm.ratlin import Vec2
 from udnorm.udg import (
@@ -46,6 +46,18 @@ class TestCanonicalDirection:
         assert u == v.scale(s)
         u2, s2 = canonical_direction(u)
         assert (u2, s2) == (u, 1)
+
+    @given(nonzero_vecs, st.integers(min_value=1, max_value=10**6))
+    def test_sign_invariant_under_positive_scaling(self, v, D):
+        # build_udg applies the rule to integer pairs D·v
+        s = canonical_sign(v.x, v.y)
+        assert s == canonical_direction(v)[1]
+        assert canonical_sign(int(v.x * D * v.x.denominator * v.y.denominator),
+                              int(v.y * D * v.x.denominator * v.y.denominator)) == s
+
+    def test_sign_rejects_zero(self):
+        with pytest.raises(ValueError):
+            canonical_sign(0, 0)
 
 
 FOUR_POINTS = PointSeq.of([
