@@ -12,7 +12,10 @@ certified box against one signed-sum test per class tuple.
 The front end is timed on `build_udg` over the subset-sum set of 11
 generic unit vectors of a 12-gon (integer edge directions) and on
 `color_cover` over a dense G(200, 0.9) with a greedy proper edge coloring
-(its large robust-core sets are settled by the degree-sequence proof).
+(its large robust-core sets are settled by the degree-sequence proof), and
+on the same graph its first stage `min_degree_core` and its contract check
+`verify_cover`; then `color_cover` over a rainbow G(60, 0.9), where the
+greedy runs one round per vertex.
 The geometry is timed on the built-in decagon: `choose_delta0` at the
 pipeline defaults, and one `hausdorff` between the decagon and its
 offset polygon at +δ₀. Each repeat builds fresh polygons, so no vertex
@@ -37,7 +40,13 @@ from udnorm.certify import (
     enumerate_admissible,
 )
 from udnorm.cli import build_parser, pipeline_decagon
-from udnorm.colored import EdgeColoredGraph, color_cover, weak_delta_table
+from udnorm.colored import (
+    EdgeColoredGraph,
+    color_cover,
+    min_degree_core,
+    verify_cover,
+    weak_delta_table,
+)
 from udnorm.dependence import DependenceConfig, extract_dependences
 from udnorm.norms import (
     AngleBound,
@@ -127,6 +136,21 @@ def main():
     print(f"\ncolor_cover: G({n}, 0.9), {len(edges)} edges, greedy proper "
           "coloring, q = 2, C = 1/4")
     t, cov = bench(lambda: color_cover(H, 2, Fraction(1, 4)), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   (|W| = {len(cov.W)}, |I| = {len(cov.I)})")
+    print(f"\nmin_degree_core: the same G({n}, 0.9)")
+    t, core = bench(lambda: min_degree_core(H), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   ({len(core)} vertices kept)")
+    print(f"\nverify_cover: the same G({n}, 0.9) and its cover")
+    t, ok = bench(lambda: verify_cover(H, cov.W, cov.I, 2), args.repeat)
+    print(f"  {t * 1e3:10.1f} ms   (contract {'met' if ok else 'NOT met'})")
+
+    n = 60
+    edges = [e for e in itertools.combinations(range(1, n + 1), 2)
+             if rng.random() < 0.9]
+    R = EdgeColoredGraph(n, tuple(edges), tuple(range(1, len(edges) + 1)))
+    print(f"\ncolor_cover: rainbow G({n}, 0.9), {len(edges)} edges, q = 2, "
+          "C = 1/4")
+    t, cov = bench(lambda: color_cover(R, 2, Fraction(1, 4)), args.repeat)
     print(f"  {t * 1e3:10.1f} ms   (|W| = {len(cov.W)}, |I| = {len(cov.I)})")
 
     # the pipeline's system and certificate at the CLI defaults

@@ -5,6 +5,11 @@ color cover, each with an independently verifiable output contract.
 
 Tables are keyed by edge endpoints, never by the vertex ids 1..n; only
 `robust_core`, whose contract covers isolated vertices, starts from [1, n].
+Each stage of `color_cover` is one flat pass over integers: the properness
+check counts integer (vertex, color) keys, the core peels neighbour lists
+against the integer threshold deg·n < |E|, the descent narrows one induced
+edge list, the greedy reads a flat vertex → root table, and the contract
+check re-scans G with a small union–find over W.
 
 Every threshold comparison Δ < r·log₂(imb) is decided exactly: for rational
 r = p/q it reduces to the integer comparison 2^(Δq)·min^p < |W|^p. The only
@@ -15,10 +20,12 @@ certified dyadic upper bound, and the final contract never depends on it.
 from __future__ import annotations
 
 import heapq
+import math
 import random
-from collections import defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from . import kernels
@@ -76,23 +83,14 @@ class EdgeColoredGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> defaultdict[int, set[int]]:
-        """Neighbour sets keyed by edge endpoints; any other vertex reads
-        as empty, so the cost does not depend on n."""
-        adj: defaultdict[int, set[int]] = defaultdict(set)
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
     def max_color_degree(self) -> int:
         """Largest number of equal-colored edges at a single vertex; at most
-        1 iff the coloring is proper."""
-        deg: dict[tuple[int, int], int] = {}
-        for (a, b), c in zip(self.edges, self.colors):
-            deg[(a, c)] = deg.get((a, c), 0) + 1
-            deg[(b, c)] = deg.get((b, c), 0) + 1
-        return max(deg.values(), default=0)
+        1 iff the coloring is proper. Counts the keys v + (n+1)·c, which
+        are distinct for distinct (v, c) since 1 ≤ v ≤ n."""
+        s = self.n + 1
+        keys = [a + s * c for (a, _), c in zip(self.edges, self.colors)]
+        keys += [b + s * c for (_, b), c in zip(self.edges, self.colors)]
+        return max(Counter(keys).values(), default=0)
 
     def induced_edges(self, W: Sequence[int]) -> list[tuple[Edge, int]]:
         wset = set(W)
@@ -145,26 +143,29 @@ def min_degree_core(G: EdgeColoredGraph) -> tuple[int, ...]:
 
     Peeling starts from the edge endpoints: an isolated vertex has degree
     0 < δ/2, and the surviving set does not depend on the deletion order.
+    A vertex is deleted while deg < δ/2 = |E|/n, i.e. while deg·n < |E|.
     """
-    if G.edge_count == 0:
+    n, m = G.n, G.edge_count
+    if m == 0:
         raise GraphError("graph has no edges")
-    threshold = Fraction(G.edge_count, G.n)  # δ/2 = (2|E|/n)/2
-    adj = G.adjacency()
-    alive = set(adj)
-    deg = {v: len(nbrs) for v, nbrs in adj.items()}
-    queue = deque(sorted(v for v in alive if deg[v] < threshold))
-    while queue:
-        v = queue.popleft()
-        if v not in alive or deg[v] >= threshold:
+    adj: defaultdict[int, list[int]] = defaultdict(list)
+    for a, b in G.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}  # the surviving vertices
+    stack = [v for v, d in deg.items() if d * n < m]
+    while stack:
+        v = stack.pop()
+        if v not in deg:
             continue
-        alive.remove(v)
+        del deg[v]
         for u in adj[v]:
-            if u in alive:
+            if u in deg:
                 deg[u] -= 1
-                if deg[u] < threshold:
-                    queue.append(u)
-    assert alive, "averaging argument guarantees a nonempty core"
-    return tuple(sorted(alive))
+                if deg[u] * n < m:
+                    stack.append(u)
+    assert deg, "averaging argument guarantees a nonempty core"
+    return tuple(sorted(deg))
 
 
 # --- weak cuts and the robust core --------------------------------------------
@@ -189,13 +190,12 @@ def _vertex_set(G: EdgeColoredGraph, W: Sequence[int]) -> tuple[int, ...]:
 
 def _restricted_masks(W: Sequence[int], edges: list[tuple[Edge, int]]) -> list[int]:
     """Neighbourhood bitmasks of the sorted set W from its induced edges."""
-    pos = {v: i for i, v in enumerate(W)}
-    masks = [0] * len(W)
+    bit = {v: 1 << i for i, v in enumerate(W)}
+    nbrs: dict[int, list[int]] = {v: [] for v in W}
     for (a, b), _ in edges:
-        i, j = pos[a], pos[b]
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
+        nbrs[a].append(bit[b])
+        nbrs[b].append(bit[a])
+    return [sum(bits) for bits in nbrs.values()]  # distinct bits: sum is OR
 
 
 def _mask_to_cut(W: Sequence[int], mask: int, delta: int) -> WeakCut:
@@ -369,24 +369,24 @@ def _descend(G: EdgeColoredGraph, V: tuple[int, ...], r: Fraction,
     """robust_core on the subgraph induced by the sorted vertex set V, with
     n = |V| and degrees taken inside V; also returns the final W's induced
     edges. G is scanned once: each cut filters the current W's edge list to
-    the side the descent keeps."""
-    edges = G.induced_edges(V)
-    deg = dict.fromkeys(V, 0)
-    for (a, b), _ in edges:
-        deg[a] += 1
-        deg[b] += 1
-    n = Fraction(len(V))
-    hypothesis = all(degree_at_least_r_log(d, r, n) for d in deg.values())
-    W = V
+    the side the descent keeps.
+
+    deg ≥ r·log₂ n is monotone in deg, so the smallest degree in V decides
+    the hypothesis for every vertex."""
+    W, edges = V, G.induced_edges(V)
+    masks = _restricted_masks(W, edges)
+    hypothesis = degree_at_least_r_log(min(m.bit_count() for m in masks), r,
+                                       Fraction(len(V)))
     trace = []
     while len(W) >= 2:
-        cut = _weak_cut(W, _restricted_masks(W, edges), r, cap, seed)
+        cut = _weak_cut(W, masks, r, cap, seed)
         if cut is None:
             return RobustCoreResult(W, tuple(trace), hypothesis), edges
         trace.append(cut)
         W = cut.A if len(cut.A) <= len(cut.B) else cut.B
         wset = set(W)
         edges = [e for e in edges if e[0][0] in wset and e[0][1] in wset]
+        masks = _restricted_masks(W, edges)
     raise CoverFailure(
         "cut descent reached a single vertex (hypothesis unmet or heuristic miss)",
         trace=tuple(trace),
@@ -407,47 +407,32 @@ def verify_no_weak_cut(G: EdgeColoredGraph, W: Sequence[int],
 # --- greedy color cover ---------------------------------------------------------
 
 
-class _DSU:
-    def __init__(self, items):
-        self.parent = {v: v for v in items}
-        self.count = len(self.parent)
-
-    def find(self, v):
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.count -= 1
-        return True
-
-
-def _merges_if_added(dsu: _DSU, edges: list[Edge]) -> int:
-    """Union count if these edges were added, without mutating the DSU."""
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    merges = 0
+def _links(root: dict[int, int], edges: list[Edge]) -> dict[int, int]:
+    """The links (child root → parent root) that adding these edges would
+    make between the components that `root` labels, one per merge; `root`
+    is not mutated."""
+    link: dict[int, int] = {}
     for a, b in edges:
-        ra, rb = find(dsu.find(a)), find(dsu.find(b))
+        ra, rb = root[a], root[b]
+        while ra in link:  # path splitting keeps the chains short
+            up = link[ra]
+            if up in link:
+                link[ra] = link[up]
+            ra = up
+        while rb in link:
+            up = link[rb]
+            if up in link:
+                link[rb] = link[up]
+            rb = up
         if ra != rb:
-            parent[rb] = ra
-            merges += 1
-    return merges
+            link[rb] = ra
+    return link
+
+
+def _merges_if_added(root: dict[int, int], edges: list[Edge]) -> int:
+    """Union count if these edges were added to the components that `root`
+    labels."""
+    return len(_links(root, edges))
 
 
 @dataclass(frozen=True)
@@ -486,23 +471,26 @@ def _color_classes(edges: Iterable[tuple[Edge, int]]) -> dict[int, list[Edge]]:
 
 def _greedy_cover(W: tuple[int, ...], by_color: dict[int, list[Edge]],
                   ) -> tuple[tuple[int, ...], GreedyTrace]:
-    """greedy_color_cover on the sorted set W with its color classes."""
-    dsu = _DSU(W)
-    find = dsu.find
+    """greedy_color_cover on the sorted set W with its color classes.
+
+    `root` maps each vertex of W to its component's root and is refreshed
+    over W after each chosen color, so a gain reads it directly."""
+    root = {v: v for v in W}
+    count = len(W)
 
     def gain(c: int) -> int:
         edges = by_color[c]
         if len(edges) == 1:
             (a, b), = edges
-            return int(find(a) != find(b))
-        return _merges_if_added(dsu, edges)
+            return int(root[a] != root[b])
+        return _merges_if_added(root, edges)
 
     # a color's edge count bounds its gain
     heap = [(-len(edges), c) for c, edges in by_color.items()]
     heapq.heapify(heap)
     chosen: list[int] = []
-    counts = [len(W)]
-    while dsu.count > 1:
+    counts = [count]
+    while count > 1:
         while heap:
             c = heap[0][1]
             g = gain(c)
@@ -520,10 +508,15 @@ def _greedy_cover(W: tuple[int, ...], by_color: dict[int, list[Edge]],
                 "no color reduces the component count (G[W] disconnected)",
                 trace=GreedyTrace(tuple(chosen), tuple(counts)),
             )
-        for a, b in by_color[c]:
-            dsu.union(a, b)
+        link = _links(root, by_color[c])
+        for v in W:
+            r = root[v]
+            while r in link:
+                r = link[r]
+            root[v] = r
+        count -= len(link)
         chosen.append(c)
-        counts.append(dsu.count)
+        counts.append(count)
     return tuple(chosen), GreedyTrace(tuple(chosen), tuple(counts))
 
 
@@ -574,30 +567,38 @@ def _rationalized_r(logs: _LogBounds, q: Fraction, C: Fraction) -> Fraction:
 
 def verify_cover(G: EdgeColoredGraph, W: Sequence[int], I: Sequence[int],
                  q: RationalLike) -> bool:
-    """Independent contract check: G[I, W] connected and ≥ q·|I| colors on G[W]."""
-    W = tuple(sorted(W))
-    if len(W) < 2:
+    """Independent contract check: G[I, W] connected and ≥ q·|I| colors on
+    G[W]. False when W has fewer than two vertices or a repeated one; a
+    vertex of W outside G is isolated in G[I, W].
+
+    G is rescanned: a union–find over W joins the edges whose color is in
+    I, then G[W]'s colors are collected until ⌈q·|I|⌉ of them are seen."""
+    parent = {v: v for v in W}
+    if len(W) < 2 or len(parent) != len(W):
         return False
     iset = set(I)
-    adj: dict[int, set[int]] = {v: set() for v in W}
-    colors = set()
-    for (a, b), c in zip(G.edges, G.colors):
-        if a in adj and b in adj:
-            colors.add(c)
-            if c in iset:
-                adj[a].add(b)
-                adj[b].add(a)
-    seen = {W[0]}
-    stack = [W[0]]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != len(W):
+    parts = len(parent)
+    for a, b in compress(G.edges, map(iset.__contains__, G.colors)):
+        if a in parent and b in parent:
+            while parent[a] != a:  # path halving
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[b] = a
+                parts -= 1
+    if parts != 1:
         return False
-    return Fraction(len(colors)) >= rat(q) * len(I)
+    need = math.ceil(rat(q) * len(I))
+    colors: set[int] = set()
+    for (a, b), c in zip(G.edges, G.colors):
+        if len(colors) >= need:
+            break
+        if a in parent and b in parent:
+            colors.add(c)
+    return len(colors) >= need
 
 
 def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
@@ -605,13 +606,23 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
     """Pipeline min_degree_core → robust_core (r = C·q·log₂log₂ n) → greedy
     cover, with the output contract verified before returning.
 
-    The descent and the greedy share one induced edge list, which the
-    descent narrows to each W it keeps; only verify_cover rescans G.
+    Each stage is one flat pass over integers: max_color_degree counts
+    (vertex, color) keys, min_degree_core peels neighbour lists, the
+    descent scans G once for the core's induced edges and narrows that list
+    to each W it keeps, the greedy reads a vertex → root table refreshed
+    after each chosen color, and verify_cover independently rescans G.
 
     Raises CoverFailure when any stage or the final contract check fails —
     a legitimate outcome below the density hypothesis — and ValueError when
     q ≤ 0 or C ≤ 0, which would make r ≤ 0.
     """
+    return _color_cover(G, q, C, cap, seed)[0]
+
+
+def _color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike,
+                 cap: Optional[int], seed: int,
+                 ) -> tuple[CoverResult, dict[int, list[Edge]]]:
+    """color_cover, also returning the color classes of G[W]."""
     q, C = rat(q), rat(C)
     if q <= 0 or C <= 0:
         raise ValueError("q and C must be positive")
@@ -642,4 +653,4 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
             f"vs q·|I| = {q * len(I)}",
             trace=result,
         )
-    return result
+    return result, by_color

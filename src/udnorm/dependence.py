@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .colored import (CoverFailure, CoverResult, Edge, _color_classes,
-                      color_cover)
+from .colored import CoverFailure, CoverResult, Edge, _color_cover
 from .norms import SymmetricPolygon
 from .pointsets import PointSeq
 from .ratlin import rat
@@ -119,14 +118,13 @@ def extract_dependences(G: DecoratedUDG,
     pruned = prune_to_proper(G)
     assert 3 * pruned.edge_count >= G.edge_count, "pruning keeps >= |E|/3"
     try:
-        cover = color_cover(pruned, config.q, config.C,
-                            cap=config.exhaustive_cap, seed=config.seed)
+        cover, by_color = _color_cover(pruned, config.q, config.C,
+                                       config.exhaustive_cap, config.seed)
     except CoverFailure as exc:
         raise ExtractionFailure(f"cover search failed: {exc}",
                                 detail=exc.trace) from exc
     W, I = cover.W, cover.I
     ell = len(I)
-    by_color = _color_classes(pruned.induced_edges(W))
     colors_on_W = sorted(by_color)
     iset = set(I)
     eligible = [c for c in colors_on_W if c not in iset]

@@ -18,3 +18,8 @@ def test_bench_kernels_smoke():
     )
     assert r.returncode == 0, r.stdout + r.stderr
     assert "kill-record forms on the certified box" in r.stdout
+    for row in ("min_degree_core: the same G(200, 0.9)",
+                "verify_cover: the same G(200, 0.9) and its cover",
+                "color_cover: rainbow G(60, 0.9)"):
+        assert row in r.stdout
+    assert "contract met" in r.stdout

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -42,6 +43,16 @@ def random_graph(rng, n, p):
     )
     colors = tuple(range(1, len(edges) + 1))  # rainbow: always proper
     return EdgeColoredGraph(n, edges, colors)
+
+
+def adjacency(G):
+    """Neighbour sets keyed by edge endpoints; any other vertex reads as
+    empty."""
+    adj = collections.defaultdict(set)
+    for a, b in G.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
 def greedy_proper_coloring(n, edges):
@@ -141,6 +152,22 @@ class TestMinDegreeCore:
         assert core == (1, 2, 3, 4)
         assert peak < 1 << 20
 
+    def test_cover_and_check_cost_nothing(self):
+        # rainbow K6 plus 99,994 isolated vertices: the cover search and its
+        # contract check key every table by edge endpoints or by W
+        K6 = rainbow_complete(6)
+        G = EdgeColoredGraph(100_000, K6.edges, K6.colors)
+        tracemalloc.start()
+        try:
+            res = color_cover(G, 2, Fraction(1, 8))
+            ok = verify_cover(G, res.W, res.I, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.W == (1, 2, 3, 4, 5, 6)
+        assert ok
+        assert peak < 1 << 20
+
     def test_min_degree_property(self):
         rng = random.Random(0)
         for _ in range(1000):
@@ -150,7 +177,7 @@ class TestMinDegreeCore:
                 continue
             core = min_degree_core(G)
             threshold = Fraction(2 * G.edge_count, G.n) / 2
-            adj = G.adjacency()
+            adj = adjacency(G)
             cset = set(core)
             for v in core:
                 assert len(adj[v] & cset) >= threshold
@@ -414,7 +441,7 @@ class TestRobustCore:
                 continue
             if not res.hypothesis_met:
                 continue
-            adj = G.adjacency()
+            adj = adjacency(G)
             ratio = Fraction(G.n)
             for cut in res.trace:
                 ratio /= Fraction(len(cut.A) + len(cut.B),
@@ -432,7 +459,7 @@ class TestRobustCore:
 def _assert_all_cuts_strong(G, W, r):
     """Independent brute force: re-derive every cut comparison from scratch."""
     W = sorted(W)
-    adj = G.adjacency()
+    adj = adjacency(G)
     p, q = r.numerator, r.denominator
     for bits in range(1, 2 ** (len(W) - 1)):
         A = {W[i + 1] for i in range(len(W) - 1) if (bits >> i) & 1}
@@ -600,7 +627,7 @@ class TestLazyGreedy:
         calls = []
         real = colored._merges_if_added
         monkeypatch.setattr(colored, "_merges_if_added",
-                            lambda dsu, e: calls.append(1) or real(dsu, e))
+                            lambda root, e: calls.append(1) or real(root, e))
         W = range(1, n + 1)
         I, trace = greedy_color_cover(G, W)
         assert (I, trace) == reference_greedy_color_cover(G, W)
@@ -784,3 +811,156 @@ class TestPinnedLargeCovers:
         digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
         assert digest.hexdigest() == (
             "db1e75decdc053fa4dec3c7180f0dd0ce313f9abfd9190f4151c431eaccd4f35")
+
+
+# --- the flat passes against reference copies of the earlier code -------------
+
+
+def reference_max_color_degree(G):
+    """max_color_degree over a dict keyed by (vertex, color) tuples."""
+    deg = {}
+    for (a, b), c in zip(G.edges, G.colors):
+        deg[(a, c)] = deg.get((a, c), 0) + 1
+        deg[(b, c)] = deg.get((b, c), 0) + 1
+    return max(deg.values(), default=0)
+
+
+def reference_min_degree_core(G):
+    """min_degree_core with a Fraction threshold, neighbour sets and a FIFO
+    queue started in vertex order."""
+    if G.edge_count == 0:
+        raise GraphError("graph has no edges")
+    threshold = Fraction(G.edge_count, G.n)
+    adj = adjacency(G)
+    alive = set(adj)
+    deg = {v: len(nbrs) for v, nbrs in adj.items()}
+    queue = collections.deque(sorted(v for v in alive if deg[v] < threshold))
+    while queue:
+        v = queue.popleft()
+        if v not in alive or deg[v] >= threshold:
+            continue
+        alive.remove(v)
+        for u in adj[v]:
+            if u in alive:
+                deg[u] -= 1
+                if deg[u] < threshold:
+                    queue.append(u)
+    return tuple(sorted(alive))
+
+
+def reference_verify_cover(G, W, I, q):
+    """verify_cover with dict-of-sets adjacency and a depth-first search."""
+    W = tuple(sorted(W))
+    if len(W) < 2:
+        return False
+    iset = set(I)
+    adj = {v: set() for v in W}
+    colors = set()
+    for (a, b), c in zip(G.edges, G.colors):
+        if a in adj and b in adj:
+            colors.add(c)
+            if c in iset:
+                adj[a].add(b)
+                adj[b].add(a)
+    seen = {W[0]}
+    stack = [W[0]]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != len(W):
+        return False
+    return Fraction(len(colors)) >= Fraction(q) * len(I)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on a few vertex ids, small or spread up to 10⁵, with n at
+    least the largest id; n is often a divisor of |E|, so that a degree
+    can meet the core threshold deg·n = |E| exactly."""
+    top = draw(st.sampled_from([12, 10**5]))
+    ids = sorted(draw(st.sets(st.integers(1, top), min_size=2, max_size=12)))
+    pairs = list(itertools.combinations(ids, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = tuple(e for e, k in zip(pairs, keep) if k)
+    palette = draw(st.integers(1, len(edges) + 1))
+    colors = tuple(draw(st.lists(st.integers(1, palette), min_size=len(edges),
+                                 max_size=len(edges))))
+    m, lo = len(edges), ids[-1]
+    ties = [d for d in range(lo, m + 1) if m % d == 0]
+    n = draw(st.one_of(st.sampled_from(ties + [lo]), st.integers(lo, 10**5)))
+    return EdgeColoredGraph(n, edges, colors)
+
+
+class TestFlatPasses:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_graphs())
+    def test_max_color_degree_matches_reference(self, G):
+        assert G.max_color_degree() == reference_max_color_degree(G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_graphs())
+    def test_min_degree_core_matches_reference(self, G):
+        if not G.edges:
+            with pytest.raises(GraphError):
+                min_degree_core(G)
+            return
+        assert min_degree_core(G) == reference_min_degree_core(G)
+
+    def test_min_degree_core_keeps_degree_at_threshold(self):
+        # |E| = n = 4: the pendant vertex has deg·n = |E| and stays
+        G = EdgeColoredGraph(4, ((1, 2), (1, 3), (2, 3), (3, 4)), (1, 2, 3, 1))
+        assert min_degree_core(G) == (1, 2, 3, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_graphs(), st.data())
+    def test_verify_cover_matches_reference(self, G, data):
+        # W is every endpoint or a sample drawn with replacement, may gain a
+        # repeated vertex and an id outside G; I is often every color of G,
+        # may repeat colors and hold colors absent from G[W]; q·|I| lies
+        # within 1 of the color count of G[W], often strictly between two
+        # integers
+        ids = sorted({v for e in G.edges for v in e}) or [1]
+        W = data.draw(st.one_of(st.just(ids),
+                                st.lists(st.sampled_from(ids), max_size=8)))
+        W = W + data.draw(st.lists(st.sampled_from(ids), max_size=1))
+        W += data.draw(st.lists(st.sampled_from([0, G.n + 1, 10**6]),
+                                max_size=1))
+        top = max(G.colors, default=0) + 3
+        I = data.draw(st.one_of(st.lists(st.integers(1, top), max_size=8),
+                                st.just(sorted(set(G.colors)))))
+        I += data.draw(st.lists(st.integers(top - 2, top), max_size=1))
+        wset = set(W)
+        count = len({c for (a, b), c in zip(G.edges, G.colors)
+                     if a in wset and b in wset})
+        d = data.draw(st.integers(1, 4))
+        q = Fraction(max(1, count * d + data.draw(st.integers(-1, 1))),
+                     d * max(1, len(I)))
+        assert verify_cover(G, W, I, q) == reference_verify_cover(G, W, I, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, 12), st.floats(0.3, 1), st.integers(0, 2**32),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    def test_descent_hypothesis_matches_every_degree(self, n, p, seed, r):
+        G = random_graph(random.Random(seed), n, p)
+        try:
+            res = robust_core(G, r)
+        except CoverFailure:
+            return
+        deg = collections.Counter(v for e in G.edges for v in e)
+        assert res.hypothesis_met == all(
+            degree_at_least_r_log(deg[v], r, Fraction(n))
+            for v in range(1, n + 1))
+
+    def test_descent_hypothesis_judged_on_smallest_degree(self):
+        # K4 beside K5: the descent keeps the K4, and the K4's degree 3
+        # misses log₂ 9 while the K5's degree 4 meets it
+        edges = (list(itertools.combinations(range(1, 5), 2))
+                 + list(itertools.combinations(range(5, 10), 2)))
+        G = EdgeColoredGraph(9, tuple(edges), tuple(range(1, len(edges) + 1)))
+        res = robust_core(G, 1)
+        assert res.W == (1, 2, 3, 4)
+        assert not res.hypothesis_met
