@@ -552,8 +552,6 @@ def witness_norm(cert: NormCertificate) -> NormCertificate:
         delta = cand if delta is None else min(delta, cand)
     if delta is None or delta <= 0:
         raise CertifierError("margin δ must be positive")
-    if not (b_out.contains_polygon(b_mid) and b_mid.contains_polygon(b_in)):
-        raise CertifierError("witness sandwich B_in ⊆ B ⊆ B_out fails")
     # a convex quad avoiding 0 spans its widest angle between two corners;
     # trapezoid m+i is −trapezoid i
     for side in range(B1.m):

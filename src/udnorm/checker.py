@@ -1,34 +1,54 @@
 """Independent certificate validation.
 
-Re-validates a finished certificate from its serialized data alone: the
-linear systems are re-derived inline from the polygon and the coefficient
-rows (no construction code paths). The certificate's table holds one
-left-null vector y per class tuple α mod m (sides s and s+m share a
-normal); every class tuple of an admissible assignment must appear exactly
-once, and each y is verified once by direct multiplication yᵀA = 0 with
-y ≠ 0, in integers: y, the normals and the coefficient rows are scaled to
-common denominators, the latter two once per check. For each class tuple,
-one integer test decides whether h = yᵀb(t) is sign-definite on the box
-for all 2^(2ℓ+1) side choices at once: y, the offsets and the box are
-scaled to common denominators, so every comparison is exact. A class tuple
-that fails it, or has no usable table entry, is checked side choice by side
-choice, so each failing assignment is named.
-The witness sandwich, margin rule, trapezoid tiling, sweep property, and
-η-shortness of every trapezoid of B_out ∖ B_in (each pair of its corners
-spans an angle < η) are checked by exact rational geometry.
+Certified statement: for every symmetric convex body B′ within Hausdorff
+distance δ of the witness polygon B (`witness_mid`), no 2ℓ+1 pairwise
+η-separated unit vectors of B′ satisfy the dependence system S.
+
+The linear systems are re-derived from the serialized polygon and
+coefficient rows alone (no construction code paths). The checker proves:
+- The table: one left-null vector y per class tuple α mod m (sides s and
+  s+m share a normal), for every class tuple of an admissible assignment
+  exactly once; each y ≠ 0 with yᵀA = 0, by direct multiplication in
+  integers (y, the normals and the coefficient rows over common
+  denominators). The degenerate flag is set iff no class tuple exists.
+- The kills: per class tuple, one exact integer test decides whether
+  h = yᵀb(t) is sign-definite on the box for all 2^(2ℓ+1) side choices at
+  once; a class tuple that fails it, or has no usable table entry, is
+  checked side choice by side choice, so each failing assignment is named.
+- The sandwich: B_in, B and B_out are `offset_polygon(B₁, ·)` at lo, the
+  center and hi of the box, so every side is facet-defining.
+- The margin rule 2δ‖nᵢ‖ ≤ hiᵢ − loᵢ, which puts B′ between B_in and B_out.
+- Each pair of corners of each trapezoid of B_out ∖ B_in spans an angle < η.
+It relies on the sweep lemma of the source paper: each unit vector of B′ in
+trapezoid s lies on ⟨n_s, z⟩ = ±(c_s + t) with t in the box, so a
+realization would solve some assignment's system at a point of the box.
+
+Implied by the checks above, so not run:
+- Strict sandwich: the offsets are exactly c + lo, c + mid and c + hi, and
+  lo < hi is checked first.
+- Sweep property: each trapezoid corner is a vertex of B_in or B_out on
+  side s's line, so its t is exactly lo_s or hi_s.
+- η-short B_in and B_out: their sides are corner pairs of the trapezoids.
+- η-short B: vertices are affine in the offsets, so each vertex of B is the
+  midpoint of the matching vertices of B_in and B_out; each side of B lies
+  in its trapezoid, whose widest angle is between two of its corners.
+- Tiling: with the same normals and B_in ⊆ B_out, each quad has two parallel
+  sides of the same orientation, so it is a convex trapezoid, and the
+  shoelace sums telescope to area(B_out) − area(B_in).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .norms import (
     NormOracle,
+    PolygonError,
     SymmetricPolygon,
     hausdorff_to_oracle,
+    offset_polygon,
     segment_is_eta_short,
 )
 from .ratlin import RationalLike, over_common_denominator, rat
@@ -97,7 +117,9 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
                       eps: Optional[RationalLike] = None) -> CheckReport:
     """Validate a NormCertificate; optionally also that its witness norm is
     within eps of a target oracle. Returns a report, never raises on
-    invalid certificates."""
+    invalid certificates; an oracle without eps is a ValueError."""
+    if oracle is not None and eps is None:
+        raise ValueError("an oracle needs eps to check the distance against")
     report = CheckReport(ok=True)
     B1 = cert.polygon
     m = B1.m
@@ -122,24 +144,23 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     # independent enumeration of the admissible assignments: injections into
     # opposite-pair classes times a side choice per item
     count = 2 * S.ell + 1
-    class_tuples = 0
     for classes in itertools.permutations(range(m), count):
-        class_tuples += 1
         ys = table.get(classes)
         if isinstance(ys, tuple) and _class_tuple_killed(offsets, box, classes, ys):
             continue
         for sides in itertools.product((0, 1), repeat=count):
             _check_kill(report, offsets, box,
                         tuple(c + m * s for c, s in zip(classes, sides)), ys)
-    if class_tuples == 0 and not cert.degenerate:
+    # no class tuple exists iff 2ℓ+1 > m
+    if count > m and not cert.degenerate:
         report.fail("no admissible assignments exist but certificate "
                     "is not flagged degenerate")
-    if class_tuples > 0 and cert.degenerate:
+    if count <= m and cert.degenerate:
         report.fail("certificate flagged degenerate despite admissible assignments")
 
     if cert.has_witness():
         _check_witness(report, cert)
-        if oracle is not None and eps is not None:
+        if oracle is not None:
             hd = hausdorff_to_oracle(cert.witness_mid, oracle)
             if not hd.strictly_below(rat(eps)):
                 report.fail(
@@ -196,26 +217,18 @@ def _check_kill(report: CheckReport, offsets, box, alpha, ys):
 
 
 def _check_witness(report: CheckReport, cert):
-    B1 = cert.polygon
-    m = B1.m
-    b_in, b_mid, b_out = cert.witness_in, cert.witness_mid, cert.witness_out
-    lo, hi = cert.box.lo, cert.box.hi
+    B1, lo, hi = cert.polygon, cert.box.lo, cert.box.hi
+    b_in, b_out = cert.witness_in, cert.witness_out
     mid = [(a + b) / 2 for a, b in zip(lo, hi)]
-    for name, poly, offs in (("inner", b_in, lo), ("mid", b_mid, mid),
+    for name, poly, offs in (("inner", b_in, lo), ("mid", cert.witness_mid, mid),
                              ("outer", b_out, hi)):
-        if poly.normals != B1.normals:
-            report.fail(f"witness {name} polygon is not an offset of the base")
+        try:
+            expected = offset_polygon(B1, offs)
+        except PolygonError as exc:
+            report.fail(f"witness {name} polygon: {exc}")
             return
-        for i in range(m):
-            if poly.offsets[i] != B1.offsets[i] + offs[i]:
-                report.fail(f"witness {name} offsets wrong at side pair {i}")
-                return
-        if not poly.is_eta_short(cert.eta):
-            report.fail(f"witness {name} polygon has a side that is not η-short")
-    # strict sandwich (same normals: compare offsets)
-    for i in range(m):
-        if not (b_in.offsets[i] < b_mid.offsets[i] < b_out.offsets[i]):
-            report.fail("witness sandwich is not strict")
+        if poly != expected:
+            report.fail(f"witness {name} polygon is not the base offset by the box")
             return
     # margin rule: 2δ·‖nᵢ‖ ≤ hiᵢ − loᵢ, squared to stay rational
     delta = rat(cert.delta)
@@ -226,33 +239,10 @@ def _check_witness(report: CheckReport, cert):
         gap = hi[i] - lo[i]
         if (2 * delta) ** 2 * n.norm_sq() > gap * gap:
             report.fail(f"margin δ too large for side pair {i}")
-    # sweep property: each trapezoid lies between its side's offset lines
-    for side in range(2 * m):
-        a_in, bb_in = b_in.side_segment(side)
-        a_out, bb_out = b_out.side_segment(side)
-        n = B1.normals[side % m]
-        c = B1.offsets[side % m]
-        for p in (a_in, bb_in, bb_out, a_out):
-            t = (n.dot(p) - c) if side < m else (-n.dot(p) - c)
-            if not lo[side % m] <= t <= hi[side % m]:
-                report.fail(f"sweep property fails at side {side}")
-                break
     # η-short trapezoids: a convex quad avoiding 0 spans its widest angle
     # between two corners; trapezoid m+i is −trapezoid i
-    for side in range(m):
+    for side in range(B1.m):
         quad = b_in.side_segment(side) + b_out.side_segment(side)
         if not all(segment_is_eta_short(p, q, cert.eta)
                    for p, q in itertools.combinations(quad, 2)):
             report.fail(f"trapezoid {side} is not η-short")
-    # trapezoid tiling: areas add up to the annulus area exactly
-    total = Fraction(0)
-    for side in range(2 * m):
-        a_in, bb_in = b_in.side_segment(side)
-        a_out, bb_out = b_out.side_segment(side)
-        quad = (a_in, bb_in, bb_out, a_out)
-        acc = Fraction(0)
-        for p, q in zip(quad, quad[1:] + quad[:1]):
-            acc += p.cross(q)
-        total += abs(acc) / 2
-    if total != b_out.area() - b_in.area():
-        report.fail("trapezoids do not tile the sandwich annulus")

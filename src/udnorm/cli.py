@@ -6,11 +6,12 @@ Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
 `--w`, `--h`, `--trials`, and `--exhaustive-cap` outside [0, 22]; a
 `gen --kind subset-sum --k` above the polygon's side count; a `--step` of
 0; a `--q`, `--C`, `--eps` or `--delta0` that is not positive; an
-`--eta-sin2` outside (0, 1]; and `certify` with neither
-`--polygon` nor `--oracle`), 3 malformed input payload (a JSON file
-that does not describe a valid object of its kind, including a certificate
-that is not schema 2). Module failures and malformed payloads emit a
-structured error JSON on stdout; `pipeline` writes no file when it fails.
+`--eta-sin2` outside (0, 1]; `certify` with neither `--polygon` nor
+`--oracle`; and `check --oracle` without `--eps`), 3 malformed input
+payload (a JSON file that does not describe a valid object of its kind,
+including a certificate that is not schema 2). Module failures and
+malformed payloads emit a structured error JSON on stdout; `pipeline`
+writes no file when it fails.
 All randomized paths take an explicit seed (default 0). `--exhaustive-cap`
 is the one way to set the exhaustive cut-search cap.
 """
@@ -209,6 +210,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.oracle and args.eps is None:
+        _error("usage", "check --oracle needs --eps")
+        return 2
     cert = jsonio.certificate_from_json(jsonio.read_json(args.cert))
     oracle = (jsonio.oracle_from_json(jsonio.read_json(args.oracle))
               if args.oracle else None)

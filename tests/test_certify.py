@@ -752,13 +752,6 @@ class TestCorrectnessChecks:
         with pytest.raises(CertifierError, match="margin"):
             witness_norm(cert)
 
-    def test_sandwich_containment(self, octagon, monkeypatch):
-        cert = _toy_certificate(octagon, ETA_OCT, with_witness=False)
-        monkeypatch.setattr(SymmetricPolygon, "contains_polygon",
-                            lambda self, other: False)
-        with pytest.raises(CertifierError, match="sandwich"):
-            witness_norm(cert)
-
 
 class TestTrapezoids:
     def test_tiling_area(self, octagon):

@@ -10,15 +10,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import octagon, twelve_gon
 from udnorm import checker, jsonio
-from udnorm.certify import (CertifierError, OffsetBox, certify_box,
-                            trapezoid_corners, witness_norm)
+from udnorm.certify import (CertifierError, NormCertificate, OffsetBox,
+                            certify_box, trapezoid_corners, witness_norm)
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
 from udnorm.dependence import DependenceSystem
-from udnorm.norms import (AngleBound, NormOracle, OffsetVector,
-                          SymmetricPolygon, offset_polygon, square)
-from udnorm.ratlin import (over_common_denominator, rat_from_str, rat_to_str,
-                           sqrt_interval)
+from udnorm.norms import (AngleBound, NormOracle, OffsetVector, PolygonError,
+                          SymmetricPolygon, offset_polygon, segment_is_eta_short,
+                          square)
+from udnorm.ratlin import (over_common_denominator, rat, rat_from_str,
+                           rat_to_str, sqrt_interval)
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
 
@@ -516,3 +517,213 @@ class TestClassTupleTest:
                 alpha = tuple(c + m * s for c, s in zip(classes, sides))
                 checker._check_kill(report, offsets, scaled, alpha, ys)
             assert checker._class_tuple_killed(offsets, scaled, classes, ys) == report.ok
+
+
+# --- the witness check: offset polygons, margin rule, trapezoids ------------------
+
+WIDE = DependenceSystem(ell=2, indices=(1, 2, 3, 4, 5),
+                        coeffs=((1, 1), (1, -1), (2, 1)))
+
+
+def _reference_check_witness(report, cert):
+    """The witness check before the implied checks were removed: offsets
+    compared side pair by side pair, η-short witness polygons, the strict
+    sandwich, the sweep and the tiling area sum besides the margin rule and
+    the trapezoids. The reference for the verdict."""
+    B1 = cert.polygon
+    m = B1.m
+    b_in, b_mid, b_out = cert.witness_in, cert.witness_mid, cert.witness_out
+    lo, hi = cert.box.lo, cert.box.hi
+    mid = [(a + b) / 2 for a, b in zip(lo, hi)]
+    for name, poly, offs in (("inner", b_in, lo), ("mid", b_mid, mid),
+                             ("outer", b_out, hi)):
+        if poly.normals != B1.normals:
+            report.fail(f"witness {name} polygon is not an offset of the base")
+            return
+        for i in range(m):
+            if poly.offsets[i] != B1.offsets[i] + offs[i]:
+                report.fail(f"witness {name} offsets wrong at side pair {i}")
+                return
+        if not poly.is_eta_short(cert.eta):
+            report.fail(f"witness {name} polygon has a side that is not η-short")
+    for i in range(m):
+        if not (b_in.offsets[i] < b_mid.offsets[i] < b_out.offsets[i]):
+            report.fail("witness sandwich is not strict")
+            return
+    delta = rat(cert.delta)
+    if delta <= 0:
+        report.fail("margin δ must be positive")
+        return
+    for i, n in enumerate(B1.normals):
+        gap = hi[i] - lo[i]
+        if (2 * delta) ** 2 * n.norm_sq() > gap * gap:
+            report.fail(f"margin δ too large for side pair {i}")
+    for side in range(2 * m):
+        a_in, bb_in = b_in.side_segment(side)
+        a_out, bb_out = b_out.side_segment(side)
+        n = B1.normals[side % m]
+        c = B1.offsets[side % m]
+        for p in (a_in, bb_in, bb_out, a_out):
+            t = (n.dot(p) - c) if side < m else (-n.dot(p) - c)
+            if not lo[side % m] <= t <= hi[side % m]:
+                report.fail(f"sweep property fails at side {side}")
+                break
+    for side in range(m):
+        quad = b_in.side_segment(side) + b_out.side_segment(side)
+        if not all(segment_is_eta_short(p, q, cert.eta)
+                   for p, q in itertools.combinations(quad, 2)):
+            report.fail(f"trapezoid {side} is not η-short")
+    total = Fraction(0)
+    for side in range(2 * m):
+        a_in, bb_in = b_in.side_segment(side)
+        a_out, bb_out = b_out.side_segment(side)
+        quad = (a_in, bb_in, bb_out, a_out)
+        acc = Fraction(0)
+        for p, q in zip(quad, quad[1:] + quad[:1]):
+            acc += p.cross(q)
+        total += abs(acc) / 2
+    if total != b_out.area() - b_in.area():
+        report.fail("trapezoids do not tile the sandwich annulus")
+
+
+def _unvalidated(B, t):
+    """B offset by t, built without the facet validation."""
+    return SymmetricPolygon(B.normals, tuple(c + x for c, x in zip(B.offsets, t)))
+
+
+class TestWitnessSandwich:
+    def test_inner_polygon_with_redundant_side_fails(self, octagon):
+        # a degenerate octagon certificate (2ℓ+1 > m) whose box makes side
+        # pair 2 of B_in redundant; the witnesses skip the facet validation
+        # that the JSON reader applies, and every implied check passes
+        lo = tuple(map(Fraction, ("3/20", "117/100", "6/5", "1/5")))
+        hi = tuple(map(Fraction, ("19/20", "133/100", "121/100", "36/25")))
+        box = OffsetBox(lo, hi)
+        cert = NormCertificate(
+            polygon=octagon, box=box, null_vectors=(), system=WIDE,
+            eta=AngleBound.of(1), degenerate=True,
+            witness_in=_unvalidated(octagon, lo),
+            witness_mid=_unvalidated(octagon, box.center()),
+            witness_out=_unvalidated(octagon, hi), delta=Fraction(1, 300))
+        old = checker.CheckReport(ok=True)
+        _reference_check_witness(old, cert)
+        assert old.ok
+        with pytest.raises(PolygonError):
+            offset_polygon(octagon, lo)
+        rep = check_certificate(cert)
+        assert rep.failures == ["witness inner polygon: redundant constraint: "
+                                "candidate vertex infeasible"]
+
+    @staticmethod
+    def _assert_same_verdict(cert, data):
+        """With the witness of the certificate's box, or one polygon
+        replaced by that of a box moved on one coordinate, the witness check
+        agrees with the reference."""
+        try:
+            cert = _unguarded_witness(cert)
+        except PolygonError:
+            assume(False)
+        which = data.draw(st.sampled_from((None, "in", "mid", "out")))
+        if which is not None:
+            i = data.draw(st.integers(0, cert.polygon.m - 1))
+            shift = [Fraction(0)] * cert.polygon.m
+            shift[i] = Fraction(data.draw(st.integers(-3, 3).filter(bool)), 1000)
+            t = {"in": cert.box.lo, "mid": cert.box.center(),
+                 "out": cert.box.hi}[which]
+            try:
+                moved = offset_polygon(cert.polygon,
+                                       [a + b for a, b in zip(t, shift)])
+            except PolygonError:
+                assume(False)
+            cert = _tamper(cert, **{f"witness_{which}": moved})
+        new, old = checker.CheckReport(ok=True), checker.CheckReport(ok=True)
+        checker._check_witness(new, cert)
+        _reference_check_witness(old, cert)
+        assert new.ok == old.ok, (new.failures, old.failures)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_reference_around_wide_box(self, decagon_cert, data):
+        shift = st.integers(-64, 64)
+        lo, hi = [], []
+        for a, b in zip(WIDE_TRAPEZOID_BOX.lo, WIDE_TRAPEZOID_BOX.hi):
+            step = (b - a) / 256
+            lo.append(a + data.draw(shift) * step)
+            hi.append(b + data.draw(shift) * step)
+        box = OffsetBox(tuple(lo), tuple(hi))
+        self._assert_same_verdict(_tamper(decagon_cert, box=box), data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_octagon(self, oct_cert, data):
+        # bounds in [−3/100, 3/100]: about two boxes in three have a wide
+        # trapezoid at sin²η = 5/9
+        ends = st.lists(st.integers(-6, 6), min_size=2, max_size=2,
+                        unique=True).map(sorted)
+        lo, hi = zip(*(data.draw(ends) for _ in range(oct_cert.polygon.m)))
+        box = OffsetBox(tuple(Fraction(v, 200) for v in lo),
+                        tuple(Fraction(v, 200) for v in hi))
+        self._assert_same_verdict(_tamper(oct_cert, box=box), data)
+
+
+class TestBoundaries:
+    """One certificate at each edge of a check: a test of the check's
+    operator or constant at that edge."""
+
+    def test_zero_delta_fails(self, oct_cert):
+        rep = check_certificate(_tamper(oct_cert, delta=Fraction(0)))
+        assert rep.failures == ["margin δ must be positive"]
+
+    def test_box_with_one_flat_coordinate_fails(self, oct_cert):
+        # lo = hi on coordinate 0, in a box that skipped OffsetBox's validation
+        box = object.__new__(OffsetBox)
+        object.__setattr__(box, "lo", oct_cert.box.lo)
+        object.__setattr__(box, "hi", (oct_cert.box.lo[0],) + oct_cert.box.hi[1:])
+        rep = check_certificate(_tamper(oct_cert, box=box))
+        assert rep.failures == ["box has empty interior"]
+
+    def test_margin_at_equality(self, oct_cert):
+        # side pair 0 has n = (1, 0), so ‖n‖ = 1 and 2δ = hi₀ − lo₀ is
+        # rational; the box is narrowed there to make that pair the binding one
+        lo, hi = oct_cert.box.lo, oct_cert.box.hi
+        box = OffsetBox((lo[0] / 4,) + lo[1:], (hi[0] / 4,) + hi[1:])
+        cert = _unguarded_witness(_tamper(oct_cert, box=box))
+        assert oct_cert.polygon.normals[0].norm_sq() == 1
+        delta = (box.hi[0] - box.lo[0]) / 2
+        assert check_certificate(_tamper(cert, delta=delta)).ok
+        for larger in (delta + Fraction(1, 10**9), 2 * delta):
+            rep = check_certificate(_tamper(cert, delta=larger))
+            assert rep.failures == ["margin δ too large for side pair 0"]
+
+    def test_degenerate_flag_missing(self, octagon):
+        # 2ℓ+1 = 5 > m = 4: no class tuple exists
+        cert = witness_norm(certify_box(WIDE, octagon, Fraction(1, 100),
+                                        AngleBound.of(Fraction(5, 9))))
+        rep = check_certificate(_tamper(cert, degenerate=False))
+        assert rep.failures == ["no admissible assignments exist but "
+                                "certificate is not flagged degenerate"]
+
+    @pytest.mark.parametrize("name", ["oct_cert", "decagon_cert"])
+    def test_degenerate_flag_with_class_tuples(self, request, name):
+        # the octagon has 2ℓ+1 < m; the pipeline decagon has 2ℓ+1 = m, the
+        # fewest side pairs that admit a class tuple
+        cert = witness_norm(request.getfixturevalue(name))
+        assert check_certificate(cert).ok
+        rep = check_certificate(_tamper(cert, degenerate=True))
+        assert rep.failures == ["certificate flagged degenerate despite "
+                                "admissible assignments"]
+
+    @pytest.mark.parametrize("low, killed", [(0, False), (1, True)])
+    def test_fallback_range_ends(self, low, killed):
+        # m = 1, c = 0 and the box [low, low + 1] over D = 1: side 0's
+        # h·L·Dc·D ranges over [low, low + 1] and side 1's over
+        # [−low − 1, −low], so the integer range ends exactly at 0 or ±1
+        for alpha in ((0,), (1,)):
+            report = checker.CheckReport(ok=True)
+            checker._check_kill(report, (1, (0,)), (1, (low,), (low + 1,)),
+                                alpha, (1,))
+            assert report.ok == killed, (alpha, report.failures)
+
+    def test_oracle_without_eps_raises(self, oct_cert):
+        with pytest.raises(ValueError, match="eps"):
+            check_certificate(oct_cert, NormOracle.of_polygon(square(1000)))

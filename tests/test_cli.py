@@ -114,6 +114,25 @@ class TestCheckRoundTrip:
         assert err["error"] == "check-failed"
         assert err["failing_alphas"]
 
+    def test_oracle_needs_eps(self, tmp_path):
+        cert = witness_norm(certify_box(TOY, octagon(), Fraction(1, 100),
+                                        AngleBound.of(Fraction(5, 9))))
+        jsonio.write_json(str(tmp_path / "cert.json"),
+                          jsonio.certificate_to_json(cert))
+        jsonio.write_json(str(tmp_path / "far.json"),
+                          {"kind": "polygon",
+                           "polygon": jsonio.polygon_to_json(square(1000))})
+        args = ("check", "--cert", str(tmp_path / "cert.json"),
+                "--oracle", str(tmp_path / "far.json"))
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stdout)["error"] == "usage"
+        # with eps the distance test runs, and the far square fails it
+        r = run_cli(*args, "--eps", "1/4")
+        assert r.returncode == 1
+        assert "eps" in json.loads(r.stdout)["message"]
+
 
 class TestGridGen:
     def test_grid(self):
