@@ -488,6 +488,12 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
     through `kill_assignment`, which gives the same box as killing every
     assignment in turn.
 
+    The walk keeps no kill records. Each killed assignment's sign needs no
+    recheck: `kill_assignment` raises unless h is sign-definite on the
+    sub-box it returns, and every later box lies inside that one. The one
+    recheck left retests every class tuple on the final box; it is the only
+    self-check of the merge walk.
+
     On the pipeline system (decagon, δ₀ = 1/64) this takes 5.6 ms (best of
     15, Python 3.11, 2 cores). A flat walk of `enumerate_admissible` that
     skips assignments of proven class tuples gives the same box in 10.1 ms
@@ -504,16 +510,14 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
     # tuple itself, so the list starts sorted, which makes it a heap
     walks = {classes: _side_choices(classes, m) for classes in firsts}
     pending = [next(walk) for walk in walks.values()]
-    records = []
     while pending:
         alpha = heapq.heappop(pending)
         classes = tuple(a % m for a in alpha)
         y, y_scaled = firsts[classes]
         if _class_tuple_killed(y_scaled[1], classes, offsets, box):
             continue
-        box, rec = kill_assignment(
+        box, _ = kill_assignment(
             alpha, [(y, _functional(alpha, y_scaled, offsets))], box)
-        records.append(rec)
         successor = next(walks[classes], None)
         if successor is not None:
             heapq.heappush(pending, successor)
@@ -522,12 +526,10 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
         null_vectors=tuple((classes, y) for classes, (y, _) in firsts.items()),
         system=S, eta=eta, degenerate=not firsts,
     )
-    # recheck on the final box: every record's sign, and every class tuple
-    failing = [rec.alpha for rec in records if rec.h.sign_on(box) != rec.sign]
+    # every class tuple on the final box: the one self-check of the walk
     if not all(_class_tuple_killed(ys, classes, offsets, box)
                for classes, (_, (_, ys)) in firsts.items()):
-        failing += [rec.alpha for rec in cert.kills if rec.sign == 0]
-    if failing:
+        failing = [rec.alpha for rec in cert.kills if rec.sign == 0]
         raise CertifierError(
             f"kill record for {min(failing)} is not sign-definite "
             "on the final box")

@@ -117,9 +117,11 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
                       eps: Optional[RationalLike] = None) -> CheckReport:
     """Validate a NormCertificate; optionally also that its witness norm is
     within eps of a target oracle. Returns a report, never raises on
-    invalid certificates; an oracle without eps is a ValueError."""
-    if oracle is not None and eps is None:
-        raise ValueError("an oracle needs eps to check the distance against")
+    invalid certificates; an oracle without eps, or eps without an oracle,
+    is a ValueError."""
+    if (oracle is None) != (eps is None):
+        raise ValueError("an oracle and eps go together: the distance test "
+                         "needs both")
     report = CheckReport(ok=True)
     B1 = cert.polygon
     m = B1.m

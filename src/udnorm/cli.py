@@ -7,11 +7,11 @@ Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
 `gen --kind subset-sum --k` above the polygon's side count; a `--step` of
 0; a `--q`, `--C`, `--eps` or `--delta0` that is not positive; an
 `--eta-sin2` outside (0, 1]; `certify` with neither `--polygon` nor
-`--oracle`; and `check --oracle` without `--eps`), 3 malformed input
-payload (a JSON file that does not describe a valid object of its kind,
-including a certificate that is not schema 2). Module failures and
-malformed payloads emit a structured error JSON on stdout; `pipeline`
-writes no file when it fails.
+`--oracle`; and `check` with only one of `--oracle` and `--eps`), 3
+malformed input payload (a JSON file that does not describe a valid object
+of its kind, including a certificate that is not schema 2). Module
+failures and malformed payloads emit a structured error JSON on stdout;
+`pipeline` writes no file when it fails.
 All randomized paths take an explicit seed (default 0). `--exhaustive-cap`
 is the one way to set the exhaustive cut-search cap.
 """
@@ -202,20 +202,19 @@ def cmd_certify(args) -> int:
     if delta0 is None:
         if oracle is None:
             oracle = NormOracle.of_polygon(B1)
-        eps = args.eps if args.eps is not None else Fraction(1, 4)
-        delta0 = choose_delta0(B1, oracle, eps, eta)
+        delta0 = choose_delta0(B1, oracle, args.eps, eta)
     cert = witness_norm(certify_box(S, B1, delta0, eta))
     _emit(jsonio.certificate_to_json(cert), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    if args.oracle and args.eps is None:
-        _error("usage", "check --oracle needs --eps")
+    if (args.oracle is None) != (args.eps is None):
+        _error("usage", "check needs --oracle and --eps together")
         return 2
     cert = jsonio.certificate_from_json(jsonio.read_json(args.cert))
     oracle = (jsonio.oracle_from_json(jsonio.read_json(args.oracle))
-              if args.oracle else None)
+              if args.oracle is not None else None)
     report = check_certificate(cert, oracle, args.eps)
     if report.ok:
         _emit({"ok": True}, args.out)
@@ -348,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--polygon", help="η-short certificate polygon JSON")
     p.add_argument("--oracle", help="norm oracle JSON to approximate instead")
-    p.add_argument("--eps", type=_positive, default=None)
+    p.add_argument("--eps", type=_positive, default=Fraction(1, 4),
+                   help="Hausdorff bound to the oracle (or to --polygon) "
+                        "for the approximation and for δ₀ (default 1/4)")
     p.add_argument("--eta-sin2", type=_sin_sq, required=True,
                    help="(sin η)² as a rational")
     p.add_argument("--delta0", type=_positive, default=None)

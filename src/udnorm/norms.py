@@ -644,7 +644,7 @@ def vertex_displacement_factor(B1: SymmetricPolygon) -> Fraction:
 
 
 def _validity_radius(B1: SymmetricPolygon, K: Fraction) -> Fraction:
-    """δ with: every offset polygon B₁(t), max|tᵢ| < δ, is still a valid
+    """δ with: every offset polygon B₁(t), max|tᵢ| ≤ δ, is still a valid
     2m-gon (every side facet-defining).
 
     Two sufficient margins, both exact: each vertex stays strictly feasible
@@ -676,48 +676,33 @@ def _validity_radius(B1: SymmetricPolygon, K: Fraction) -> Fraction:
 
 def choose_delta0(B1: SymmetricPolygon, B0: NormOracle, eps: RationalLike,
                   eta: AngleBound) -> Fraction:
-    """δ₀ > 0 for offset polygons B₁(t), |tᵢ| ≤ δ₀. What is checked:
+    """δ₀ > 0 for offset polygons B₁(t), |tᵢ| ≤ δ₀. Proved, not tested:
 
     - validity: every such B₁(t) is a 2m-gon with every side
       facet-defining, because δ₀ never exceeds `_validity_radius`, whose
-      margins are at most half of the gaps they protect; for m ≤ 12 the
-      2^m sign corners ±δ₀ are also built;
-    - ε-closeness: K·δ₀ ≤ slack/2 with K the vertex-displacement factor
-      and slack = ε − d_H(B₁, oracle), and d_H(B₁(t), oracle) < ε is
-      tested at the two uniform offsets ±δ₀;
-    - η-shortness (when B₁ is η-short): tested only at the two uniform
-      offsets ±δ₀, not proved for the whole box.
+      margins are at most half of the gaps they protect;
+    - ε-closeness: matching vertices of B₁(t) and B₁ are at most K·max|tᵢ|
+      apart (K the vertex-displacement factor), and so are matching convex
+      combinations of them, so d_H(B₁(t), B₁) ≤ K·δ₀ ≤ slack/2 with
+      slack = ε − d_H(B₁, oracle), and the triangle inequality gives
+      d_H(B₁(t), oracle) ≤ ε − slack/2 < ε (for a p-norm oracle d_H is
+      the sampled estimate, for experiments only).
 
-    δ₀ is halved until the checks at the tested offsets pass.
+    Tested: η-shortness (when B₁ is η-short), only at the two uniform
+    offsets ±δ₀, not for the whole box; δ₀ is halved until both pass.
+    When B₁ is not η-short the first δ₀ is returned.
     """
     eps = rat(eps)
-    hd = hausdorff_to_oracle(B1, B0)
-    slack = eps - hd.hi
+    slack = eps - hausdorff_to_oracle(B1, B0).hi
     if slack <= 0:
         raise ValueError("B1 is not strictly within eps of the oracle")
     K = vertex_displacement_factor(B1)
     delta0 = min(slack / (2 * K), _validity_radius(B1, K))
-    eta_applies = B1.is_eta_short(eta)
+    if not B1.is_eta_short(eta):
+        return delta0
     for _ in range(80):
-        if _delta0_ok(B1, B0, eps, eta, eta_applies, delta0):
+        if all(offset_polygon(B1, (s,) * B1.m).is_eta_short(eta)
+               for s in (delta0, -delta0)):
             return delta0
         delta0 /= 2
     raise ValueError("no admissible positive delta0 found")
-
-
-def _delta0_ok(B1: SymmetricPolygon, B0: NormOracle, eps: Fraction,
-               eta: AngleBound, eta_applies: bool, delta0: Fraction) -> bool:
-    try:
-        for s in (delta0, -delta0):
-            Bt = offset_polygon(B1, (s,) * B1.m)
-            if eta_applies and not Bt.is_eta_short(eta):
-                return False
-            if not hausdorff_to_oracle(Bt, B0).strictly_below(eps):
-                return False
-        if B1.m <= 12:
-            for corner in range(1 << B1.m):
-                t = [delta0 if (corner >> i) & 1 else -delta0 for i in range(B1.m)]
-                offset_polygon(B1, t)
-    except PolygonError:
-        return False
-    return True

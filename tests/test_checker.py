@@ -727,3 +727,7 @@ class TestBoundaries:
     def test_oracle_without_eps_raises(self, oct_cert):
         with pytest.raises(ValueError, match="eps"):
             check_certificate(oct_cert, NormOracle.of_polygon(square(1000)))
+
+    def test_eps_without_oracle_raises(self, oct_cert):
+        with pytest.raises(ValueError, match="oracle"):
+            check_certificate(oct_cert, None, Fraction(1, 10**6))

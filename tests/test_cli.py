@@ -133,6 +133,20 @@ class TestCheckRoundTrip:
         assert r.returncode == 1
         assert "eps" in json.loads(r.stdout)["message"]
 
+    def test_eps_needs_oracle(self, tmp_path):
+        cert = witness_norm(certify_box(TOY, octagon(), Fraction(1, 100),
+                                        AngleBound.of(Fraction(5, 9))))
+        jsonio.write_json(str(tmp_path / "cert.json"),
+                          jsonio.certificate_to_json(cert))
+        # the usage error comes before any file is read, so a missing
+        # certificate gives the same answer
+        for name in ("cert.json", "missing.json"):
+            r = run_cli("check", "--cert", str(tmp_path / name),
+                        "--eps", "1/1000000")
+            assert r.returncode == 2
+            assert "Traceback" not in r.stderr
+            assert json.loads(r.stdout)["error"] == "usage"
+
 
 class TestGridGen:
     def test_grid(self):
@@ -247,6 +261,19 @@ class TestCertifyErrors:
         assert r.returncode == 1, r.stderr
         assert json.loads(r.stdout)["error"] == "CertifierError"
         assert not (tmp_path / "cert.json").exists()
+
+    def test_oracle_without_eps(self, tmp_path):
+        # --eps defaults to 1/4 for the approximation and for δ₀ alike
+        oracle = tmp_path / "O.json"
+        jsonio.write_json(str(oracle), {"kind": "polygon",
+                                        "polygon": jsonio.polygon_to_json(octagon())})
+        r = run_cli(*_toy_inputs(tmp_path), "--oracle", str(oracle),
+                    "--eta-sin2", "5/9")
+        assert r.returncode == 0, r.stderr
+        r = run_cli("check", "--cert", str(tmp_path / "cert.json"),
+                    "--oracle", str(oracle), "--eps", "1/4")
+        assert r.returncode == 0, r.stdout
+        assert json.loads(r.stdout) == {"ok": True}
 
     def test_needs_polygon_or_oracle(self, tmp_path):
         r = run_cli(*_toy_inputs(tmp_path), "--eta-sin2", "5/9")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import octagon, random_polygon, twelve_gon
+from udnorm import norms
 from udnorm.cli import pipeline_decagon
 from udnorm.norms import (
     AngleBound,
@@ -617,28 +618,120 @@ def test_pnorm_approx_pinned():
 
 
 class TestValidityRadius:
-    """For m > 12, choose_delta0 tries no sign corners, so _validity_radius
-    alone must keep every offset polygon inside its box valid."""
+    """choose_delta0 builds no offset polygon but the two uniform ones at
+    ±δ₀, so _validity_radius alone must keep every offset polygon inside
+    its box valid, and K·δ₀ ≤ slack/2 alone must keep it within ε."""
 
-    @pytest.mark.parametrize("oracle,eps,sin_sq", [
-        (NormOracle.euclidean(), Fraction(1, 5), Fraction(3, 5)),
-        (NormOracle.euclidean(), Fraction(1, 5), Fraction(2, 5)),
-        (NormOracle.euclidean(), Fraction(1, 5), Fraction(1, 4)),
-        (NormOracle.of_polygon(twelve_gon()), Fraction(1, 4), Fraction(3, 5)),
-        (NormOracle.pnorm(3), Fraction(1, 4), Fraction(2, 5)),
+    @pytest.mark.parametrize("B,oracle,eps,sin_sq,m", [
+        (None, NormOracle.euclidean(), Fraction(1, 5), Fraction(3, 5), 15),
+        (None, NormOracle.euclidean(), Fraction(1, 5), Fraction(2, 5), 19),
+        (None, NormOracle.euclidean(), Fraction(1, 5), Fraction(1, 4), 24),
+        (None, NormOracle.of_polygon(twelve_gon()), Fraction(1, 4),
+         Fraction(3, 5), 16),
+        (None, NormOracle.pnorm(3), Fraction(1, 4), Fraction(2, 5), 19),
+        (pipeline_decagon(), NormOracle.of_polygon(pipeline_decagon()),
+         Fraction(1, 4), Fraction(2, 5), 5),
+        (octagon(), NormOracle.euclidean(), Fraction(1, 4), Fraction(5, 9), 4),
+        (twelve_gon(), NormOracle.euclidean(), Fraction(1, 4), Fraction(2, 5), 6),
     ], ids=["euclidean-m15", "euclidean-m19", "euclidean-m24", "12gon-m16",
-            "pnorm3-m19"])
-    def test_random_offsets_stay_valid(self, oracle, eps, sin_sq):
-        B = polygon_approx(oracle, eps, AngleBound.of(sin_sq))
-        assert 13 <= B.m <= 30
-        r = _validity_radius(B, vertex_displacement_factor(B))
+            "pnorm3-m19", "decagon-m5", "octagon-m4", "12gon-m6"])
+    def test_random_offsets_stay_valid(self, B, oracle, eps, sin_sq, m):
+        # B None: the polygon_approx of the oracle
+        eta = AngleBound.of(sin_sq)
+        if B is None:
+            B = polygon_approx(oracle, eps, eta)
+        assert B.m == m
+        K = vertex_displacement_factor(B)
+        r = _validity_radius(B, K)
         assert r > 0
+        # the first δ₀ candidate: validity is proved up to r, ε-closeness up
+        # to slack/(2K)
+        rho = min(r, (eps - hausdorff_to_oracle(B, oracle).hi) / (2 * K))
+        assert choose_delta0(B, oracle, eps, eta) <= rho
         rng = random.Random(B.m)
-        draws = [[r * Fraction(rng.randint(-999, 999), 1000) for _ in range(B.m)]
+        draws = [[Fraction(rng.randint(-999, 999), 1000) for _ in range(B.m)]
                  for _ in range(40)]
-        draws += [[r * Fraction(999 if (j >> i) & 1 else -999, 1000)
+        draws += [[Fraction(999 if (j >> i) & 1 else -999, 1000)
                    for i in range(B.m)] for j in (0, 1, 2, 5, (1 << B.m) - 1)]
-        for t in draws:
-            Bt = offset_polygon(B, t)
+        for u in draws:
+            Bt = offset_polygon(B, [r * x for x in u])
             assert Bt.m == B.m
             assert len(set(Bt.vertices())) == 2 * B.m
+            near = Bt if rho == r else offset_polygon(B, [rho * x for x in u])
+            assert hausdorff_to_oracle(near, oracle).hi < eps
+
+
+def _reference_choose_delta0(B1, B0, eps, eta):
+    """choose_delta0 before it dropped the re-tests its bounds prove: at
+    each halving round it also rebuilt B₁(±δ₀) for validity and
+    d_H < ε, and for m ≤ 12 built all 2^m sign corners."""
+    eps = rat(eps)
+    hd = hausdorff_to_oracle(B1, B0)
+    slack = eps - hd.hi
+    if slack <= 0:
+        raise ValueError("B1 is not strictly within eps of the oracle")
+    K = vertex_displacement_factor(B1)
+    delta0 = min(slack / (2 * K), _validity_radius(B1, K))
+    eta_applies = B1.is_eta_short(eta)
+
+    def ok(delta0):
+        try:
+            for s in (delta0, -delta0):
+                Bt = offset_polygon(B1, (s,) * B1.m)
+                if eta_applies and not Bt.is_eta_short(eta):
+                    return False
+                if not hausdorff_to_oracle(Bt, B0).strictly_below(eps):
+                    return False
+            if B1.m <= 12:
+                for corner in range(1 << B1.m):
+                    offset_polygon(B1, [delta0 if (corner >> i) & 1 else -delta0
+                                        for i in range(B1.m)])
+        except PolygonError:
+            return False
+        return True
+
+    for _ in range(80):
+        if ok(delta0):
+            return delta0
+        delta0 /= 2
+    raise ValueError("no admissible positive delta0 found")
+
+
+def _delta0_outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, PolygonError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestChooseDelta0Reference:
+    @settings(max_examples=200, deadline=None)
+    @given(hulls(), st.one_of(st.none(), hulls()),
+           st.sampled_from([Fraction(1, 50), Fraction(1, 10), Fraction(2, 5), 1]),
+           st.sampled_from([Fraction(1, 100), Fraction(1, 4), Fraction(3)]))
+    def test_same_as_reference(self, B, target, sin_sq, eps):
+        # target None: the Euclidean oracle
+        oracle = (NormOracle.euclidean() if target is None
+                  else NormOracle.of_polygon(target))
+        eta = AngleBound.of(sin_sq)
+        assert (_delta0_outcome(choose_delta0, B, oracle, eps, eta)
+                == _delta0_outcome(_reference_choose_delta0, B, oracle, eps, eta))
+
+    # one Hausdorff distance, and per halving round B₁(+δ₀), then B₁(−δ₀)
+    # only if B₁(+δ₀) is η-short: the decagon passes at its third candidate
+    # (1/16: +δ₀ fails; 1/32: −δ₀ fails; 1/64), the octagon at its second
+    @pytest.mark.parametrize("B,sin_sq,offsets", [
+        (pipeline_decagon(), Fraction(2, 5), 1 + 2 + 2),
+        (octagon(), Fraction(5, 9), 1 + 2),
+        (square(), Fraction(1), 0),  # not η-short at any η: no round
+    ], ids=["decagon", "octagon", "square-not-short"])
+    def test_calls(self, B, sin_sq, offsets, monkeypatch):
+        calls = {"hausdorff_to_oracle": 0, "offset_polygon": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(norms, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(norms, name, counted)
+        norms.choose_delta0(B, NormOracle.of_polygon(B), Fraction(1, 4),
+                            AngleBound.of(sin_sq))
+        assert calls == {"hausdorff_to_oracle": 1, "offset_polygon": offsets}
