@@ -291,7 +291,7 @@ def _assignment_functionals(
     per y that `null_spaces` maps α's class tuple to; the side choice only
     flips signs in h (`_functional`)."""
     m = B1.m
-    offsets = over_common_denominator(B1.offsets)
+    offsets = B1.scaled[::2]  # (D, offsets·D)
     scaled = {classes: [(y, over_common_denominator(y)) for y in basis]
               for classes, basis in null_spaces.items()}
     for alpha in alphas:
@@ -317,15 +317,12 @@ def _det(rows: list[list[int]]) -> int:
 
 
 def _integer_system(S: DependenceSystem, B1: SymmetricPolygon
-                    ) -> tuple[list[tuple[int, int]], list[list[int]], int]:
-    """(normals, weights, W): B1's normals times one common denominator, and
-    S's dependent coefficient rows times their common denominator W. Row i
-    of A is wᵢ ⊗ n_(classes[i]), so scaling every normal by one constant
-    keeps A's left null space."""
-    _, ns = over_common_denominator([v for n in B1.normals for v in (n.x, n.y)])
+                    ) -> tuple[Sequence[tuple[int, int]], list[list[int]], int]:
+    """(normals, weights, W): B1's integer normals, and S's dependent
+    coefficient rows times their common denominator W."""
     W, ws = over_common_denominator([rat(c) for row in S.coeffs for c in row])
     ell = S.ell
-    return (list(zip(ns[0::2], ns[1::2])),
+    return (B1.scaled[1],
             [list(ws[i:i + ell]) for i in range(0, len(ws), ell)], W)
 
 
@@ -503,7 +500,7 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
         raise CertifierError("polygon sides are not η-short")
     m = B1.m
     box = OffsetBox.symmetric(delta0, m)
-    offsets = over_common_denominator(B1.offsets)
+    offsets = B1.scaled[::2]  # (D, offsets·D)
     firsts = {classes: (basis[0], over_common_denominator(basis[0]))
               for classes, basis in _null_spaces(S, B1).items()}
     # one pending assignment per live class tuple; the first is the class
@@ -712,7 +709,7 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
         hits.append(RefutationHit(alpha, tuple(t), us, in_traps, separated, source))
 
     null_spaces = _null_spaces(S, B1)
-    offsets = over_common_denominator(B1.offsets)
+    offsets = B1.scaled[::2]  # (D, offsets·D)
     # a class tuple with a 1-dimensional null space that the signed-sum test
     # clears has no root in the box for any side choice; the others are
     # walked assignment by assignment, in lexicographic order

@@ -68,12 +68,12 @@ class CheckReport:
 
 
 def _integer_system(B: SymmetricPolygon, ell: int, coeffs):
-    """The normals and the weight rows over common denominators. Row i of A
-    for a class tuple applies normal n_(classes[i]) to the direction uᵢ (a
-    base direction, or a combination of them), so the integer row
-    wᵢ ⊗ n_k is A's row times one constant shared by every class tuple."""
-    _, ns = over_common_denominator([v for n in B.normals for v in (n.x, n.y)])
-    normals = list(zip(ns[0::2], ns[1::2]))
+    """The integer normals and the weight rows over their common
+    denominator. Row i of A for a class tuple applies normal n_(classes[i])
+    to the direction uᵢ (a base direction, or a combination of them), so
+    the integer row wᵢ ⊗ n_k is A's row times one constant shared by every
+    class tuple."""
+    normals = B.scaled[1]
     weights = [[int(s == i) for s in range(ell)] for i in range(ell)]
     weights += [[rat(c) for c in row] for row in coeffs]
     _, ws = over_common_denominator([w for row in weights for w in row])
@@ -140,7 +140,7 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
         report.fail("base polygon sides are not η-short")
 
     table = _null_vector_table(report, B1, S, cert.null_vectors)
-    offsets = over_common_denominator(B1.offsets)
+    offsets = B1.scaled[::2]  # (D, offsets·D)
     D, ints = over_common_denominator(box_lo + box_hi)
     box = D, ints[:m], ints[m:]
     # independent enumeration of the admissible assignments: injections into

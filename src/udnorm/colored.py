@@ -114,13 +114,19 @@ def delta_below_r_log_imb(delta: int, r: Fraction, total: int, min_side: int) ->
 
 
 def weak_delta_table(w: int, r: Fraction) -> list[int]:
-    """thr[s] = largest Δ with Δ < r·log₂(w/s) for min-side size s (−1: none)."""
+    """thr[s] = largest Δ with Δ < r·log₂(w/s) for min-side size s (−1: none).
+
+    For r = p/q > 0 that is k // q, k the largest shift with s^p·2^k < w^p:
+    the bit-length difference of w^p and s^p, or one less."""
+    p, q = r.numerator, r.denominator
     thr = [-1] * (w // 2 + 1)
+    if p <= 0:
+        return thr  # r·log₂(w/s) ≤ 0 ≤ Δ
+    wp = w**p
     for s in range(1, w // 2 + 1):
-        d = -1
-        while delta_below_r_log_imb(d + 1, r, w, s):
-            d += 1
-        thr[s] = d
+        sp = s**p
+        k = wp.bit_length() - sp.bit_length()
+        thr[s] = (k - 1 if sp << k >= wp else k) // q
     return thr
 
 

@@ -114,7 +114,8 @@ class SymmetricPolygon:
     order over the half-turn; side s_{m+i} is −s_i. Every constraint must
     be facet-defining. Direct construction requires integer normals.
 
-    Geometry reads one integer vertex table per polygon, computed once.
+    Exact tests read one integer view (`scaled`) and one integer vertex
+    table per polygon, each computed once.
     """
 
     normals: tuple[Vec2, ...]
@@ -154,9 +155,10 @@ class SymmetricPolygon:
     # --- the integer tables -------------------------------------------------
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
-        """(D, integer normals, offsets·D), D the offsets' least common
-        denominator."""
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """The polygon's one integer view, (D, normals, offsets·D): D the
+        offsets' least common denominator and each normal as its integer
+        pair (x, y). The integer geometry, certify and the checker read it."""
         D, cs = over_common_denominator(self.offsets)
         return D, tuple((n.x.numerator, n.y.numerator) for n in self.normals), cs
 
@@ -168,7 +170,7 @@ class SymmetricPolygon:
         det = n₁×n₂, X = O₁n₂ʸ − O₂n₁ʸ, Y = n₁ˣO₂ − n₂ˣO₁ and E = det·D.
         Vertex m+i is −vertex i, so only the first m are solved.
         """
-        D, ns, cs = self._scaled
+        D, ns, cs = self.scaled
         m = len(ns)
         half = []
         for i in range(m):
@@ -212,7 +214,7 @@ class SymmetricPolygon:
         # vertex m+k is −vertex k and the constraints are symmetric, so a
         # failure at k+m repeats one at k: the first m vertices decide, in
         # the order (side k degenerate, then vertex k infeasible)
-        D, ns, cs = self._scaled
+        D, ns, cs = self.scaled
         table = self._vertex_table
         for k in range(self.m):
             X, Y, E = table[k]
@@ -228,18 +230,6 @@ class SymmetricPolygon:
     def gauge(self, z: Vec2) -> Fraction:
         """The norm of z: max_i |⟨nᵢ, z⟩| / cᵢ (exact)."""
         return max(abs(n.dot(z)) / c for n, c in zip(self.normals, self.offsets))
-
-    def _contains_scaled(self, X: int, Y: int, E: int) -> bool:
-        """Whether the point (X/E, Y/E), E > 0, lies in the polygon: each
-        |⟨n, z⟩| ≤ c, times D·E."""
-        D, ns, cs = self._scaled
-        return all(abs(nx * X + ny * Y) * D <= C * E
-                   for (nx, ny), C in zip(ns, cs))
-
-    def contains_polygon(self, other: "SymmetricPolygon") -> bool:
-        # both polygons are 0-symmetric, so other's first m vertices suffice
-        return all(self._contains_scaled(X, Y, E)
-                   for X, Y, E in other._vertex_table[:other.m])
 
     def is_eta_short(self, eta: AngleBound) -> bool:
         """True iff every side is so short that no two η-separated lines meet it.
@@ -324,9 +314,12 @@ def _directed_hausdorff_sq(A: SymmetricPolygon, B: SymmetricPolygon) -> Fraction
     L = math.lcm(*(E for _, _, E in ta), *(E for _, _, E in tb[:B.m]))
     pa = [(X * (L // E), Y * (L // E)) for X, Y, E in ta]
     pb = [(X * (L // E), Y * (L // E)) for X, Y, E in tb]
+    D, ns, cs = B.scaled
     best_num, best_den = 0, 1
     for p in pa:
-        if B._contains_scaled(p[0], p[1], L):
+        # p/L lies in B: each |⟨n, p/L⟩| ≤ c, times D·L
+        if all(abs(nx * p[0] + ny * p[1]) * D <= C * L
+               for (nx, ny), C in zip(ns, cs)):
             continue
         num, den = _point_segment_dist_sq(p, pb[-1], pb[0])
         for i in range(1, len(pb)):
@@ -655,7 +648,7 @@ def _validity_radius(B1: SymmetricPolygon, K: Fraction) -> Fraction:
     vertices 0..m−1.
     """
     m = B1.m
-    D, ns, cs = B1._scaled
+    D, ns, cs = B1.scaled
     table = B1._vertex_table
     bound = min(B1.offsets) / 4
     # over one denominator L·D, the gap cᵢ − |⟨nᵢ, v⟩| of vertex v = P/L

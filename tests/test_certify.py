@@ -695,18 +695,18 @@ class TestWitness:
             Bp = polygon_from_hull(sym)
             # jitter of 0.01 < δ = 1/16: the sandwich must hold
             assert hausdorff(Bp, B).hi < cert.delta
-            assert cert.witness_out.contains_polygon(Bp)
-            assert Bp.contains_polygon(cert.witness_in)
+            assert all(cert.witness_out.gauge(v) <= 1 for v in Bp.vertices())
+            assert all(Bp.gauge(v) <= 1 for v in cert.witness_in.vertices())
 
     def test_full_toy_witness(self, octagon):
         cert = _toy_certificate(octagon, ETA_OCT)
         assert cert.delta > 0
-        assert cert.witness_out.contains_polygon(cert.witness_mid)
-        assert cert.witness_mid.contains_polygon(cert.witness_in)
+        assert all(cert.witness_out.gauge(v) <= 1 for v in cert.witness_mid.vertices())
+        assert all(cert.witness_mid.gauge(v) <= 1 for v in cert.witness_in.vertices())
         for t in (cert.box.lo, cert.box.center(), cert.box.hi):
             Bt = offset_polygon(octagon, t)
-            assert cert.witness_out.contains_polygon(Bt)
-            assert Bt.contains_polygon(cert.witness_in)
+            assert all(cert.witness_out.gauge(v) <= 1 for v in Bt.vertices())
+            assert all(Bt.gauge(v) <= 1 for v in cert.witness_in.vertices())
 
 
 class TestCorrectnessChecks:

@@ -80,13 +80,16 @@ class TestThresholds:
                 if exact != approx:
                     assert abs(3 - float(r) * math.log2(total / mn)) < 1e-9
 
-    def test_table_consistent(self):
-        for w in range(2, 16):
-            thr = weak_delta_table(w, Fraction(3, 2))
-            for s in range(1, w // 2 + 1):
-                d = thr[s]
-                assert delta_below_r_log_imb(d, Fraction(3, 2), w, s)
-                assert not delta_below_r_log_imb(d + 1, Fraction(3, 2), w, s)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 60), st.integers(1, 256), st.data())
+    def test_table_consistent(self, w, den, data):
+        r = Fraction(data.draw(st.integers(-den, 1024 * den)), den)
+        thr = weak_delta_table(w, r)
+        assert len(thr) == w // 2 + 1
+        for s in range(1, w // 2 + 1):
+            d = thr[s]
+            assert d == -1 or delta_below_r_log_imb(d, r, w, s)
+            assert not delta_below_r_log_imb(d + 1, r, w, s)
 
     def test_degree_threshold(self):
         assert degree_at_least_r_log(3, Fraction(1), Fraction(8))
