@@ -35,6 +35,7 @@ from .norms import (
     OffsetVector,
     SymmetricPolygon,
     eta_separated,
+    norm_uppers,
     offset_polygon,
     segment_is_eta_short,
 )
@@ -48,7 +49,6 @@ from .ratlin import (
     primitive,
     rat,
     solve,
-    sqrt_interval,
 )
 
 # re-exported here because the angle machinery is part of this module's surface
@@ -238,7 +238,7 @@ def build_system(S: DependenceSystem, B1: SymmetricPolygon,
     rows = []
     for side, row in zip(alpha, weights):
         n = B1.normals[side % m]
-        rows.append([rat(w) * v for w in row for v in (n.x, n.y)])
+        rows.append([w * v for w in row for v in (n.x, n.y)])
     return Mat.from_rows(rows)
 
 
@@ -316,18 +316,8 @@ def _det(rows: list[list[int]]) -> int:
                for j, a in enumerate(first) if a)
 
 
-def _integer_system(S: DependenceSystem, B1: SymmetricPolygon
-                    ) -> tuple[Sequence[tuple[int, int]], list[list[int]], int]:
-    """(normals, weights, W): B1's integer normals, and S's dependent
-    coefficient rows times their common denominator W."""
-    W, ws = over_common_denominator([rat(c) for row in S.coeffs for c in row])
-    ell = S.ell
-    return (B1.scaled[1],
-            [list(ws[i:i + ell]) for i in range(0, len(ws), ell)], W)
-
-
 def _closed_form_null_vector(normals: Sequence[tuple[int, int]],
-                             weights: Sequence[Sequence[int]], W: int,
+                             weights: Sequence[Sequence[int]],
                              classes: tuple[int, ...]
                              ) -> Optional[tuple[Fraction, ...]]:
     """The left-null vector of A for this class tuple, primitive with its
@@ -335,12 +325,12 @@ def _closed_form_null_vector(normals: Sequence[tuple[int, int]],
     the left null space has dimension ≥ 2.
 
     With n_s the normal of base row s, n_j that of dependent row j, w_j
-    dependent row j of `weights` (S's row times W) and [a, b] the 2-D cross
-    product, yᵀA = 0 reads W·y_s·n_s + Σ_j w_j[s]·y_j·n_j = 0 for each base
+    dependent row j of `weights` (S's integer row) and [a, b] the 2-D cross
+    product, yᵀA = 0 reads y_s·n_s + Σ_j w_j[s]·y_j·n_j = 0 for each base
     direction s. Its cross
     product with n_s leaves the ℓ×(ℓ+1) system M[s][j] = w_j[s]·[n_s, n_j] on
     the dependent entries, and its dot product with n_s gives
-    y_s = −Σ_j w_j[s]·y_j·⟨n_s, n_j⟩ / (W·|n_s|²). So nullity(A) =
+    y_s = −Σ_j w_j[s]·y_j·⟨n_s, n_j⟩ / |n_s|². So nullity(A) =
     nullity(M), which is 1 exactly when some maximal minor of M is nonzero;
     the signed maximal minors then span M's kernel (at ℓ = 2, the 3-D cross
     product of M's two rows).
@@ -358,7 +348,7 @@ def _closed_form_null_vector(normals: Sequence[tuple[int, int]],
     nums = [-sum(w[s] * yj * (bx * dx + by * dy)
                  for w, yj, (dx, dy) in zip(weights, y_dep, dep))
             for s, (bx, by) in enumerate(base)]
-    dens = [W * (bx * bx + by * by) for bx, by in base]
+    dens = [bx * bx + by * by for bx, by in base]
     L = math.lcm(*dens)
     return primitive([v * (L // d) for v, d in zip(nums, dens)]
                      + [L * v for v in y_dep])
@@ -370,10 +360,9 @@ def _null_spaces(S: DependenceSystem, B1: SymmetricPolygon
     of the class tuples: A·x = b(t) is solvable exactly where every
     h = yᵀb(t) vanishes. The closed form gives the basis when it has one
     vector; `left_null_basis` gives it otherwise."""
-    normals, weights, W = _integer_system(S, B1)
     spaces = {}
     for classes in itertools.permutations(range(B1.m), 2 * S.ell + 1):
-        y = _closed_form_null_vector(normals, weights, W, classes)
+        y = _closed_form_null_vector(B1.scaled[1], S.coeffs, classes)
         spaces[classes] = ([y] if y is not None
                            else left_null_basis(build_system(S, B1, classes)))
     return spaces
@@ -543,13 +532,9 @@ def witness_norm(cert: NormCertificate) -> NormCertificate:
     b_in = offset_polygon(B1, box.lo)
     b_mid = offset_polygon(B1, box.center())
     b_out = offset_polygon(B1, box.hi)
-    delta = None
-    for i, n in enumerate(B1.normals):
-        gap = box.hi[i] - box.lo[i]
-        upper = sqrt_interval(n.norm_sq()).hi
-        cand = gap / (2 * upper)
-        delta = cand if delta is None else min(delta, cand)
-    if delta is None or delta <= 0:
+    delta = min((hi - lo) / (2 * upper) for lo, hi, upper
+                in zip(box.lo, box.hi, norm_uppers(B1)))
+    if delta <= 0:
         raise CertifierError("margin δ must be positive")
     # a convex quad avoiding 0 spans its widest angle between two corners;
     # trapezoid m+i is −trapezoid i
@@ -654,7 +639,7 @@ def _solved_directions(S: DependenceSystem, x: Sequence[Fraction]) -> tuple[Vec2
     for row in S.coeffs:
         acc = Vec2(Fraction(0), Fraction(0))
         for s, c in enumerate(row):
-            acc = acc + base[s].scale(rat(c))
+            acc = acc + base[s].scale(c)
         dep.append(acc)
     return tuple(base + dep)
 

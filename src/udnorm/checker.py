@@ -9,8 +9,9 @@ coefficient rows alone (no construction code paths). The checker proves:
 - The table: one left-null vector y per class tuple α mod m (sides s and
   s+m share a normal), for every class tuple of an admissible assignment
   exactly once; each y ≠ 0 with yᵀA = 0, by direct multiplication in
-  integers (y, the normals and the coefficient rows over common
-  denominators). The degenerate flag is set iff no class tuple exists.
+  integers (y over its common denominator, the integer normals, and S's
+  coefficient rows, which are integers by type). The degenerate flag is set
+  iff no class tuple exists.
 - The kills: per class tuple, one exact integer test decides whether
   h = yᵀb(t) is sign-definite on the box for all 2^(2ℓ+1) side choices at
   once; a class tuple that fails it, or has no usable table entry, is
@@ -67,26 +68,18 @@ class CheckReport:
             self.failing_alphas.append(tuple(alpha))
 
 
-def _integer_system(B: SymmetricPolygon, ell: int, coeffs):
-    """The integer normals and the weight rows over their common
-    denominator. Row i of A for a class tuple applies normal n_(classes[i])
-    to the direction uᵢ (a base direction, or a combination of them), so
-    the integer row wᵢ ⊗ n_k is A's row times one constant shared by every
-    class tuple."""
-    normals = B.scaled[1]
-    weights = [[int(s == i) for s in range(ell)] for i in range(ell)]
-    weights += [[rat(c) for c in row] for row in coeffs]
-    _, ws = over_common_denominator([w for row in weights for w in row])
-    return normals, [ws[i:i + ell] for i in range(0, len(ws), ell)]
-
-
 def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
                        entries) -> dict:
     """class tuple ↦ y·L as integers when y ≠ 0 and yᵀA = 0, else the reason
     y kills nothing. A malformed entry fails naming its class tuple as the
     assignment with every side in the first half."""
     arity = 2 * S.ell + 1
-    normals, weights = _integer_system(B, S.ell, S.coeffs)
+    # row i of A for a class tuple applies normal n_(classes[i]) to the
+    # direction uᵢ: a base direction (weight row eᵢ), or S's integer
+    # combination of them, so A's row is the integer row wᵢ ⊗ n_k
+    normals = B.scaled[1]
+    weights = [[int(s == i) for s in range(S.ell)] for i in range(S.ell)]
+    weights += S.coeffs
     table = {}
     for classes, y in entries:
         classes, y = tuple(classes), [rat(v) for v in y]

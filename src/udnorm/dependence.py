@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .colored import CoverFailure, CoverResult, Edge, _color_cover
 from .norms import SymmetricPolygon
 from .pointsets import PointSeq
-from .ratlin import rat
 from .udg import DecoratedUDG, _realized_udg, prune_to_proper
 
 DEFAULT_Q = Fraction(2001, 1000)
@@ -35,8 +34,10 @@ class DependenceConfig:
 class DependenceSystem:
     """ℓ ≥ 1 base colors, ℓ+1 dependent colors, integer coefficient rows.
 
-    indices = (i(1)…i(2ℓ+1)), pairwise distinct; row j (0-based) states
-    u_{i(ℓ+1+j)} = Σ_s coeffs[j][s] · u_{i(s)}.
+    indices = (i(1)…i(2ℓ+1)), pairwise distinct colors ≥ 1; row j (0-based)
+    states u_{i(ℓ+1+j)} = Σ_s coeffs[j][s] · u_{i(s)}. Every coefficient is
+    an `int` (a bool, float or Fraction is rejected), so consumers read the
+    rows as integers.
     """
 
     ell: int
@@ -50,11 +51,15 @@ class DependenceSystem:
             raise ValueError("need 2*ell + 1 indices")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("indices must be pairwise distinct")
+        if min(self.indices) < 1:
+            raise ValueError("color indices start at 1")
         if len(self.coeffs) != self.ell + 1:
             raise ValueError("need ell + 1 coefficient rows")
         for row in self.coeffs:
             if len(row) != self.ell:
                 raise ValueError("each row needs ell coefficients")
+            if any(type(c) is not int for c in row):
+                raise ValueError(f"coefficients must be integers: {row!r}")
             if all(c == 0 for c in row):
                 raise ValueError("zero coefficient row")
 
@@ -208,9 +213,9 @@ def verify_on_realization(S: DependenceSystem, G: DecoratedUDG, P: PointSeq,
     assert directions is not None
     for j, row in enumerate(S.coeffs):
         lhs = directions[S.indices[S.ell + j] - 1]
-        acc_x = sum((rat(c) * directions[S.indices[s] - 1].x
+        acc_x = sum((c * directions[S.indices[s] - 1].x
                      for s, c in enumerate(row)), Fraction(0))
-        acc_y = sum((rat(c) * directions[S.indices[s] - 1].y
+        acc_y = sum((c * directions[S.indices[s] - 1].y
                      for s, c in enumerate(row)), Fraction(0))
         if lhs.x != acc_x or lhs.y != acc_y:
             return False

@@ -358,6 +358,10 @@ class NormOracle:
         elif self.kind == "pnorm":
             if self.p is None or self.p < 1:
                 raise ValueError("p-norm oracle needs rational p >= 1")
+            try:
+                float(self.p)
+            except OverflowError:
+                raise ValueError("p-norm exponent p is beyond float range") from None
         elif self.kind != "euclidean":
             raise ValueError(f"unknown norm kind {self.kind!r}")
 
@@ -374,13 +378,22 @@ class NormOracle:
         return NormOracle("pnorm", p=rat(p))
 
     def gauge_float(self, z: Vec2) -> float:
+        """The gauge of z in floats. A p-norm whose float evaluation breaks
+        down (|x|^p overflows, or underflows to 0 at z ≠ 0) is a ValueError."""
         x, y = float(z.x), float(z.y)
         if self.kind == "polygon":
             return float(self.polygon.gauge(z))
         if self.kind == "euclidean":
             return math.hypot(x, y)
         p = float(self.p)
-        return (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+        try:
+            g = (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+        except OverflowError:
+            g = math.inf
+        if not math.isfinite(g) or (g == 0 and (x or y)):
+            raise ValueError(f"p-norm with p = {self.p} has no float value "
+                             f"at ({x}, {y})")
+        return g
 
     def is_unit(self, z: Vec2) -> bool:
         """Exact unit test for polygon/euclidean; 1e-12 tolerance for p-norms."""
@@ -489,7 +502,7 @@ def polygon_from_hull(points: list[Vec2]) -> SymmetricPolygon:
             n, c = -n, -c
         if c == 0:
             raise PolygonError("hull edge through the origin")
-        if n.y > 0 or (n.y == 0 and n.x > 0):
+        if canonical_sign(n.x, n.y) == 1:
             pairs.append((n, c))
     return SymmetricPolygon.from_pairs(pairs)
 
@@ -512,11 +525,10 @@ def polygon_approx(oracle: NormOracle, eps: RationalLike, eta: AngleBound,
         # vertices land exactly on the unit circle
         assert all(v.norm_sq() == 1 for v in B1.vertices())
         return B1
-    p = float(oracle.p)
 
     def pnorm_point(th: float) -> Vec2:
         x, y = math.cos(th), math.sin(th)
-        g = (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
+        g = oracle.gauge_float(Vec2(Fraction(x), Fraction(y)))
         # snap slightly inward so rationalization stays inside the ball
         shrink = 1.0 - 1e-9
         return Vec2(Fraction(x / g * shrink).limit_denominator(10**9),
@@ -568,13 +580,13 @@ def _approx_from_polygon(oracle: NormOracle, B0: SymmetricPolygon, eps: Fraction
 def _build_bulged(B0: SymmetricPolygon, counts: list[int],
                   bulge: Fraction) -> Optional[SymmetricPolygon]:
     pts: list[Vec2] = list(B0.vertices())
-    count_by_side = {i: counts[i % B0.m] for i in range(2 * B0.m)}
+    uppers = norm_uppers(B0)
     for i in range(2 * B0.m):
         a, b = B0.side_segment(i)
         n, _ = B0.side_line(i)
         out_dir = n if n.dot(a) > 0 else -n
-        n_upper = sqrt_interval(n.norm_sq()).hi
-        cnt = count_by_side[i]
+        n_upper = uppers[i % B0.m]
+        cnt = counts[i % B0.m]
         for j in range(1, cnt):
             lam = Fraction(j, cnt)
             base = a + (b - a).scale(lam)
@@ -618,7 +630,7 @@ def _approx_sampled(oracle: NormOracle, eps: Fraction, eta: AngleBound,
 # --- offset box radius -------------------------------------------------------
 
 
-def _norm_uppers(B1: SymmetricPolygon) -> list[Fraction]:
+def norm_uppers(B1: SymmetricPolygon) -> list[Fraction]:
     """Rational upper bounds uᵢ ≥ ‖nᵢ‖, one per normal."""
     return [sqrt_interval(n.norm_sq()).hi for n in B1.normals]
 
@@ -627,7 +639,7 @@ def vertex_displacement_factor(B1: SymmetricPolygon) -> Fraction:
     """Rational K with: any offset t moves every vertex by ≤ K·max|tᵢ| (Euclidean)."""
     K = Fraction(0)
     m = B1.m
-    us = _norm_uppers(B1)
+    us = norm_uppers(B1)
     for i in range(m):
         n1 = B1.normals[i]
         n2 = B1.normals[(i + 1) % m]
@@ -655,7 +667,7 @@ def _validity_radius(B1: SymmetricPolygon, K: Fraction) -> Fraction:
     # is the integer Cᵢ·L − |⟨nᵢ, P⟩|·D; only positive gaps bind
     L = math.lcm(*(E for _, _, E in table[:m]))
     pts = [(X * (L // E), Y * (L // E)) for X, Y, E in table]
-    for (nx, ny), C, u in zip(ns, cs, _norm_uppers(B1)):
+    for (nx, ny), C, u in zip(ns, cs, norm_uppers(B1)):
         gaps = [g for g in (C * L - abs(nx * px + ny * py) * D for px, py in pts[:m])
                 if g > 0]
         if gaps:

@@ -275,6 +275,21 @@ class TestCertifyErrors:
         assert r.returncode == 0, r.stdout
         assert json.loads(r.stdout) == {"ok": True}
 
+    @pytest.mark.parametrize("p, code, error", [
+        ("100000", 1, "ValueError"),  # |x|^p underflows, so the gauge is 0
+        ("1" + "0" * 400, 3, "malformed-payload"),  # p overflows a float
+    ], ids=["underflow", "401-digits"])
+    def test_pnorm_float_breakdown_is_structured_error(self, tmp_path, p,
+                                                       code, error):
+        oracle = tmp_path / "O.json"
+        jsonio.write_json(str(oracle), {"kind": "pnorm", "p": p})
+        r = run_cli(*_toy_inputs(tmp_path), "--oracle", str(oracle),
+                    "--eta-sin2", "5/9")
+        assert r.returncode == code, r.stderr
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stdout)["error"] == error
+        assert not (tmp_path / "cert.json").exists()
+
     def test_needs_polygon_or_oracle(self, tmp_path):
         r = run_cli(*_toy_inputs(tmp_path), "--eta-sin2", "5/9")
         assert r.returncode == 2

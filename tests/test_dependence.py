@@ -57,17 +57,27 @@ class TestSignedPathSum:
 
 
 class TestDependenceSystem:
+    # each rejection test also takes one non-integer coefficient: the rows
+    # are integers by type, so a Fraction, float or bool is refused even
+    # where it equals an integer
     def test_rejects_ell_zero(self):
         with pytest.raises(ValueError):
             DependenceSystem(ell=0, indices=(1,), coeffs=())
+        with pytest.raises(ValueError, match="integers"):
+            DependenceSystem(ell=1, indices=(1, 2, 3),
+                             coeffs=((Fraction(1, 2),), (1,)))
 
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
             DependenceSystem(ell=1, indices=(1, 1, 2), coeffs=((1,), (1,)))
+        with pytest.raises(ValueError, match="integers"):
+            DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((1.0,), (1,)))
 
     def test_rejects_zero_row(self):
         with pytest.raises(ValueError):
             DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((0,), (1,)))
+        with pytest.raises(ValueError, match="integers"):
+            DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((True,), (1,)))
 
 
 class TestExtraction:

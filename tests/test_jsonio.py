@@ -163,6 +163,11 @@ class TestStrictIntegers:
             jsonio.system_from_json(
                 {"l": 1, "indices": [1, 2, 3], "coeffs": [[2.9], [-1]]})
 
+    def test_index_below_one_is_payload_error(self):
+        with pytest.raises(jsonio.PayloadError, match="start at 1"):
+            jsonio.system_from_json(
+                {"l": 1, "indices": [0, -1, 2], "coeffs": [[2], [-1]]})
+
 
 class TestFiles:
     def test_atomic_write_and_read(self, tmp_path):
