@@ -15,7 +15,10 @@ The exact core works per class tuple. y comes in closed form from an
 elimination only when the left null space has dimension ≥ 2. One integer
 test decides all 2^(2ℓ+1) side choices of a class tuple at once
 (`_class_tuple_killed`), so `certify_box` and `sample_verify` build an
-assignment's affine form only where that test fails.
+assignment's affine form only where that test fails. `sample_verify`'s
+reject path runs in integers too: t, b(t), the solution x and the solved
+directions stay integers over one common denominator, and a hit becomes
+`Fraction`s only when it is recorded.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -37,7 +41,7 @@ from .norms import (
     eta_separated,
     norm_uppers,
     offset_polygon,
-    segment_is_eta_short,
+    scaled_segment_is_eta_short,
 )
 from .ratlin import (
     Mat,
@@ -48,7 +52,7 @@ from .ratlin import (
     over_common_denominator,
     primitive,
     rat,
-    solve,
+    solve_integer,
 )
 
 # re-exported here because the angle machinery is part of this module's surface
@@ -234,12 +238,18 @@ def build_system(S: DependenceSystem, B1: SymmetricPolygon,
     ell, m = S.ell, B1.m
     if 2 * ell + 1 > m:
         raise CertifierError("assignment needs 2ℓ+1 ≤ m")
+    return Mat.from_rows(_system_rows(S, B1.scaled[1], [a % m for a in alpha]))
+
+
+def _system_rows(S: DependenceSystem, normals: Sequence[tuple[int, int]],
+                 classes: Sequence[int]) -> list[list[int]]:
+    """A's rows for a class tuple in integers, from the polygon's integer
+    normals: row i applies n_(classes[i]) to direction i, a base direction
+    (weight row eᵢ) or S's integer combination of them."""
+    ell = S.ell
     weights = [[int(s == i) for s in range(ell)] for i in range(ell)] + list(S.coeffs)
-    rows = []
-    for side, row in zip(alpha, weights):
-        n = B1.normals[side % m]
-        rows.append([w * v for w in row for v in (n.x, n.y)])
-    return Mat.from_rows(rows)
+    return [[w * v for w in row for v in normals[k]]
+            for k, row in zip(classes, weights)]
 
 
 @dataclass(frozen=True)
@@ -253,7 +263,7 @@ class KillRecord:
     sign: int
 
 
-Functionals = list[tuple[tuple[Fraction, ...], AffineForm]]
+Functionals = list[tuple[tuple[int, ...], AffineForm]]
 NullVectors = tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]
 
 
@@ -279,25 +289,23 @@ def _functional(sides: Sequence[int], y: tuple[int, Sequence[int]],
     # reduced form divides num, nums·D and L·D by gcd(num, D)
     g = math.gcd(num, D)
     s = D // g
-    return AffineForm._reduced(num // g, tuple(c * s for c in nums), L * s)
+    return AffineForm._reduced(num // g, tuple([c * s for c in nums]), L * s)
 
 
 def _assignment_functionals(
         B1: SymmetricPolygon,
-        null_spaces: dict[tuple[int, ...], Sequence[tuple[Fraction, ...]]],
+        null_spaces: dict[tuple[int, ...], Sequence[tuple[int, ...]]],
         alphas: Iterable[Assignment]
 ) -> Iterator[tuple[Assignment, tuple[int, ...], Functionals]]:
     """(α, α mod m, [(y, h = yᵀb)]) per assignment α of `alphas`, one pair
-    per y that `null_spaces` maps α's class tuple to; the side choice only
-    flips signs in h (`_functional`)."""
+    per integer y that `null_spaces` maps α's class tuple to; the side
+    choice only flips signs in h (`_functional`)."""
     m = B1.m
     offsets = B1.scaled[::2]  # (D, offsets·D)
-    scaled = {classes: [(y, over_common_denominator(y)) for y in basis]
-              for classes, basis in null_spaces.items()}
     for alpha in alphas:
         classes = tuple(a % m for a in alpha)
-        yield alpha, classes, [(y, _functional(alpha, y_scaled, offsets))
-                               for y, y_scaled in scaled[classes]]
+        yield alpha, classes, [(y, _functional(alpha, (1, y), offsets))
+                               for y in null_spaces[classes]]
 
 
 def _side_choices(classes: tuple[int, ...], m: int) -> Iterator[Assignment]:
@@ -311,6 +319,9 @@ def _det(rows: list[list[int]]) -> int:
     first row."""
     if len(rows) == 1:
         return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     first, rest = rows[0], rows[1:]
     return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rest])
                for j, a in enumerate(first) if a)
@@ -319,7 +330,7 @@ def _det(rows: list[list[int]]) -> int:
 def _closed_form_null_vector(normals: Sequence[tuple[int, int]],
                              weights: Sequence[Sequence[int]],
                              classes: tuple[int, ...]
-                             ) -> Optional[tuple[Fraction, ...]]:
+                             ) -> Optional[tuple[int, ...]]:
     """The left-null vector of A for this class tuple, primitive with its
     first nonzero entry positive (`left_null_basis`'s scaling), or None when
     the left null space has dimension ≥ 2.
@@ -355,7 +366,7 @@ def _closed_form_null_vector(normals: Sequence[tuple[int, int]],
 
 
 def _null_spaces(S: DependenceSystem, B1: SymmetricPolygon
-                 ) -> dict[tuple[int, ...], list[tuple[Fraction, ...]]]:
+                 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Left null basis of A per class tuple α mod m, in lexicographic order
     of the class tuples: A·x = b(t) is solvable exactly where every
     h = yᵀb(t) vanishes. The closed form gives the basis when it has one
@@ -368,28 +379,38 @@ def _null_spaces(S: DependenceSystem, B1: SymmetricPolygon
     return spaces
 
 
+def _side_choice_ranges(ys: Sequence[int], classes: tuple[int, ...],
+                        offsets: tuple[int, Sequence[int]],
+                        box: OffsetBox) -> tuple[list[int], int]:
+    """The range of h = yᵀb(t) on the box for every side choice of the
+    class tuple, from y·L as integers and the offsets over their common
+    denominator, (Dc, c·Dc): (mids, radius), one mid per side choice in
+    `_side_choices` order, with h·2·L·Dc·D ranging over [mid − radius,
+    mid + radius] (D the box's common denominator).
+
+    A side choice multiplies each yᵢ by εᵢ = ±1. With mid and r the box's
+    midpoint and radii, h ranges over Σ εᵢyᵢ(c_k + mid_k) ± Σ |yᵢ|·r_k
+    (k = classes[i], one term per coordinate since the classes are
+    distinct), whose radius does not depend on ε.
+    """
+    (Dc, cs), (D, lo, hi) = offsets, box.scaled
+    radius = Dc * sum(abs(yi) * (hi[k] - lo[k]) for yi, k in zip(ys, classes))
+    # the first side bit is the most significant, so the last term doubles first
+    mids = [0]
+    for yi, k in zip(reversed(ys), reversed(classes)):
+        a = yi * (2 * cs[k] * D + Dc * (lo[k] + hi[k]))
+        mids = [v + a for v in mids] + [v - a for v in mids]
+    return mids, radius
+
+
 def _class_tuple_killed(ys: Sequence[int], classes: tuple[int, ...],
                         offsets: tuple[int, Sequence[int]],
                         box: OffsetBox) -> bool:
     """Whether h = yᵀb(t) is sign-definite on the box for every side choice
-    of the class tuple, from y·L as integers and the offsets over their
-    common denominator, (Dc, c·Dc).
-
-    A side choice multiplies each yᵢ by εᵢ = ±1. With mid and r the box's
-    midpoint and radii, h ranges over Σ εᵢyᵢ(c_k + mid_k) ± Σ |yᵢ|·r_k
-    (k = classes[i]), so it is sign-definite iff |Σ εᵢyᵢ(c_k + mid_k)| >
-    Σ |yᵢ|·r_k, whose right side does not depend on ε. Over the box's
-    common denominator D, times 2·Dc·D, both sides are integers; ε and −ε
-    give the same sum up to sign, so ε₀ = +1. A tie is not killed.
-    """
-    (Dc, cs), (D, lo, hi) = offsets, box.scaled
-    terms = [yi * (2 * cs[k] * D + Dc * (lo[k] + hi[k]))
-             for yi, k in zip(ys, classes)]
-    radius = Dc * sum(abs(yi) * (hi[k] - lo[k]) for yi, k in zip(ys, classes))
-    sums = [terms[0]]
-    for a in terms[1:]:
-        sums = [v + a for v in sums] + [v - a for v in sums]
-    return min(map(abs, sums)) > radius
+    of the class tuple: |mid| > radius for each (`_side_choice_ranges`).
+    A tie is not killed."""
+    mids, radius = _side_choice_ranges(ys, classes, offsets, box)
+    return min(map(abs, mids)) > radius
 
 
 def kill_assignment(alpha: Assignment, functionals: Functionals,
@@ -451,13 +472,26 @@ class NormCertificate:
         """Every admissible assignment's record in lexicographic order: its
         class tuple's y, h = yᵀb(t), and h's sign on the box (0 where h has
         a root in the box). Needs every class tuple in the table; the
-        checker reads the table itself."""
-        null_spaces = {classes: [y] for classes, y in self.null_vectors}
-        return tuple(
-            KillRecord(alpha, y, h, h.sign_on(self.box))
-            for alpha, _, [(y, h)] in _assignment_functionals(
-                self.polygon, null_spaces,
-                enumerate_admissible(self.system.ell, self.polygon.m)))
+        checker reads the table itself.
+
+        Each class tuple's y is scaled to integers once, and its
+        2^(2ℓ+1) records come in one pass over its side choices, with the
+        signs from `_side_choice_ranges`."""
+        m = self.polygon.m
+        offsets = self.polygon.scaled[::2]  # (D, offsets·D)
+        table = dict(self.null_vectors)
+        records = []
+        for classes in itertools.permutations(range(m), 2 * self.system.ell + 1):
+            y = table[classes]
+            y_scaled = over_common_denominator(y)
+            mids, radius = _side_choice_ranges(y_scaled[1], classes, offsets,
+                                               self.box)
+            for alpha, mid in zip(_side_choices(classes, m), mids):
+                sign = 1 if mid > radius else -1 if mid < -radius else 0
+                records.append(KillRecord(
+                    alpha, y, _functional(alpha, y_scaled, offsets), sign))
+        records.sort(key=operator.attrgetter("alpha"))
+        return tuple(records)
 
 
 def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
@@ -490,8 +524,7 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
     m = B1.m
     box = OffsetBox.symmetric(delta0, m)
     offsets = B1.scaled[::2]  # (D, offsets·D)
-    firsts = {classes: (basis[0], over_common_denominator(basis[0]))
-              for classes, basis in _null_spaces(S, B1).items()}
+    firsts = {classes: basis[0] for classes, basis in _null_spaces(S, B1).items()}
     # one pending assignment per live class tuple; the first is the class
     # tuple itself, so the list starts sorted, which makes it a heap
     walks = {classes: _side_choices(classes, m) for classes in firsts}
@@ -499,22 +532,24 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
     while pending:
         alpha = heapq.heappop(pending)
         classes = tuple(a % m for a in alpha)
-        y, y_scaled = firsts[classes]
-        if _class_tuple_killed(y_scaled[1], classes, offsets, box):
+        y = firsts[classes]
+        if _class_tuple_killed(y, classes, offsets, box):
             continue
         box, _ = kill_assignment(
-            alpha, [(y, _functional(alpha, y_scaled, offsets))], box)
+            alpha, [(y, _functional(alpha, (1, y), offsets))], box)
         successor = next(walks[classes], None)
         if successor is not None:
             heapq.heappush(pending, successor)
     cert = NormCertificate(
         polygon=B1, box=box,
-        null_vectors=tuple((classes, y) for classes, (y, _) in firsts.items()),
+        # the certificate carries y as Fractions, as a payload gives them
+        null_vectors=tuple((classes, tuple(map(Fraction, y)))
+                           for classes, y in firsts.items()),
         system=S, eta=eta, degenerate=not firsts,
     )
     # every class tuple on the final box: the one self-check of the walk
-    if not all(_class_tuple_killed(ys, classes, offsets, box)
-               for classes, (_, (_, ys)) in firsts.items()):
+    if not all(_class_tuple_killed(y, classes, offsets, box)
+               for classes, y in firsts.items()):
         failing = [rec.alpha for rec in cert.kills if rec.sign == 0]
         raise CertifierError(
             f"kill record for {min(failing)} is not sign-definite "
@@ -527,7 +562,7 @@ def witness_norm(cert: NormCertificate) -> NormCertificate:
     symmetric convex body within Hausdorff δ of B stays inside the sandwich.
 
     Refuses a box on which some trapezoid of B_out ∖ B_in is not η-short,
-    the test the checker applies."""
+    the test the checker applies, here on the integer vertex tables."""
     B1, box = cert.polygon, cert.box
     b_in = offset_polygon(B1, box.lo)
     b_mid = offset_polygon(B1, box.center())
@@ -538,9 +573,8 @@ def witness_norm(cert: NormCertificate) -> NormCertificate:
         raise CertifierError("margin δ must be positive")
     # a convex quad avoiding 0 spans its widest angle between two corners;
     # trapezoid m+i is −trapezoid i
-    for side in range(B1.m):
-        quad = b_in.side_segment(side) + b_out.side_segment(side)
-        if not all(segment_is_eta_short(p, q, cert.eta)
+    for side, quad in enumerate(_trapezoid_quads(b_in, b_out, B1.m)):
+        if not all(scaled_segment_is_eta_short(p, q, cert.eta)
                    for p, q in itertools.combinations(quad, 2)):
             raise CertifierError(f"trapezoid {side} is not η-short")
     return replace(cert, witness_in=b_in, witness_mid=b_mid,
@@ -550,36 +584,54 @@ def witness_norm(cert: NormCertificate) -> NormCertificate:
 # --- trapezoid decomposition of B_out ∖ B_in ----------------------------------
 
 
-def trapezoid_corners(cert: NormCertificate, side: int) -> tuple[Vec2, Vec2, Vec2, Vec2]:
-    """Corners of the region of B_out ∖ B_in over the given side:
-    (inner start, inner end, outer end, outer start)."""
-    a_in, b_in = cert.witness_in.side_segment(side)
-    a_out, b_out = cert.witness_out.side_segment(side)
-    return (a_in, b_in, b_out, a_out)
+def _trapezoid_quads(b_in: SymmetricPolygon, b_out: SymmetricPolygon,
+                     count: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """The corners of the region of B_out ∖ B_in over each side s < count,
+    (inner start, inner end, outer end, outer start), as vertex-table
+    entries (X, Y, E), E > 0, of B_in and B_out."""
+    t_in, t_out = b_in._vertex_table, b_out._vertex_table
+    return [(t_in[side - 1], t_in[side], t_out[side], t_out[side - 1])
+            for side in range(count)]
 
 
-def point_in_trapezoid(corners: Sequence[Vec2], p: Vec2) -> bool:
-    """Exact convex-quad membership (boundary counts as inside)."""
-    sign = 0
-    for a, b in zip(corners, tuple(corners[1:]) + (corners[0],)):
-        c = (b - a).cross(p - a)
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
+def _trapezoid_edges(cert: NormCertificate) -> list[list[tuple[int, int, int]]]:
+    """The four edges of every trapezoid, corner a to the next corner b, as
+    integer triples (K, P, Q): for a = A/e_a, b = B/e_b and a point
+    p = (x, y)/E, (b − a)×(p − a) = a×b + b×p + p×a, which times
+    e_a·e_b·E > 0 is K·E + P·x + Q·y."""
+    return [[(ax * by - ay * bx, ay * eb - by * ea, bx * ea - ax * eb)
+             for (ax, ay, ea), (bx, by, eb) in zip(quad, quad[1:] + quad[:1])]
+            for quad in _trapezoid_quads(cert.witness_in, cert.witness_out,
+                                         2 * cert.polygon.m)]
+
+
+def _in_trapezoid(edges: Sequence[tuple[int, int, int]], x: int, y: int,
+                  E: int) -> bool:
+    """Exact convex-quad membership of (x/E, y/E), E > 0, boundary counting
+    as inside: no two edges see the point on opposite sides."""
+    pos = neg = False
+    for K, P, Q in edges:
+        c = K * E + P * x + Q * y
+        pos = pos or c > 0
+        neg = neg or c < 0
+    return not (pos and neg)
+
+
+def _sweep_ok(cert: NormCertificate) -> bool:
+    """Each trapezoid lies between its side's two offset lines: every
+    corner p of trapezoid s lies on ⟨n_s, z⟩ = c_s + t with lo_s ≤ t ≤ hi_s,
+    an integer test over Dc·D·E (Dc the offsets', D the box's and E the
+    corner's denominator). Trapezoid m+s is −trapezoid s, on the line
+    ⟨n_s, z⟩ = −(c_s + t), so the first m sides decide."""
+    Dc, normals, cs = cert.polygon.scaled
+    D, lo, hi = cert.box.scaled
+    quads = _trapezoid_quads(cert.witness_in, cert.witness_out, cert.polygon.m)
+    for s, ((nx, ny), quad) in enumerate(zip(normals, quads)):
+        for X, Y, E in quad:
+            t = (nx * X + ny * Y) * D * Dc - cs[s] * D * E
+            if not lo[s] * Dc * E <= t <= hi[s] * Dc * E:
+                return False
     return True
-
-
-def side_offset_of_point(B1: SymmetricPolygon, side: int, p: Vec2) -> Fraction:
-    """The unique t with p on side `side`'s translated line ⟨n,z⟩ = ±(c+t)."""
-    n, _ = B1.side_line(side)
-    c = B1.offsets[side % B1.m]
-    if side < B1.m:
-        return n.dot(p) - c
-    return -n.dot(p) - c
 
 
 # --- randomized + directed refutation ------------------------------------------
@@ -610,49 +662,36 @@ class VerifyReport:
         return bool(self.hits)
 
 
-def _root_in_box(h: AffineForm, box: OffsetBox) -> tuple[Fraction, ...]:
-    """A t in the box with h(t) = 0, for an h whose range on the box
-    contains 0 (`h.sign_on(box) == 0`).
+def _root_in_box(h: AffineForm, box: OffsetBox) -> tuple[int, list[int]]:
+    """A t in the box with h(t) = 0 as (T, t·T), T > 0, for an h whose range
+    on the box contains 0 (`h.sign_on(box) == 0`).
 
     Starting at the center, where h is the midpoint of its range, each
     coordinate absorbs as much of the residual value as its half-width
-    allows; the residual reaches zero because the range contains it.
+    allows; the residual reaches zero because the range contains it. Over
+    2·den·D (den = h.den, D the box's common denominator, L = lo·D and
+    H = hi·D) the residual and each reach are integers. A coordinate that
+    absorbs its whole reach moves to a bound of the box; the one that
+    absorbs the rest, j, stops at ((L_j + H_j)·c − value)/(2·D·c) with
+    c = nums[j], so t·T is integral for T = 2·D·|c|.
     """
-    lo, hi, den = h._bounds_on(box)
-    value = Fraction(lo + hi, 2 * den)
-    t = [(a + b) / 2 for a, b in zip(box.lo, box.hi)]
-    for j, c in enumerate(h.coeffs):
+    D, L, H = box.scaled
+    lo, hi, _ = h._bounds_on(box)
+    value = lo + hi
+    ts = [a + b for a, b in zip(L, H)]  # the center times 2·D
+    for j, c in enumerate(h.nums):
         if value == 0:
             break
         if c == 0:
             continue
-        reach = abs(c) * (box.hi[j] - box.lo[j]) / 2
-        shift = max(-reach, min(reach, -value))
-        t[j] += shift / c
-        value += shift
-    return tuple(t)
-
-
-def _solved_directions(S: DependenceSystem, x: Sequence[Fraction]) -> tuple[Vec2, ...]:
-    base = [Vec2(x[2 * s], x[2 * s + 1]) for s in range(S.ell)]
-    dep = []
-    for row in S.coeffs:
-        acc = Vec2(Fraction(0), Fraction(0))
-        for s, c in enumerate(row):
-            acc = acc + base[s].scale(c)
-        dep.append(acc)
-    return tuple(base + dep)
-
-
-def _geometric_status(cert: NormCertificate, alpha: Assignment,
-                      us: tuple[Vec2, ...]) -> tuple[bool, bool]:
-    in_traps = cert.has_witness() and all(
-        point_in_trapezoid(trapezoid_corners(cert, side), u)
-        for side, u in zip(alpha, us))
-    separated = not any(u.is_zero() for u in us) and all(
-        eta_separated(us[i], us[j], cert.eta)
-        for i in range(len(us)) for j in range(i + 1, len(us)))
-    return in_traps, separated
+        reach = abs(c) * (H[j] - L[j])
+        if abs(value) <= reach:
+            ts = [v * abs(c) for v in ts]
+            ts[j] -= value if c > 0 else -value
+            return 2 * D * abs(c), ts
+        ts[j] = 2 * (H[j] if (value < 0) == (c > 0) else L[j])
+        value += reach if value < 0 else -reach
+    return 2 * D, ts
 
 
 def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyReport:
@@ -671,37 +710,58 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
     asserts the sweep property: each trapezoid lies between its side's two
     offset lines. Any solvable system inside the box is reported as a hit
     (certificate bug); zero hits is the expected outcome.
+
+    The reject path runs in integers: each t is carried as (T, t·T), b(t)
+    times Dc·T (Dc the offsets' denominator) goes to `solve_integer`, and
+    the solved directions share one denominator, against which the
+    trapezoid, sweep and η-separation tests cross-multiply. A hit builds its
+    `Fraction` t and `Vec2` directions only when it is recorded.
     """
     B1, box, S = cert.polygon, cert.box, cert.system
     m = B1.m
-    sweep_ok = not cert.has_witness() or all(
-        box.lo[side % m] <= side_offset_of_point(B1, side, corner) <= box.hi[side % m]
-        for side in range(2 * m) for corner in trapezoid_corners(cert, side))
+    witnessed = cert.has_witness()
+    sweep_ok = not witnessed or _sweep_ok(cert)
+    edges = _trapezoid_edges(cert) if witnessed else None
+    Dc, normals, cs = B1.scaled
+    s_num, s_den = cert.eta.sin_sq.numerator, cert.eta.sin_sq.denominator
     hits: list[RefutationHit] = []
-    systems: dict[tuple[int, ...], Mat] = {}
+    systems: dict[tuple[int, ...], list[list[int]]] = {}
 
-    def try_solve(alpha, classes, t, source):
+    def try_solve(alpha, classes, T, ts, source):
         if classes not in systems:
-            systems[classes] = build_system(S, B1, classes)
-        # b(t): side αᵢ lies on ⟨n, z⟩ = ±(c + t) at coordinate αᵢ mod m
-        b = [B1.offsets[a] + t[a] if a < m else -(B1.offsets[a - m] + t[a - m])
-             for a in alpha]
-        x = solve(systems[classes], b)
-        if x is None:
+            systems[classes] = _system_rows(S, normals, classes)
+        # b(t)·Dc·T: side αᵢ lies on ⟨n, z⟩ = ±(c + t) at coordinate αᵢ mod m
+        rhs = [cs[a] * T + ts[a] * Dc if a < m else -(cs[a - m] * T + ts[a - m] * Dc)
+               for a in alpha]
+        found = solve_integer([row + [v] for row, v in zip(systems[classes], rhs)])
+        if found is None:
             return
-        us = _solved_directions(S, x)
-        in_traps, separated = _geometric_status(cert, alpha, us)
-        hits.append(RefutationHit(alpha, tuple(t), us, in_traps, separated, source))
+        d, X = found
+        E = d * Dc * T  # the directions' common denominator, E > 0
+        base = [(X[2 * s], X[2 * s + 1]) for s in range(S.ell)]
+        us = base + [(sum(c * x for c, (x, _) in zip(row, base)),
+                      sum(c * y for c, (_, y) in zip(row, base)))
+                     for row in S.coeffs]
+        in_traps = witnessed and all(_in_trapezoid(edges[side], x, y, E)
+                                     for side, (x, y) in zip(alpha, us))
+        # η-separation: (u×v)² ≥ sin²η·|u|²|v|², E⁴ cancelled
+        separated = all(x or y for x, y in us) and all(
+            (ux * vy - uy * vx) ** 2 * s_den
+            >= s_num * (ux * ux + uy * uy) * (vx * vx + vy * vy)
+            for (ux, uy), (vx, vy) in itertools.combinations(us, 2))
+        hits.append(RefutationHit(
+            alpha, tuple(Fraction(v, T) for v in ts),
+            tuple(Vec2(Fraction(x, E), Fraction(y, E)) for x, y in us),
+            in_traps, separated, source))
 
     null_spaces = _null_spaces(S, B1)
-    offsets = B1.scaled[::2]  # (D, offsets·D)
+    offsets = (Dc, cs)
     # a class tuple with a 1-dimensional null space that the signed-sum test
     # clears has no root in the box for any side choice; the others are
     # walked assignment by assignment, in lexicographic order
     undecided = sorted(
         alpha for classes, basis in null_spaces.items()
-        if len(basis) > 1 or not _class_tuple_killed(
-            over_common_denominator(basis[0])[1], classes, offsets, box)
+        if len(basis) > 1 or not _class_tuple_killed(basis[0], classes, offsets, box)
         for alpha in _side_choices(classes, m))
     # directed pass: construct a root of each null functional inside the box
     # whenever its interval straddles zero (complete for 1-dim null spaces;
@@ -714,15 +774,15 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
         for h in hforms:
             if h.sign_on(box):
                 continue  # sign-definite: no root in the box
-            root = _root_in_box(h, box)
-            if all(hf.eval(root) == 0 for hf in hforms):
-                try_solve(alpha, classes, root, "directed")
+            T, ts = _root_in_box(h, box)
+            if all(hf._scaled_value(T, ts) == 0 for hf in hforms):
+                try_solve(alpha, classes, T, ts, "directed")
         if len(hforms) > 1:
             open_systems.append((alpha, classes, hforms))
     # random pass: tᵢ = loᵢ + (hiᵢ − loᵢ)·r/GRID, drawn over the box's common
     # denominator D; only open systems can be hit, so without them no t is
     # drawn. Every t of a trial has the denominator D·GRID, so h(t) = 0 is
-    # tested on the numerators, and t is built only for a solve.
+    # tested on the numerators.
     rng = random.Random(seed)
     GRID = 1 << 30
     D, lo, hi = box.scaled
@@ -732,8 +792,7 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
               for a, b in zip(lo, hi)]
         for alpha, classes, hforms in open_systems:
             if all(hf._scaled_value(DG, ts) == 0 for hf in hforms):
-                try_solve(alpha, classes, tuple(Fraction(v, DG) for v in ts),
-                          "random")
+                try_solve(alpha, classes, DG, ts, "random")
     # every admissible assignment is decided: 2^(2ℓ+1) side choices per class tuple
     alphas_checked = len(null_spaces) << (2 * S.ell + 1)
     return VerifyReport(trials, alphas_checked, sweep_ok, tuple(hits))

@@ -71,6 +71,19 @@ def segment_is_eta_short(a: Vec2, b: Vec2, eta: AngleBound) -> bool:
     return c * c < eta.sin_sq * a.norm_sq() * b.norm_sq()
 
 
+def scaled_segment_is_eta_short(a: tuple[int, int, int], b: tuple[int, int, int],
+                                eta: AngleBound) -> bool:
+    """`segment_is_eta_short` for two points given as vertex-table entries
+    (X, Y, E), E > 0, the point (X/E, Y/E), neither of them 0: the positive
+    denominators cancel from both tests."""
+    (ax, ay, _), (bx, by, _) = a, b
+    if ax * bx + ay * by <= 0:
+        return False
+    c = ax * by - ay * bx
+    s = eta.sin_sq
+    return c * c * s.denominator < s.numerator * (ax * ax + ay * ay) * (bx * bx + by * by)
+
+
 def canonical_sign(x, y) -> int:
     """The s = ±1 with s·(x, y) in the closed upper halfplane minus the
     negative x-axis; rejects (0, 0). Works on any ordered coordinates, so
@@ -234,19 +247,12 @@ class SymmetricPolygon:
     def is_eta_short(self, eta: AngleBound) -> bool:
         """True iff every side is so short that no two η-separated lines meet it.
 
-        `segment_is_eta_short` on each side, in integers: the vertices'
-        positive denominators cancel from both tests. Side m+i is −side i.
+        `segment_is_eta_short` on each side, in integers
+        (`scaled_segment_is_eta_short`). Side m+i is −side i.
         """
-        s_num, s_den = eta.sin_sq.numerator, eta.sin_sq.denominator
         table = self._vertex_table
-        for i in range(self.m):
-            (ax, ay, _), (bx, by, _) = table[i - 1], table[i]
-            if ax * bx + ay * by <= 0:
-                return False
-            c = ax * by - ay * bx
-            if c * c * s_den >= s_num * (ax * ax + ay * ay) * (bx * bx + by * by):
-                return False
-        return True
+        return all(scaled_segment_is_eta_short(table[i - 1], table[i], eta)
+                   for i in range(self.m))
 
     def area(self) -> Fraction:
         verts = self.vertices()

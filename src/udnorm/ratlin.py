@@ -1,11 +1,12 @@
 """Exact rational scalars, 2-vectors, small dense matrices, and certified
 interval helpers.
 
-Everything here is pure and exact: scalars are `fractions.Fraction`, matrix
-algorithms scale rows to integers and run one fraction-free elimination
-with first-nonzero pivoting so results are reproducible bit for bit, and
-the only irrational quantities (square roots, base-2 logarithms) are
-returned as enclosing rational intervals.
+Everything here is pure and exact: scalars are `fractions.Fraction` and
+null vectors primitive integer tuples, matrix algorithms scale rows to
+integers and run one fraction-free elimination with first-nonzero pivoting
+so results are reproducible bit for bit (`solve_integer` takes the integer
+system directly), and the only irrational quantities (square roots, base-2
+logarithms) are returned as enclosing rational intervals.
 """
 
 from __future__ import annotations
@@ -179,16 +180,31 @@ def solve(M: Mat, b: Sequence[RationalLike]) -> Optional[tuple[Fraction, ...]]:
 
     Free variables are set to zero, so the result is deterministic. Each
     augmented row [M | b] is scaled to integers on its own, which keeps the
-    solution set; elimination and back substitution run in integers over
-    one common denominator of x.
+    solution set, and `solve_integer` solves the integer system.
     """
     bb = [rat(t) for t in b]
     if len(bb) != M.rows:
         raise ValueError("right-hand side length must equal row count")
-    n = M.cols
-    grid = _integer_rows(row + (v,) for row, v in zip(M.entries, bb))
+    found = solve_integer(_integer_rows(row + (v,) for row, v in zip(M.entries, bb)))
+    if found is None:
+        return None
+    d, X = found
+    return tuple(Fraction(v, d) for v in X)
+
+
+def solve_integer(grid: list[list[int]]) -> Optional[tuple[int, list[int]]]:
+    """(d, X) with d > 0 and x = X/d some exact solution of the integer
+    system whose augmented rows [A | b] are `grid`, or None when it is
+    inconsistent; `grid` is reduced in place.
+
+    One fraction-free elimination and one back substitution over a common
+    denominator of x, with the free variables set to zero. Those x are the
+    same for any nonzero scaling of the rows: the pivot columns do not
+    depend on it, and the pivot columns of A have full rank.
+    """
+    n = len(grid[0]) - 1
     pivots = _eliminate(grid, n)
-    for i in range(len(pivots), M.rows):
+    for i in range(len(pivots), len(grid)):
         if grid[i][n] != 0:
             return None
     # x = X / d; pivot row i gives x_col = (rhs·d − Σ a_ij·X_j) / (a_i,col·d)
@@ -202,19 +218,21 @@ def solve(M: Mat, b: Sequence[RationalLike]) -> Optional[tuple[Fraction, ...]]:
         X = [v * a for v in X]
         X[col] = acc
         d *= a
-    return tuple(Fraction(v, d) for v in X)
+    if d < 0:
+        return -d, [-v for v in X]
+    return d, X
 
 
-def primitive(vec: Sequence[int]) -> tuple[Fraction, ...]:
+def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Scale a nonzero integer vector to primitive integers, first nonzero > 0."""
     g = math.gcd(*vec)
     lead = next(t for t in vec if t != 0)
     if lead < 0:
         g = -g
-    return tuple(Fraction(t // g) for t in vec)
+    return tuple(t // g for t in vec)
 
 
-def left_null_basis(M: Mat) -> list[tuple[Fraction, ...]]:
+def left_null_basis(M: Mat) -> list[tuple[int, ...]]:
     """Basis {y} of the left null space: yᵀM = 0, |basis| = rows − rank(M).
 
     M is scaled by the least common denominator of all its entries, which
@@ -240,7 +258,9 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        # lo > hi, cross-multiplied: both denominators are positive
+        lo, hi = self.lo, self.hi
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise ValueError("empty interval")
 
     @staticmethod
@@ -258,7 +278,7 @@ class RatInterval:
         return self.hi < rat(q)
 
     def excludes_zero(self) -> bool:
-        return self.lo > 0 or self.hi < 0
+        return self.lo.numerator > 0 or self.hi.numerator < 0
 
 
 def sqrt_interval(q: RationalLike, max_width: RationalLike = Fraction(1, 10**12)) -> RatInterval:

@@ -7,6 +7,14 @@ from udnorm.norms import PolygonError, SymmetricPolygon, polygon_from_hull, squa
 from udnorm.ratlin import Vec2
 
 
+def trapezoid_corners(cert, side: int) -> tuple[Vec2, Vec2, Vec2, Vec2]:
+    """Corners of the region of B_out ∖ B_in over the given side:
+    (inner start, inner end, outer end, outer start)."""
+    a_in, b_in = cert.witness_in.side_segment(side)
+    a_out, b_out = cert.witness_out.side_segment(side)
+    return (a_in, b_in, b_out, a_out)
+
+
 def octagon() -> SymmetricPolygon:
     return SymmetricPolygon.from_pairs([
         (Vec2.of(1, 0), 1), (Vec2.of(0, 1), 1),

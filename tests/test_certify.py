@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -9,23 +10,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import octagon, random_polygon, twelve_gon
+from conftest import octagon, random_polygon, trapezoid_corners, twelve_gon
 from udnorm import certify, jsonio
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
 from udnorm.certify import (
     AffineForm,
     CertifierError,
+    KillRecord,
     NormCertificate,
     OffsetBox,
+    RefutationHit,
+    VerifyReport,
     build_system,
     certify_box,
     enumerate_admissible,
     kill_assignment,
-    point_in_trapezoid,
     sample_verify,
-    side_offset_of_point,
-    trapezoid_corners,
     witness_norm,
 )
 from udnorm.dependence import DependenceConfig, DependenceSystem, extract_dependences
@@ -35,6 +36,7 @@ from udnorm.norms import (
     OffsetVector,
     SymmetricPolygon,
     choose_delta0,
+    eta_separated,
     hausdorff,
     offset_polygon,
     polygon_from_hull,
@@ -102,6 +104,139 @@ def brute_admissible(ell, m):
         if len(set(classes)) == count:
             out.append(alpha)
     return out
+
+
+# --- the Fraction reject path: references for sample_verify's integer one ---
+
+
+def point_in_trapezoid(corners, p):
+    """Exact convex-quad membership (boundary counts as inside)."""
+    sign = 0
+    for a, b in zip(corners, tuple(corners[1:]) + (corners[0],)):
+        c = (b - a).cross(p - a)
+        if c == 0:
+            continue
+        s = 1 if c > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return True
+
+
+def side_offset_of_point(B1, side, p):
+    """The unique t with p on side `side`'s translated line ⟨n,z⟩ = ±(c+t)."""
+    n, _ = B1.side_line(side)
+    c = B1.offsets[side % B1.m]
+    if side < B1.m:
+        return n.dot(p) - c
+    return -n.dot(p) - c
+
+
+def reference_root_in_box(h, box):
+    """The root walk in Fraction: from the box's center, each coordinate
+    absorbs as much of the residual value as its half-width allows."""
+    lo, hi = _reference_range(h, box)
+    value = (lo + hi) / 2
+    t = [(a + b) / 2 for a, b in zip(box.lo, box.hi)]
+    for j, c in enumerate(h.coeffs):
+        if value == 0:
+            break
+        if c == 0:
+            continue
+        reach = abs(c) * (box.hi[j] - box.lo[j]) / 2
+        shift = max(-reach, min(reach, -value))
+        t[j] += shift / c
+        value += shift
+    return tuple(t)
+
+
+def reference_sample_verify(cert, trials, seed=0):
+    """sample_verify with t, b(t), x and the directions in Fraction: A and
+    b(t) read off the side lines, `solve`, and the corner, sweep and
+    η-separation tests on `Vec2`s."""
+    B1, box, S = cert.polygon, cert.box, cert.system
+    m = B1.m
+    sweep_ok = not cert.has_witness() or all(
+        box.lo[side % m] <= side_offset_of_point(B1, side, corner) <= box.hi[side % m]
+        for side in range(2 * m) for corner in trapezoid_corners(cert, side))
+    hits = []
+
+    def try_solve(alpha, t, source):
+        x = solve(side_matrix(S, B1, alpha), side_rhs(B1, alpha, t))
+        if x is None:
+            return
+        base = [Vec2(x[2 * s], x[2 * s + 1]) for s in range(S.ell)]
+        us = tuple(base + [sum((u.scale(c) for c, u in zip(row, base)), Vec2.of(0, 0))
+                           for row in S.coeffs])
+        in_traps = cert.has_witness() and all(
+            point_in_trapezoid(trapezoid_corners(cert, side), u)
+            for side, u in zip(alpha, us))
+        separated = not any(u.is_zero() for u in us) and all(
+            eta_separated(u, v, cert.eta) for u, v in itertools.combinations(us, 2))
+        hits.append(RefutationHit(alpha, tuple(t), us, in_traps, separated, source))
+
+    null_spaces = certify._null_spaces(S, B1)
+    offsets = over_common_denominator(B1.offsets)
+    undecided = sorted(
+        alpha for classes, basis in null_spaces.items()
+        if len(basis) > 1 or not certify._class_tuple_killed(basis[0], classes,
+                                                            offsets, box)
+        for alpha in certify._side_choices(classes, m))
+    open_systems = []
+    for alpha in undecided:
+        hforms = [reference_form(B1, alpha, y)
+                  for y in null_spaces[tuple(a % m for a in alpha)]]
+        for h in hforms:
+            if h.sign_on(box):
+                continue
+            root = reference_root_in_box(h, box)
+            if all(hf.eval(root) == 0 for hf in hforms):
+                try_solve(alpha, root, "directed")
+        if len(hforms) > 1:
+            open_systems.append((alpha, hforms))
+    rng = random.Random(seed)
+    GRID = 1 << 30
+    for _ in range(trials if open_systems else 0):
+        t = tuple(lo + (hi - lo) * Fraction(rng.randrange(GRID + 1), GRID)
+                  for lo, hi in zip(box.lo, box.hi))
+        for alpha, hforms in open_systems:
+            if all(hf.eval(t) == 0 for hf in hforms):
+                try_solve(alpha, t, "random")
+    return VerifyReport(trials, len(null_spaces) << (2 * S.ell + 1), sweep_ok,
+                        tuple(hits))
+
+
+def reference_kills(cert):
+    """The kill records as a walk over `enumerate_admissible`: each
+    assignment's form read off the side lines, its sign from `sign_on`."""
+    table = dict(cert.null_vectors)
+    m = cert.polygon.m
+    out = []
+    for alpha in enumerate_admissible(cert.system.ell, m):
+        y = table[tuple(a % m for a in alpha)]
+        h = reference_form(cert.polygon, alpha, y)
+        out.append(KillRecord(alpha, y, h, h.sign_on(cert.box)))
+    return tuple(out)
+
+
+def stretches(m, low=-3, high=16):
+    """Per coordinate, how far (in eighths of its width) each bound of a box
+    moves outward; a negative count moves it inward."""
+    return st.lists(st.tuples(st.integers(low, high), st.integers(low, high)),
+                    min_size=m, max_size=m)
+
+
+def stretched(cert, stretch):
+    """The certificate on its box with each bound moved by `stretch`."""
+    box = cert.box
+    widths = [hi - lo for lo, hi in zip(box.lo, box.hi)]
+    return dataclasses.replace(cert, box=OffsetBox(
+        OffsetVector(tuple(lo - w * Fraction(a, 8)
+                           for lo, w, (a, _) in zip(box.lo, widths, stretch))),
+        OffsetVector(tuple(hi + w * Fraction(b, 8)
+                           for hi, w, (_, b) in zip(box.hi, widths, stretch))),
+    ))
 
 
 class TestEnumerateAdmissible:
@@ -390,9 +525,12 @@ class TestKillRule:
     @settings(max_examples=200, deadline=None)
     @given(forms_with_zero_at(definite=False))
     def test_root_in_box(self, case):
+        # the integer root is the Fraction walk's point, over T > 0
         h, box = case
         assert h.sign_on(box) == 0
-        t = certify._root_in_box(h, box)
+        T, ts = certify._root_in_box(h, box)
+        t = tuple(Fraction(v, T) for v in ts)
+        assert T > 0 and t == reference_root_in_box(h, box)
         assert all(a <= v <= b for a, v, b in zip(box.lo, t, box.hi))
         assert h.const + sum(c * v for c, v in zip(h.coeffs, t)) == 0
 
@@ -405,7 +543,7 @@ class TestRandomPassCore:
     @given(forms_with_zero_at(definite=False), st.integers(1, 2**30))
     def test_scaled_value_matches_fractions(self, case, extra):
         h, box = case
-        for t in (box.center(), certify._root_in_box(h, box), box.lo):
+        for t in (box.center(), reference_root_in_box(h, box), box.lo):
             T, ts = over_common_denominator(t)
             value = h._scaled_value(T * extra, [v * extra for v in ts])
             want = h.const + sum(c * v for c, v in zip(h.coeffs, t))
@@ -761,14 +899,53 @@ class TestTrapezoids:
 
     def test_membership_and_tie_rule(self, octagon):
         cert = _toy_certificate(octagon, ETA_OCT)
-        # a point clearly inside trapezoid 0
+        edges = certify._trapezoid_edges(cert)
+        # a point clearly inside trapezoid 0, outside trapezoid 1
         n, _ = octagon.side_line(0)
         mid_t = (cert.box.lo[0] + cert.box.hi[0]) / 2
         p = n.scale((octagon.offsets[0] + mid_t) / n.norm_sq())
+        E, (x, y) = over_common_denominator(p.as_tuple())
         assert point_in_trapezoid(trapezoid_corners(cert, 0), p)
+        assert certify._in_trapezoid(edges[0], x, y, E)
+        assert not certify._in_trapezoid(edges[1], x, y, E)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["octagon", "twelve_gon"]), st.data())
+    def test_membership_matches_fraction_reference(self, which, data):
+        # corners, points on the edges and points near them: the boundary
+        # counts as inside in both
+        polygon, eta = {"octagon": (octagon, ETA_OCT),
+                        "twelve_gon": (twelve_gon, AngleBound.of(Fraction(2, 5)))}[which]
+        cert = _toy_certificate(polygon(), eta)
+        side = data.draw(st.integers(0, 2 * cert.polygon.m - 1))
+        corners = trapezoid_corners(cert, side)
+        a, b = data.draw(st.sampled_from(corners)), data.draw(st.sampled_from(corners))
+        lam = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+        nudge = Vec2(*(Fraction(data.draw(st.integers(-2, 2)), 10**4)
+                       for _ in range(2)))
+        p = a + (b - a).scale(lam) + nudge
+        E, (x, y) = over_common_denominator(p.as_tuple())
+        for k in (1, 3):  # any common denominator
+            assert certify._in_trapezoid(
+                certify._trapezoid_edges(cert)[side], k * x, k * y, k * E
+            ) == point_in_trapezoid(corners, p)
+
+    def test_sweep_tie_rule(self, octagon):
+        # the certified box's bounds are the corners' own offsets: a corner
+        # on a bound passes, one a hair outside a bound fails
+        cert = _toy_certificate(octagon, ETA_OCT)
+        box, eps = cert.box, Fraction(1, 10**12)
+        assert certify._sweep_ok(cert)
+        for k in range(octagon.m):
+            for moved in ((box.lo, tuple(v - eps * (j == k) for j, v in enumerate(box.hi))),
+                          (tuple(v + eps * (j == k) for j, v in enumerate(box.lo)), box.hi)):
+                bad = dataclasses.replace(cert, box=OffsetBox(*moved))
+                assert not certify._sweep_ok(bad)
+                assert not reference_sample_verify(bad, 0).sweep_ok
 
     def test_sweep_offsets_in_range(self, octagon):
         cert = _toy_certificate(octagon, ETA_OCT)
+        assert certify._sweep_ok(cert)
         for side in range(2 * octagon.m):
             k = side % octagon.m
             for corner in trapezoid_corners(cert, side):
@@ -870,20 +1047,12 @@ def oct_toy():
 
 class TestDirectedDecision:
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-3, 16), st.integers(-3, 16)),
-                    min_size=4, max_size=4))
+    @given(stretches(4))
     def test_hit_iff_some_record_straddles_zero(self, oct_toy, stretch):
         # every toy null space is 1-dimensional, so the directed pass alone
         # decides each assignment: a hit exactly when some recorded h fails
         # to be sign-definite on the mutated box
-        box = oct_toy.box
-        widths = [hi - lo for lo, hi in zip(box.lo, box.hi)]
-        bad = dataclasses.replace(oct_toy, box=OffsetBox(
-            OffsetVector(tuple(lo - w * Fraction(a, 8)
-                               for lo, w, (a, _) in zip(box.lo, widths, stretch))),
-            OffsetVector(tuple(hi + w * Fraction(b, 8)
-                               for hi, w, (_, b) in zip(box.hi, widths, stretch))),
-        ))
+        bad = stretched(oct_toy, stretch)
         expected = any(not rec.h.interval_on(bad.box).excludes_zero()
                        for rec in bad.kills)
         assert sample_verify(bad, 1, 0).counterexample_found == expected
@@ -944,3 +1113,114 @@ class TestOpenAssignments:
         assert rep.alphas_checked == 3840
         assert rep.sweep_ok
         assert not rep.counterexample_found
+
+
+@functools.cache
+def toy_cert(which):
+    polygon, sin_sq = {"octagon": (octagon, Fraction(5, 9)),
+                       "twelve_gon": (twelve_gon, Fraction(2, 5))}[which]
+    return _toy_certificate(polygon(), AngleBound.of(sin_sq))
+
+
+@functools.cache
+def open_cert():
+    return TestOpenAssignments.certificate()
+
+
+def concurrent_box(cert, classes, p, half_width):
+    """A box centered at the offsets that put the lines of sides `classes`
+    (all < m) through the point p, the other coordinates at 0."""
+    B1 = cert.polygon
+    center = [Fraction(0)] * B1.m
+    for k in classes:
+        center[k] = side_offset_of_point(B1, k, p)
+    return dataclasses.replace(cert, box=OffsetBox(
+        tuple(c - half_width for c in center), tuple(c + half_width for c in center)))
+
+
+@functools.cache
+def pipeline_cert():
+    return witness_norm(certify_box(pipeline_system(), pipeline_decagon(),
+                                    Fraction(1, 64), AngleBound.of(Fraction(2, 5))))
+
+
+class TestIntegerRejectPath:
+    """sample_verify's integer reject path gives the Fraction path's report
+    hit for hit: α, t, directions, both flags and the source."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["octagon", "twelve_gon"]), st.booleans(), st.data())
+    def test_toy_matches_fraction_reference(self, which, witnessed, data):
+        cert = toy_cert(which)
+        if not witnessed:
+            cert = dataclasses.replace(cert, witness_in=None, witness_mid=None,
+                                       witness_out=None, delta=None)
+        bad = stretched(cert, data.draw(stretches(cert.polygon.m)))
+        assert sample_verify(bad, 1, 0) == reference_sample_verify(bad, 1, 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([Fraction(2, 5), Fraction(1, 50)]), st.data())
+    def test_pipeline_matches_fraction_reference(self, sin_sq, data):
+        # the toy's directions are parallel and the pipeline's five are never
+        # 2/5-separated; at sin²η = 1/50 some hits are η-separated
+        cert = dataclasses.replace(pipeline_cert(), eta=AngleBound.of(sin_sq))
+        bad = stretched(cert, data.draw(stretches(cert.polygon.m, -3, 40)))
+        assert sample_verify(bad, 1, 0) == reference_sample_verify(bad, 1, 0)
+
+    def test_both_separation_outcomes(self):
+        bad = stretched(dataclasses.replace(pipeline_cert(),
+                                            eta=AngleBound.of(Fraction(1, 50))),
+                        [(24, 24)] * 5)
+        rep = sample_verify(bad, 1, 0)
+        assert rep == reference_sample_verify(bad, 1, 0)
+        assert {h.eta_separated for h in rep.hits} == {True, False}
+
+    def test_separation_tie(self):
+        # at sin²η equal to a hit's narrowest pair, that pair sits exactly
+        # on the bound, which counts as separated
+        bad = stretched(pipeline_cert(), [(24, 24)] * 5)
+        us = sample_verify(bad, 1, 0).hits[0].directions
+        narrowest = min(u.cross(v) ** 2 / (u.norm_sq() * v.norm_sq())
+                        for u, v in itertools.combinations(us, 2))
+        tied = dataclasses.replace(bad, eta=AngleBound(narrowest))
+        rep = sample_verify(tied, 1, 0)
+        assert rep == reference_sample_verify(tied, 1, 0)
+        assert rep.hits[0].eta_separated
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(0, 2**16))
+    def test_open_assignments_match_fraction_reference(self, data, trials, seed):
+        # the nullity-2 decagon system: every assignment reaches the random
+        # pass, and on a box centered where four side lines meet, the
+        # directed pass's root of one form zeroes the other
+        cert = open_cert()
+        if data.draw(st.booleans()):
+            bad = stretched(cert, data.draw(stretches(cert.polygon.m, -3, 4)))
+        else:
+            classes = data.draw(st.permutations(range(cert.polygon.m)))[:4]
+            p = Vec2(*(Fraction(data.draw(st.integers(-20, 20)), 40)
+                       for _ in range(2)))
+            bad = concurrent_box(cert, classes, p, Fraction(1, 64))
+        assert (sample_verify(bad, trials, seed)
+                == reference_sample_verify(bad, trials, seed))
+
+
+class TestKills:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["octagon", "twelve_gon"]), st.data(),
+           st.sampled_from([1, Fraction(2, 3), Fraction(-5, 7)]))
+    def test_matches_assignment_walk(self, which, data, scale):
+        # integral null vectors as certify derives them, or scaled to
+        # non-integral ones as a payload may give them; stretched boxes give
+        # records of every sign
+        cert = stretched(toy_cert(which), data.draw(stretches(4 if which == "octagon" else 6)))
+        if scale != 1:
+            cert = dataclasses.replace(cert, null_vectors=tuple(
+                (classes, tuple(v * scale for v in y)) for classes, y in cert.null_vectors))
+        assert cert.kills == reference_kills(cert)
+
+    def test_pipeline_certificate(self):
+        cert = certify_box(pipeline_system(), pipeline_decagon(), Fraction(1, 64),
+                           AngleBound.of(Fraction(2, 5)))
+        assert cert.kills == reference_kills(cert)
+        assert len(cert.kills) == 3840

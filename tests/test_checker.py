@@ -8,10 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import octagon, twelve_gon
+from conftest import octagon, trapezoid_corners, twelve_gon
 from udnorm import checker, jsonio
 from udnorm.certify import (CertifierError, NormCertificate, OffsetBox,
-                            certify_box, trapezoid_corners, witness_norm)
+                            certify_box, witness_norm)
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
 from udnorm.dependence import DependenceSystem
@@ -138,6 +138,13 @@ class TestTrapezoids:
             if spread >= eta:
                 wide.append(f"trapezoid {side} is not η-short")
         assert _trapezoid_failures(check_certificate(cert)) == wide
+        # the exact `segment_is_eta_short` loop over each trapezoid's corner
+        # pairs agrees with the float angles
+        assert wide == [f"trapezoid {side} is not η-short"
+                        for side in range(cert.polygon.m)
+                        if not all(segment_is_eta_short(p, q, cert.eta)
+                                   for p, q in itertools.combinations(
+                                       trapezoid_corners(cert, side), 2))]
         # witness_norm refuses exactly these boxes, naming the first
         if wide:
             with pytest.raises(CertifierError) as exc:

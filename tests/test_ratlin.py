@@ -15,6 +15,7 @@ from udnorm.ratlin import (
     rat_from_str,
     rat_to_str,
     solve,
+    solve_integer,
     sqrt_interval,
 )
 
@@ -35,6 +36,9 @@ class TestRationalStrings:
     def test_integer_canonical(self):
         assert rat_to_str(Fraction(5)) == "5"
         assert rat_to_str(Fraction(-3, 7)) == "-3/7"
+        # an int writes as its Fraction does; a bool as its value
+        assert rat_to_str(-12) == rat_to_str(Fraction(-12)) == "-12"
+        assert rat_to_str(True) == "1"
 
     def test_accepts_over_one(self):
         assert rat_from_str("4/1") == 4
@@ -267,6 +271,33 @@ class TestAgainstFractionReference:
         assert mat_vec(M, x) == b
 
 
+class TestIntegerSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(deficient_matrices(), st.data())
+    def test_any_row_scaling(self, M, data):
+        # solve_integer on the rows scaled by any nonzero integers gives
+        # solve's x, over a positive denominator
+        b = data.draw(st.lists(ENTRIES, min_size=M.rows, max_size=M.rows))
+        factors = data.draw(st.lists(st.integers(-50, 50).filter(bool),
+                                     min_size=M.rows, max_size=M.rows))
+        grid = [[int(v * k) for v in row]
+                for row, k in zip(_scaled_rows(M, b), factors)]
+        found = solve_integer(grid)
+        want = reference_solve(M, b)
+        if want is None:
+            assert found is None
+        else:
+            d, X = found
+            assert d > 0 and tuple(Fraction(v, d) for v in X) == want
+
+
+def _scaled_rows(M, b):
+    """[M | b] times one common denominator of all entries, in Fraction."""
+    rows = [list(row) + [rat(v)] for row, v in zip(M.entries, b)]
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v * den for v in row] for row in rows]
+
+
 class TestIntervals:
     def test_sqrt_exact_on_squares(self):
         iv = sqrt_interval(Fraction(9, 4))
@@ -351,6 +382,16 @@ class TestIntervals:
         assert not b.excludes_zero()
         assert a.excludes_zero()
         assert a.strictly_below(3)
+
+    @given(rationals, rationals)
+    def test_integer_comparisons_match_fractions(self, lo, hi):
+        # construction and excludes_zero compare numerators and
+        # denominators; they decide as Fraction comparisons do
+        if lo > hi:
+            with pytest.raises(ValueError, match="empty interval"):
+                RatInterval(lo, hi)
+            return
+        assert RatInterval(lo, hi).excludes_zero() == (lo > 0 or hi < 0)
 
 
 def _log2_by_search(x: Fraction, frac_bits: int = 12) -> RatInterval:
