@@ -346,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build a box certificate + witness")
     p.add_argument("--system", required=True)
     p.add_argument("--polygon", help="η-short certificate polygon JSON")
-    p.add_argument("--oracle", help="norm oracle JSON to approximate instead")
+    p.add_argument("--oracle",
+                   help='norm oracle JSON to approximate instead: '
+                        '{"kind": "polygon", "polygon": …} or {"kind": "euclidean"}')
     p.add_argument("--eps", type=_positive, default=Fraction(1, 4),
                    help="Hausdorff bound to the oracle (or to --polygon) "
                         "for the approximation and for δ₀ (default 1/4)")

@@ -97,8 +97,6 @@ def oracle_from_json(d: dict) -> NormOracle:
     kind = d["kind"]
     if kind == "polygon":
         return NormOracle.of_polygon(polygon_from_json(d["polygon"]))
-    if kind == "pnorm":
-        return NormOracle.pnorm(rat_from_str(d["p"]))
     if kind == "euclidean":
         return NormOracle.euclidean()
     raise ValueError(f"unknown norm kind {kind!r}")

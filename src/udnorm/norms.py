@@ -1,11 +1,11 @@
 """Planar norms: exact polygonal unit balls, offset polygons, Hausdorff
-distance, and polygonal approximation of arbitrary norms.
+distance, and polygonal approximation of a norm oracle.
 
-Polygonal norms are fully exact (rational normals/offsets, rational gauge).
-Analytic oracles (euclidean, p-norms) are supported for experiments; the
-euclidean unit test is still exact (squared lengths), while p-norm
-evaluation is floating point with a documented 1e-12 tolerance and is kept
-out of certificate paths.
+Everything a certificate reads is exact: rational normals and offsets, a
+rational gauge, integer facet, η-short and Hausdorff tests. A norm oracle
+is a polygon or the Euclidean norm, and its Hausdorff distance to a
+polygon is a proved interval for both kinds. Floats only choose where
+`polygon_approx` samples; each candidate it returns is tested exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .ratlin import (
     RatInterval,
@@ -346,28 +346,17 @@ def hausdorff(A: SymmetricPolygon, B: SymmetricPolygon) -> RatInterval:
 
 # --- norm oracles ------------------------------------------------------------
 
-PNORM_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class NormOracle:
-    """A norm to approximate: exact polygon, euclidean, or p-norm (float)."""
+    """A norm to approximate: an exact polygon, or the Euclidean norm."""
 
-    kind: str  # "polygon" | "euclidean" | "pnorm"
+    kind: str  # "polygon" | "euclidean"
     polygon: Optional[SymmetricPolygon] = None
-    p: Optional[Fraction] = None
 
     def __post_init__(self):
         if self.kind == "polygon":
             if self.polygon is None:
                 raise ValueError("polygon oracle needs a polygon")
-        elif self.kind == "pnorm":
-            if self.p is None or self.p < 1:
-                raise ValueError("p-norm oracle needs rational p >= 1")
-            try:
-                float(self.p)
-            except OverflowError:
-                raise ValueError("p-norm exponent p is beyond float range") from None
         elif self.kind != "euclidean":
             raise ValueError(f"unknown norm kind {self.kind!r}")
 
@@ -379,91 +368,32 @@ class NormOracle:
     def euclidean() -> "NormOracle":
         return NormOracle("euclidean")
 
-    @staticmethod
-    def pnorm(p: RationalLike) -> "NormOracle":
-        return NormOracle("pnorm", p=rat(p))
-
-    def gauge_float(self, z: Vec2) -> float:
-        """The gauge of z in floats. A p-norm whose float evaluation breaks
-        down (|x|^p overflows, or underflows to 0 at z ≠ 0) is a ValueError."""
-        x, y = float(z.x), float(z.y)
-        if self.kind == "polygon":
-            return float(self.polygon.gauge(z))
-        if self.kind == "euclidean":
-            return math.hypot(x, y)
-        p = float(self.p)
-        try:
-            g = (abs(x) ** p + abs(y) ** p) ** (1.0 / p)
-        except OverflowError:
-            g = math.inf
-        if not math.isfinite(g) or (g == 0 and (x or y)):
-            raise ValueError(f"p-norm with p = {self.p} has no float value "
-                             f"at ({x}, {y})")
-        return g
-
-    def is_unit(self, z: Vec2) -> bool:
-        """Exact unit test for polygon/euclidean; 1e-12 tolerance for p-norms."""
-        if self.kind == "polygon":
-            return self.polygon.gauge(z) == 1
-        if self.kind == "euclidean":
-            return z.norm_sq() == 1
-        return abs(self.gauge_float(z) - 1.0) <= PNORM_TOL
-
 
 def hausdorff_to_oracle(B1: SymmetricPolygon, oracle: NormOracle) -> RatInterval:
-    """Hausdorff distance from B1 to the oracle's unit ball.
+    """Hausdorff distance from B1 to the oracle's unit ball, exact for both
+    kinds: an interval of width ≤ 10^−12 from square-root enclosures.
 
-    Exact (enclosed by square-root intervals of width ≤ 10^−12) for
-    polygon and euclidean oracles; a sampled estimate with a stated slack
-    for p-norm oracles.
+    For the unit disc it is the larger of (largest vertex norm − 1), how
+    far B1 reaches out of the disc, and (1 − smallest distance from 0 to a
+    side line), how far the disc reaches out of B1, each clipped at 0.
     """
     if oracle.kind == "polygon":
         return hausdorff(B1, oracle.polygon)
-    if oracle.kind == "euclidean":
-        out_sq = max(Fraction(X * X + Y * Y, E * E)
-                     for X, Y, E in B1._vertex_table[:B1.m])
-        out_iv = sqrt_interval(out_sq)
-        h_out = RatInterval(max(Fraction(0), out_iv.lo - 1),
-                            max(Fraction(0), out_iv.hi - 1))
-        # distance from 0 to side line i is cᵢ/‖nᵢ‖
-        dist_ivs = []
-        for n, c in zip(B1.normals, B1.offsets):
-            nn = sqrt_interval(n.norm_sq())
-            dist_ivs.append(RatInterval(c / nn.hi, c / nn.lo))
-        min_lo = min(iv.lo for iv in dist_ivs)
-        min_hi = min(iv.hi for iv in dist_ivs)
-        h_in = RatInterval(max(Fraction(0), 1 - min_hi),
-                           max(Fraction(0), 1 - min_lo))
-        return h_out.max_with(h_in)
-    return _hausdorff_pnorm_estimate(B1, oracle)
-
-
-def _hausdorff_pnorm_estimate(B1: SymmetricPolygon,
-                              oracle: NormOracle) -> RatInterval:
-    # Float estimate; slack covers the sampling gap. Experiments only.
-    samples = 2048
-    pts_b = []
-    for j in range(samples):
-        th = 2 * math.pi * j / samples
-        g = oracle.gauge_float(Vec2.of(Fraction(math.cos(th)).limit_denominator(10**6),
-                                       Fraction(math.sin(th)).limit_denominator(10**6)))
-        pts_b.append((math.cos(th) / g, math.sin(th) / g))
-    verts = [(float(v.x), float(v.y)) for v in B1.vertices()]
-    pts_a = []
-    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
-        for j in range(8):
-            lam = j / 8
-            pts_a.append((ax + lam * (bx - ax), ay + lam * (by - ay)))
-
-    def directed(ps, qs):
-        return max(min(math.dist(p, q) for q in qs) for p in ps)
-
-    est = max(directed(pts_a, pts_b), directed(pts_b, pts_a))
-    slack = 8.0 * math.pi / samples + 1e-9
-    return RatInterval(
-        max(Fraction(0), Fraction(est).limit_denominator(10**9) - Fraction(slack).limit_denominator(10**9)),
-        Fraction(est).limit_denominator(10**9) + Fraction(slack).limit_denominator(10**9),
-    )
+    out_sq = max(Fraction(X * X + Y * Y, E * E)
+                 for X, Y, E in B1._vertex_table[:B1.m])
+    out_iv = sqrt_interval(out_sq)
+    h_out = RatInterval(max(Fraction(0), out_iv.lo - 1),
+                        max(Fraction(0), out_iv.hi - 1))
+    # distance from 0 to side line i is cᵢ/‖nᵢ‖
+    dist_ivs = []
+    for n, c in zip(B1.normals, B1.offsets):
+        nn = sqrt_interval(n.norm_sq())
+        dist_ivs.append(RatInterval(c / nn.hi, c / nn.lo))
+    min_lo = min(iv.lo for iv in dist_ivs)
+    min_hi = min(iv.hi for iv in dist_ivs)
+    h_in = RatInterval(max(Fraction(0), 1 - min_hi),
+                       max(Fraction(0), 1 - min_lo))
+    return h_out.max_with(h_in)
 
 
 # --- polygonal approximation with bulging ------------------------------------
@@ -526,21 +456,10 @@ def polygon_approx(oracle: NormOracle, eps: RationalLike, eta: AngleBound,
         raise ValueError("eps must be positive")
     if oracle.kind == "polygon":
         return _approx_from_polygon(oracle, oracle.polygon, eps, eta, side_cap)
-    if oracle.kind == "euclidean":
-        B1 = _approx_sampled(oracle, eps, eta, side_cap, _circle_point, "circle")
-        # vertices land exactly on the unit circle
-        assert all(v.norm_sq() == 1 for v in B1.vertices())
-        return B1
-
-    def pnorm_point(th: float) -> Vec2:
-        x, y = math.cos(th), math.sin(th)
-        g = oracle.gauge_float(Vec2(Fraction(x), Fraction(y)))
-        # snap slightly inward so rationalization stays inside the ball
-        shrink = 1.0 - 1e-9
-        return Vec2(Fraction(x / g * shrink).limit_denominator(10**9),
-                    Fraction(y / g * shrink).limit_denominator(10**9))
-
-    return _approx_sampled(oracle, eps, eta, side_cap, pnorm_point, "p-norm")
+    B1 = _approx_sampled(eps, eta, side_cap)
+    # vertices land exactly on the unit circle
+    assert all(v.norm_sq() == 1 for v in B1.vertices())
+    return B1
 
 
 def _subtended_angle(a: Vec2, b: Vec2) -> float:
@@ -617,20 +536,19 @@ def _circle_point(th: float) -> Vec2:
     return Vec2((1 - t * t) / den, 2 * t / den)
 
 
-def _approx_sampled(oracle: NormOracle, eps: Fraction, eta: AngleBound,
-                    side_cap: int, point: Callable[[float], Vec2],
-                    what: str) -> SymmetricPolygon:
-    """The hull of point(πj/M), j < M, and their negatives, with M doubled
-    until it passes `_verify_approx` (at most 20 rounds)."""
+def _approx_sampled(eps: Fraction, eta: AngleBound,
+                    side_cap: int) -> SymmetricPolygon:
+    """The hull of `_circle_point`(πj/M), j < M, and their negatives, with
+    M doubled until it passes `_verify_approx` (at most 20 rounds)."""
     step = eta.radians() / 4
     M = max(3, math.ceil(math.pi / step))
     for _ in range(20):
-        pts = [point(math.pi * j / M) for j in range(M)]
+        pts = [_circle_point(math.pi * j / M) for j in range(M)]
         B1 = polygon_from_hull(pts + [-q for q in pts])
-        if _verify_approx(B1, oracle, eps, eta, side_cap):
+        if _verify_approx(B1, NormOracle.euclidean(), eps, eta, side_cap):
             return B1
         M *= 2
-    raise ApproxError(f"{what} approximation did not converge")
+    raise ApproxError("circle approximation did not converge")
 
 
 # --- offset box radius -------------------------------------------------------
@@ -696,8 +614,7 @@ def choose_delta0(B1: SymmetricPolygon, B0: NormOracle, eps: RationalLike,
       apart (K the vertex-displacement factor), and so are matching convex
       combinations of them, so d_H(B₁(t), B₁) ≤ K·δ₀ ≤ slack/2 with
       slack = ε − d_H(B₁, oracle), and the triangle inequality gives
-      d_H(B₁(t), oracle) ≤ ε − slack/2 < ε (for a p-norm oracle d_H is
-      the sampled estimate, for experiments only).
+      d_H(B₁(t), oracle) ≤ ε − slack/2 < ε.
 
     Tested: η-shortness (when B₁ is η-short), only at the two uniform
     offsets ±δ₀, not for the whole box; δ₀ is halved until both pass.

@@ -170,11 +170,6 @@ def _eliminate(grid: list[list[int]], lead_cols: int) -> list[int]:
     return pivots
 
 
-def rank(M: Mat) -> int:
-    """Exact rank over the rationals."""
-    return len(_eliminate(_integer_rows(M.entries), M.cols))
-
-
 def solve(M: Mat, b: Sequence[RationalLike]) -> Optional[tuple[Fraction, ...]]:
     """Some exact x with M·x = b, or None when the system is inconsistent.
 

@@ -61,3 +61,40 @@ def octagon_fixture():
 @pytest.fixture(name="twelve_gon")
 def twelve_gon_fixture():
     return twelve_gon()
+
+
+def reference_eliminate(grid, lead_cols):
+    """Reference: row-echelon reduction of the first `lead_cols` columns in
+    Fraction arithmetic, in place. Pivot row = first row with a nonzero
+    entry in the pivot column. Returns the pivot column list."""
+    pivots = []
+    cur = 0
+    nrows = len(grid)
+    for col in range(lead_cols):
+        sel = None
+        for i in range(cur, nrows):
+            if grid[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != cur:
+            grid[cur], grid[sel] = grid[sel], grid[cur]
+        piv = grid[cur][col]
+        for i in range(cur + 1, nrows):
+            f = grid[i][col]
+            if f == 0:
+                continue
+            ratio = f / piv
+            row_i, row_c = grid[i], grid[cur]
+            for j in range(col, len(row_i)):
+                row_i[j] = row_i[j] - ratio * row_c[j]
+        pivots.append(col)
+        cur += 1
+        if cur == nrows:
+            break
+    return pivots
+
+
+def reference_rank(M):
+    return len(reference_eliminate([list(r) for r in M.entries], M.cols))

@@ -11,7 +11,7 @@ from udnorm import cli, jsonio
 from udnorm.certify import certify_box, witness_norm
 from udnorm.colored import MAX_EXHAUSTIVE_CAP
 from udnorm.dependence import DependenceSystem
-from udnorm.norms import AngleBound, square
+from udnorm.norms import AngleBound, NormOracle, hausdorff_to_oracle, square
 from udnorm.pointsets import flat_side_quadratic
 from udnorm.udg import build_udg
 
@@ -148,6 +148,57 @@ class TestCheckRoundTrip:
             assert json.loads(r.stdout)["error"] == "usage"
 
 
+def _toy_cert(path):
+    """The octagon toy certificate, written to path; its witness B_mid is
+    the octagon itself."""
+    cert = witness_norm(certify_box(TOY, octagon(), Fraction(1, 100),
+                                    AngleBound.of(Fraction(5, 9))))
+    jsonio.write_json(str(path), jsonio.certificate_to_json(cert))
+    return cert
+
+
+class TestCheckOracleKinds:
+    # d_H(octagon, square) = 3√2/10 ≈ 0.424 and d_H(octagon, disc) =
+    # √29/5 − 1 ≈ 0.077: each eps sits clear of the true distance, so each
+    # verdict is the exact one
+    @pytest.mark.parametrize("payload, oracle, within, below", [
+        ({"kind": "polygon", "polygon": jsonio.polygon_to_json(square())},
+         NormOracle.of_polygon(square()), Fraction(1, 2), Fraction(2, 5)),
+        ({"kind": "euclidean"}, NormOracle.euclidean(),
+         Fraction(1, 10), Fraction(1, 20)),
+    ], ids=["polygon", "euclidean"])
+    def test_check_verdict(self, tmp_path, payload, oracle, within, below):
+        cert = _toy_cert(tmp_path / "cert.json")
+        hd = hausdorff_to_oracle(cert.witness_mid, oracle)
+        assert below < hd.lo <= hd.hi < within
+        jsonio.write_json(str(tmp_path / "O.json"), payload)
+        args = ("check", "--cert", str(tmp_path / "cert.json"),
+                "--oracle", str(tmp_path / "O.json"), "--eps")
+        r = run_cli(*args, str(within))
+        assert r.returncode == 0, r.stdout
+        assert json.loads(r.stdout) == {"ok": True}
+        r = run_cli(*args, str(below))
+        assert r.returncode == 1, r.stdout
+        err = json.loads(r.stdout)
+        assert err["error"] == "check-failed"
+        assert f"d_H upper bound {hd.hi}" in err["message"]
+
+    @pytest.mark.parametrize("command", [
+        lambda d: _toy_inputs(d) + ["--eta-sin2", "5/9"],
+        lambda d: ["check", "--cert", str(d / "toy.json"), "--eps", "1/4"],
+    ], ids=["certify", "check"])
+    def test_pnorm_kind_is_malformed_payload(self, tmp_path, command):
+        _toy_cert(tmp_path / "toy.json")
+        jsonio.write_json(str(tmp_path / "O.json"), {"kind": "pnorm", "p": "3"})
+        r = run_cli(*command(tmp_path), "--oracle", str(tmp_path / "O.json"))
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+        err = json.loads(r.stdout)
+        assert err["error"] == "malformed-payload"
+        assert "unknown norm kind 'pnorm'" in err["message"]
+        assert not (tmp_path / "cert.json").exists()
+
+
 class TestGridGen:
     def test_grid(self):
         r = run_cli("gen", "--kind", "grid", "--w", "3", "--h", "2",
@@ -275,21 +326,6 @@ class TestCertifyErrors:
         assert r.returncode == 0, r.stdout
         assert json.loads(r.stdout) == {"ok": True}
 
-    @pytest.mark.parametrize("p, code, error", [
-        ("100000", 1, "ValueError"),  # |x|^p underflows, so the gauge is 0
-        ("1" + "0" * 400, 3, "malformed-payload"),  # p overflows a float
-    ], ids=["underflow", "401-digits"])
-    def test_pnorm_float_breakdown_is_structured_error(self, tmp_path, p,
-                                                       code, error):
-        oracle = tmp_path / "O.json"
-        jsonio.write_json(str(oracle), {"kind": "pnorm", "p": p})
-        r = run_cli(*_toy_inputs(tmp_path), "--oracle", str(oracle),
-                    "--eta-sin2", "5/9")
-        assert r.returncode == code, r.stderr
-        assert "Traceback" not in r.stderr
-        assert json.loads(r.stdout)["error"] == error
-        assert not (tmp_path / "cert.json").exists()
-
     def test_needs_polygon_or_oracle(self, tmp_path):
         r = run_cli(*_toy_inputs(tmp_path), "--eta-sin2", "5/9")
         assert r.returncode == 2
@@ -324,10 +360,20 @@ def _schema_1(payload):
     payload["schema"] = 1
 
 
+def _eta_zero(payload):
+    payload["eta_sin_sq"] = "0"
+
+
+def _eta_three_halves(payload):
+    payload["eta_sin_sq"] = "3/2"
+
+
 class TestMalformedPayload:
     @pytest.mark.parametrize(
-        "mutate", [_drop_box, _zero_delta, _scalar_null_vectors, _schema_1],
-        ids=["missing-box", "delta-1/0", "null-vectors-scalar", "schema-1"])
+        "mutate", [_drop_box, _zero_delta, _scalar_null_vectors, _schema_1,
+                   _eta_zero, _eta_three_halves],
+        ids=["missing-box", "delta-1/0", "null-vectors-scalar", "schema-1",
+             "eta-0", "eta-3/2"])
     def test_check_reports_payload_error(self, tmp_path, mutate):
         cert = witness_norm(certify_box(TOY, octagon(), Fraction(1, 100),
                                         AngleBound.of(Fraction(5, 9))))

@@ -55,11 +55,12 @@ class TestRoundTrips:
     def test_oracles(self):
         for d, o in (
             ({"kind": "euclidean"}, NormOracle.euclidean()),
-            ({"kind": "pnorm", "p": "5/2"}, NormOracle.pnorm(Fraction(5, 2))),
             ({"kind": "polygon", "polygon": jsonio.polygon_to_json(square())},
              NormOracle.of_polygon(square())),
         ):
             assert jsonio.oracle_from_json(d) == o
+        with pytest.raises(jsonio.PayloadError, match="unknown norm kind 'pnorm'"):
+            jsonio.oracle_from_json({"kind": "pnorm", "p": "3"})
 
     def test_udg(self):
         P = flat_side_quadratic(8)

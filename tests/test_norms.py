@@ -29,6 +29,7 @@ from udnorm.norms import (
     offset_polygon,
     polygon_approx,
     polygon_from_hull,
+    scaled_segment_is_eta_short,
     segment_is_eta_short,
     square,
     vertex_displacement_factor,
@@ -190,6 +191,24 @@ class TestEtaPredicates:
         assert not segment_is_eta_short(Vec2.of(1, 0), Vec2.of(0, 1),
                                         AngleBound.of(1))
 
+    @pytest.mark.parametrize("sin_sq", [0, Fraction(3, 2), -1],
+                             ids=["0", "3/2", "-1"])
+    def test_angle_bound_range(self, sin_sq):
+        with pytest.raises(ValueError):
+            AngleBound.of(sin_sq)
+
+    def test_segment_rejects_either_zero_endpoint(self):
+        eta, u, z = AngleBound.of(1), Vec2.of(1, 0), Vec2.of(0, 0)
+        for a, b in ((z, u), (u, z)):
+            with pytest.raises(ValueError):
+                segment_is_eta_short(a, b, eta)
+
+    def test_scaled_segment_unit_dot(self):
+        # directions 45° apart with a dot product of exactly 1: short at
+        # sin²η = 3/5 > 1/2
+        assert scaled_segment_is_eta_short((1, 0, 1), (1, 1, 1),
+                                           AngleBound.of(Fraction(3, 5)))
+
 
 class TestPolygonApprox:
     def test_euclidean_disc(self):
@@ -200,10 +219,7 @@ class TestPolygonApprox:
         hd = hausdorff_to_oracle(B1, NormOracle.euclidean())
         assert hd.hi <= Fraction(1, 10)
 
-    @pytest.mark.parametrize("oracle", [NormOracle.euclidean(),
-                                        NormOracle.pnorm(3)],
-                             ids=["euclidean", "pnorm3"])
-    def test_side_cap_raises(self, oracle):
+    def test_side_cap_raises(self):
         # 48 sides are needed at η = arcsin(1/2): the cap must stop the
         # doubling at once, so an alarm turns a runaway search into a failure
         def runaway(signum, frame):
@@ -213,7 +229,7 @@ class TestPolygonApprox:
         signal.alarm(20)
         try:
             with pytest.raises(ApproxError, match="exceeds cap 8"):
-                polygon_approx(oracle, Fraction(1, 4),
+                polygon_approx(NormOracle.euclidean(), Fraction(1, 4),
                                AngleBound.of(Fraction(1, 4)), side_cap=8)
         finally:
             signal.alarm(0)
@@ -241,12 +257,6 @@ class TestPolygonApprox:
         assert B1.is_eta_short(eta)
         assert hausdorff_to_oracle(B1, oracle).hi <= Fraction(1, 8)
         assert all(B1.gauge(v) <= 1 for v in twelve_gon.vertices())
-
-    def test_pnorm_experimental(self):
-        eta = AngleBound.of(Fraction(1, 4))
-        oracle = NormOracle.pnorm(3)
-        B1 = polygon_approx(oracle, Fraction(1, 4), eta)
-        assert B1.is_eta_short(eta)
 
 
 class TestOffsetPolygon:
@@ -304,30 +314,6 @@ class TestChooseDelta0:
             assert Bt.is_eta_short(eta)
             hd = hausdorff_to_oracle(Bt, NormOracle.of_polygon(twelve_gon))
             assert hd.strictly_below(Fraction(1, 4))
-
-
-class TestOracles:
-    def test_euclidean_exact_unit(self):
-        o = NormOracle.euclidean()
-        assert o.is_unit(Vec2.of(Fraction(3, 5), Fraction(4, 5)))
-        assert not o.is_unit(Vec2.of(1, 1))
-
-    def test_pnorm_tolerance(self):
-        o = NormOracle.pnorm(2)
-        assert o.is_unit(Vec2.of(Fraction(3, 5), Fraction(4, 5)))
-
-    def test_oracle_axioms_sampled(self):
-        rng = random.Random(4)
-        for o in (NormOracle.euclidean(), NormOracle.pnorm(Fraction(5, 2))):
-            for _ in range(200):
-                x = Vec2.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-                y = Vec2.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-                gx, gy = o.gauge_float(x), o.gauge_float(y)
-                assert o.gauge_float(x + y) <= gx + gy + 1e-9
-                assert abs(o.gauge_float(-x) - gx) <= 1e-12
-                assert abs(o.gauge_float(x.scale(3)) - 3 * gx) <= 1e-9
 
 
 # --- reference geometry in Fractions ------------------------------------------
@@ -601,22 +587,6 @@ def test_delta0_and_hausdorff_pinned():
         "023552aaaa0a2015a97d0e9aae5c23f8bbf932d40ef7e1952c7e96c5023bc3da")
 
 
-def test_pnorm_approx_pinned():
-    """polygon_approx on p-norms (p = 3 needs a second, doubled round;
-    p = 3/2 passes the first), pinned by the digest of the normals and
-    offsets that the separate Euclidean and p-norm loops returned."""
-    rows = []
-    for p, eps, sin_sq in ((3, Fraction(1, 20), Fraction(3, 5)),
-                           (Fraction(3, 2), Fraction(1, 5), Fraction(1, 4))):
-        B = polygon_approx(NormOracle.pnorm(p), eps, AngleBound.of(sin_sq))
-        rows.append([[str(n.x), str(n.y), str(c)]
-                     for n, c in zip(B.normals, B.offsets)])
-    assert [len(r) for r in rows] == [30, 24]
-    digest = hashlib.sha256(json.dumps(rows).encode())
-    assert digest.hexdigest() == (
-        "79f53f9ce6ba899b08f61e20f55b4a718afd046626c04eda94545040234e1604")
-
-
 class TestValidityRadius:
     """choose_delta0 builds no offset polygon but the two uniform ones at
     ±δ₀, so _validity_radius alone must keep every offset polygon inside
@@ -628,13 +598,12 @@ class TestValidityRadius:
         (None, NormOracle.euclidean(), Fraction(1, 5), Fraction(1, 4), 24),
         (None, NormOracle.of_polygon(twelve_gon()), Fraction(1, 4),
          Fraction(3, 5), 16),
-        (None, NormOracle.pnorm(3), Fraction(1, 4), Fraction(2, 5), 19),
         (pipeline_decagon(), NormOracle.of_polygon(pipeline_decagon()),
          Fraction(1, 4), Fraction(2, 5), 5),
         (octagon(), NormOracle.euclidean(), Fraction(1, 4), Fraction(5, 9), 4),
         (twelve_gon(), NormOracle.euclidean(), Fraction(1, 4), Fraction(2, 5), 6),
     ], ids=["euclidean-m15", "euclidean-m19", "euclidean-m24", "12gon-m16",
-            "pnorm3-m19", "decagon-m5", "octagon-m4", "12gon-m6"])
+            "decagon-m5", "octagon-m4", "12gon-m6"])
     def test_random_offsets_stay_valid(self, B, oracle, eps, sin_sq, m):
         # B None: the polygon_approx of the oracle
         eta = AngleBound.of(sin_sq)

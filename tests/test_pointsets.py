@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import octagon, random_polygon, twelve_gon
-from udnorm.norms import NormOracle, square
+from udnorm.norms import square
 from udnorm.pointsets import (
     PointSeq,
     SubsetSumCollision,
@@ -145,8 +145,7 @@ class TestFlatSide:
 
 
 def _euclidean_unit_pairs(P):
-    unit = NormOracle.euclidean().is_unit
-    return sum(unit(q - p) for p, q in itertools.combinations(P, 2))
+    return sum((q - p).norm_sq() == 1 for p, q in itertools.combinations(P, 2))
 
 
 class TestGrid:
