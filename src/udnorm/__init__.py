@@ -35,7 +35,7 @@ from .pointsets import (
     grid_pointset,
     subset_sum_pointset,
 )
-from .ratlin import Mat, RatInterval, Vec2, left_null_basis, solve
+from .ratlin import RatInterval, Vec2, left_null_basis, solve
 from .udg import (
     DecoratedUDG,
     build_udg,

@@ -8,7 +8,9 @@ the witness polygon B, no η-separated realization of the source graph
 exists whose directions satisfy the dependence system. Its evidence is one
 left-null vector y per class tuple (`NormCertificate.null_vectors`); each
 assignment's kill record (y, h = yᵀb(t), sign) follows from that y, the
-polygon and the box.
+polygon and the box. Every y in memory is a tuple of ints: certify derives
+primitive integer vectors, and `jsonio.certificate_from_json` scales a
+payload's rational y to integers, so nothing here converts y.
 
 The exact core works per class tuple. y comes in closed form from an
 ℓ×(ℓ+1) integer system (`_closed_form_null_vector`), with a general
@@ -44,7 +46,6 @@ from .norms import (
     scaled_segment_is_eta_short,
 )
 from .ratlin import (
-    Mat,
     RatInterval,
     RationalLike,
     Vec2,
@@ -229,27 +230,21 @@ class AffineForm:
 
 
 def build_system(S: DependenceSystem, B1: SymmetricPolygon,
-                 alpha: Assignment) -> Mat:
-    """The (2ℓ+1)×2ℓ matrix A of the system A·x = b(t) pinning each
-    direction to its assigned side line ⟨n, z⟩ = ±(c + t); x concatenates
-    the ℓ base directions. Sides s and s+m share the normal n, so A depends
-    only on the class tuple α mod m.
+                 alpha: Assignment) -> list[list[int]]:
+    """The integer rows of the (2ℓ+1)×2ℓ matrix A of the system A·x = b(t)
+    pinning each direction to its assigned side line ⟨n, z⟩ = ±(c + t); x
+    concatenates the ℓ base directions. Row i applies the integer normal
+    n_(αᵢ mod m) to direction i, a base direction (weight row eᵢ) or S's
+    integer combination of them. Sides s and s+m share the normal n, so A
+    depends only on the class tuple α mod m.
     """
     ell, m = S.ell, B1.m
     if 2 * ell + 1 > m:
         raise CertifierError("assignment needs 2ℓ+1 ≤ m")
-    return Mat.from_rows(_system_rows(S, B1.scaled[1], [a % m for a in alpha]))
-
-
-def _system_rows(S: DependenceSystem, normals: Sequence[tuple[int, int]],
-                 classes: Sequence[int]) -> list[list[int]]:
-    """A's rows for a class tuple in integers, from the polygon's integer
-    normals: row i applies n_(classes[i]) to direction i, a base direction
-    (weight row eᵢ) or S's integer combination of them."""
-    ell = S.ell
+    normals = B1.scaled[1]
     weights = [[int(s == i) for s in range(ell)] for i in range(ell)] + list(S.coeffs)
-    return [[w * v for w in row for v in normals[k]]
-            for k, row in zip(classes, weights)]
+    return [[w * v for w in row for v in normals[a % m]]
+            for a, row in zip(alpha, weights)]
 
 
 @dataclass(frozen=True)
@@ -258,45 +253,45 @@ class KillRecord:
     keeps a fixed sign on the certified box."""
 
     alpha: Assignment
-    y: tuple[Fraction, ...]
+    y: tuple[int, ...]
     h: AffineForm
     sign: int
 
 
-Functionals = list[tuple[tuple[int, ...], AffineForm]]
-NullVectors = tuple[tuple[tuple[int, ...], tuple[Fraction, ...]], ...]
+Functional = tuple[tuple[int, ...], AffineForm]
+NullVectors = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _functional(sides: Sequence[int], y: tuple[int, Sequence[int]],
+def _functional(sides: Sequence[int], y: Sequence[int],
                 offsets: tuple[int, Sequence[int]]) -> AffineForm:
-    """h = yᵀb(t) for the assignment with these sides, from y and the
-    offsets over their least common denominators, (L, y·L) and (D, c·D).
-    Row i reads ⟨n, z⟩ = εᵢ(cₖ + tₖ) with k = sideᵢ mod m and εᵢ = −1 for
-    sides ≥ m, so h·L·D has coefficient εᵢ·(yᵢL)·D at coordinate k and
-    constant Σ εᵢ·(yᵢL)·(cₖD): integer sums only."""
-    (L, ys), (D, cs) = y, offsets
+    """h = yᵀb(t) for the assignment with these sides, from the integer y
+    and the offsets over their least common denominator, (D, c·D). Row i
+    reads ⟨n, z⟩ = εᵢ(cₖ + tₖ) with k = sideᵢ mod m and εᵢ = −1 for
+    sides ≥ m, so h·D has coefficient εᵢ·yᵢ·D at coordinate k and constant
+    Σ εᵢ·yᵢ·(cₖD): integer sums only."""
+    D, cs = offsets
     m = len(cs)
     num = 0
     nums = [0] * m
-    for yl, side in zip(ys, sides):
+    for yi, side in zip(y, sides):
         if side < m:
-            nums[side] = yl
-            num += yl * cs[side]
+            nums[side] = yi
+            num += yi * cs[side]
         else:
-            nums[side - m] = -yl
-            num -= yl * cs[side - m]
-    # L is y's least common denominator, so gcd(y·L, L) = 1 and the
-    # reduced form divides num, nums·D and L·D by gcd(num, D)
+            nums[side - m] = -yi
+            num -= yi * cs[side - m]
+    # D divides every coefficient nums·D, so the reduced form divides num,
+    # nums·D and D by gcd(num, D)
     g = math.gcd(num, D)
     s = D // g
-    return AffineForm._reduced(num // g, tuple([c * s for c in nums]), L * s)
+    return AffineForm._reduced(num // g, tuple([c * s for c in nums]), s)
 
 
 def _assignment_functionals(
         B1: SymmetricPolygon,
         null_spaces: dict[tuple[int, ...], Sequence[tuple[int, ...]]],
         alphas: Iterable[Assignment]
-) -> Iterator[tuple[Assignment, tuple[int, ...], Functionals]]:
+) -> Iterator[tuple[Assignment, tuple[int, ...], list[Functional]]]:
     """(α, α mod m, [(y, h = yᵀb)]) per assignment α of `alphas`, one pair
     per integer y that `null_spaces` maps α's class tuple to; the side
     choice only flips signs in h (`_functional`)."""
@@ -304,7 +299,7 @@ def _assignment_functionals(
     offsets = B1.scaled[::2]  # (D, offsets·D)
     for alpha in alphas:
         classes = tuple(a % m for a in alpha)
-        yield alpha, classes, [(y, _functional(alpha, (1, y), offsets))
+        yield alpha, classes, [(y, _functional(alpha, y, offsets))
                                for y in null_spaces[classes]]
 
 
@@ -413,9 +408,9 @@ def _class_tuple_killed(ys: Sequence[int], classes: tuple[int, ...],
     return min(map(abs, mids)) > radius
 
 
-def kill_assignment(alpha: Assignment, functionals: Functionals,
+def kill_assignment(alpha: Assignment, functional: Functional,
                     box: OffsetBox) -> tuple[OffsetBox, KillRecord]:
-    """Sub-box on which the first left-null functional h = yᵀb is
+    """Sub-box on which the left-null functional (y, h = yᵀb) is
     sign-definite, with the kill record of α.
 
     Already sign-definite boxes pass through unchanged. Otherwise h takes
@@ -425,7 +420,7 @@ def kill_assignment(alpha: Assignment, functionals: Functionals,
     sign-definite in one pass and keeps 3/8 of each shrunk coordinate's
     width.
     """
-    y, h = functionals[0]
+    y, h = functional
     sign = h.sign_on(box)
     if sign:
         return box, KillRecord(alpha, y, h, sign)
@@ -449,9 +444,9 @@ def kill_assignment(alpha: Assignment, functionals: Functionals,
 
 @dataclass(frozen=True)
 class NormCertificate:
-    """`null_vectors` is the evidence: (class tuple α mod m, y) with y a
-    left-null vector of A, one per class tuple, in the order certify first
-    met them. `kills` derives every assignment's record from it."""
+    """`null_vectors` is the evidence: (class tuple α mod m, y) with y an
+    integer left-null vector of A, one per class tuple, in the order certify
+    first met them. `kills` derives every assignment's record from it."""
 
     polygon: SymmetricPolygon
     box: OffsetBox
@@ -474,22 +469,19 @@ class NormCertificate:
         a root in the box). Needs every class tuple in the table; the
         checker reads the table itself.
 
-        Each class tuple's y is scaled to integers once, and its
-        2^(2ℓ+1) records come in one pass over its side choices, with the
-        signs from `_side_choice_ranges`."""
+        Each class tuple's 2^(2ℓ+1) records come in one pass over its side
+        choices, with the signs from `_side_choice_ranges`."""
         m = self.polygon.m
         offsets = self.polygon.scaled[::2]  # (D, offsets·D)
         table = dict(self.null_vectors)
         records = []
         for classes in itertools.permutations(range(m), 2 * self.system.ell + 1):
             y = table[classes]
-            y_scaled = over_common_denominator(y)
-            mids, radius = _side_choice_ranges(y_scaled[1], classes, offsets,
-                                               self.box)
+            mids, radius = _side_choice_ranges(y, classes, offsets, self.box)
             for alpha, mid in zip(_side_choices(classes, m), mids):
                 sign = 1 if mid > radius else -1 if mid < -radius else 0
                 records.append(KillRecord(
-                    alpha, y, _functional(alpha, y_scaled, offsets), sign))
+                    alpha, y, _functional(alpha, y, offsets), sign))
         records.sort(key=operator.attrgetter("alpha"))
         return tuple(records)
 
@@ -535,18 +527,12 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
         y = firsts[classes]
         if _class_tuple_killed(y, classes, offsets, box):
             continue
-        box, _ = kill_assignment(
-            alpha, [(y, _functional(alpha, (1, y), offsets))], box)
+        box, _ = kill_assignment(alpha, (y, _functional(alpha, y, offsets)), box)
         successor = next(walks[classes], None)
         if successor is not None:
             heapq.heappush(pending, successor)
-    cert = NormCertificate(
-        polygon=B1, box=box,
-        # the certificate carries y as Fractions, as a payload gives them
-        null_vectors=tuple((classes, tuple(map(Fraction, y)))
-                           for classes, y in firsts.items()),
-        system=S, eta=eta, degenerate=not firsts,
-    )
+    cert = NormCertificate(polygon=B1, box=box, null_vectors=tuple(firsts.items()),
+                           system=S, eta=eta, degenerate=not firsts)
     # every class tuple on the final box: the one self-check of the walk
     if not all(_class_tuple_killed(y, classes, offsets, box)
                for classes, y in firsts.items()):
@@ -722,14 +708,14 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
     witnessed = cert.has_witness()
     sweep_ok = not witnessed or _sweep_ok(cert)
     edges = _trapezoid_edges(cert) if witnessed else None
-    Dc, normals, cs = B1.scaled
+    Dc, _, cs = B1.scaled
     s_num, s_den = cert.eta.sin_sq.numerator, cert.eta.sin_sq.denominator
     hits: list[RefutationHit] = []
     systems: dict[tuple[int, ...], list[list[int]]] = {}
 
     def try_solve(alpha, classes, T, ts, source):
         if classes not in systems:
-            systems[classes] = _system_rows(S, normals, classes)
+            systems[classes] = build_system(S, B1, classes)
         # b(t)·Dc·T: side αᵢ lies on ⟨n, z⟩ = ±(c + t) at coordinate αᵢ mod m
         rhs = [cs[a] * T + ts[a] * Dc if a < m else -(cs[a - m] * T + ts[a - m] * Dc)
                for a in alpha]

@@ -9,9 +9,11 @@ coefficient rows alone (no construction code paths). The checker proves:
 - The table: one left-null vector y per class tuple α mod m (sides s and
   s+m share a normal), for every class tuple of an admissible assignment
   exactly once; each y ≠ 0 with yᵀA = 0, by direct multiplication in
-  integers (y over its common denominator, the integer normals, and S's
-  coefficient rows, which are integers by type). The degenerate flag is set
-  iff no class tuple exists.
+  integers. y is read as it is: certify derives integer y, and the payload
+  reader scales a rational y by its positive common denominator, which
+  keeps y ≠ 0, yᵀA = 0 and every sign. The normals are the polygon's
+  integer view, and S's coefficient rows are integers by type. The
+  degenerate flag is set iff no class tuple exists.
 - The kills: per class tuple, one exact integer test decides whether
   h = yᵀb(t) is sign-definite on the box for all 2^(2ℓ+1) side choices at
   once; a class tuple that fails it, or has no usable table entry, is
@@ -70,7 +72,7 @@ class CheckReport:
 
 def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
                        entries) -> dict:
-    """class tuple ↦ y·L as integers when y ≠ 0 and yᵀA = 0, else the reason
+    """class tuple ↦ its integer y when y ≠ 0 and yᵀA = 0, else the reason
     y kills nothing. A malformed entry fails naming its class tuple as the
     assignment with every side in the first half."""
     arity = 2 * S.ell + 1
@@ -82,7 +84,7 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
     weights += S.coeffs
     table = {}
     for classes, y in entries:
-        classes, y = tuple(classes), [rat(v) for v in y]
+        classes, y = tuple(classes), tuple(y)
         if len(classes) != arity:
             report.fail(f"null vector entry has wrong arity: {classes}", classes)
         elif len(set(classes)) != arity or not all(0 <= k < B.m for k in classes):
@@ -95,12 +97,10 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
         elif not any(y):
             table[classes] = "zero null vector"
         else:
-            # y·L is an integer vector with the same null property and signs;
             # column (s, xy) of yᵀA sums yᵢ·wᵢ[s]·n_(classes[i])[xy]
-            _, ys = over_common_denominator(y)
             rows = [(yi, weights[i], normals[k])
-                    for i, (yi, k) in enumerate(zip(ys, classes))]
-            table[classes] = ys if all(
+                    for i, (yi, k) in enumerate(zip(y, classes))]
+            table[classes] = y if all(
                 sum(yi * w[s] * n[xy] for yi, w, n in rows) == 0
                 for s in range(S.ell) for xy in (0, 1)) else "yᵀA ≠ 0"
     return table
@@ -169,7 +169,7 @@ def _class_tuple_killed(offsets, box, classes, ys) -> bool:
     class tuple, y given as the integers ys.
 
     A side choice multiplies yᵢ by εᵢ = ±1. Over the offsets' denominator Dc
-    and the box's D, 2·h·L·Dc·D ranges over Σ εᵢaᵢ ± R with
+    and the box's D, 2·h·Dc·D ranges over Σ εᵢaᵢ ± R with
     aᵢ = yᵢ·(2·c_k·D + Dc·(lo_k + hi_k)) and R = Σ |yᵢ|·Dc·(hi_k − lo_k),
     k = classes[i] (c_k, lo_k, hi_k already scaled), so it is sign-definite
     iff |Σ εᵢaᵢ| > R. ε and −ε give the same |Σ εᵢaᵢ|, so ε₀ = +1; a tie
@@ -196,7 +196,7 @@ def _check_kill(report: CheckReport, offsets, box, alpha, ys):
         report.fail(f"{ys} for assignment {alpha}", alpha)
         return
     # side αᵢ lies on ⟨n, z⟩ = εᵢ(c_k + t_k), k = αᵢ mod m, so over the
-    # offsets' denominator Dc and the box's D, h·L·Dc·D sums the terms
+    # offsets' denominator Dc and the box's D, h·Dc·D sums the terms
     # εᵢyᵢ·(c_k·Dc·D + Dc·t_k·D) with t_k·D between the integers lo_k, hi_k
     (Dc, cs), (D, box_lo, box_hi) = offsets, box
     m = len(cs)

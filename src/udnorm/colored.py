@@ -104,15 +104,6 @@ class EdgeColoredGraph:
 # --- exact threshold comparisons ----------------------------------------------
 
 
-def delta_below_r_log_imb(delta: int, r: Fraction, total: int, min_side: int) -> bool:
-    """Exact test Δ < r·log₂(imb) with imb = total/min_side.
-
-    Equivalent integer comparison: 2^(Δ·q)·min^p < total^p for r = p/q.
-    """
-    p, q = r.numerator, r.denominator
-    return (1 << (delta * q)) * min_side**p < total**p
-
-
 def weak_delta_table(w: int, r: Fraction) -> list[int]:
     """thr[s] = largest Δ with Δ < r·log₂(w/s) for min-side size s (−1: none).
 

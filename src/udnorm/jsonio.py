@@ -6,7 +6,11 @@ All rationals serialize as canonical strings ('n' or 'num/den' in lowest
 terms); side ids and side-pair (class) ids are 1-based on the wire. A
 certificate payload is schema 2: `"schema": 2` and a `"null_vectors"`
 table of `{"classes": [...], "y": [...]}` entries, one per class tuple;
-kill records are not serialized, the checker derives them. Every reader
+kill records are not serialized, the checker derives them. The y entries
+are rational strings on the wire, and integers in memory: certify derives
+integer y, and `certificate_from_json` is the one place a payload's y is
+scaled, by the positive common denominator L of its entries, which keeps
+y ≠ 0, yᵀA = 0 and the sign of every h = yᵀb(t). Every reader
 (`read_json` and each `*_from_json`) raises `PayloadError` on a payload
 that does not describe a valid object of its kind, including a certificate
 without `"schema": 2` and an integer field holding a float, string or
@@ -28,7 +32,7 @@ from .colored import CoverResult, EdgeColoredGraph
 from .dependence import DependenceSystem
 from .norms import AngleBound, NormOracle, SymmetricPolygon
 from .pointsets import PointSeq
-from .ratlin import Vec2, rat_from_str, rat_to_str
+from .ratlin import Vec2, over_common_denominator, rat_from_str, rat_to_str
 from .udg import DecoratedUDG
 
 
@@ -243,7 +247,7 @@ def certificate_from_json(d: dict) -> NormCertificate:
         box=box_from_json(d["box"]),
         null_vectors=tuple(
             (tuple(_wire_int(k) - 1 for k in e["classes"]),
-             tuple(rat_from_str(v) for v in e["y"]))
+             over_common_denominator([rat_from_str(v) for v in e["y"]])[1])
             for e in d["null_vectors"]
         ),
         system=system_from_json(d["system"]),

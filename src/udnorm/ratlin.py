@@ -1,12 +1,12 @@
-"""Exact rational scalars, 2-vectors, small dense matrices, and certified
+"""Exact rational scalars, 2-vectors, integer elimination, and certified
 interval helpers.
 
-Everything here is pure and exact: scalars are `fractions.Fraction` and
-null vectors primitive integer tuples, matrix algorithms scale rows to
-integers and run one fraction-free elimination with first-nonzero pivoting
-so results are reproducible bit for bit (`solve_integer` takes the integer
-system directly), and the only irrational quantities (square roots, base-2
-logarithms) are returned as enclosing rational intervals.
+Everything here is pure and exact: scalars are `fractions.Fraction`, and a
+matrix is a list of integer rows. `left_null_basis` and `solve_integer` run
+one fraction-free elimination with first-nonzero pivoting, so results are
+reproducible bit for bit, and null vectors come out as primitive integer
+tuples. The only irrational quantities (square roots, base-2 logarithms)
+are returned as enclosing rational intervals.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -87,31 +87,6 @@ class Vec2:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Mat:
-    """Dense matrix of Fractions; immutable after construction."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[RationalLike]]) -> "Mat":
-        grid = tuple(tuple(rat(v) for v in row) for row in rows)
-        if not grid:
-            raise ValueError("matrix needs at least one row")
-        width = len(grid[0])
-        if width == 0 or any(len(r) != width for r in grid):
-            raise ValueError("rows must be nonempty and equally long")
-        return Mat(grid)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-
 def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """(D, values·D) with D the least common denominator of the values."""
     D = math.lcm(*(v.denominator for v in values))
@@ -123,11 +98,6 @@ def scaled_points(points: Sequence[Vec2]) -> tuple[int, list[int], list[int]]:
     D > 0, so differences, signs and lexicographic order carry over."""
     D, flat = over_common_denominator([q for p in points for q in (p.x, p.y)])
     return D, list(flat[0::2]), list(flat[1::2])
-
-
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the least common denominator of its entries."""
-    return [list(over_common_denominator(row)[1]) for row in rows]
 
 
 def _eliminate(grid: list[list[int]], lead_cols: int) -> list[int]:
@@ -170,17 +140,19 @@ def _eliminate(grid: list[list[int]], lead_cols: int) -> list[int]:
     return pivots
 
 
-def solve(M: Mat, b: Sequence[RationalLike]) -> Optional[tuple[Fraction, ...]]:
-    """Some exact x with M·x = b, or None when the system is inconsistent.
+def solve(rows: Sequence[Sequence[RationalLike]],
+          b: Sequence[RationalLike]) -> Optional[tuple[Fraction, ...]]:
+    """Some exact x with A·x = b for the rational rows of A, or None when
+    the system is inconsistent; free variables are set to zero.
 
-    Free variables are set to zero, so the result is deterministic. Each
-    augmented row [M | b] is scaled to integers on its own, which keeps the
-    solution set, and `solve_integer` solves the integer system.
+    Each augmented row [A | b] is scaled to integers on its own, which keeps
+    the solution set, and `solve_integer` solves the integer system.
     """
-    bb = [rat(t) for t in b]
-    if len(bb) != M.rows:
+    if len(b) != len(rows):
         raise ValueError("right-hand side length must equal row count")
-    found = solve_integer(_integer_rows(row + (v,) for row, v in zip(M.entries, bb)))
+    grid = [list(over_common_denominator([rat(v) for v in (*row, t)])[1])
+            for row, t in zip(rows, b)]
+    found = solve_integer(grid)
     if found is None:
         return None
     d, X = found
@@ -227,20 +199,18 @@ def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(t // g for t in vec)
 
 
-def left_null_basis(M: Mat) -> list[tuple[int, ...]]:
-    """Basis {y} of the left null space: yᵀM = 0, |basis| = rows − rank(M).
+def left_null_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Basis {y} of the left null space of the integer rows of A: yᵀA = 0,
+    |basis| = rows − rank(A).
 
-    M is scaled by the least common denominator of all its entries, which
-    keeps the left null space, and [M·L | I] is reduced fraction-free: the
-    pivots and the zero rows are those of rational elimination, and each
-    basis vector is the identity part of a zero row, scaled to a primitive
-    integer vector with positive leading entry so certificates serialize
-    canonically.
+    [A | I] is reduced fraction-free: the pivots and the zero rows are those
+    of rational elimination, and each basis vector is the identity part of a
+    zero row, scaled to a primitive integer vector with positive leading
+    entry so certificates serialize canonically.
     """
-    n, c = M.rows, M.cols
-    _, scaled = over_common_denominator([v for row in M.entries for v in row])
-    grid = [list(scaled[i * c:(i + 1) * c]) + [int(j == i) for j in range(n)]
-            for i in range(n)]
+    n, c = len(rows), len(rows[0])
+    grid = [list(row) + [int(j == i) for j in range(n)]
+            for i, row in enumerate(rows)]
     pivots = _eliminate(grid, c)
     return [primitive(grid[i][c:]) for i in range(len(pivots), n)]
 

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from udnorm.norms import PolygonError, SymmetricPolygon, polygon_from_hull, square
-from udnorm.ratlin import Vec2
+from udnorm.ratlin import Vec2, rat_from_str, rat_to_str
 
 
 def trapezoid_corners(cert, side: int) -> tuple[Vec2, Vec2, Vec2, Vec2]:
@@ -96,5 +97,21 @@ def reference_eliminate(grid, lead_cols):
     return pivots
 
 
-def reference_rank(M):
-    return len(reference_eliminate([list(r) for r in M.entries], M.cols))
+def scale_null_vectors(payload, q, every=True):
+    """Multiply each y of a certificate payload's table, or the first y
+    only, by q, as rational strings; in place."""
+    table = payload["null_vectors"]
+    for entry in table if every else table[:1]:
+        entry["y"] = [rat_to_str(rat_from_str(v) * q) for v in entry["y"]]
+
+
+def integral(rows):
+    """The rows times the least common denominator of all their entries: the
+    same left null space, in integers."""
+    den = math.lcm(*(Fraction(v).denominator for row in rows for v in row))
+    return [[int(v * den) for v in row] for row in rows]
+
+
+def reference_rank(rows):
+    return len(reference_eliminate([[Fraction(v) for v in r] for r in rows],
+                                   len(rows[0])))

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (octagon, random_polygon, reference_rank, trapezoid_corners,
-                      twelve_gon)
+from conftest import (integral, octagon, random_polygon, reference_rank,
+                      scale_null_vectors, trapezoid_corners, twelve_gon)
 from udnorm import certify, jsonio
 from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
@@ -44,8 +44,7 @@ from udnorm.norms import (
     square,
 )
 from udnorm.pointsets import flat_side_quadratic
-from udnorm.ratlin import (Mat, Vec2, left_null_basis, over_common_denominator,
-                           solve)
+from udnorm.ratlin import Vec2, left_null_basis, over_common_denominator, solve
 from udnorm.udg import build_udg
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
@@ -63,14 +62,22 @@ def side_rhs(B1, alpha, t):
 
 
 def side_matrix(S, B1, alpha):
-    """A read off the side lines: row i is ⟨n_(αᵢ), ·⟩ applied to uᵢ."""
+    """A read off the side lines, in Fraction: row i is ⟨n_(αᵢ), ·⟩ applied
+    to uᵢ."""
     weights = [[int(s == i) for s in range(S.ell)] for i in range(S.ell)]
     weights += [list(row) for row in S.coeffs]
     rows = []
     for side, row in zip(alpha, weights):
         n, _ = B1.side_line(side)
         rows.append([w * v for w in row for v in (n.x, n.y)])
-    return Mat.from_rows(rows)
+    return rows
+
+
+def rescaled_payload_certificate(cert, scale):
+    """cert written as a payload with every y times `scale`, and read back."""
+    d = jsonio.certificate_to_json(cert)
+    scale_null_vectors(d, scale)
+    return jsonio.certificate_from_json(d)
 
 
 def assignment_functionals(S, B1):
@@ -265,7 +272,8 @@ class TestBuildSystem:
     def test_shape(self, octagon):
         alpha = next(enumerate_admissible(1, 4))
         A = build_system(TOY, octagon, alpha)
-        assert (A.rows, A.cols) == (3, 2)
+        assert (len(A), len(A[0])) == (3, 2)
+        assert all(type(v) is int for row in A for v in row)
         first, classes, functionals = next(assignment_functionals(TOY, octagon))
         assert first == alpha == classes
         assert len(functionals) == 1
@@ -300,12 +308,13 @@ class TestBuildSystem:
             OffsetVector(tuple(Fraction(j + 2, 70) for j in range(m))),
         )
         if case == "rational_y":
-            # null vectors that are not integral (the table scaled by 2/3),
-            # read through the certificate's derived kill records
-            table = tuple((classes, tuple(v * Fraction(2, 3) for v in basis[0]))
+            # a payload whose null vectors are not integral (the table scaled
+            # by 2/3), read through jsonio and the derived kill records
+            table = tuple((classes, basis[0])
                           for classes, basis in certify._null_spaces(S, B1).items())
-            cert = NormCertificate(polygon=B1, box=box, null_vectors=table,
-                                   system=S, eta=ETA_OCT)
+            cert = rescaled_payload_certificate(NormCertificate(
+                polygon=B1, box=box, null_vectors=table, system=S, eta=ETA_OCT),
+                Fraction(2, 3))
             items = [(rec.alpha, [(rec.y, rec.h)]) for rec in cert.kills]
             assert all(rec.sign == rec.h.sign_on(box) for rec in cert.kills)
         else:
@@ -314,11 +323,11 @@ class TestBuildSystem:
         for alpha, functionals in items[::step]:
             ref = side_matrix(S, B1, alpha)
             assert build_system(S, B1, alpha) == ref
-            assert len(functionals) == ref.rows - reference_rank(ref)
+            assert len(functionals) == len(ref) - reference_rank(ref)
             for y, h in functionals:
-                assert any(y)
-                assert all(sum((yi * ref.entries[i][j] for i, yi in enumerate(y)),
-                               Fraction(0)) == 0 for j in range(ref.cols))
+                assert any(y) and all(type(v) is int for v in y)
+                assert all(sum((yi * ref[i][j] for i, yi in enumerate(y)),
+                               Fraction(0)) == 0 for j in range(len(ref[0])))
                 for t in (box.lo, box.center(), box.hi):
                     b = side_rhs(B1, alpha, t)
                     assert h.eval(t) == sum(yi * bi for yi, bi in zip(y, b))
@@ -335,7 +344,7 @@ class TestBuildSystem:
         A = build_system(S, octagon, alpha)
         u1 = Vec2.of(1, Fraction(1, 3))
         t = (Fraction(1, 10), Fraction(-1, 20), Fraction(0), Fraction(0))
-        lhs = [a * u1.x + b * u1.y for a, b in A.entries]
+        lhs = [a * u1.x + b * u1.y for a, b in A]
         # row 0: <(1,0), u1> = 1 + t_0 ; row 1: <(0,1), 2 u1> = 1 + t_2;
         # row 2: <(1,0), u1> = -(1 + t_0)
         assert lhs[0] == u1.x
@@ -349,12 +358,12 @@ class TestBuildSystem:
 class TestKillAssignment:
     # A = [[1], [1]] has the left null vector y = (1, −1), so h = b₀ − b₁
     ALPHA = (0, 1)
-    Y = (Fraction(1), Fraction(-1))
+    Y = (1, -1)
 
     def test_constant_nonzero_unchanged(self):
         h = AffineForm(Fraction(1), (Fraction(0),))
         box = OffsetBox.symmetric(1, 1)
-        sub, rec = kill_assignment(self.ALPHA, [(self.Y, h)], box)
+        sub, rec = kill_assignment(self.ALPHA, (self.Y, h), box)
         assert sub == box
         assert rec.sign == 1
         assert (rec.alpha, rec.y, rec.h) == (self.ALPHA, self.Y, h)
@@ -363,7 +372,7 @@ class TestKillAssignment:
         # h(t) = t1 on [-1,1] shrinks to [1/4, 1]
         h = AffineForm(Fraction(0), (Fraction(1), Fraction(0)))
         box = OffsetBox.symmetric(1, 2)
-        sub, rec = kill_assignment(self.ALPHA, [(self.Y, h)], box)
+        sub, rec = kill_assignment(self.ALPHA, (self.Y, h), box)
         assert (sub.lo[0], sub.hi[0]) == (Fraction(1, 4), Fraction(1))
         assert (sub.lo[1], sub.hi[1]) == (Fraction(-1), Fraction(1))
         assert rec.sign == 1
@@ -378,7 +387,7 @@ class TestKillAssignment:
             h = AffineForm(Fraction(rng.randint(-2, 2), 4), coeffs)
             box = OffsetBox.symmetric(1, m)
             try:
-                sub, _ = kill_assignment(self.ALPHA, [(self.Y, h)], box)
+                sub, _ = kill_assignment(self.ALPHA, (self.Y, h), box)
             except CertifierError:
                 continue  # h identically zero
             for j in range(m):
@@ -390,7 +399,7 @@ class TestKillAssignment:
         assert alpha == list(enumerate_admissible(1, 4))[17]
         A = build_system(TOY, octagon, alpha)
         box = OffsetBox.symmetric(Fraction(1, 100), 4)
-        sub, rec = kill_assignment(alpha, functionals, box)
+        sub, rec = kill_assignment(alpha, functionals[0], box)
         for _ in range(100):
             t = tuple(
                 lo + (hi - lo) * Fraction(rng.randrange(1024), 1024)
@@ -503,7 +512,7 @@ class TestKillRule:
     integer range only; both agree with the Fraction rule they replaced."""
 
     ALPHA = (0, 1)
-    Y = (Fraction(1), Fraction(-1))
+    Y = (1, -1)
 
     @settings(max_examples=200, deadline=None)
     @given(forms_with_zero_at())
@@ -515,9 +524,9 @@ class TestKillRule:
             # only h ≡ 0 survives the shrink
             assert not any(h.coeffs) and h.const == 0
             with pytest.raises(CertifierError):
-                kill_assignment(self.ALPHA, [(self.Y, h)], box)
+                kill_assignment(self.ALPHA, (self.Y, h), box)
             return
-        sub, rec = kill_assignment(self.ALPHA, [(self.Y, h)], box)
+        sub, rec = kill_assignment(self.ALPHA, (self.Y, h), box)
         assert (sub.lo, sub.hi) == (want_box.lo, want_box.hi)
         assert (sub is box) == (want_box is box)
         assert (rec.alpha, rec.y, rec.h, rec.sign) == (
@@ -600,8 +609,8 @@ class TestClosedForm:
         basis = left_null_basis(build_system(S, B, classes))
         # M[s][j] = w_j[s]·[n_s, n_j] on the dependent entries, in Fraction
         n = [B.normals[k] for k in classes]
-        M = Mat.from_rows([[S.coeffs[j][s] * n[s].cross(n[ell + j])
-                            for j in range(ell + 1)] for s in range(ell)])
+        M = [[S.coeffs[j][s] * n[s].cross(n[ell + j]) for j in range(ell + 1)]
+             for s in range(ell)]
         assert (y is None) == (reference_rank(M) < ell) == (len(basis) >= 2)
         if y is not None:
             assert [y] == basis
@@ -687,11 +696,11 @@ def reference_certify_box(S, B1, delta0, eta):
     from the side lines."""
     m = B1.m
     box = OffsetBox.symmetric(delta0, m)
-    firsts = {classes: left_null_basis(side_matrix(S, B1, classes))[0]
+    firsts = {classes: left_null_basis(integral(side_matrix(S, B1, classes)))[0]
               for classes in itertools.permutations(range(m), 2 * S.ell + 1)}
     for alpha in enumerate_admissible(S.ell, m):
         y = firsts[tuple(a % m for a in alpha)]
-        box, _ = kill_assignment(alpha, [(y, reference_form(B1, alpha, y))], box)
+        box, _ = kill_assignment(alpha, (y, reference_form(B1, alpha, y)), box)
     return NormCertificate(polygon=B1, box=box, null_vectors=tuple(firsts.items()),
                            system=S, eta=eta, degenerate=not firsts)
 
@@ -754,6 +763,18 @@ class TestCertifyBox:
             iv = rec.h.interval_on(cert.box)
             assert iv.excludes_zero()
             assert (iv.lo > 0) == (rec.sign > 0)
+
+    @pytest.mark.parametrize("which", ["octagon", "pipeline"])
+    def test_null_vectors_are_ints(self, which):
+        S, B, delta0, eta = {
+            "octagon": (TOY, octagon(), Fraction(1, 100), ETA_OCT),
+            "pipeline": (pipeline_system(), pipeline_decagon(), Fraction(1, 64),
+                         AngleBound.of(Fraction(2, 5))),
+        }[which]
+        cert = certify_box(S, B, delta0, eta)
+        assert cert.null_vectors
+        assert all(type(v) is int for _, y in cert.null_vectors for v in y)
+        assert all(type(v) is int for rec in cert.kills for v in rec.y)
 
     def test_degenerate_when_m_too_small(self, octagon):
         # 2ℓ+1 = 5 > m = 4: no admissible assignment exists
@@ -1211,13 +1232,19 @@ class TestKills:
     @given(st.sampled_from(["octagon", "twelve_gon"]), st.data(),
            st.sampled_from([1, Fraction(2, 3), Fraction(-5, 7)]))
     def test_matches_assignment_walk(self, which, data, scale):
-        # integral null vectors as certify derives them, or scaled to
-        # non-integral ones as a payload may give them; stretched boxes give
-        # records of every sign
+        # integral null vectors as certify derives them, or a payload with
+        # them scaled to non-integral ones, read through jsonio; stretched
+        # boxes give records of every sign
         cert = stretched(toy_cert(which), data.draw(stretches(4 if which == "octagon" else 6)))
         if scale != 1:
-            cert = dataclasses.replace(cert, null_vectors=tuple(
-                (classes, tuple(v * scale for v in y)) for classes, y in cert.null_vectors))
+            back = rescaled_payload_certificate(cert, scale)
+            # the reader scales each y by its positive common denominator,
+            # so every record keeps the sign of the scaled one
+            sign = 1 if scale > 0 else -1
+            assert [rec.sign for rec in back.kills] == [
+                sign * rec.sign for rec in cert.kills]
+            cert = back
+        assert all(type(v) is int for rec in cert.kills for v in rec.y)
         assert cert.kills == reference_kills(cert)
 
     def test_pipeline_certificate(self):

@@ -518,12 +518,11 @@ class TestClassTupleTest:
         D, ints = over_common_denominator(tuple(box.lo) + tuple(box.hi))
         scaled = D, ints[:m], ints[m:]
         for classes, y in oct_cert.null_vectors:
-            ys = over_common_denominator(y)[1]
             report = checker.CheckReport(ok=True)
             for sides in itertools.product((0, 1), repeat=len(classes)):
                 alpha = tuple(c + m * s for c, s in zip(classes, sides))
-                checker._check_kill(report, offsets, scaled, alpha, ys)
-            assert checker._class_tuple_killed(offsets, scaled, classes, ys) == report.ok
+                checker._check_kill(report, offsets, scaled, alpha, y)
+            assert checker._class_tuple_killed(offsets, scaled, classes, y) == report.ok
 
 
 # --- the witness check: offset polygons, margin rule, trapezoids ------------------

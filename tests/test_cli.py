@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import octagon
+from conftest import octagon, scale_null_vectors
 from udnorm import cli, jsonio
 from udnorm.certify import certify_box, witness_norm
 from udnorm.colored import MAX_EXHAUSTIVE_CAP
@@ -155,6 +155,32 @@ def _toy_cert(path):
                                     AngleBound.of(Fraction(5, 9))))
     jsonio.write_json(str(path), jsonio.certificate_to_json(cert))
     return cert
+
+
+class TestRationalNullVectors:
+    @pytest.mark.parametrize("scale, every", [
+        (Fraction(-2, 3), True), (Fraction(5, 7), False),
+    ], ids=["every_y", "one_y"])
+    def test_same_answers_as_integer_payload(self, tmp_path, scale, every):
+        # a payload may give y as rationals: the reader scales each y by its
+        # positive common denominator, so check and verify answer as they do
+        # for the integer y that certify writes
+        cert = _toy_cert(tmp_path / "cert.json")
+        payload = jsonio.certificate_to_json(cert)
+        scale_null_vectors(payload, scale, every)
+        assert any("/" in v for v in payload["null_vectors"][0]["y"])
+        jsonio.write_json(str(tmp_path / "scaled.json"), payload)
+        r = run_cli("check", "--cert", str(tmp_path / "scaled.json"))
+        assert r.returncode == 0
+        assert json.loads(r.stdout) == {"ok": True}
+        reports = []
+        for name in ("cert.json", "scaled.json"):
+            out = tmp_path / f"report-{name}"
+            r = run_cli("verify", "--cert", str(tmp_path / name), "--trials", "5",
+                        "--out", str(out))
+            assert r.returncode == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestCheckOracleKinds:

@@ -20,7 +20,6 @@ from udnorm.colored import (
     _rationalized_r,
     color_cover,
     degree_at_least_r_log,
-    delta_below_r_log_imb,
     find_weak_cut,
     greedy_color_cover,
     min_degree_core,
@@ -66,6 +65,13 @@ def greedy_proper_coloring(n, edges):
         used[(a, c)] = used[(b, c)] = True
         colors.append(c)
     return tuple(colors)
+
+
+def delta_below_r_log_imb(delta: int, r: Fraction, total: int, min_side: int) -> bool:
+    """Reference: the exact test Δ < r·log₂(imb) with imb = total/min_side,
+    as the integer comparison 2^(Δ·q)·min^p < total^p for r = p/q."""
+    p, q = r.numerator, r.denominator
+    return (1 << (delta * q)) * min_side**p < total**p
 
 
 class TestThresholds:

@@ -90,6 +90,9 @@ class TestRoundTrips:
                                         AngleBound.of(Fraction(5, 9))))
         back = jsonio.certificate_from_json(jsonio.certificate_to_json(cert))
         assert back == cert
+        # 3 == Fraction(3), so equality alone cannot see the number type
+        for c in (cert, back):
+            assert all(type(v) is int for _, y in c.null_vectors for v in y)
         rep = sample_verify(cert, 5, seed=0)
         payload = jsonio.report_to_json(rep)
         assert payload["counterexample_found"] is False
@@ -168,6 +171,19 @@ class TestStrictIntegers:
         with pytest.raises(jsonio.PayloadError, match="start at 1"):
             jsonio.system_from_json(
                 {"l": 1, "indices": [0, -1, 2], "coeffs": [[2], [-1]]})
+
+    def test_rational_y_scaled_by_common_denominator(self, octagon):
+        # y is read as rationals and kept as y·L, L > 0 the least common
+        # denominator of its entries; an integer y reads as it is
+        cert = certify_box(TOY, octagon, Fraction(1, 100),
+                           AngleBound.of(Fraction(5, 9)))
+        d = jsonio.certificate_to_json(cert)
+        d["null_vectors"][0]["y"] = ["2/3", "-4/9", "0"]
+        d["null_vectors"][1]["y"] = ["-6", "4", "2"]
+        back = jsonio.certificate_from_json(d)
+        assert back.null_vectors[0][1] == (6, -4, 0)
+        assert back.null_vectors[1][1] == (-6, 4, 2)
+        assert all(type(v) is int for _, y in back.null_vectors for v in y)
 
 
 class TestFiles:

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_eliminate, reference_rank
+from conftest import integral, reference_eliminate, reference_rank
 from udnorm.ratlin import (
-    Mat,
     RatInterval,
     Vec2,
     left_null_basis,
@@ -23,13 +22,12 @@ rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
 )
 
-IDENTITY_2 = Mat.from_rows([[1, 0], [0, 1]])
+IDENTITY_2 = [[1, 0], [0, 1]]
 
 
 def mat_vec(M, v):
     """M·v, summed term by term in Fraction."""
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
-                 for row in M.entries)
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in M)
 
 
 class TestRationalStrings:
@@ -71,16 +69,16 @@ class TestRank:
 
     @staticmethod
     def rank(M):
-        return M.rows - len(left_null_basis(M))
+        return len(M) - len(left_null_basis(M))
 
     def test_identity(self):
         assert self.rank(IDENTITY_2) == 2
 
     def test_proportional_rows(self):
-        assert self.rank(Mat.from_rows([[2, 4], [1, 2], [3, 6]])) == 1
+        assert self.rank([[2, 4], [1, 2], [3, 6]]) == 1
 
     def test_two_columns_bound(self):
-        assert self.rank(Mat.from_rows([[1, 0], [0, 1], [1, 1]])) == 2
+        assert self.rank([[1, 0], [0, 1], [1, 1]]) == 2
 
 
 class TestSolve:
@@ -88,11 +86,11 @@ class TestSolve:
         assert solve(IDENTITY_2, [3, 5]) == (3, 5)
 
     def test_consistent_sum(self):
-        M = Mat.from_rows([[1, 0], [0, 1], [1, 1]])
+        M = [[1, 0], [0, 1], [1, 1]]
         assert solve(M, [1, 1, 2]) == (1, 1)
 
     def test_inconsistent(self):
-        M = Mat.from_rows([[1, 0], [0, 1], [1, 1]])
+        M = [[1, 0], [0, 1], [1, 1]]
         assert solve(M, [1, 1, 3]) is None
 
     def test_wrong_length(self):
@@ -102,7 +100,7 @@ class TestSolve:
 
 class TestLeftNull:
     def test_single_vector(self):
-        M = Mat.from_rows([[1, 0], [0, 1], [1, 1]])
+        M = [[1, 0], [0, 1], [1, 1]]
         (y,) = left_null_basis(M)
         # proportional to (1, 1, -1)
         assert y[0] == y[1] == -y[2]
@@ -112,12 +110,18 @@ class TestLeftNull:
         assert left_null_basis(IDENTITY_2) == []
 
     def test_rank_one(self):
-        M = Mat.from_rows([[2, 4], [1, 2], [3, 6]])
+        M = [[2, 4], [1, 2], [3, 6]]
         basis = left_null_basis(M)
         assert len(basis) == 2
         for y in basis:
+            assert all(type(v) is int for v in y)
             for col in range(2):
-                assert sum(y[i] * M.entries[i][col] for i in range(3)) == 0
+                assert sum(y[i] * M[i][col] for i in range(3)) == 0
+
+    def test_rows_left_unchanged(self):
+        M = [[2, 4], [1, 2], [3, 6]]
+        left_null_basis(M)
+        assert M == [[2, 4], [1, 2], [3, 6]]
 
 
 @st.composite
@@ -129,26 +133,26 @@ def small_matrices(draw):
                  min_size=cols, max_size=cols),
         min_size=rows, max_size=rows,
     ))
-    return Mat.from_rows(entries)
+    return entries
 
 
 class TestLinalgProperties:
     @given(small_matrices())
     def test_rank_null_dimension(self, M):
-        basis = left_null_basis(M)
+        basis = left_null_basis(integral(M))
         r = reference_rank(M)
-        assert r == M.rows - len(basis)
-        assert r <= min(M.rows, M.cols)
+        assert r == len(M) - len(basis)
+        assert r <= min(len(M), len(M[0]))
         for y in basis:
             assert any(v != 0 for v in y)
-            for col in range(M.cols):
-                assert sum(y[i] * M.entries[i][col] for i in range(M.rows)) == 0
+            for col in range(len(M[0])):
+                assert sum(y[i] * M[i][col] for i in range(len(M))) == 0
 
     @given(small_matrices(), st.data())
     def test_solve_or_certify(self, M, data):
         b = data.draw(st.lists(
             st.fractions(min_value=-9, max_value=9, max_denominator=7),
-            min_size=M.rows, max_size=M.rows,
+            min_size=len(M), max_size=len(M),
         ))
         x = solve(M, b)
         if x is not None:
@@ -156,33 +160,33 @@ class TestLinalgProperties:
         else:
             # some left-null vector witnesses the inconsistency
             assert any(
-                sum(y[i] * rat(b[i]) for i in range(M.rows)) != 0
-                for y in left_null_basis(M)
+                sum(y[i] * rat(b[i]) for i in range(len(M))) != 0
+                for y in left_null_basis(integral(M))
             )
 
 
 def reference_solve(M, b):
-    grid = [list(row) + [rat(v)] for row, v in zip(M.entries, b)]
-    pivots = reference_eliminate(grid, M.cols)
-    if any(grid[i][M.cols] != 0 for i in range(len(pivots), M.rows)):
+    cols = len(M[0])
+    grid = [[rat(v) for v in row] + [rat(t)] for row, t in zip(M, b)]
+    pivots = reference_eliminate(grid, cols)
+    if any(grid[i][cols] != 0 for i in range(len(pivots), len(M))):
         return None
-    x = [Fraction(0)] * M.cols
+    x = [Fraction(0)] * cols
     for i in range(len(pivots) - 1, -1, -1):
         col = pivots[i]
-        acc = grid[i][M.cols] - sum(grid[i][j] * x[j]
-                                    for j in range(col + 1, M.cols))
+        acc = grid[i][cols] - sum(grid[i][j] * x[j] for j in range(col + 1, cols))
         x[col] = acc / grid[i][col]
     return tuple(x)
 
 
 def reference_left_null_basis(M):
-    n = M.rows
-    grid = [list(M.entries[i]) + [Fraction(int(j == i)) for j in range(n)]
+    n, cols = len(M), len(M[0])
+    grid = [[rat(v) for v in M[i]] + [Fraction(int(j == i)) for j in range(n)]
             for i in range(n)]
-    pivots = reference_eliminate(grid, M.cols)
+    pivots = reference_eliminate(grid, cols)
     basis = []
     for i in range(len(pivots), n):
-        y = grid[i][M.cols:]
+        y = grid[i][cols:]
         den = math.lcm(*(v.denominator for v in y))
         ints = [int(v * den) for v in y]
         g = math.gcd(*ints)
@@ -214,7 +218,7 @@ def deficient_matrices(draw):
         col = draw(st.integers(0, cols - 1))
         for row in grid:
             row[col] = Fraction(0)
-    return Mat.from_rows(grid)
+    return grid
 
 
 class TestAgainstFractionReference:
@@ -223,8 +227,8 @@ class TestAgainstFractionReference:
     @settings(max_examples=200, deadline=None)
     @given(deficient_matrices(), st.data())
     def test_equal_results(self, M, data):
-        b = data.draw(st.lists(ENTRIES, min_size=M.rows, max_size=M.rows))
-        assert left_null_basis(M) == reference_left_null_basis(M)
+        b = data.draw(st.lists(ENTRIES, min_size=len(M), max_size=len(M)))
+        assert left_null_basis(integral(M)) == reference_left_null_basis(M)
         assert solve(M, b) == reference_solve(M, b)
 
     @settings(max_examples=100, deadline=None)
@@ -232,7 +236,7 @@ class TestAgainstFractionReference:
     def test_consistent_right_hand_side(self, M, data):
         # b = M·x0 is always consistent: the free-variables-zero solution
         # must agree with the reference, not just both be None
-        x0 = data.draw(st.lists(ENTRIES, min_size=M.cols, max_size=M.cols))
+        x0 = data.draw(st.lists(ENTRIES, min_size=len(M[0]), max_size=len(M[0])))
         b = mat_vec(M, x0)
         x = solve(M, b)
         assert x is not None and x == reference_solve(M, b)
@@ -245,9 +249,9 @@ class TestIntegerSolve:
     def test_any_row_scaling(self, M, data):
         # solve_integer on the rows scaled by any nonzero integers gives
         # solve's x, over a positive denominator
-        b = data.draw(st.lists(ENTRIES, min_size=M.rows, max_size=M.rows))
+        b = data.draw(st.lists(ENTRIES, min_size=len(M), max_size=len(M)))
         factors = data.draw(st.lists(st.integers(-50, 50).filter(bool),
-                                     min_size=M.rows, max_size=M.rows))
+                                     min_size=len(M), max_size=len(M)))
         grid = [[int(v * k) for v in row]
                 for row, k in zip(_scaled_rows(M, b), factors)]
         found = solve_integer(grid)
@@ -261,7 +265,7 @@ class TestIntegerSolve:
 
 def _scaled_rows(M, b):
     """[M | b] times one common denominator of all entries, in Fraction."""
-    rows = [list(row) + [rat(v)] for row, v in zip(M.entries, b)]
+    rows = [list(row) + [rat(v)] for row, v in zip(M, b)]
     den = math.lcm(*(v.denominator for row in rows for v in row))
     return [[v * den for v in row] for row in rows]
 
