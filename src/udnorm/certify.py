@@ -12,10 +12,15 @@ polygon and the box. Every y in memory is a tuple of ints: certify derives
 primitive integer vectors, and `jsonio.certificate_from_json` scales a
 payload's rational y to integers, so nothing here converts y.
 
-The exact core works per class tuple. y comes in closed form from an
-ℓ×(ℓ+1) integer system (`_closed_form_null_vector`), with a general
-elimination only when the left null space has dimension ≥ 2. One integer
-test decides all 2^(2ℓ+1) side choices of a class tuple at once
+The exact core works per class tuple, and what class tuples share is
+computed once per call: the m×m integer tables of cross and dot products
+of the normals (`_normal_products`, once per `_null_spaces` call), and
+per box the factors F_k, R_k of h's range on it (`_box_factors`, once per
+pass over the class tuples). No table outlives the call that built it. y
+comes in closed form from an ℓ×(ℓ+1) integer system read off the tables
+(`_closed_form_null_vector`), with a general elimination only when the
+left null space has dimension ≥ 2. One integer test decides all
+2^(2ℓ+1) side choices of a class tuple at once from y and the box factors
 (`_class_tuple_killed`), so `certify_box` and `sample_verify` build an
 assignment's affine form only where that test fails. `sample_verify`'s
 reject path runs in integers too: t, b(t), the solution x and the solved
@@ -89,10 +94,10 @@ def enumerate_admissible(ell: int, m: int) -> Iterator[Assignment]:
     """All admissible assignments of 2ℓ+1 items to 2m sides, in lexicographic
     order; empty when 2ℓ+1 > m.
 
-    The recursion yields the 3840 assignments of ℓ = 2, m = 5 in 3.5 ms
+    The recursion yields the 3840 assignments of ℓ = 2, m = 5 in 3.1 ms
     (best of 30, Python 3.11, 2 cores); cProfile overstates the cost of its
     nested generator frames. A flat `permutations(range(2m))` filter takes
-    18 ms, and sorting a product of class injections and side bits builds
+    12 ms, and sorting a product of class injections and side bits builds
     every assignment up front, so the recursion stays.
     """
     count = 2 * ell + 1
@@ -322,39 +327,67 @@ def _det(rows: list[list[int]]) -> int:
                for j, a in enumerate(first) if a)
 
 
-def _closed_form_null_vector(normals: Sequence[tuple[int, int]],
+def _normal_products(normals: Sequence[tuple[int, int]]
+                     ) -> tuple[list[list[int]], list[list[int]]]:
+    """The m×m integer tables (cross, dot) of the polygon's integer normals:
+    cross[j][k] = nⱼ×nₖ and dot[j][k] = ⟨nⱼ, nₖ⟩. Each `_null_spaces` call
+    builds them once; the closed form reads every product from them."""
+    cross = [[ax * by - ay * bx for bx, by in normals] for ax, ay in normals]
+    dot = [[ax * bx + ay * by for bx, by in normals] for ax, ay in normals]
+    return cross, dot
+
+
+def _closed_form_null_vector(cross: Sequence[Sequence[int]],
+                             dot: Sequence[Sequence[int]],
                              weights: Sequence[Sequence[int]],
                              classes: tuple[int, ...]
                              ) -> Optional[tuple[int, ...]]:
     """The left-null vector of A for this class tuple, primitive with its
     first nonzero entry positive (`left_null_basis`'s scaling), or None when
-    the left null space has dimension ≥ 2.
+    the left null space has dimension ≥ 2. `cross` and `dot` are the
+    polygon's `_normal_products`.
 
     With n_s the normal of base row s, n_j that of dependent row j, w_j
     dependent row j of `weights` (S's integer row) and [a, b] the 2-D cross
     product, yᵀA = 0 reads y_s·n_s + Σ_j w_j[s]·y_j·n_j = 0 for each base
-    direction s. Its cross
-    product with n_s leaves the ℓ×(ℓ+1) system M[s][j] = w_j[s]·[n_s, n_j] on
-    the dependent entries, and its dot product with n_s gives
-    y_s = −Σ_j w_j[s]·y_j·⟨n_s, n_j⟩ / |n_s|². So nullity(A) =
-    nullity(M), which is 1 exactly when some maximal minor of M is nonzero;
-    the signed maximal minors then span M's kernel (at ℓ = 2, the 3-D cross
-    product of M's two rows).
+    direction s. Its cross product with n_s leaves the ℓ×(ℓ+1) system
+    M[s][j] = w_j[s]·[n_s, n_j] on the dependent entries, and its dot
+    product with n_s gives y_s = −Σ_j w_j[s]·y_j·⟨n_s, n_j⟩ / |n_s|². So
+    nullity(A) = nullity(M), which is 1 exactly when some maximal minor of
+    M is nonzero; the signed maximal minors then span M's kernel (at ℓ = 2,
+    the 3-D cross product of M's two rows). ℓ = 2, the case of the
+    pipeline and the demo, has its products written out; other ℓ go
+    through `_det`.
     """
     ell = len(weights) - 1
-    base = [normals[k] for k in classes[:ell]]
-    dep = [normals[k] for k in classes[ell:]]
-    M = [[w[s] * (bx * dy - by * dx) for w, (dx, dy) in zip(weights, dep)]
-         for s, (bx, by) in enumerate(base)]
-    y_dep = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in M])
-             for j in range(ell + 1)]
-    if not any(y_dep):
-        return None
+    if ell == 2:
+        # M's rows (a0, a1, a2) and (e0, e1, e2), their cross product y_dep
+        # and the y_s numerators, written out
+        s0, s1, d0, d1, d2 = classes
+        (u0, v0), (u1, v1), (u2, v2) = weights
+        c0, c1 = cross[s0], cross[s1]
+        a0, a1, a2 = u0 * c0[d0], u1 * c0[d1], u2 * c0[d2]
+        e0, e1, e2 = v0 * c1[d0], v1 * c1[d1], v2 * c1[d2]
+        y_dep = [a1 * e2 - a2 * e1, a2 * e0 - a0 * e2, a0 * e1 - a1 * e0]
+        if not any(y_dep):
+            return None
+        y0, y1, y2 = y_dep
+        g0, g1 = dot[s0], dot[s1]
+        nums = [-(u0 * y0 * g0[d0] + u1 * y1 * g0[d1] + u2 * y2 * g0[d2]),
+                -(v0 * y0 * g1[d0] + v1 * y1 * g1[d1] + v2 * y2 * g1[d2])]
+        dens = [g0[s0], g1[s1]]
+    else:
+        base, dep = classes[:ell], classes[ell:]
+        M = [[w[s] * row[d] for w, d in zip(weights, dep)]
+             for s, row in enumerate([cross[b] for b in base])]
+        y_dep = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in M])
+                 for j in range(ell + 1)]
+        if not any(y_dep):
+            return None
+        nums = [-sum([w[s] * yj * row[d] for w, yj, d in zip(weights, y_dep, dep)])
+                for s, row in enumerate([dot[b] for b in base])]
+        dens = [dot[b][b] for b in base]
     # y_s = nums[s] / dens[s]; the lcm L of the dens makes every entry integral
-    nums = [-sum(w[s] * yj * (bx * dx + by * dy)
-                 for w, yj, (dx, dy) in zip(weights, y_dep, dep))
-            for s, (bx, by) in enumerate(base)]
-    dens = [bx * bx + by * by for bx, by in base]
     L = math.lcm(*dens)
     return primitive([v * (L // d) for v, d in zip(nums, dens)]
                      + [L * v for v in y_dep])
@@ -366,45 +399,66 @@ def _null_spaces(S: DependenceSystem, B1: SymmetricPolygon
     of the class tuples: A·x = b(t) is solvable exactly where every
     h = yᵀb(t) vanishes. The closed form gives the basis when it has one
     vector; `left_null_basis` gives it otherwise."""
+    cross, dot = _normal_products(B1.scaled[1])
     spaces = {}
     for classes in itertools.permutations(range(B1.m), 2 * S.ell + 1):
-        y = _closed_form_null_vector(B1.scaled[1], S.coeffs, classes)
+        y = _closed_form_null_vector(cross, dot, S.coeffs, classes)
         spaces[classes] = ([y] if y is not None
                            else left_null_basis(build_system(S, B1, classes)))
     return spaces
 
 
-def _side_choice_ranges(ys: Sequence[int], classes: tuple[int, ...],
-                        offsets: tuple[int, Sequence[int]],
-                        box: OffsetBox) -> tuple[list[int], int]:
-    """The range of h = yᵀb(t) on the box for every side choice of the
-    class tuple, from y·L as integers and the offsets over their common
-    denominator, (Dc, c·Dc): (mids, radius), one mid per side choice in
-    `_side_choices` order, with h·2·L·Dc·D ranging over [mid − radius,
-    mid + radius] (D the box's common denominator).
+Factors = tuple[list[int], list[int]]
 
-    A side choice multiplies each yᵢ by εᵢ = ±1. With mid and r the box's
-    midpoint and radii, h ranges over Σ εᵢyᵢ(c_k + mid_k) ± Σ |yᵢ|·r_k
-    (k = classes[i], one term per coordinate since the classes are
-    distinct), whose radius does not depend on ε.
+
+def _box_factors(B1: SymmetricPolygon, box: OffsetBox) -> Factors:
+    """(F, R) per coordinate k, from the polygon's offsets over their
+    common denominator, (Dc, c·Dc), and the box's, (D, lo·D, hi·D): with
+    c_k, lo_k and hi_k those scaled integers, F_k = 2·c_k·D + Dc·(lo_k + hi_k)
+    and R_k = Dc·(hi_k − lo_k). They depend on the box alone, so each pass
+    over the class tuples of one box computes them once.
+
+    The side line ⟨n, z⟩ = ε(c_k + t_k) of a side with class k puts
+    ε·y·(c_k + t_k) into h = yᵀb(t); over the box, 2·Dc·D times it ranges
+    over ε·y·F_k ± |y|·R_k."""
+    (Dc, _, cs), (D, lo, hi) = B1.scaled, box.scaled
+    return ([2 * c * D + Dc * (a + b) for c, a, b in zip(cs, lo, hi)],
+            [Dc * (b - a) for a, b in zip(lo, hi)])
+
+
+def _side_choice_ranges(ys: Sequence[int], classes: tuple[int, ...],
+                        factors: Factors) -> tuple[list[int], int]:
+    """The range of h = yᵀb(t) on the box for every side choice of the
+    class tuple, from the integer y and the box's `_box_factors`:
+    (mids, radius), one mid per side choice in `_side_choices` order, with
+    h·2·Dc·D ranging over [mid − radius, mid + radius].
+
+    A side choice multiplies each yᵢ by εᵢ = ±1, so the mid is Σ εᵢyᵢ·F_k
+    and the radius Σ |yᵢ|·R_k (k = classes[i], one term per coordinate
+    since the classes are distinct), which does not depend on ε.
     """
-    (Dc, cs), (D, lo, hi) = offsets, box.scaled
-    radius = Dc * sum(abs(yi) * (hi[k] - lo[k]) for yi, k in zip(ys, classes))
+    F, R = factors
+    radius = sum(abs(yi) * R[k] for yi, k in zip(ys, classes))
     # the first side bit is the most significant, so the last term doubles first
     mids = [0]
     for yi, k in zip(reversed(ys), reversed(classes)):
-        a = yi * (2 * cs[k] * D + Dc * (lo[k] + hi[k]))
+        a = yi * F[k]
         mids = [v + a for v in mids] + [v - a for v in mids]
     return mids, radius
 
 
 def _class_tuple_killed(ys: Sequence[int], classes: tuple[int, ...],
-                        offsets: tuple[int, Sequence[int]],
-                        box: OffsetBox) -> bool:
+                        factors: Factors) -> bool:
     """Whether h = yᵀb(t) is sign-definite on the box for every side choice
     of the class tuple: |mid| > radius for each (`_side_choice_ranges`).
-    A tie is not killed."""
-    mids, radius = _side_choice_ranges(ys, classes, offsets, box)
+    ε and −ε give the same |mid|, so ε₀ = +1 and half the mids decide. A
+    tie is not killed."""
+    F, R = factors
+    radius = sum(abs(yi) * R[k] for yi, k in zip(ys, classes))
+    mids = [ys[0] * F[classes[0]]]
+    for yi, k in zip(ys[1:], classes[1:]):
+        a = yi * F[k]
+        mids = [v + a for v in mids] + [v - a for v in mids]
     return min(map(abs, mids)) > radius
 
 
@@ -473,11 +527,12 @@ class NormCertificate:
         choices, with the signs from `_side_choice_ranges`."""
         m = self.polygon.m
         offsets = self.polygon.scaled[::2]  # (D, offsets·D)
+        factors = _box_factors(self.polygon, self.box)
         table = dict(self.null_vectors)
         records = []
         for classes in itertools.permutations(range(m), 2 * self.system.ell + 1):
             y = table[classes]
-            mids, radius = _side_choice_ranges(y, classes, offsets, self.box)
+            mids, radius = _side_choice_ranges(y, classes, factors)
             for alpha, mid in zip(_side_choices(classes, m), mids):
                 sign = 1 if mid > radius else -1 if mid < -radius else 0
                 records.append(KillRecord(
@@ -506,35 +561,42 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
     recheck left retests every class tuple on the final box; it is the only
     self-check of the merge walk.
 
-    On the pipeline system (decagon, δ₀ = 1/64) this takes 5.6 ms (best of
-    15, Python 3.11, 2 cores). A flat walk of `enumerate_admissible` that
-    skips assignments of proven class tuples gives the same box in 10.1 ms
-    without its final recheck, so the merge stays.
+    Each box's `_box_factors` are computed once, after each shrink, and
+    shared by every class-tuple test on that box. On the pipeline system
+    (decagon, δ₀ = 1/64) this takes 2.5 ms (best of 15, Python 3.11, 2
+    cores). A flat walk of `enumerate_admissible` that skips assignments of
+    proven class tuples gives the same box in 8.5 ms without its final
+    recheck, so the merge stays.
     """
     if not B1.is_eta_short(eta):
         raise CertifierError("polygon sides are not η-short")
     m = B1.m
     box = OffsetBox.symmetric(delta0, m)
     offsets = B1.scaled[::2]  # (D, offsets·D)
+    factors = _box_factors(B1, box)
     firsts = {classes: basis[0] for classes, basis in _null_spaces(S, B1).items()}
-    # one pending assignment per live class tuple; the first is the class
-    # tuple itself, so the list starts sorted, which makes it a heap
-    walks = {classes: _side_choices(classes, m) for classes in firsts}
-    pending = [next(walk) for walk in walks.values()]
+    # one pending (assignment, class tuple) per live class tuple; the first
+    # assignment is the class tuple itself, so the list starts sorted, which
+    # makes it a heap, and assignments are distinct, so they alone order it
+    pending = [(classes, classes) for classes in firsts]
+    walks: dict[tuple[int, ...], Iterator[Assignment]] = {}
     while pending:
-        alpha = heapq.heappop(pending)
-        classes = tuple(a % m for a in alpha)
+        alpha, classes = heapq.heappop(pending)
         y = firsts[classes]
-        if _class_tuple_killed(y, classes, offsets, box):
+        if _class_tuple_killed(y, classes, factors):
             continue
         box, _ = kill_assignment(alpha, (y, _functional(alpha, y, offsets)), box)
+        factors = _box_factors(B1, box)
+        if classes not in walks:
+            # its later side choices; the first is the class tuple itself
+            walks[classes] = itertools.islice(_side_choices(classes, m), 1, None)
         successor = next(walks[classes], None)
         if successor is not None:
-            heapq.heappush(pending, successor)
+            heapq.heappush(pending, (successor, classes))
     cert = NormCertificate(polygon=B1, box=box, null_vectors=tuple(firsts.items()),
                            system=S, eta=eta, degenerate=not firsts)
     # every class tuple on the final box: the one self-check of the walk
-    if not all(_class_tuple_killed(y, classes, offsets, box)
+    if not all(_class_tuple_killed(y, classes, factors)
                for classes, y in firsts.items()):
         failing = [rec.alpha for rec in cert.kills if rec.sign == 0]
         raise CertifierError(
@@ -741,13 +803,13 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
             in_traps, separated, source))
 
     null_spaces = _null_spaces(S, B1)
-    offsets = (Dc, cs)
+    factors = _box_factors(B1, box)
     # a class tuple with a 1-dimensional null space that the signed-sum test
     # clears has no root in the box for any side choice; the others are
     # walked assignment by assignment, in lexicographic order
     undecided = sorted(
         alpha for classes, basis in null_spaces.items()
-        if len(basis) > 1 or not _class_tuple_killed(basis[0], classes, offsets, box)
+        if len(basis) > 1 or not _class_tuple_killed(basis[0], classes, factors)
         for alpha in _side_choices(classes, m))
     # directed pass: construct a root of each null functional inside the box
     # whenever its interval straddles zero (complete for 1-dim null spaces;

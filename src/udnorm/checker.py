@@ -16,12 +16,14 @@ coefficient rows alone (no construction code paths). The checker proves:
   degenerate flag is set iff no class tuple exists.
 - The kills: per class tuple, one exact integer test decides whether
   h = yᵀb(t) is sign-definite on the box for all 2^(2ℓ+1) side choices at
-  once; a class tuple that fails it, or has no usable table entry, is
+  once, from y and the box factors F_k, R_k (`_box_factors`, computed once
+  per check); a class tuple that fails it, or has no usable table entry, is
   checked side choice by side choice, so each failing assignment is named.
 - The sandwich: B_in, B and B_out are `offset_polygon(B₁, ·)` at lo, the
   center and hi of the box, so every side is facet-defining.
 - The margin rule 2δ‖nᵢ‖ ≤ hiᵢ − loᵢ, which puts B′ between B_in and B_out.
-- Each pair of corners of each trapezoid of B_out ∖ B_in spans an angle < η.
+- Each pair of corners of each trapezoid of B_out ∖ B_in spans an angle < η,
+  tested in integers on the vertex tables of B_in and B_out.
 It relies on the sweep lemma of the source paper: each unit vector of B′ in
 trapezoid s lies on ⟨n_s, z⟩ = ±(c_s + t) with t in the box, so a
 realization would solve some assignment's system at a point of the box.
@@ -43,6 +45,7 @@ Implied by the checks above, so not run:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,7 +55,7 @@ from .norms import (
     SymmetricPolygon,
     hausdorff_to_oracle,
     offset_polygon,
-    segment_is_eta_short,
+    scaled_segment_is_eta_short,
 )
 from .ratlin import RationalLike, over_common_denominator, rat
 
@@ -76,18 +79,21 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
     y kills nothing. A malformed entry fails naming its class tuple as the
     assignment with every side in the first half."""
     arity = 2 * S.ell + 1
+    m = B.m
     # row i of A for a class tuple applies normal n_(classes[i]) to the
     # direction uᵢ: a base direction (weight row eᵢ), or S's integer
-    # combination of them, so A's row is the integer row wᵢ ⊗ n_k
+    # combination of them, so A's row is the integer row wᵢ ⊗ n_k, and
+    # column (s, xy) of yᵀA is Σᵢ wᵢ[s]·(yᵢ·n_k[xy])
     normals = B.scaled[1]
     weights = [[int(s == i) for s in range(S.ell)] for i in range(S.ell)]
     weights += S.coeffs
+    columns = [[w[s] for w in weights] for s in range(S.ell)]
     table = {}
     for classes, y in entries:
         classes, y = tuple(classes), tuple(y)
         if len(classes) != arity:
             report.fail(f"null vector entry has wrong arity: {classes}", classes)
-        elif len(set(classes)) != arity or not all(0 <= k < B.m for k in classes):
+        elif len(set(classes)) != arity or not all(0 <= k < m for k in classes):
             report.fail("null vector entry for inadmissible class tuple "
                         f"{classes}", classes)
         elif classes in table:
@@ -97,12 +103,12 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
         elif not any(y):
             table[classes] = "zero null vector"
         else:
-            # column (s, xy) of yᵀA sums yᵢ·wᵢ[s]·n_(classes[i])[xy]
-            rows = [(yi, weights[i], normals[k])
-                    for i, (yi, k) in enumerate(zip(y, classes))]
+            ns = [normals[k] for k in classes]
+            parts = ([yi * x for yi, (x, _) in zip(y, ns)],
+                     [yi * v for yi, (_, v) in zip(y, ns)])
             table[classes] = y if all(
-                sum(yi * w[s] * n[xy] for yi, w, n in rows) == 0
-                for s in range(S.ell) for xy in (0, 1)) else "yᵀA ≠ 0"
+                sum(map(operator.mul, col, part)) == 0
+                for col in columns for part in parts) else "yᵀA ≠ 0"
     return table
 
 
@@ -136,12 +142,13 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     offsets = B1.scaled[::2]  # (D, offsets·D)
     D, ints = over_common_denominator(box_lo + box_hi)
     box = D, ints[:m], ints[m:]
+    factors = _box_factors(offsets, box)
     # independent enumeration of the admissible assignments: injections into
     # opposite-pair classes times a side choice per item
     count = 2 * S.ell + 1
     for classes in itertools.permutations(range(m), count):
         ys = table.get(classes)
-        if isinstance(ys, tuple) and _class_tuple_killed(offsets, box, classes, ys):
+        if isinstance(ys, tuple) and _class_tuple_killed(factors, classes, ys):
             continue
         for sides in itertools.product((0, 1), repeat=count):
             _check_kill(report, offsets, box,
@@ -164,24 +171,30 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     return report
 
 
-def _class_tuple_killed(offsets, box, classes, ys) -> bool:
+def _box_factors(offsets, box):
+    """(F, R) per coordinate k, over the offsets' denominator Dc and the
+    box's D (c_k, lo_k, hi_k already scaled): F_k = 2·c_k·D + Dc·(lo_k + hi_k)
+    and R_k = Dc·(hi_k − lo_k), computed once per check."""
+    (Dc, cs), (D, box_lo, box_hi) = offsets, box
+    return ([2 * c * D + Dc * (a + b) for c, a, b in zip(cs, box_lo, box_hi)],
+            [Dc * (b - a) for a, b in zip(box_lo, box_hi)])
+
+
+def _class_tuple_killed(factors, classes, ys) -> bool:
     """h = yᵀb(t) is sign-definite on the box for every side choice of the
-    class tuple, y given as the integers ys.
+    class tuple, y given as the integers ys and the box as its
+    `_box_factors` (F, R).
 
     A side choice multiplies yᵢ by εᵢ = ±1. Over the offsets' denominator Dc
-    and the box's D, 2·h·Dc·D ranges over Σ εᵢaᵢ ± R with
-    aᵢ = yᵢ·(2·c_k·D + Dc·(lo_k + hi_k)) and R = Σ |yᵢ|·Dc·(hi_k − lo_k),
-    k = classes[i] (c_k, lo_k, hi_k already scaled), so it is sign-definite
-    iff |Σ εᵢaᵢ| > R. ε and −ε give the same |Σ εᵢaᵢ|, so ε₀ = +1; a tie
-    fails.
+    and the box's D, 2·h·Dc·D ranges over Σ εᵢaᵢ ± R with aᵢ = yᵢ·F_k and
+    R = Σ |yᵢ|·R_k, k = classes[i], so it is sign-definite iff
+    |Σ εᵢaᵢ| > R. ε and −ε give the same |Σ εᵢaᵢ|, so ε₀ = +1; a tie fails.
     """
-    (Dc, cs), (D, box_lo, box_hi) = offsets, box
-    terms = [yi * (2 * cs[k] * D + Dc * (box_lo[k] + box_hi[k]))
-             for yi, k in zip(ys, classes)]
-    radius = Dc * sum(abs(yi) * (box_hi[k] - box_lo[k])
-                      for yi, k in zip(ys, classes))
-    sums = [terms[0]]
-    for a in terms[1:]:
+    F, R = factors
+    radius = sum(abs(yi) * R[k] for yi, k in zip(ys, classes))
+    sums = [ys[0] * F[classes[0]]]
+    for yi, k in zip(ys[1:], classes[1:]):
+        a = yi * F[k]
         sums = [v + a for v in sums] + [v - a for v in sums]
     return min(map(abs, sums)) > radius
 
@@ -235,9 +248,11 @@ def _check_witness(report: CheckReport, cert):
         if (2 * delta) ** 2 * n.norm_sq() > gap * gap:
             report.fail(f"margin δ too large for side pair {i}")
     # η-short trapezoids: a convex quad avoiding 0 spans its widest angle
-    # between two corners; trapezoid m+i is −trapezoid i
+    # between two corners; trapezoid m+i is −trapezoid i. Side s runs from
+    # vertex s−1 to vertex s, read off the integer vertex tables
+    t_in, t_out = b_in._vertex_table, b_out._vertex_table
     for side in range(B1.m):
-        quad = b_in.side_segment(side) + b_out.side_segment(side)
-        if not all(segment_is_eta_short(p, q, cert.eta)
+        quad = (t_in[side - 1], t_in[side], t_out[side - 1], t_out[side])
+        if not all(scaled_segment_is_eta_short(p, q, cert.eta)
                    for p, q in itertools.combinations(quad, 2)):
             report.fail(f"trapezoid {side} is not η-short")

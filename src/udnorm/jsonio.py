@@ -8,13 +8,17 @@ certificate payload is schema 2: `"schema": 2` and a `"null_vectors"`
 table of `{"classes": [...], "y": [...]}` entries, one per class tuple;
 kill records are not serialized, the checker derives them. The y entries
 are rational strings on the wire, and integers in memory: certify derives
-integer y, and `certificate_from_json` is the one place a payload's y is
-scaled, by the positive common denominator L of its entries, which keeps
-y ≠ 0, yᵀA = 0 and the sign of every h = yᵀb(t). Every reader
-(`read_json` and each `*_from_json`) raises `PayloadError` on a payload
-that does not describe a valid object of its kind, including a certificate
-without `"schema": 2` and an integer field holding a float, string or
-boolean.
+integer y, which `certificate_to_json` writes with `str`, and
+`certificate_from_json` is the one place a payload's y is scaled, by the
+positive common denominator L of its entries, which keeps y ≠ 0, yᵀA = 0
+and the sign of every h = yᵀb(t). It reads each entry as a reduced integer
+pair (`ratlin.ratio_from_str`, which `rat_from_str` wraps, so both accept
+the same strings) and builds no `Fraction`. Every reader (`read_json` and
+each `*_from_json`) raises `PayloadError` on a payload that does not
+describe a valid object of its kind, including a certificate without
+`"schema": 2`, an integer field holding a float, string or boolean, and a
+list field (a y, a box bound, a polygon's normals or offsets, a normal
+pair) holding anything but a JSON array.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import tempfile
 from typing import IO, Iterator, Optional
@@ -32,7 +37,7 @@ from .colored import CoverResult, EdgeColoredGraph
 from .dependence import DependenceSystem
 from .norms import AngleBound, NormOracle, SymmetricPolygon
 from .pointsets import PointSeq
-from .ratlin import Vec2, over_common_denominator, rat_from_str, rat_to_str
+from .ratlin import Vec2, rat_from_str, rat_to_str, ratio_from_str
 from .udg import DecoratedUDG
 
 
@@ -62,6 +67,22 @@ def _wire_int(v) -> int:
     return v
 
 
+def _wire_list(vs) -> list:
+    """vs itself when it is a JSON array; a string, whose characters would
+    otherwise be read as its entries, or any other value is rejected."""
+    if type(vs) is not list:
+        raise ValueError(f"not a list: {vs!r}")
+    return vs
+
+
+def _wire_null_vector(vs) -> tuple[int, ...]:
+    """A y table entry, rational strings on the wire, as integers: each
+    entry's reduced (num, den) times the lcm L of the dens, so y·L."""
+    pairs = [ratio_from_str(v) for v in _wire_list(vs)]
+    L = math.lcm(*(den for _, den in pairs))
+    return tuple(num * (L // den) for num, den in pairs)
+
+
 def _wire_ints(vs) -> tuple[int, ...]:
     return tuple(_wire_int(v) for v in vs)
 
@@ -75,6 +96,7 @@ def _vec(v: Vec2) -> list[str]:
 
 
 def _unvec(pair) -> Vec2:
+    pair = _wire_list(pair)
     return Vec2(rat_from_str(pair[0]), rat_from_str(pair[1]))
 
 
@@ -89,7 +111,8 @@ def polygon_to_json(B: SymmetricPolygon) -> dict:
 @_reader
 def polygon_from_json(d: dict) -> SymmetricPolygon:
     B = SymmetricPolygon.from_pairs(
-        (_unvec(n), rat_from_str(c)) for n, c in zip(d["normals"], d["offsets"])
+        (_unvec(n), rat_from_str(c))
+        for n, c in zip(_wire_list(d["normals"]), _wire_list(d["offsets"]))
     )
     if "m" in d and d["m"] != B.m:
         raise ValueError("polygon side-pair count does not match payload")
@@ -205,8 +228,8 @@ def box_to_json(box: OffsetBox) -> dict:
 
 @_reader
 def box_from_json(d: dict) -> OffsetBox:
-    return OffsetBox(tuple(rat_from_str(v) for v in d["lo"]),
-                     tuple(rat_from_str(v) for v in d["hi"]))
+    return OffsetBox(tuple(rat_from_str(v) for v in _wire_list(d["lo"])),
+                     tuple(rat_from_str(v) for v in _wire_list(d["hi"])))
 
 
 def certificate_to_json(cert: NormCertificate) -> dict:
@@ -219,7 +242,7 @@ def certificate_to_json(cert: NormCertificate) -> dict:
         "degenerate": cert.degenerate,
         "null_vectors": [
             {"classes": [k + 1 for k in classes],
-             "y": [rat_to_str(v) for v in y]}
+             "y": [str(v) for v in y]}
             for classes, y in cert.null_vectors
         ],
     }
@@ -247,7 +270,7 @@ def certificate_from_json(d: dict) -> NormCertificate:
         box=box_from_json(d["box"]),
         null_vectors=tuple(
             (tuple(_wire_int(k) - 1 for k in e["classes"]),
-             over_common_denominator([rat_from_str(v) for v in e["y"]])[1])
+             _wire_null_vector(e["y"]))
             for e in d["null_vectors"]
         ),
         system=system_from_json(d["system"]),

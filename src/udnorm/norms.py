@@ -56,26 +56,15 @@ def eta_separated(u: Vec2, v: Vec2, eta: AngleBound) -> bool:
     return c * c >= eta.sin_sq * u.norm_sq() * v.norm_sq()
 
 
-def segment_is_eta_short(a: Vec2, b: Vec2, eta: AngleBound) -> bool:
-    """True iff no two lines through 0 with mutual angle ≥ η meet segment ab.
-
-    Equivalent (for a segment avoiding 0) to: the endpoint directions span
-    an angle < η. Endpoint directions at or beyond a right angle always fail
-    since η ≤ π/2.
-    """
-    if a.is_zero() or b.is_zero():
-        raise ValueError("segment touches the origin")
-    if a.dot(b) <= 0:
-        return False
-    c = a.cross(b)
-    return c * c < eta.sin_sq * a.norm_sq() * b.norm_sq()
-
-
 def scaled_segment_is_eta_short(a: tuple[int, int, int], b: tuple[int, int, int],
                                 eta: AngleBound) -> bool:
-    """`segment_is_eta_short` for two points given as vertex-table entries
-    (X, Y, E), E > 0, the point (X/E, Y/E), neither of them 0: the positive
-    denominators cancel from both tests."""
+    """True iff no two lines through 0 with mutual angle ≥ η meet the
+    segment ab, for two points given as vertex-table entries (X, Y, E),
+    E > 0, the point (X/E, Y/E), neither of them 0.
+
+    For a segment avoiding 0 that is: the endpoint directions span an angle
+    < η. Endpoint directions at or beyond a right angle always fail since
+    η ≤ π/2. The positive denominators cancel from both tests."""
     (ax, ay, _), (bx, by, _) = a, b
     if ax * bx + ay * by <= 0:
         return False
@@ -247,8 +236,7 @@ class SymmetricPolygon:
     def is_eta_short(self, eta: AngleBound) -> bool:
         """True iff every side is so short that no two η-separated lines meet it.
 
-        `segment_is_eta_short` on each side, in integers
-        (`scaled_segment_is_eta_short`). Side m+i is −side i.
+        `scaled_segment_is_eta_short` on each side. Side m+i is −side i.
         """
         table = self._vertex_table
         return all(scaled_segment_is_eta_short(table[i - 1], table[i], eta)

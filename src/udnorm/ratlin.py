@@ -30,13 +30,26 @@ def rat(x: RationalLike) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
-def rat_from_str(s: str) -> Fraction:
-    """Parse 'n' or 'num/den' (e.g. '-3/7'); 'n/1' is accepted."""
+def ratio_from_str(s: str) -> tuple[int, int]:
+    """Parse 'n' or 'num/den' (e.g. '-3/7'; 'n/1' and unreduced 'num/den'
+    are accepted) to the integers (num, den) in lowest terms with den > 0.
+    A zero denominator raises ZeroDivisionError, worded as `Fraction`'s."""
     s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    if "/" not in s:
+        return int(s), 1
+    num, den = s.split("/", 1)
+    num, den = int(num), int(den)
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def rat_from_str(s: str) -> Fraction:
+    """`ratio_from_str` as a Fraction: the same strings are accepted."""
+    return Fraction(*ratio_from_str(s))
 
 
 def rat_to_str(q: RationalLike) -> str:
@@ -193,10 +206,9 @@ def solve_integer(grid: list[list[int]]) -> Optional[tuple[int, list[int]]]:
 def primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Scale a nonzero integer vector to primitive integers, first nonzero > 0."""
     g = math.gcd(*vec)
-    lead = next(t for t in vec if t != 0)
-    if lead < 0:
+    if next(t for t in vec if t != 0) < 0:
         g = -g
-    return tuple(t // g for t in vec)
+    return tuple([t // g for t in vec])
 
 
 def left_null_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

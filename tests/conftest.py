@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from udnorm.norms import PolygonError, SymmetricPolygon, polygon_from_hull, square
+from udnorm.norms import (AngleBound, PolygonError, SymmetricPolygon,
+                          polygon_from_hull, square)
 from udnorm.ratlin import Vec2, rat_from_str, rat_to_str
 
 
@@ -14,6 +15,22 @@ def trapezoid_corners(cert, side: int) -> tuple[Vec2, Vec2, Vec2, Vec2]:
     a_in, b_in = cert.witness_in.side_segment(side)
     a_out, b_out = cert.witness_out.side_segment(side)
     return (a_in, b_in, b_out, a_out)
+
+
+def segment_is_eta_short(a: Vec2, b: Vec2, eta: AngleBound) -> bool:
+    """Reference for `norms.scaled_segment_is_eta_short`, in Fraction: True
+    iff no two lines through 0 with mutual angle ≥ η meet segment ab.
+
+    Equivalent (for a segment avoiding 0) to: the endpoint directions span
+    an angle < η. Endpoint directions at or beyond a right angle always fail
+    since η ≤ π/2.
+    """
+    if a.is_zero() or b.is_zero():
+        raise ValueError("segment touches the origin")
+    if a.dot(b) <= 0:
+        return False
+    c = a.cross(b)
+    return c * c < eta.sin_sq * a.norm_sq() * b.norm_sq()
 
 
 def octagon() -> SymmetricPolygon:

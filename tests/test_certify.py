@@ -185,11 +185,11 @@ def reference_sample_verify(cert, trials, seed=0):
         hits.append(RefutationHit(alpha, tuple(t), us, in_traps, separated, source))
 
     null_spaces = certify._null_spaces(S, B1)
-    offsets = over_common_denominator(B1.offsets)
+    factors = certify._box_factors(B1, box)
     undecided = sorted(
         alpha for classes, basis in null_spaces.items()
         if len(basis) > 1 or not certify._class_tuple_killed(basis[0], classes,
-                                                            offsets, box)
+                                                            factors)
         for alpha in certify._side_choices(classes, m))
     open_systems = []
     for alpha in undecided:
@@ -605,7 +605,8 @@ class TestClosedForm:
     @staticmethod
     def check(S, B, classes):
         ell = S.ell
-        y = certify._closed_form_null_vector(B.scaled[1], S.coeffs, classes)
+        y = certify._closed_form_null_vector(
+            *certify._normal_products(B.scaled[1]), S.coeffs, classes)
         basis = left_null_basis(build_system(S, B, classes))
         # M[s][j] = w_j[s]·[n_s, n_j] on the dependent entries, in Fraction
         n = [B.normals[k] for k in classes]
@@ -686,8 +687,8 @@ class TestClassTupleTest:
         want = all(reference_form(B, tuple(k + m * s for k, s in zip(classes, sides)),
                                   y).sign_on(box) != 0
                    for sides in itertools.product((0, 1), repeat=len(classes)))
-        offsets = over_common_denominator(B.offsets)
-        assert certify._class_tuple_killed(y, classes, offsets, box) == want
+        factors = certify._box_factors(B, box)
+        assert certify._class_tuple_killed(y, classes, factors) == want
 
 
 def reference_certify_box(S, B1, delta0, eta):

@@ -8,7 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import octagon, trapezoid_corners, twelve_gon
+from conftest import (octagon, segment_is_eta_short, trapezoid_corners,
+                      twelve_gon)
 from udnorm import checker, jsonio
 from udnorm.certify import (CertifierError, NormCertificate, OffsetBox,
                             certify_box, witness_norm)
@@ -16,8 +17,7 @@ from udnorm.checker import check_certificate
 from udnorm.cli import pipeline_decagon
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import (AngleBound, NormOracle, OffsetVector, PolygonError,
-                          SymmetricPolygon, offset_polygon, segment_is_eta_short,
-                          square)
+                          SymmetricPolygon, offset_polygon, square)
 from udnorm.ratlin import (over_common_denominator, rat, rat_from_str,
                            rat_to_str, sqrt_interval)
 
@@ -463,6 +463,48 @@ class TestFuzz:
         assert rep.ok, rep.failures[:3]
 
 
+def _side_choice_range(B, classes, sides, y, lo, hi):
+    """The range of h = yᵀb(t) over the box [lo, hi] for one side choice,
+    in Fraction: side bit 1 flips the sign of yᵢ on ⟨n, z⟩ = ±(c_k + t_k)."""
+    low = high = Fraction(0)
+    for yi, k, side in zip(y, classes, sides):
+        c = -yi if side else yi
+        low += c * B.offsets[k] + min(c * lo[k], c * hi[k])
+        high += c * B.offsets[k] + max(c * lo[k], c * hi[k])
+    return low, high
+
+
+@st.composite
+def class_tuple_boxes(draw):
+    """(B, class tuple, integer y, lo, hi) with lo < hi. Half the time one
+    bound is moved so that one side choice's range ends exactly at 0."""
+    B = draw(st.sampled_from([octagon(), twelve_gon(), pipeline_decagon()]))
+    m = B.m
+    ell = draw(st.integers(1, (m - 1) // 2))
+    count = 2 * ell + 1
+    classes = tuple(draw(st.permutations(range(m)))[:count])
+    y = tuple(draw(st.lists(st.integers(-6, 6), min_size=count, max_size=count)))
+    lo = draw(st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=40),
+                       min_size=m, max_size=m))
+    widths = draw(st.lists(st.fractions(min_value=Fraction(1, 40), max_value=1,
+                                        max_denominator=40),
+                           min_size=m, max_size=m))
+    hi = [a + w for a, w in zip(lo, widths)]
+    if draw(st.booleans()):
+        sides = draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+        i = draw(st.integers(0, count - 1))
+        k, c = classes[i], (-y[i] if sides[i] else y[i])
+        if c:
+            low, high = _side_choice_range(B, classes, sides, y, lo, hi)
+            # the low end reads lo_k when c > 0 and hi_k when c < 0
+            if draw(st.booleans()):
+                (lo if c > 0 else hi)[k] -= low / c
+            else:
+                (hi if c > 0 else lo)[k] -= high / c
+            assume(all(a < b for a, b in zip(lo, hi)))
+    return B, classes, y, lo, hi
+
+
 class TestClassTupleTest:
     """The checker's class-tuple test against its per-assignment fallback."""
 
@@ -517,12 +559,28 @@ class TestClassTupleTest:
         offsets = over_common_denominator(oct_cert.polygon.offsets)
         D, ints = over_common_denominator(tuple(box.lo) + tuple(box.hi))
         scaled = D, ints[:m], ints[m:]
+        factors = checker._box_factors(offsets, scaled)
         for classes, y in oct_cert.null_vectors:
             report = checker.CheckReport(ok=True)
             for sides in itertools.product((0, 1), repeat=len(classes)):
                 alpha = tuple(c + m * s for c, s in zip(classes, sides))
                 checker._check_kill(report, offsets, scaled, alpha, y)
-            assert checker._class_tuple_killed(offsets, scaled, classes, y) == report.ok
+            assert checker._class_tuple_killed(factors, classes, y) == report.ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(class_tuple_boxes())
+    def test_matches_every_side_choice(self, case):
+        # random class tuples, y and boxes on three polygons, half of them
+        # with a side choice's range ending exactly at 0
+        B, classes, y, lo, hi = case
+        want = all(low > 0 or high < 0 for low, high in (
+            _side_choice_range(B, classes, sides, y, lo, hi)
+            for sides in itertools.product((0, 1), repeat=len(classes))))
+        D, ints = over_common_denominator(lo + hi)
+        factors = checker._box_factors(over_common_denominator(B.offsets),
+                                       (D, ints[:B.m], ints[B.m:]))
+        assert checker._class_tuple_killed(factors, classes, y) == want
+
 
 
 # --- the witness check: offset polygons, margin rule, trapezoids ------------------

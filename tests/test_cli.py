@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -427,6 +429,40 @@ class TestMalformedPayload:
         assert "Traceback" not in r.stderr
         assert json.loads(r.stdout)["error"] == "malformed-payload"
 
+    @pytest.mark.parametrize("command, path", [
+        ("check", ["null_vectors", 0, "y"]),
+        ("check", ["box", "lo"]),
+        ("verify", ["null_vectors", 0, "y"]),
+        ("verify", ["box", "hi"]),
+        ("certify", ["offsets"]),
+        ("certify", ["normals", 0]),
+    ], ids=["check-y", "check-lo", "verify-y", "verify-hi", "certify-offsets",
+            "certify-normal"])
+    def test_string_for_list(self, tmp_path, command, path):
+        # a string of digits where a list of rational strings belongs would
+        # read as one-digit entries if iterated: "1" * 3 as y = (1, 1, 1)
+        if command == "certify":
+            args = _toy_inputs(tmp_path) + ["--polygon", str(tmp_path / "oct.json"),
+                                            "--eta-sin2", "5/9"]
+            target = tmp_path / "oct.json"
+        else:
+            _toy_cert(tmp_path / "cert.json")
+            target = tmp_path / "cert.json"
+            args = [command, "--cert", str(target)]
+        payload = json.loads(target.read_text())
+        *steps, last = path
+        d = payload
+        for step in steps:
+            d = d[step]
+        d[last] = "1" * len(d[last])
+        jsonio.write_json(str(target), payload)
+        r = run_cli(*args)
+        assert r.returncode == 3, r.stdout
+        assert "Traceback" not in r.stderr
+        err = json.loads(r.stdout)
+        assert err["error"] == "malformed-payload"
+        assert "not a list" in err["message"]
+
     def test_prop1_non_object_graph(self, tmp_path):
         path = tmp_path / "G.json"
         path.write_text("5\n")
@@ -505,6 +541,31 @@ class TestPipeline:
         digest = hashlib.sha256((tmp_path / "certificate.json").read_bytes())
         assert digest.hexdigest() == (
             "891f109fa1d63cb05ba43d94ccc45dc646531c2ac3f331b9187c0bd92de008e8")
+
+    def test_tangent_demo_pinned(self, tmp_path, capsys):
+        # the one non-vacuous statement: the tangent 22-gon at sin²η = 1/10,
+        # 55,440 class tuples and 1,774,080 kill records
+        path = os.path.join(os.path.dirname(__file__), "data", "tangent22.json")
+        # the data file is the recipe: normal k = (q² − p², 2pq)/(q² + p²)
+        # for p/q = tan(πk/22) rounded to a denominator ≤ 12, offsets 1
+        normals = []
+        for k in range(11):
+            t = Fraction(math.tan(math.pi * k / 22)).limit_denominator(12)
+            p, q = t.numerator, t.denominator
+            normals.append([str(Fraction(q * q - p * p, q * q + p * p)),
+                            str(Fraction(2 * p * q, q * q + p * p))])
+        assert jsonio.read_json(path) == {"m": 11, "normals": normals,
+                                          "offsets": ["1"] * 11}
+        rc = cli.main(["pipeline", "--out-dir", str(tmp_path), "--cert-polygon",
+                       path, "--eta-sin2", "1/10"])
+        summary = json.loads(capsys.readouterr().out)
+        assert rc == 0, summary
+        assert (summary["kills"], summary["delta"]) == (1774080, "315/3641631136")
+        assert summary["check_ok"] and summary["sweep_ok"]
+        assert not summary["counterexample_found"]
+        digest = hashlib.sha256((tmp_path / "certificate.json").read_bytes())
+        assert digest.hexdigest() == (
+            "9a163f07ad494485942dfbdc4bae446acaeaf9ec17b0678cbb85cf4eee24fc95")
 
     def test_prop1_failure_exit(self, tmp_path):
         # default C = 1 makes r too large for the 10-point instance

@@ -6,6 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import octagon, random_polygon
 from udnorm import jsonio
@@ -14,6 +15,7 @@ from udnorm.colored import EdgeColoredGraph, color_cover
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import AngleBound, NormOracle, square
 from udnorm.pointsets import flat_side_quadratic
+from udnorm.ratlin import over_common_denominator, rat_from_str
 from udnorm.udg import build_udg
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
@@ -184,6 +186,76 @@ class TestStrictIntegers:
         assert back.null_vectors[0][1] == (6, -4, 0)
         assert back.null_vectors[1][1] == (-6, 4, 2)
         assert all(type(v) is int for _, y in back.null_vectors for v in y)
+
+
+def _certificate():
+    return jsonio.certificate_to_json(witness_norm(certify_box(
+        TOY, octagon(), Fraction(1, 100), AngleBound.of(Fraction(5, 9)))))
+
+
+def _polygon():
+    return jsonio.polygon_to_json(octagon())
+
+
+# (reader, payload, where a list sits on the wire)
+LIST_FIELDS = {
+    "null-vector-y": (jsonio.certificate_from_json, _certificate,
+                      ["null_vectors", 0, "y"]),
+    "box-lo": (jsonio.certificate_from_json, _certificate, ["box", "lo"]),
+    "box-hi": (jsonio.certificate_from_json, _certificate, ["box", "hi"]),
+    "witness-offsets": (jsonio.certificate_from_json, _certificate,
+                        ["witness", "mid", "offsets"]),
+    "polygon-offsets": (jsonio.polygon_from_json, _polygon, ["offsets"]),
+    "polygon-normals": (jsonio.polygon_from_json, _polygon, ["normals"]),
+    "polygon-normal": (jsonio.polygon_from_json, _polygon, ["normals", 0]),
+}
+
+
+def _get(d, path):
+    for step in path:
+        d = d[step]
+    return d
+
+
+class TestListFields:
+    @pytest.mark.parametrize("kind", ["string", "object"])
+    @pytest.mark.parametrize("field", sorted(LIST_FIELDS))
+    def test_non_list_is_payload_error(self, field, kind):
+        # a string of digits, or an object with digit keys, as long as the
+        # list: iterated, either would read as that many one-digit entries
+        reader, build, path = LIST_FIELDS[field]
+        payload = build()
+        reader(payload)  # the unchanged payload reads
+        n = len(_get(payload, path))
+        value = ("1" * n if kind == "string"
+                 else {str(i + 1): str(i + 1) for i in range(n)})
+        _put(payload, path, value)
+        with pytest.raises(jsonio.PayloadError, match="not a list"):
+            reader(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-10**6, 10**6).map(str),
+        st.tuples(st.integers(-1000, 1000), st.integers(-60, 60)).map(
+            lambda p: f"{p[0]}/{p[1]}")), max_size=7))
+    def test_y_reader_matches_fraction_reader(self, strings):
+        # negative entries, n/1, unreduced num/den, and zero or negative
+        # denominators: the integer reader gives y·L for the least common
+        # denominator L of the Fractions that rat_from_str reads, and fails
+        # where rat_from_str fails
+        for v in strings:
+            num, _, den = v.partition("/")
+            if den and int(den) != 0:
+                assert rat_from_str(v) == Fraction(int(num), int(den))
+        try:
+            want = over_common_denominator([rat_from_str(v) for v in strings])[1]
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                jsonio._wire_null_vector(strings)
+            return
+        got = jsonio._wire_null_vector(strings)
+        assert got == want
+        assert all(type(v) is int for v in got)
 
 
 class TestFiles:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import octagon, random_polygon, twelve_gon
+from conftest import octagon, random_polygon, segment_is_eta_short, twelve_gon
 from udnorm import norms
 from udnorm.cli import pipeline_decagon
 from udnorm.norms import (
@@ -30,7 +30,6 @@ from udnorm.norms import (
     polygon_approx,
     polygon_from_hull,
     scaled_segment_is_eta_short,
-    segment_is_eta_short,
     square,
     vertex_displacement_factor,
 )
@@ -184,12 +183,17 @@ class TestEtaPredicates:
             eta_separated(Vec2.of(0, 0), Vec2.of(1, 0), AngleBound.of(1))
 
     def test_segment_shortness(self):
+        # the Fraction reference and the integer test, on (1, ∓1/5) as
+        # (5, ∓1)/5 and on a right angle
         eta = AngleBound.of(Fraction(1, 2))  # 45°
         assert segment_is_eta_short(Vec2.of(1, Fraction(-1, 5)),
                                     Vec2.of(1, Fraction(1, 5)), eta)
+        assert scaled_segment_is_eta_short((5, -1, 5), (5, 1, 5), eta)
         # right-angle spread can never be η-short
         assert not segment_is_eta_short(Vec2.of(1, 0), Vec2.of(0, 1),
                                         AngleBound.of(1))
+        assert not scaled_segment_is_eta_short((1, 0, 1), (0, 1, 1),
+                                               AngleBound.of(1))
 
     @pytest.mark.parametrize("sin_sq", [0, Fraction(3, 2), -1],
                              ids=["0", "3/2", "-1"])
