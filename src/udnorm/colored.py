@@ -5,10 +5,12 @@ color cover, each with an independently verifiable output contract.
 
 Tables are keyed by edge endpoints, never by the vertex ids 1..n; only
 `robust_core`, whose contract covers isolated vertices, starts from [1, n].
-Each stage of `color_cover` is one flat pass over integers: the properness
-check counts integer (vertex, color) keys, the core peels neighbour lists
-against the integer threshold deg·n < |E|, the descent narrows one induced
-edge list, the greedy reads a flat vertex → root table, and the contract
+Each stage of `color_cover` is one flat pass over integers, and G's edges
+are grouped by color once per call: the properness check asks each color
+class to be a matching, the core peels neighbour lists against the integer
+threshold deg·n < |E|, the descent narrows one edge list (G's own when the
+core keeps every edge), the greedy reads a flat vertex → root table over
+the final W's classes (G's when no edge was dropped), and the contract
 check re-scans G with a small union–find over W.
 
 Every threshold comparison Δ < r·log₂(imb) is decided exactly: for rational
@@ -25,7 +27,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Optional, Sequence
 
 from . import kernels
@@ -142,6 +144,12 @@ def min_degree_core(G: EdgeColoredGraph) -> tuple[int, ...]:
     0 < δ/2, and the surviving set does not depend on the deletion order.
     A vertex is deleted while deg < δ/2 = |E|/n, i.e. while deg·n < |E|.
     """
+    return _peel(G)[0]
+
+
+def _peel(G: EdgeColoredGraph) -> tuple[tuple[int, ...], bool]:
+    """min_degree_core, and whether it deleted no edge endpoint, so that
+    the core's induced edges are all of G's."""
     n, m = G.n, G.edge_count
     if m == 0:
         raise GraphError("graph has no edges")
@@ -162,7 +170,7 @@ def min_degree_core(G: EdgeColoredGraph) -> tuple[int, ...]:
                 if deg[u] * n < m:
                     stack.append(u)
     assert deg, "averaging argument guarantees a nonempty core"
-    return tuple(sorted(deg))
+    return tuple(sorted(deg)), len(deg) == len(adj)
 
 
 # --- weak cuts and the robust core --------------------------------------------
@@ -357,20 +365,22 @@ def robust_core(G: EdgeColoredGraph, r: RationalLike,
     """Shrink V by descending into the smaller side of weak cuts (ties to A)
     until no weak cut is found; |W| ≥ 2 guaranteed when the minimum-degree
     hypothesis holds and the search is exhaustive."""
-    return _descend(G, tuple(range(1, G.n + 1)), rat(r), cap, seed)[0]
+    return _descend(tuple(range(1, G.n + 1)), list(zip(G.edges, G.colors)),
+                    rat(r), cap, seed)[0]
 
 
-def _descend(G: EdgeColoredGraph, V: tuple[int, ...], r: Fraction,
+def _descend(V: tuple[int, ...], edges: list[tuple[Edge, int]], r: Fraction,
              cap: Optional[int], seed: int,
              ) -> tuple[RobustCoreResult, list[tuple[Edge, int]]]:
     """robust_core on the subgraph induced by the sorted vertex set V, with
-    n = |V| and degrees taken inside V; also returns the final W's induced
-    edges. G is scanned once: each cut filters the current W's edge list to
-    the side the descent keeps.
+    n = |V| and degrees taken inside V, given that subgraph's (edge, color)
+    list; also returns the final W's induced edges, a sublist of `edges`,
+    which is `edges` itself when no cut is found. Each cut filters the
+    current W's edge list to the side the descent keeps.
 
     deg ≥ r·log₂ n is monotone in deg, so the smallest degree in V decides
     the hypothesis for every vertex."""
-    W, edges = V, G.induced_edges(V)
+    W = V
     masks = _restricted_masks(W, edges)
     hypothesis = degree_at_least_r_log(min(m.bit_count() for m in masks), r,
                                        Fraction(len(V)))
@@ -459,11 +469,19 @@ def greedy_color_cover(G: EdgeColoredGraph, W: Sequence[int]) -> tuple[tuple[int
 
 
 def _color_classes(edges: Iterable[tuple[Edge, int]]) -> dict[int, list[Edge]]:
-    """Each color's edges, in the given order."""
+    """Each color's edges, in the given order; colors in order of first
+    appearance."""
     by_color: dict[int, list[Edge]] = {}
     for e, c in edges:
         by_color.setdefault(c, []).append(e)
     return by_color
+
+
+def _is_proper(by_color: dict[int, list[Edge]]) -> bool:
+    """Each color class is a matching, i.e. max_color_degree() ≤ 1; a
+    single edge is one."""
+    return all(len(set(chain.from_iterable(edges))) == 2 * len(edges)
+               for edges in by_color.values() if len(edges) > 1)
 
 
 def _greedy_cover(W: tuple[int, ...], by_color: dict[int, list[Edge]],
@@ -543,7 +561,10 @@ _LogBounds = Optional[tuple[Fraction, Fraction]]
 
 def _log_bounds(n: int) -> _LogBounds:
     """Certified upper bounds (log₂ n, log₂ log₂ n), or None when log₂ n ≤ 1,
-    where log₂ log₂ n ≤ 0 and both density terms are clamped."""
+    where log₂ log₂ n ≤ 0 and both density terms are clamped.
+
+    Each bound is the upper end of a width-2^−12 `log2_interval`, which
+    squares 96-bit integers rather than raising to the 4096th power."""
     lg = log2_interval(Fraction(n)).hi
     return (lg, log2_interval(lg).hi) if lg > 1 else None
 
@@ -603,11 +624,14 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
     """Pipeline min_degree_core → robust_core (r = C·q·log₂log₂ n) → greedy
     cover, with the output contract verified before returning.
 
-    Each stage is one flat pass over integers: max_color_degree counts
-    (vertex, color) keys, min_degree_core peels neighbour lists, the
-    descent scans G once for the core's induced edges and narrows that list
-    to each W it keeps, the greedy reads a vertex → root table refreshed
-    after each chosen color, and verify_cover independently rescans G.
+    G's color classes are built once: the coloring is proper iff each
+    class is a matching (max_color_degree() ≤ 1), and they are G[W]'s
+    classes when neither the core nor the descent drops an edge.
+    min_degree_core peels neighbour lists, the descent starts from G's own
+    edge list when the core keeps every edge (the core's induced edges
+    otherwise) and narrows it to each W it keeps, the greedy reads a
+    vertex → root table refreshed after each chosen color, and verify_cover
+    independently rescans G.
 
     Raises CoverFailure when any stage or the final contract check fails —
     a legitimate outcome below the density hypothesis — and ValueError when
@@ -625,13 +649,18 @@ def _color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike,
         raise ValueError("q and C must be positive")
     if G.n < 4:
         raise GraphError("need n >= 4")
-    if G.max_color_degree() > 1:
+    all_edges = list(zip(G.edges, G.colors))
+    classes = _color_classes(all_edges)
+    if not _is_proper(classes):
         raise GraphError("edge coloring must be proper")
     logs = _log_bounds(G.n)
     r = _rationalized_r(logs, q, C)
-    robust, edges = _descend(G, min_degree_core(G), r, cap, seed)
+    core, kept_all = _peel(G)
+    robust, edges = _descend(core, all_edges if kept_all
+                             else G.induced_edges(core), r, cap, seed)
     W = robust.W
-    by_color = _color_classes(edges)
+    by_color = (classes if len(edges) == len(all_edges)
+                else _color_classes(edges))
     I, trace = _greedy_cover(W, by_color)
     result = CoverResult(
         W=W,

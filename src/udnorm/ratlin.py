@@ -287,14 +287,21 @@ def sqrt_interval(q: RationalLike, max_width: RationalLike = Fraction(1, 10**12)
     return RatInterval(lo, Fraction(a + 1, S * den))
 
 
+# Working precision, in bits, of `log2_interval`'s enclosure of x^4096.
+_LOG2_BITS = 96
+
+
 def log2_interval(x: RationalLike) -> RatInterval:
     """Dyadic interval enclosing log₂(x), x > 0, of width 2^−12; the point
     log₂ x when x is a power of two.
 
-    j = ⌊log₂ x^4096⌋ is read off the bit lengths of num^4096 and den^4096
-    (2^(b−1) ≤ v < 2^b for v of bit length b leaves two candidates) and
-    settled by one integer comparison, so the result is exact and
-    deterministic.
+    The interval is [j, j + 1]/4096 for j = ⌊log₂ x^4096⌋. x is enclosed
+    between two integers of about 96 bits over powers of two, and the pair
+    is squared 12 times, the low end rounded down and the high end up and
+    both cut back to 96 bits after each squaring; when the two ends have
+    the same ⌊log₂⌋, that is j. Otherwise x^4096 lies too close to a power
+    of two for 96 bits, and `_floor_log2_pow4096` settles j exactly. Either
+    way the result is exact and deterministic.
     """
     x = rat(x)
     if x <= 0:
@@ -302,9 +309,32 @@ def log2_interval(x: RationalLike) -> RatInterval:
     num, den = x.numerator, x.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return RatInterval.point(Fraction(num.bit_length() - den.bit_length()))
+    P = _LOG2_BITS
+    # lo·2^e_lo ≤ x ≤ hi·2^e_hi with lo = ⌊x·2^s⌋ and hi = ⌈x·2^s⌉, 96 or
+    # 97 bits
+    s = P - (num.bit_length() - den.bit_length())
+    lo, rem = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+    hi = lo + (rem != 0)
+    e_lo = e_hi = -s
+    for _ in range(12):
+        lo, hi = lo * lo, hi * hi
+        t = lo.bit_length() - P
+        lo, e_lo = lo >> t, 2 * e_lo + t
+        t = hi.bit_length() - P
+        hi, e_hi = -(-hi >> t), 2 * e_hi + t  # rounded up
+    j = lo.bit_length() - 1 + e_lo
+    if j != hi.bit_length() - 1 + e_hi:
+        j = _floor_log2_pow4096(num, den)
+    return RatInterval(Fraction(j, 4096), Fraction(j + 1, 4096))
+
+
+def _floor_log2_pow4096(num: int, den: int) -> int:
+    """⌊log₂ (num/den)^4096⌋ from the bit lengths of num^4096 and den^4096
+    (2^(b−1) ≤ v < 2^b for v of bit length b leaves two candidates),
+    settled by one integer comparison."""
     pow_num, pow_den = num ** 4096, den ** 4096
     j = pow_num.bit_length() - pow_den.bit_length()
     # 2^j ≤ pow_num/pow_den, or else j − 1 is the floor
     if (pow_den << max(j, 0)) > (pow_num << max(-j, 0)):
         j -= 1
-    return RatInterval(Fraction(j, 4096), Fraction(j + 1, 4096))
+    return j

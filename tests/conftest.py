@@ -6,7 +6,7 @@ import pytest
 
 from udnorm.norms import (AngleBound, PolygonError, SymmetricPolygon,
                           polygon_from_hull, square)
-from udnorm.ratlin import Vec2, rat_from_str, rat_to_str
+from udnorm.ratlin import RatInterval, Vec2, rat, rat_from_str, rat_to_str
 
 
 def trapezoid_corners(cert, side: int) -> tuple[Vec2, Vec2, Vec2, Vec2]:
@@ -132,3 +132,21 @@ def integral(rows):
 def reference_rank(rows):
     return len(reference_eliminate([[Fraction(v) for v in r] for r in rows],
                                    len(rows[0])))
+
+
+def reference_log2_interval(x):
+    """Reference for `ratlin.log2_interval`: j = ⌊log₂ x^4096⌋ read off the
+    bit lengths of num^4096 and den^4096 (2^(b−1) ≤ v < 2^b for v of bit
+    length b leaves two candidates) and settled by one integer comparison."""
+    x = rat(x)
+    if x <= 0:
+        raise ValueError("log2 of nonpositive rational")
+    num, den = x.numerator, x.denominator
+    if num & (num - 1) == 0 and den & (den - 1) == 0:
+        return RatInterval.point(Fraction(num.bit_length() - den.bit_length()))
+    pow_num, pow_den = num ** 4096, den ** 4096
+    j = pow_num.bit_length() - pow_den.bit_length()
+    # 2^j ≤ pow_num/pow_den, or else j − 1 is the floor
+    if (pow_den << max(j, 0)) > (pow_num << max(-j, 0)):
+        j -= 1
+    return RatInterval(Fraction(j, 4096), Fraction(j + 1, 4096))

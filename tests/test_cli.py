@@ -396,6 +396,15 @@ def _eta_three_halves(payload):
     payload["eta_sin_sq"] = "3/2"
 
 
+def _short_polygon_offsets(polygon):
+    del polygon["m"]
+    polygon["offsets"].pop()
+
+
+def _three_entry_normal(polygon):
+    polygon["normals"][0].append("7")
+
+
 class TestMalformedPayload:
     @pytest.mark.parametrize(
         "mutate", [_drop_box, _zero_delta, _scalar_null_vectors, _schema_1,
@@ -462,6 +471,24 @@ class TestMalformedPayload:
         err = json.loads(r.stdout)
         assert err["error"] == "malformed-payload"
         assert "not a list" in err["message"]
+
+    @pytest.mark.parametrize("mutate", [_short_polygon_offsets,
+                                        _three_entry_normal],
+                             ids=["offsets-short", "normal-triple"])
+    def test_check_reports_polygon_payload_error(self, tmp_path, mutate):
+        # read by zip and by index, both payloads used to load as a
+        # different polygon from the one they list
+        path = tmp_path / "cert.json"
+        _toy_cert(path)
+        payload = json.loads(path.read_text())
+        mutate(payload["polygon"])
+        jsonio.write_json(str(path), payload)
+        r = run_cli("check", "--cert", str(path))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+        err = json.loads(r.stdout)
+        assert err["error"] == "malformed-payload"
+        assert "polygon_from_json" in err["message"]
 
     def test_prop1_non_object_graph(self, tmp_path):
         path = tmp_path / "G.json"

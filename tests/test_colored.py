@@ -973,3 +973,142 @@ class TestFlatPasses:
         res = robust_core(G, 1)
         assert res.W == (1, 2, 3, 4)
         assert not res.hypothesis_met
+
+
+# --- color_cover against its stages composed one by one ----------------------
+
+
+def reference_color_cover(G, q, C, cap, seed):
+    """`colored._color_cover` composed from its stages, each scanning for
+    itself: the max_color_degree check, min_degree_core, the core's induced
+    edges, the cut loop, the color classes of G[W] and the greedy."""
+    q, C = Fraction(q), Fraction(C)
+    if G.n < 4:
+        raise GraphError("need n >= 4")
+    if G.max_color_degree() > 1:
+        raise GraphError("edge coloring must be proper")
+    logs = _log_bounds(G.n)
+    r = _rationalized_r(logs, q, C)
+    core = min_degree_core(G)
+    W, edges = core, G.induced_edges(core)
+    masks = colored._restricted_masks(W, edges)
+    hypothesis = degree_at_least_r_log(min(m.bit_count() for m in masks), r,
+                                       Fraction(len(core)))
+    cuts = []
+    while True:
+        if len(W) < 2:
+            raise CoverFailure("cut descent reached a single vertex "
+                               "(hypothesis unmet or heuristic miss)",
+                               trace=tuple(cuts))
+        cut = colored._weak_cut(W, masks, r, cap, seed)
+        if cut is None:
+            break
+        cuts.append(cut)
+        W = cut.A if len(cut.A) <= len(cut.B) else cut.B
+        edges = G.induced_edges(W)
+        masks = colored._restricted_masks(W, edges)
+    robust = colored.RobustCoreResult(W, tuple(cuts), hypothesis)
+    by_color = colored._color_classes(edges)
+    I, trace = colored._greedy_cover(W, by_color)
+    result = colored.CoverResult(
+        W=W, I=tuple(sorted(I)), colors_in_W=len(by_color), trace=trace,
+        robust=robust, params=colored.CutParams(r=r, q=q, C=C),
+        edge_hypothesis_met=(logs is None or G.edge_count
+                             >= C * q * G.n * logs[0] * logs[1]))
+    if not verify_cover(G, W, I, q):
+        raise CoverFailure(
+            f"cover contract not met: {result.colors_in_W} colors on G[W] "
+            f"vs q·|I| = {q * len(I)}", trace=result)
+    return result, by_color
+
+
+def _cover_outcome(cover, G, q, C, cap, seed):
+    """(result, by_color as an ordered item list), or the error's type,
+    message and trace."""
+    try:
+        result, by_color = cover(G, q, C, cap, seed)
+    except (GraphError, CoverFailure) as exc:
+        return type(exc), str(exc), getattr(exc, "trace", None)
+    return result, list(by_color.items())
+
+
+@st.composite
+def blocks_graphs(draw):
+    """Up to three dense blocks on consecutive ids, joined by at most two
+    edges each (a cut the descent takes), pendant vertices (which the core
+    peels) and isolated vertices above every edge; rainbow, greedily
+    proper or randomly (mostly improperly) colored."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.6, 0.8, 1.0]))
+    edges, blocks, top = set(), [], 0
+    for size in draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)):
+        block = range(top + 1, top + size + 1)
+        edges |= {e for e in itertools.combinations(block, 2)
+                  if rng.random() < p}
+        blocks.append(block)
+        top += size
+    for left, right in zip(blocks, blocks[1:]):
+        for _ in range(draw(st.integers(0, 2))):
+            edges.add((rng.choice(left), rng.choice(right)))
+    for _ in range(draw(st.integers(0, 2))):
+        top += 1
+        edges.add((rng.randint(1, top - 1), top))
+    n = top + draw(st.integers(0, 3))
+    edges = tuple(sorted(edges))
+    coloring = draw(st.sampled_from(["rainbow", "proper", "random"]))
+    if coloring == "rainbow":
+        colors = tuple(range(1, len(edges) + 1))
+    elif coloring == "proper":
+        colors = greedy_proper_coloring(n, edges)
+    else:
+        colors = tuple(rng.randint(1, 4) for _ in edges)
+    return EdgeColoredGraph(n, edges, colors)
+
+
+def _cover_graph(blocks, extra=(), isolated=0, colors=None):
+    """Complete blocks on consecutive ids plus the extra edges (bridges or
+    pendants), and isolated vertices above them; rainbow unless colors are
+    given."""
+    edges, top = [], 0
+    for size in blocks:
+        edges += itertools.combinations(range(top + 1, top + size + 1), 2)
+        top += size
+    edges = tuple(sorted(edges + list(extra)))
+    n = max(b for _, b in edges) + isolated
+    return EdgeColoredGraph(n, edges, colors or tuple(range(1, len(edges) + 1)))
+
+
+class TestColorCoverAgainstStages:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks_graphs(), st.sampled_from([Fraction(1), Fraction(3, 2), 2]),
+           st.sampled_from([Fraction(1, 8), Fraction(1, 4), 1]),
+           st.sampled_from([None, 4]), st.integers(0, 2))
+    def test_matches_stages(self, G, q, C, cap, seed):
+        assert _cover_outcome(colored._color_cover, G, q, C, cap, seed) == \
+            _cover_outcome(reference_color_cover, G, q, C, cap, seed)
+
+    @pytest.mark.parametrize("G, situation", [
+        (_cover_graph([6], isolated=3), "isolated"),
+        (_cover_graph([7], extra=[(1, 8), (2, 9)]), "peeled"),
+        (_cover_graph([4, 8], extra=[(4, 5)]), "cut"),
+        (_cover_graph([5], colors=(1, 2, 3, 4, 5, 1, 2, 3, 4, 5)), "improper"),
+    ], ids=["isolated", "peeled", "cut", "improper"])
+    def test_each_situation(self, G, situation):
+        # each graph reaches the situation it names, and both paths agree
+        endpoints = {v for e in G.edges for v in e}
+        if situation == "isolated":
+            assert len(endpoints) < G.n
+        if situation == "peeled":
+            assert len(min_degree_core(G)) < len(endpoints)
+        if situation == "improper":
+            assert G.max_color_degree() > 1
+            with pytest.raises(GraphError, match="must be proper"):
+                colored._color_cover(G, 2, Fraction(1, 4), None, 0)
+        else:
+            result, by_color = colored._color_cover(G, 2, Fraction(1, 4),
+                                                    None, 0)
+            assert bool(result.robust.trace) == (situation == "cut")
+        assert _cover_outcome(colored._color_cover, G, 2, Fraction(1, 4),
+                              None, 0) == \
+            _cover_outcome(reference_color_cover, G, 2, Fraction(1, 4),
+                           None, 0)

@@ -211,6 +211,18 @@ LIST_FIELDS = {
 }
 
 
+# (reader, payload, where a pair of rationals sits on the wire)
+PAIR_FIELDS = {
+    "polygon-normal": (jsonio.polygon_from_json, _polygon, ["normals", 0]),
+    "witness-normal": (jsonio.certificate_from_json, _certificate,
+                       ["witness", "out", "normals", 1]),
+    "point": (jsonio.points_from_json,
+              lambda: jsonio.points_to_json(flat_side_quadratic(8)),
+              ["points", 0]),
+    "udg-direction": (jsonio.udg_from_json, _udg, ["directions", 0]),
+}
+
+
 def _get(d, path):
     for step in path:
         d = d[step]
@@ -231,6 +243,30 @@ class TestListFields:
                  else {str(i + 1): str(i + 1) for i in range(n)})
         _put(payload, path, value)
         with pytest.raises(jsonio.PayloadError, match="not a list"):
+            reader(payload)
+
+    @pytest.mark.parametrize("with_m", [True, False], ids=["m", "no-m"])
+    @pytest.mark.parametrize("field", ["normals", "offsets"])
+    def test_unequal_polygon_lists_is_payload_error(self, field, with_m):
+        # zipped, the longer list would be cut to the shorter, and without
+        # "m" nothing would notice
+        payload = _polygon()
+        payload[field].pop()
+        if not with_m:
+            del payload["m"]
+        with pytest.raises(jsonio.PayloadError, match="normals but"):
+            jsonio.polygon_from_json(payload)
+
+    @pytest.mark.parametrize("entries", [["1"], ["1", "0", "7"]],
+                             ids=["one", "three"])
+    @pytest.mark.parametrize("field", sorted(PAIR_FIELDS))
+    def test_vector_not_a_pair_is_payload_error(self, field, entries):
+        # ["1", "0", "7"] would read as (1, 0)
+        reader, build, path = PAIR_FIELDS[field]
+        payload = build()
+        reader(payload)  # the unchanged payload reads
+        _put(payload, path, entries)
+        with pytest.raises(jsonio.PayloadError, match="not a pair"):
             reader(payload)
 
     @settings(max_examples=300, deadline=None)
@@ -265,6 +301,16 @@ class TestFiles:
         assert jsonio.read_json(str(path)) == {"a": 1}
         leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+    @pytest.mark.parametrize("entries", [0, 3, 2000])
+    def test_write_json_text_is_dumps(self, tmp_path, entries):
+        # 2000 entries make about 30,000 encoder chunks: several batches
+        payload = {"b": [{"y": [str(i), "-1/2"], "k": i} for i in range(entries)],
+                   "a": None}
+        path = tmp_path / "out.json"
+        jsonio.write_json(str(path), payload)
+        assert path.read_text() == json.dumps(payload, indent=2,
+                                              sort_keys=True) + "\n"
 
     def test_read_non_json_is_payload_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import integral, reference_eliminate, reference_rank
+from conftest import (integral, reference_eliminate, reference_log2_interval,
+                      reference_rank)
+from udnorm import ratlin
 from udnorm.ratlin import (
     RatInterval,
     Vec2,
@@ -364,6 +366,65 @@ class TestIntervals:
                 RatInterval(lo, hi)
             return
         assert RatInterval(lo, hi).excludes_zero() == (lo > 0 or hi < 0)
+
+
+def _floor_root_4096(N: int) -> int:
+    """⌊N^(1/4096)⌋: twelve integer square roots, since ⌊√⌊y⌋⌋ = ⌊√y⌋."""
+    for _ in range(12):
+        N = math.isqrt(N)
+    return N
+
+
+def _near_powers_of_two():
+    """Rationals whose 4096th power lies within 2^−80 of a power of two,
+    closer than 96-bit squarings can resolve: 1 − 2^−120, and, for c = 2^b
+    or 10^b, ⌊2^(j/4096)·c⌋/c (x^4096 just below 2^j) and
+    (⌊2^(j/4096)·c⌋ + 1)/c (just above)."""
+    cases = [pytest.param(Fraction(2**120 - 1, 2**120), id="1-2^-120")]
+    for j, base, b in [(1, 2, 200), (5, 2, 100), (20 * 4096 + 3, 2, 100),
+                       (-7, 2, 150), (1, 10, 150)]:
+        N = base ** (b * 4096)
+        a = _floor_root_4096(N << j if j >= 0 else N >> -j)
+        for side, top in (("below", a), ("above", a + 1)):
+            cases.append(pytest.param(Fraction(top, base**b),
+                                      id=f"{side}-2^({j}/4096)-over-{base}^{b}"))
+    return cases
+
+
+class TestLog2AgainstReference:
+    """The 96-bit squaring chain against num^4096 and den^4096 compared
+    exactly (`conftest.reference_log2_interval`)."""
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 10**6))
+    def test_integers(self, n):
+        assert log2_interval(n) == reference_log2_interval(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 200), st.data())
+    def test_rationals_up_to_hundreds_of_digits(self, num_digits, den_digits,
+                                                data):
+        num = data.draw(st.integers(1, 10**num_digits))
+        den = data.draw(st.integers(1, 10**den_digits))
+        x = Fraction(num, den)
+        assert log2_interval(x) == reference_log2_interval(x)
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 10**6))
+    def test_second_level(self, n):
+        # the input of log₂ log₂ n in colored._log_bounds
+        lg = log2_interval(n).hi
+        assert log2_interval(lg) == reference_log2_interval(lg)
+
+    @pytest.mark.parametrize("x", _near_powers_of_two())
+    def test_near_power_of_two_takes_exact_path(self, x, monkeypatch):
+        exact = []
+        floor = ratlin._floor_log2_pow4096
+        monkeypatch.setattr(ratlin, "_floor_log2_pow4096",
+                            lambda num, den: exact.append(1) or floor(num, den))
+        assert log2_interval(x) == reference_log2_interval(x)
+        assert exact == [1]
+        assert log2_interval(1 / x) == reference_log2_interval(1 / x)
 
 
 def _log2_by_search(x: Fraction, frac_bits: int = 12) -> RatInterval:
