@@ -500,7 +500,11 @@ def kill_assignment(alpha: Assignment, functional: Functional,
 class NormCertificate:
     """`null_vectors` is the evidence: (class tuple α mod m, y) with y an
     integer left-null vector of A, one per class tuple, in the order certify
-    first met them. `kills` derives every assignment's record from it."""
+    first met them. `kills` derives every assignment's record from it.
+
+    The witness fields are None on the construction-stage certificate that
+    `certify_box` returns; `witness_norm` fills them. Only a witnessed
+    certificate is written, checked or verified."""
 
     polygon: SymmetricPolygon
     box: OffsetBox
@@ -512,9 +516,6 @@ class NormCertificate:
     witness_mid: Optional[SymmetricPolygon] = None
     witness_out: Optional[SymmetricPolygon] = None
     delta: Optional[Fraction] = None
-
-    def has_witness(self) -> bool:
-        return self.delta is not None
 
     @cached_property
     def kills(self) -> tuple[KillRecord, ...]:
@@ -764,12 +765,18 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
     the solved directions share one denominator, against which the
     trapezoid, sweep and η-separation tests cross-multiply. A hit builds its
     `Fraction` t and `Vec2` directions only when it is recorded.
+
+    Needs the witness sandwich that `witness_norm` fills: without it the
+    trapezoid and sweep tests have nothing to test, so a certificate
+    without it is a CertifierError.
     """
+    if cert.witness_in is None or cert.witness_out is None:
+        raise CertifierError("verify needs the witness sandwich: "
+                             "run witness_norm first")
     B1, box, S = cert.polygon, cert.box, cert.system
     m = B1.m
-    witnessed = cert.has_witness()
-    sweep_ok = not witnessed or _sweep_ok(cert)
-    edges = _trapezoid_edges(cert) if witnessed else None
+    sweep_ok = _sweep_ok(cert)
+    edges = _trapezoid_edges(cert)
     Dc, _, cs = B1.scaled
     s_num, s_den = cert.eta.sin_sq.numerator, cert.eta.sin_sq.denominator
     hits: list[RefutationHit] = []
@@ -790,8 +797,8 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
         us = base + [(sum(c * x for c, (x, _) in zip(row, base)),
                       sum(c * y for c, (_, y) in zip(row, base)))
                      for row in S.coeffs]
-        in_traps = witnessed and all(_in_trapezoid(edges[side], x, y, E)
-                                     for side, (x, y) in zip(alpha, us))
+        in_traps = all(_in_trapezoid(edges[side], x, y, E)
+                       for side, (x, y) in zip(alpha, us))
         # η-separation: (u×v)² ≥ sin²η·|u|²|v|², E⁴ cancelled
         separated = all(x or y for x, y in us) and all(
             (ux * vy - uy * vx) ** 2 * s_den

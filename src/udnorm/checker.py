@@ -2,7 +2,11 @@
 
 Certified statement: for every symmetric convex body B′ within Hausdorff
 distance δ of the witness polygon B (`witness_mid`), no 2ℓ+1 pairwise
-η-separated unit vectors of B′ satisfy the dependence system S.
+η-separated unit vectors of B′ satisfy the dependence system S. Without
+the witness sandwich and δ that statement is empty, so a certificate
+without them fails. (A payload without them, or with a box or witness
+polygon whose side-pair count differs from the polygon's, is already
+refused by `jsonio.certificate_from_json`, exit 3 in the CLI.)
 
 The linear systems are re-derived from the serialized polygon and
 coefficient rows alone (no construction code paths). The checker proves:
@@ -114,10 +118,12 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
 
 def check_certificate(cert, oracle: Optional[NormOracle] = None,
                       eps: Optional[RationalLike] = None) -> CheckReport:
-    """Validate a NormCertificate; optionally also that its witness norm is
-    within eps of a target oracle. Returns a report, never raises on
-    invalid certificates; an oracle without eps, or eps without an oracle,
-    is a ValueError."""
+    """Validate a NormCertificate, its witness sandwich and margin δ
+    included; optionally also that its witness norm is within eps of a
+    target oracle. A certificate without the witness or δ fails, naming
+    them, so the distance test is never skipped. Returns a report, never
+    raises on invalid certificates; an oracle without eps, or eps without
+    an oracle, is a ValueError."""
     if (oracle is None) != (eps is None):
         raise ValueError("an oracle and eps go together: the distance test "
                          "needs both")
@@ -160,14 +166,18 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     if count <= m and cert.degenerate:
         report.fail("certificate flagged degenerate despite admissible assignments")
 
-    if cert.has_witness():
-        _check_witness(report, cert)
-        if oracle is not None:
-            hd = hausdorff_to_oracle(cert.witness_mid, oracle)
-            if not hd.strictly_below(rat(eps)):
-                report.fail(
-                    f"witness norm not within eps of the target oracle "
-                    f"(d_H upper bound {hd.hi})")
+    if None in (cert.witness_in, cert.witness_mid, cert.witness_out,
+                cert.delta):
+        report.fail("no witness sandwich or margin δ: the certificate "
+                    "states nothing")
+        return report
+    _check_witness(report, cert)
+    if oracle is not None:
+        hd = hausdorff_to_oracle(cert.witness_mid, oracle)
+        if not hd.strictly_below(rat(eps)):
+            report.fail(
+                f"witness norm not within eps of the target oracle "
+                f"(d_H upper bound {hd.hi})")
     return report
 
 

@@ -9,7 +9,10 @@ Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
 `--eta-sin2` outside (0, 1]; `certify` with neither `--polygon` nor
 `--oracle`; and `check` with only one of `--oracle` and `--eps`), 3
 malformed input payload (a JSON file that does not describe a valid object
-of its kind, including a certificate that is not schema 2). Module
+of its kind, including a certificate that is not schema 2, lacks its
+witness or δ, or has a box or witness polygon whose side-pair count
+differs from its polygon's). Every certificate `certify` and `pipeline`
+write carries its witness and δ. Module
 failures and malformed payloads emit a structured error JSON on stdout;
 `pipeline` writes no file when it fails.
 All randomized paths take an explicit seed (default 0). `--exhaustive-cap`

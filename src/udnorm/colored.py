@@ -554,6 +554,7 @@ class CoverResult:
     robust: RobustCoreResult
     params: CutParams
     edge_hypothesis_met: bool
+    by_color: dict[int, list[Edge]]  # G[W]'s color classes, the greedy's input
 
 
 _LogBounds = Optional[tuple[Fraction, Fraction]]
@@ -631,19 +632,13 @@ def color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike = 1,
     edge list when the core keeps every edge (the core's induced edges
     otherwise) and narrows it to each W it keeps, the greedy reads a
     vertex → root table refreshed after each chosen color, and verify_cover
-    independently rescans G.
+    independently rescans G. The result carries G[W]'s color classes
+    (`by_color`), which `dependence.extract_dependences` reads.
 
     Raises CoverFailure when any stage or the final contract check fails —
     a legitimate outcome below the density hypothesis — and ValueError when
     q ≤ 0 or C ≤ 0, which would make r ≤ 0.
     """
-    return _color_cover(G, q, C, cap, seed)[0]
-
-
-def _color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike,
-                 cap: Optional[int], seed: int,
-                 ) -> tuple[CoverResult, dict[int, list[Edge]]]:
-    """color_cover, also returning the color classes of G[W]."""
     q, C = rat(q), rat(C)
     if q <= 0 or C <= 0:
         raise ValueError("q and C must be positive")
@@ -672,6 +667,7 @@ def _color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike,
         # |E| ≥ C·q·n·log₂ n·log₂ log₂ n against the certified upper bounds
         edge_hypothesis_met=(logs is None or G.edge_count
                              >= C * q * G.n * logs[0] * logs[1]),
+        by_color=by_color,
     )
     if not verify_cover(G, W, I, q):
         raise CoverFailure(
@@ -679,4 +675,4 @@ def _color_cover(G: EdgeColoredGraph, q: RationalLike, C: RationalLike,
             f"vs q·|I| = {q * len(I)}",
             trace=result,
         )
-    return result, by_color
+    return result

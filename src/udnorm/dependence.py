@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .colored import CoverFailure, CoverResult, Edge, _color_cover
+from .colored import CoverFailure, CoverResult, Edge, color_cover
 from .norms import SymmetricPolygon
 from .pointsets import PointSeq
 from .udg import DecoratedUDG, _realized_udg, prune_to_proper
@@ -123,12 +123,12 @@ def extract_dependences(G: DecoratedUDG,
     pruned = prune_to_proper(G)
     assert 3 * pruned.edge_count >= G.edge_count, "pruning keeps >= |E|/3"
     try:
-        cover, by_color = _color_cover(pruned, config.q, config.C,
-                                       config.exhaustive_cap, config.seed)
+        cover = color_cover(pruned, config.q, config.C,
+                            config.exhaustive_cap, config.seed)
     except CoverFailure as exc:
         raise ExtractionFailure(f"cover search failed: {exc}",
                                 detail=exc.trace) from exc
-    W, I = cover.W, cover.I
+    W, I, by_color = cover.W, cover.I, cover.by_color
     ell = len(I)
     colors_on_W = sorted(by_color)
     iset = set(I)

@@ -5,22 +5,26 @@ sets.
 All rationals serialize as canonical strings ('n' or 'num/den' in lowest
 terms); side ids and side-pair (class) ids are 1-based on the wire. A
 certificate payload is schema 2: `"schema": 2` and a `"null_vectors"`
-table of `{"classes": [...], "y": [...]}` entries, one per class tuple;
-kill records are not serialized, the checker derives them. The y entries
-are rational strings on the wire, and integers in memory: certify derives
-integer y, which `certificate_to_json` writes with `str`, and
-`certificate_from_json` is the one place a payload's y is scaled, by the
-positive common denominator L of its entries, which keeps y ≠ 0, yᵀA = 0
-and the sign of every h = yᵀb(t). It reads each entry as a reduced integer
-pair (`ratlin.ratio_from_str`, which `rat_from_str` wraps, so both accept
-the same strings) and builds no `Fraction`. Every reader (`read_json` and
+table of `{"classes": [...], "y": [...]}` entries, one per class tuple,
+plus the witness sandwich (`"witness"`: the `in`, `mid` and `out`
+polygons) and its margin `"delta"`, which are required: without them a
+certificate states nothing. Kill records are not serialized, the checker
+derives them. The y entries are rational strings on the wire, and
+integers in memory: certify derives integer y, which
+`certificate_to_json` writes with `str`, and `certificate_from_json` is
+the one place a payload's y is scaled, by the positive common denominator
+L of its entries, which keeps y ≠ 0, yᵀA = 0 and the sign of every
+h = yᵀb(t). It reads each entry as a reduced integer pair
+(`ratlin.ratio_from_str`, which `rat_from_str` wraps, so both accept the
+same strings) and builds no `Fraction`. Every reader (`read_json` and
 each `*_from_json`) raises `PayloadError` on a payload that does not
 describe a valid object of its kind, including a certificate without
-`"schema": 2`, an integer field holding a float, string or boolean, and a
-list field (a y, a box bound, a polygon's normals or offsets, a normal
-pair) holding anything but a JSON array, a polygon whose normals and
-offsets differ in number, and a point, normal or direction that is not
-exactly two rationals.
+`"schema": 2`, without its witness or δ, or with a box or witness polygon
+whose side-pair count differs from its polygon's; an integer field
+holding a float, string or boolean; a list field (a y, a box bound, a
+polygon's normals or offsets, a normal pair) holding anything but a JSON
+array; a polygon whose normals and offsets differ in number; and a point,
+normal or direction that is not exactly two rationals.
 """
 
 from __future__ import annotations
@@ -240,7 +244,7 @@ def box_from_json(d: dict) -> OffsetBox:
 
 
 def certificate_to_json(cert: NormCertificate) -> dict:
-    out = {
+    return {
         "schema": 2,
         "polygon": polygon_to_json(cert.polygon),
         "box": box_to_json(cert.box),
@@ -252,15 +256,13 @@ def certificate_to_json(cert: NormCertificate) -> dict:
              "y": [str(v) for v in y]}
             for classes, y in cert.null_vectors
         ],
-    }
-    if cert.has_witness():
-        out["witness"] = {
+        "witness": {
             "in": polygon_to_json(cert.witness_in),
             "mid": polygon_to_json(cert.witness_mid),
             "out": polygon_to_json(cert.witness_out),
-        }
-        out["delta"] = rat_to_str(cert.delta)
-    return out
+        },
+        "delta": rat_to_str(cert.delta),
+    }
 
 
 @_reader
@@ -269,12 +271,17 @@ def certificate_from_json(d: dict) -> NormCertificate:
         raise ValueError(f"schema {d.get('schema')!r}, expected 2")
     if type(d["degenerate"]) is not bool:
         raise ValueError("degenerate must be true or false")
-    witness = d.get("witness")
-    if (witness is None) != ("delta" not in d):
-        raise ValueError("witness and delta come together")
+    polygon = polygon_from_json(d["polygon"])
+    box = box_from_json(d["box"])
+    b_in, b_mid, b_out = (polygon_from_json(d["witness"][k])
+                          for k in ("in", "mid", "out"))
+    # verify indexes the box and the witness vertex tables by side
+    if any(x.m != polygon.m for x in (box, b_in, b_mid, b_out)):
+        raise ValueError(f"box or witness polygon differs from the polygon's "
+                         f"{polygon.m} side pairs")
     return NormCertificate(
-        polygon=polygon_from_json(d["polygon"]),
-        box=box_from_json(d["box"]),
+        polygon=polygon,
+        box=box,
         null_vectors=tuple(
             (tuple(_wire_int(k) - 1 for k in e["classes"]),
              _wire_null_vector(e["y"]))
@@ -283,12 +290,10 @@ def certificate_from_json(d: dict) -> NormCertificate:
         system=system_from_json(d["system"]),
         eta=AngleBound(rat_from_str(d["eta_sin_sq"])),
         degenerate=d["degenerate"],
-        **({} if witness is None else {
-            "witness_in": polygon_from_json(witness["in"]),
-            "witness_mid": polygon_from_json(witness["mid"]),
-            "witness_out": polygon_from_json(witness["out"]),
-            "delta": rat_from_str(d["delta"]),
-        }),
+        witness_in=b_in,
+        witness_mid=b_mid,
+        witness_out=b_out,
+        delta=rat_from_str(d["delta"]),
     )
 
 

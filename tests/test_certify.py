@@ -165,7 +165,7 @@ def reference_sample_verify(cert, trials, seed=0):
     η-separation tests on `Vec2`s."""
     B1, box, S = cert.polygon, cert.box, cert.system
     m = B1.m
-    sweep_ok = not cert.has_witness() or all(
+    sweep_ok = all(
         box.lo[side % m] <= side_offset_of_point(B1, side, corner) <= box.hi[side % m]
         for side in range(2 * m) for corner in trapezoid_corners(cert, side))
     hits = []
@@ -177,9 +177,8 @@ def reference_sample_verify(cert, trials, seed=0):
         base = [Vec2(x[2 * s], x[2 * s + 1]) for s in range(S.ell)]
         us = tuple(base + [sum((u.scale(c) for c, u in zip(row, base)), Vec2.of(0, 0))
                            for row in S.coeffs])
-        in_traps = cert.has_witness() and all(
-            point_in_trapezoid(trapezoid_corners(cert, side), u)
-            for side, u in zip(alpha, us))
+        in_traps = all(point_in_trapezoid(trapezoid_corners(cert, side), u)
+                       for side, u in zip(alpha, us))
         separated = not any(u.is_zero() for u in us) and all(
             eta_separated(u, v, cert.eta) for u, v in itertools.combinations(us, 2))
         hits.append(RefutationHit(alpha, tuple(t), us, in_traps, separated, source))
@@ -312,8 +311,8 @@ class TestBuildSystem:
             # by 2/3), read through jsonio and the derived kill records
             table = tuple((classes, basis[0])
                           for classes, basis in certify._null_spaces(S, B1).items())
-            cert = rescaled_payload_certificate(NormCertificate(
-                polygon=B1, box=box, null_vectors=table, system=S, eta=ETA_OCT),
+            cert = rescaled_payload_certificate(witness_norm(NormCertificate(
+                polygon=B1, box=box, null_vectors=table, system=S, eta=ETA_OCT)),
                 Fraction(2, 3))
             items = [(rec.alpha, [(rec.y, rec.h)]) for rec in cert.kills]
             assert all(rec.sign == rec.h.sign_on(box) for rec in cert.kills)
@@ -735,14 +734,12 @@ class TestCertifyBoxReference:
         # same box and the same table
         S, B1, eta = REFERENCE_CASES[case]()
         try:
-            want = jsonio.certificate_to_json(
-                reference_certify_box(S, B1, Fraction(delta0), eta))
+            want = reference_certify_box(S, B1, Fraction(delta0), eta)
         except CertifierError as err:
             with pytest.raises(CertifierError, match=str(err)):
                 certify_box(S, B1, Fraction(delta0), eta)
             return
-        assert jsonio.certificate_to_json(
-            certify_box(S, B1, Fraction(delta0), eta)) == want
+        assert certify_box(S, B1, Fraction(delta0), eta) == want
 
 
 def _toy_certificate(polygon, eta, with_witness=True):
@@ -798,13 +795,20 @@ class TestCertifyBox:
                              ids=["1/20", "1/10"])
     def test_shrunk_box_keeps_every_sign(self, octagon, delta0):
         # at these δ₀ kill_assignment shrinks the box, and certify_box keeps
-        # no record to recheck: each sign must still hold on the final box
-        # (no witness: the shrunk boxes' trapezoids are not η-short)
+        # no record to recheck: each sign must still hold on the final box.
+        # The shrunk boxes' trapezoids are not η-short, so there is no
+        # witness, and the checker's one failure is that missing witness
         cert = certify_box(TOY, octagon, delta0, ETA_OCT)
         assert cert.box != OffsetBox.symmetric(delta0, octagon.m)
         assert len(cert.kills) == 192
         assert all(rec.sign != 0 for rec in cert.kills)
-        assert check_certificate(cert).ok
+        with pytest.raises(CertifierError, match="not η-short"):
+            witness_norm(cert)
+        report = check_certificate(cert)
+        assert not report.ok
+        assert report.failing_alphas == []
+        assert len(report.failures) == 1
+        assert "witness" in report.failures[0]
 
     def test_requires_eta_short(self, octagon):
         with pytest.raises(CertifierError):
@@ -1023,6 +1027,13 @@ class TestSampleVerify:
         assert rep.trials == 0
         assert rep.hits == ()
 
+    def test_refuses_unwitnessed(self, octagon):
+        # certify_box's construction-stage certificate has no sandwich for
+        # the trapezoid and sweep tests
+        cert = _toy_certificate(octagon, ETA_OCT, with_witness=False)
+        with pytest.raises(CertifierError, match="witness"):
+            sample_verify(cert, 0, seed=0)
+
     def test_zero_trials_still_decides(self, octagon):
         # trials sizes only the random pass: the directed decision still runs
         cert = _toy_certificate(octagon, ETA_OCT)
@@ -1172,12 +1183,9 @@ class TestIntegerRejectPath:
     hit for hit: α, t, directions, both flags and the source."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(["octagon", "twelve_gon"]), st.booleans(), st.data())
-    def test_toy_matches_fraction_reference(self, which, witnessed, data):
+    @given(st.sampled_from(["octagon", "twelve_gon"]), st.data())
+    def test_toy_matches_fraction_reference(self, which, data):
         cert = toy_cert(which)
-        if not witnessed:
-            cert = dataclasses.replace(cert, witness_in=None, witness_mid=None,
-                                       witness_out=None, delta=None)
         bad = stretched(cert, data.draw(stretches(cert.polygon.m)))
         assert sample_verify(bad, 1, 0) == reference_sample_verify(bad, 1, 0)
 

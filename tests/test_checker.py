@@ -205,13 +205,13 @@ class TestCorruptions:
 
     def test_tampered_functional(self, oct_cert):
         # h = yᵀb(t) is rebuilt from the polygon's offsets, so moving one
-        # offset moves the constant of every h that reads it (no witness,
-        # so no sandwich check sees the change)
+        # offset moves the constant of every h that reads it (the sandwich
+        # check sees the change too)
         B = oct_cert.polygon
         moved = SymmetricPolygon.from_pairs(
             (n, c + Fraction(i == 0, 20))
             for i, (n, c) in enumerate(zip(B.normals, B.offsets)))
-        rep = check_certificate(_tamper(oct_cert, polygon=moved, delta=None))
+        rep = check_certificate(_tamper(oct_cert, polygon=moved))
         assert not rep.ok
         assert any("sign-definite" in f for f in rep.failures)
         assert rep.failing_alphas
@@ -787,6 +787,21 @@ class TestBoundaries:
             checker._check_kill(report, (1, (0,)), (1, (low,), (low + 1,)),
                                 alpha, (1,))
             assert report.ok == killed, (alpha, report.failures)
+
+    @pytest.mark.parametrize("missing", [
+        ("witness_in",), ("witness_mid",), ("witness_out",), ("delta",),
+        ("witness_in", "witness_mid", "witness_out", "delta"),
+    ], ids=["in", "mid", "out", "delta", "all"])
+    def test_missing_witness_fails(self, oct_cert, missing):
+        # without the sandwich and δ the certificate states nothing, and the
+        # distance test has no witness norm to measure: both verdicts fail
+        cert = _tamper(oct_cert, **dict.fromkeys(missing))
+        for target in ((), (NormOracle.of_polygon(octagon()), Fraction(1, 2))):
+            assert check_certificate(oct_cert, *target).ok
+            rep = check_certificate(cert, *target)
+            assert rep.failures == ["no witness sandwich or margin δ: the "
+                                    "certificate states nothing"]
+            assert rep.failing_alphas == []
 
     def test_oracle_without_eps_raises(self, oct_cert):
         with pytest.raises(ValueError, match="eps"):

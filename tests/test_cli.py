@@ -405,7 +405,71 @@ def _three_entry_normal(polygon):
     polygon["normals"][0].append("7")
 
 
+def _drop_witness(payload):
+    del payload["witness"]
+
+
+def _drop_delta(payload):
+    del payload["delta"]
+
+
+def _drop_witness_and_delta(payload):
+    del payload["witness"], payload["delta"]
+
+
+def _box_short(payload):
+    for key in ("lo", "hi"):
+        payload["box"][key].pop()
+
+
+def _box_long(payload):
+    for key in ("lo", "hi"):
+        payload["box"][key].append(payload["box"][key][-1])
+
+
+def _witness_in_short(payload):
+    inner = payload["witness"]["in"]
+    inner["m"] -= 1
+    inner["normals"].pop()
+    inner["offsets"].pop()
+
+
 class TestMalformedPayload:
+    @pytest.mark.parametrize("command", ["check", "check-oracle", "verify"])
+    @pytest.mark.parametrize("mutate, message", [
+        (_drop_witness, "'witness'"),
+        (_drop_delta, "'delta'"),
+        (_drop_witness_and_delta, "'witness'"),
+        (_box_short, "side pairs"),
+        (_box_long, "side pairs"),
+        (_witness_in_short, "side pairs"),
+    ], ids=["no-witness", "no-delta", "no-witness-no-delta", "box-short",
+            "box-long", "witness-in-short"])
+    def test_unwitnessed_or_missized_certificate(self, tmp_path, capsys,
+                                                 command, mutate, message):
+        # a certificate without its witness and δ states nothing, and verify
+        # reads the box and the witness vertex tables side by side: both
+        # are malformed payloads, whichever command reads them
+        path = tmp_path / "cert.json"
+        _toy_cert(path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        jsonio.write_json(str(path), payload)
+        oracle = tmp_path / "euclidean.json"
+        jsonio.write_json(str(oracle), {"kind": "euclidean"})
+        args = {
+            "check": ["check", "--cert", str(path)],
+            "check-oracle": ["check", "--cert", str(path), "--oracle",
+                             str(oracle), "--eps", "1/1000000000"],
+            "verify": ["verify", "--cert", str(path), "--trials", "5"],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(args) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "malformed-payload"
+        assert "certificate_from_json" in err["message"]
+        assert message in err["message"]
+
     @pytest.mark.parametrize(
         "mutate", [_drop_box, _zero_delta, _scalar_null_vectors, _schema_1,
                    _eta_zero, _eta_three_halves],

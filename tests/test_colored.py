@@ -979,7 +979,7 @@ class TestFlatPasses:
 
 
 def reference_color_cover(G, q, C, cap, seed):
-    """`colored._color_cover` composed from its stages, each scanning for
+    """`colored.color_cover` composed from its stages, each scanning for
     itself: the max_color_degree check, min_degree_core, the core's induced
     edges, the cut loop, the color classes of G[W] and the greedy."""
     q, C = Fraction(q), Fraction(C)
@@ -1014,22 +1014,23 @@ def reference_color_cover(G, q, C, cap, seed):
         W=W, I=tuple(sorted(I)), colors_in_W=len(by_color), trace=trace,
         robust=robust, params=colored.CutParams(r=r, q=q, C=C),
         edge_hypothesis_met=(logs is None or G.edge_count
-                             >= C * q * G.n * logs[0] * logs[1]))
+                             >= C * q * G.n * logs[0] * logs[1]),
+        by_color=by_color)
     if not verify_cover(G, W, I, q):
         raise CoverFailure(
             f"cover contract not met: {result.colors_in_W} colors on G[W] "
             f"vs q·|I| = {q * len(I)}", trace=result)
-    return result, by_color
+    return result
 
 
 def _cover_outcome(cover, G, q, C, cap, seed):
-    """(result, by_color as an ordered item list), or the error's type,
+    """(result, its by_color as an ordered item list), or the error's type,
     message and trace."""
     try:
-        result, by_color = cover(G, q, C, cap, seed)
+        result = cover(G, q, C, cap, seed)
     except (GraphError, CoverFailure) as exc:
         return type(exc), str(exc), getattr(exc, "trace", None)
-    return result, list(by_color.items())
+    return result, list(result.by_color.items())
 
 
 @st.composite
@@ -1084,7 +1085,7 @@ class TestColorCoverAgainstStages:
            st.sampled_from([Fraction(1, 8), Fraction(1, 4), 1]),
            st.sampled_from([None, 4]), st.integers(0, 2))
     def test_matches_stages(self, G, q, C, cap, seed):
-        assert _cover_outcome(colored._color_cover, G, q, C, cap, seed) == \
+        assert _cover_outcome(color_cover, G, q, C, cap, seed) == \
             _cover_outcome(reference_color_cover, G, q, C, cap, seed)
 
     @pytest.mark.parametrize("G, situation", [
@@ -1103,12 +1104,11 @@ class TestColorCoverAgainstStages:
         if situation == "improper":
             assert G.max_color_degree() > 1
             with pytest.raises(GraphError, match="must be proper"):
-                colored._color_cover(G, 2, Fraction(1, 4), None, 0)
+                color_cover(G, 2, Fraction(1, 4), None, 0)
         else:
-            result, by_color = colored._color_cover(G, 2, Fraction(1, 4),
-                                                    None, 0)
+            result = color_cover(G, 2, Fraction(1, 4), None, 0)
             assert bool(result.robust.trace) == (situation == "cut")
-        assert _cover_outcome(colored._color_cover, G, 2, Fraction(1, 4),
+        assert _cover_outcome(color_cover, G, 2, Fraction(1, 4),
                               None, 0) == \
             _cover_outcome(reference_color_cover, G, 2, Fraction(1, 4),
                            None, 0)

@@ -177,8 +177,8 @@ class TestStrictIntegers:
     def test_rational_y_scaled_by_common_denominator(self, octagon):
         # y is read as rationals and kept as y·L, L > 0 the least common
         # denominator of its entries; an integer y reads as it is
-        cert = certify_box(TOY, octagon, Fraction(1, 100),
-                           AngleBound.of(Fraction(5, 9)))
+        cert = witness_norm(certify_box(TOY, octagon, Fraction(1, 100),
+                                        AngleBound.of(Fraction(5, 9))))
         d = jsonio.certificate_to_json(cert)
         d["null_vectors"][0]["y"] = ["2/3", "-4/9", "0"]
         d["null_vectors"][1]["y"] = ["-6", "4", "2"]
