@@ -1,7 +1,7 @@
-"""Perturbation certificates: enumerate admissible side assignments, derive
-one left-null vector y per class tuple α mod m, shrink the offset box until
-every assignment's system is provably unsolvable (a sign-definite left-null
-functional), and wrap the result in a witness polygon sandwich.
+"""Perturbation certificates: walk the class tuples α mod m and their side
+choices, derive one left-null vector y per class tuple, shrink the offset
+box until every assignment's system is provably unsolvable (a sign-definite
+left-null functional), and wrap the result in a witness polygon sandwich.
 
 A finished certificate states: for every symmetric convex body within δ of
 the witness polygon B, no η-separated realization of the source graph
@@ -19,13 +19,14 @@ per box the factors F_k, R_k of h's range on it (`_box_factors`, once per
 pass over the class tuples). No table outlives the call that built it. y
 comes in closed form from an ℓ×(ℓ+1) integer system read off the tables
 (`_closed_form_null_vector`), with a general elimination only when the
-left null space has dimension ≥ 2. One integer test decides all
-2^(2ℓ+1) side choices of a class tuple at once from y and the box factors
-(`_class_tuple_killed`), so `certify_box` and `sample_verify` build an
-assignment's affine form only where that test fails. `sample_verify`'s
-reject path runs in integers too: t, b(t), the solution x and the solved
-directions stay integers over one common denominator, and a hit becomes
-`Fraction`s only when it is recorded.
+left null space has dimension ≥ 2. One loop of signed sums over y and the
+box factors (`_half_sums`) gives h's range for every side choice of a class
+tuple: `_class_tuple_killed` decides all 2^(2ℓ+1) of them at once, so
+`certify_box` and `sample_verify` build an assignment's affine form only
+where that test fails, and `NormCertificate.kills` reads each record's sign
+from the same sums. `sample_verify`'s reject path runs in integers too: t,
+b(t), the solution x and the solved directions stay integers over one
+common denominator, and a hit becomes `Fraction`s only when it is recorded.
 """
 
 from __future__ import annotations
@@ -88,39 +89,6 @@ class CertifierError(RuntimeError):
 # sides (0-based side ids in [0, 2m)), no two values in the same opposite
 # pair.
 Assignment = tuple[int, ...]
-
-
-def enumerate_admissible(ell: int, m: int) -> Iterator[Assignment]:
-    """All admissible assignments of 2ℓ+1 items to 2m sides, in lexicographic
-    order; empty when 2ℓ+1 > m.
-
-    The recursion yields the 3840 assignments of ℓ = 2, m = 5 in 3.1 ms
-    (best of 30, Python 3.11, 2 cores); cProfile overstates the cost of its
-    nested generator frames. A flat `permutations(range(2m))` filter takes
-    12 ms, and sorting a product of class injections and side bits builds
-    every assignment up front, so the recursion stays.
-    """
-    count = 2 * ell + 1
-    if count > m:
-        return
-    used = [False] * m
-    alpha: list[int] = []
-
-    def rec():
-        if len(alpha) == count:
-            yield tuple(alpha)
-            return
-        for side in range(2 * m):
-            cls = side % m
-            if used[cls]:
-                continue
-            used[cls] = True
-            alpha.append(side)
-            yield from rec()
-            alpha.pop()
-            used[cls] = False
-
-    yield from rec()
 
 
 @dataclass(frozen=True)
@@ -314,6 +282,15 @@ def _side_choices(classes: tuple[int, ...], m: int) -> Iterator[Assignment]:
             for bits in itertools.product((0, 1), repeat=len(classes)))
 
 
+def enumerate_admissible(ell: int, m: int) -> Iterator[Assignment]:
+    """All admissible assignments of 2ℓ+1 items to 2m sides, in lexicographic
+    order: the merge of every class tuple's `_side_choices`, the walk that
+    `certify_box`, `NormCertificate.kills` and `sample_verify` run class
+    tuple by class tuple. Empty when 2ℓ+1 > m."""
+    return heapq.merge(*(_side_choices(classes, m) for classes
+                         in itertools.permutations(range(m), 2 * ell + 1)))
+
+
 def _det(rows: list[list[int]]) -> int:
     """Determinant of a small square integer matrix, by cofactors along the
     first row."""
@@ -426,12 +403,11 @@ def _box_factors(B1: SymmetricPolygon, box: OffsetBox) -> Factors:
             [Dc * (b - a) for a, b in zip(lo, hi)])
 
 
-def _side_choice_ranges(ys: Sequence[int], classes: tuple[int, ...],
-                        factors: Factors) -> tuple[list[int], int]:
-    """The range of h = yᵀb(t) on the box for every side choice of the
-    class tuple, from the integer y and the box's `_box_factors`:
-    (mids, radius), one mid per side choice in `_side_choices` order, with
-    h·2·Dc·D ranging over [mid − radius, mid + radius].
+def _half_sums(ys: Sequence[int], classes: tuple[int, ...],
+               factors: Factors) -> tuple[list[int], int]:
+    """The mids of h·2·Dc·D for the side choices with ε₀ = +1, in
+    `_side_choices` order, and the radius, from the integer y and the box's
+    `_box_factors`.
 
     A side choice multiplies each yᵢ by εᵢ = ±1, so the mid is Σ εᵢyᵢ·F_k
     and the radius Σ |yᵢ|·R_k (k = classes[i], one term per coordinate
@@ -439,27 +415,32 @@ def _side_choice_ranges(ys: Sequence[int], classes: tuple[int, ...],
     """
     F, R = factors
     radius = sum(abs(yi) * R[k] for yi, k in zip(ys, classes))
-    # the first side bit is the most significant, so the last term doubles first
-    mids = [0]
-    for yi, k in zip(reversed(ys), reversed(classes)):
+    # side bit 1 is the most significant, so the last term doubles first
+    half = [ys[0] * F[classes[0]]]
+    for yi, k in zip(reversed(ys[1:]), reversed(classes[1:])):
         a = yi * F[k]
-        mids = [v + a for v in mids] + [v - a for v in mids]
-    return mids, radius
+        half = [v + a for v in half] + [v - a for v in half]
+    return half, radius
+
+
+def _side_choice_ranges(ys: Sequence[int], classes: tuple[int, ...],
+                        factors: Factors) -> tuple[list[int], int]:
+    """The range of h = yᵀb(t) on the box for every side choice of the
+    class tuple: (mids, radius), one mid per side choice in `_side_choices`
+    order, with h·2·Dc·D ranging over [mid − radius, mid + radius].
+    Choice H + i flips every ε of choice H − 1 − i (H = 2^(2ℓ)), so the
+    second half is the `_half_sums` negated in reverse order."""
+    half, radius = _half_sums(ys, classes, factors)
+    return half + [-v for v in reversed(half)], radius
 
 
 def _class_tuple_killed(ys: Sequence[int], classes: tuple[int, ...],
                         factors: Factors) -> bool:
     """Whether h = yᵀb(t) is sign-definite on the box for every side choice
-    of the class tuple: |mid| > radius for each (`_side_choice_ranges`).
-    ε and −ε give the same |mid|, so ε₀ = +1 and half the mids decide. A
-    tie is not killed."""
-    F, R = factors
-    radius = sum(abs(yi) * R[k] for yi, k in zip(ys, classes))
-    mids = [ys[0] * F[classes[0]]]
-    for yi, k in zip(ys[1:], classes[1:]):
-        a = yi * F[k]
-        mids = [v + a for v in mids] + [v - a for v in mids]
-    return min(map(abs, mids)) > radius
+    of the class tuple: |mid| > radius for each. ε and −ε give the same
+    |mid|, so the `_half_sums` decide. A tie is not killed."""
+    half, radius = _half_sums(ys, classes, factors)
+    return min(map(abs, half)) > radius
 
 
 def kill_assignment(alpha: Assignment, functional: Functional,
@@ -500,7 +481,8 @@ def kill_assignment(alpha: Assignment, functional: Functional,
 class NormCertificate:
     """`null_vectors` is the evidence: (class tuple α mod m, y) with y an
     integer left-null vector of A, one per class tuple, in the order certify
-    first met them. `kills` derives every assignment's record from it.
+    first met them; it is empty exactly when 2ℓ+1 > m, where no class tuple
+    exists. `kills` derives every assignment's record from it.
 
     The witness fields are None on the construction-stage certificate that
     `certify_box` returns; `witness_norm` fills them. Only a witnessed
@@ -511,7 +493,6 @@ class NormCertificate:
     null_vectors: NullVectors
     system: DependenceSystem
     eta: AngleBound
-    degenerate: bool = False  # no admissible assignment existed
     witness_in: Optional[SymmetricPolygon] = None
     witness_mid: Optional[SymmetricPolygon] = None
     witness_out: Optional[SymmetricPolygon] = None
@@ -565,9 +546,9 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
     Each box's `_box_factors` are computed once, after each shrink, and
     shared by every class-tuple test on that box. On the pipeline system
     (decagon, δ₀ = 1/64) this takes 2.5 ms (best of 15, Python 3.11, 2
-    cores). A flat walk of `enumerate_admissible` that skips assignments of
-    proven class tuples gives the same box in 8.5 ms without its final
-    recheck, so the merge stays.
+    cores). A flat walk over every assignment in lexicographic order that
+    skips those of proven class tuples gives the same box in 8.5 ms without
+    its final recheck, so the merge stays.
     """
     if not B1.is_eta_short(eta):
         raise CertifierError("polygon sides are not η-short")
@@ -595,7 +576,7 @@ def certify_box(S: DependenceSystem, B1: SymmetricPolygon,
         if successor is not None:
             heapq.heappush(pending, (successor, classes))
     cert = NormCertificate(polygon=B1, box=box, null_vectors=tuple(firsts.items()),
-                           system=S, eta=eta, degenerate=not firsts)
+                           system=S, eta=eta)
     # every class tuple on the final box: the one self-check of the walk
     if not all(_class_tuple_killed(y, classes, factors)
                for classes, y in firsts.items()):

@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 verified failure (contract/check/counterexample),
 `--oracle`; and `check` with only one of `--oracle` and `--eps`), 3
 malformed input payload (a JSON file that does not describe a valid object
 of its kind, including a certificate that is not schema 2, lacks its
-witness or δ, or has a box or witness polygon whose side-pair count
-differs from its polygon's). Every certificate `certify` and `pipeline`
+witness or δ, has a box or witness polygon whose side-pair count differs
+from its polygon's, or has a `"degenerate"` flag other than the boolean
+2ℓ+1 > m). Every certificate `certify` and `pipeline`
 write carries its witness and δ. Module
 failures and malformed payloads emit a structured error JSON on stdout;
 `pipeline` writes no file when it fails.

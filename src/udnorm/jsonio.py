@@ -8,23 +8,26 @@ certificate payload is schema 2: `"schema": 2` and a `"null_vectors"`
 table of `{"classes": [...], "y": [...]}` entries, one per class tuple,
 plus the witness sandwich (`"witness"`: the `in`, `mid` and `out`
 polygons) and its margin `"delta"`, which are required: without them a
-certificate states nothing. Kill records are not serialized, the checker
-derives them. The y entries are rational strings on the wire, and
-integers in memory: certify derives integer y, which
-`certificate_to_json` writes with `str`, and `certificate_from_json` is
-the one place a payload's y is scaled, by the positive common denominator
-L of its entries, which keeps y ≠ 0, yᵀA = 0 and the sign of every
-h = yᵀb(t). It reads each entry as a reduced integer pair
-(`ratlin.ratio_from_str`, which `rat_from_str` wraps, so both accept the
-same strings) and builds no `Fraction`. Every reader (`read_json` and
-each `*_from_json`) raises `PayloadError` on a payload that does not
-describe a valid object of its kind, including a certificate without
-`"schema": 2`, without its witness or δ, or with a box or witness polygon
-whose side-pair count differs from its polygon's; an integer field
-holding a float, string or boolean; a list field (a y, a box bound, a
-polygon's normals or offsets, a normal pair) holding anything but a JSON
-array; a polygon whose normals and offsets differ in number; and a point,
-normal or direction that is not exactly two rationals.
+certificate states nothing. Its `"degenerate"` flag is derived, not
+stored: the writer puts 2ℓ+1 > m, and the reader requires exactly that
+boolean. Kill records are not serialized, the checker derives them. The
+y entries are rational strings on the wire, and integers in memory:
+certify derives integer y, which `certificate_to_json` writes with
+`str`, and `certificate_from_json` is the one place a payload's y is
+scaled, by the positive common denominator L of its entries, which keeps
+y ≠ 0, yᵀA = 0 and the sign of every h = yᵀb(t). It reads each entry as
+a reduced integer pair (`ratlin.ratio_from_str`, which `rat_from_str`
+wraps, so both accept the same strings) and builds no `Fraction`. Every
+reader (`read_json` and each `*_from_json`) raises `PayloadError` on a
+payload that does not describe a valid object of its kind, including a
+certificate without `"schema": 2`, without its witness or δ, with a box
+or witness polygon whose side-pair count differs from its polygon's, or
+with a `"degenerate"` flag other than 2ℓ+1 > m; an integer field (a
+polygon's `"m"` included) holding a float, string or boolean; a list
+field (a y, a box bound, a polygon's normals or offsets, a normal pair)
+holding anything but a JSON array; a polygon whose normals and offsets
+differ in number; and a point, normal or direction that is not exactly
+two rationals.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ def polygon_from_json(d: dict) -> SymmetricPolygon:
         raise ValueError(f"{len(normals)} normals but {len(offsets)} offsets")
     B = SymmetricPolygon.from_pairs(
         (_unvec(n), rat_from_str(c)) for n, c in zip(normals, offsets))
-    if "m" in d and d["m"] != B.m:
+    if "m" in d and _wire_int(d["m"]) != B.m:
         raise ValueError("polygon side-pair count does not match payload")
     return B
 
@@ -250,7 +253,7 @@ def certificate_to_json(cert: NormCertificate) -> dict:
         "box": box_to_json(cert.box),
         "system": system_to_json(cert.system),
         "eta_sin_sq": rat_to_str(cert.eta.sin_sq),
-        "degenerate": cert.degenerate,
+        "degenerate": 2 * cert.system.ell + 1 > cert.polygon.m,
         "null_vectors": [
             {"classes": [k + 1 for k in classes],
              "y": [str(v) for v in y]}
@@ -269,9 +272,10 @@ def certificate_to_json(cert: NormCertificate) -> dict:
 def certificate_from_json(d: dict) -> NormCertificate:
     if d.get("schema") != 2 or type(d["schema"]) is not int:
         raise ValueError(f"schema {d.get('schema')!r}, expected 2")
-    if type(d["degenerate"]) is not bool:
-        raise ValueError("degenerate must be true or false")
     polygon = polygon_from_json(d["polygon"])
+    system = system_from_json(d["system"])
+    if d["degenerate"] is not (2 * system.ell + 1 > polygon.m):
+        raise ValueError("degenerate must be true exactly when 2ℓ+1 > m")
     box = box_from_json(d["box"])
     b_in, b_mid, b_out = (polygon_from_json(d["witness"][k])
                           for k in ("in", "mid", "out"))
@@ -287,9 +291,8 @@ def certificate_from_json(d: dict) -> NormCertificate:
              _wire_null_vector(e["y"]))
             for e in d["null_vectors"]
         ),
-        system=system_from_json(d["system"]),
+        system=system,
         eta=AngleBound(rat_from_str(d["eta_sin_sq"])),
-        degenerate=d["degenerate"],
         witness_in=b_in,
         witness_mid=b_mid,
         witness_out=b_out,

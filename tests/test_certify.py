@@ -689,6 +689,21 @@ class TestClassTupleTest:
         factors = certify._box_factors(B, box)
         assert certify._class_tuple_killed(y, classes, factors) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(class_tuple_boxes())
+    def test_side_choice_ranges_match_bounds_on(self, case):
+        # mid ∓ radius is 2·Dc·D times each side choice's exact range
+        B, classes, y, box = case
+        scale = 2 * B.scaled[0] * box.scaled[0]
+        mids, radius = certify._side_choice_ranges(
+            y, classes, certify._box_factors(B, box))
+        alphas = list(certify._side_choices(classes, B.m))
+        assert len(mids) == len(alphas) == 2 ** len(classes)
+        for alpha, mid in zip(alphas, mids):
+            lo, hi, den = reference_form(B, alpha, y)._bounds_on(box)
+            assert Fraction(mid - radius, scale) == Fraction(lo, den)
+            assert Fraction(mid + radius, scale) == Fraction(hi, den)
+
 
 def reference_certify_box(S, B1, delta0, eta):
     """certify_box as one kill_assignment per assignment in lexicographic
@@ -702,7 +717,7 @@ def reference_certify_box(S, B1, delta0, eta):
         y = firsts[tuple(a % m for a in alpha)]
         box, _ = kill_assignment(alpha, (y, reference_form(B1, alpha, y)), box)
     return NormCertificate(polygon=B1, box=box, null_vectors=tuple(firsts.items()),
-                           system=S, eta=eta, degenerate=not firsts)
+                           system=S, eta=eta)
 
 
 def _random_systems(count, seed=11):
@@ -751,7 +766,6 @@ class TestCertifyBox:
     def test_octagon(self, octagon):
         cert = _toy_certificate(octagon, ETA_OCT, with_witness=False)
         assert len(cert.kills) == 192
-        assert not cert.degenerate
         # one null vector per class tuple, in the order certify met them
         first_met = list(dict.fromkeys(
             tuple(a % 4 for a in rec.alpha) for rec in cert.kills))
@@ -779,7 +793,6 @@ class TestCertifyBox:
         wide = DependenceSystem(ell=2, indices=(1, 2, 3, 4, 5),
                                 coeffs=((1, 1), (1, -1), (2, 1)))
         cert = certify_box(wide, octagon, Fraction(1, 100), ETA_OCT)
-        assert cert.degenerate
         assert cert.kills == () == cert.null_vectors
 
     def test_idempotent(self, octagon):
@@ -827,7 +840,7 @@ def _homothetic_witness():
                     tuple(Fraction(c, 4) for c in lengths))
     return B, witness_norm(NormCertificate(
         polygon=B, box=box, null_vectors=(), system=TOY,
-        eta=AngleBound.of(Fraction(2, 5)), degenerate=True))
+        eta=AngleBound.of(Fraction(2, 5))))
 
 
 def _scaled(B, k):
@@ -906,7 +919,7 @@ class TestCorrectnessChecks:
         object.__setattr__(box, "lo", flat)
         object.__setattr__(box, "hi", flat)
         cert = NormCertificate(polygon=square(), box=box, null_vectors=(),
-                               system=TOY, eta=AngleBound.of(1), degenerate=True)
+                               system=TOY, eta=AngleBound.of(1))
         with pytest.raises(CertifierError, match="margin"):
             witness_norm(cert)
 

@@ -68,7 +68,7 @@ class TestValidCertificates:
                          for i in range(ell + 1)))
         cert = witness_norm(certify_box(wide, octagon, Fraction(1, 100),
                                         AngleBound.of(Fraction(5, 9))))
-        assert cert.degenerate
+        assert cert.null_vectors == ()
         payload = jsonio.certificate_to_json(cert)
         guarded = mock.Mock(wraps=itertools, product=bounded_product)
         with mock.patch.object(checker, "itertools", guarded):
@@ -665,7 +665,7 @@ class TestWitnessSandwich:
         box = OffsetBox(lo, hi)
         cert = NormCertificate(
             polygon=octagon, box=box, null_vectors=(), system=WIDE,
-            eta=AngleBound.of(1), degenerate=True,
+            eta=AngleBound.of(1),
             witness_in=_unvalidated(octagon, lo),
             witness_mid=_unvalidated(octagon, box.center()),
             witness_out=_unvalidated(octagon, hi), delta=Fraction(1, 300))
@@ -758,24 +758,6 @@ class TestBoundaries:
         for larger in (delta + Fraction(1, 10**9), 2 * delta):
             rep = check_certificate(_tamper(cert, delta=larger))
             assert rep.failures == ["margin δ too large for side pair 0"]
-
-    def test_degenerate_flag_missing(self, octagon):
-        # 2ℓ+1 = 5 > m = 4: no class tuple exists
-        cert = witness_norm(certify_box(WIDE, octagon, Fraction(1, 100),
-                                        AngleBound.of(Fraction(5, 9))))
-        rep = check_certificate(_tamper(cert, degenerate=False))
-        assert rep.failures == ["no admissible assignments exist but "
-                                "certificate is not flagged degenerate"]
-
-    @pytest.mark.parametrize("name", ["oct_cert", "decagon_cert"])
-    def test_degenerate_flag_with_class_tuples(self, request, name):
-        # the octagon has 2ℓ+1 < m; the pipeline decagon has 2ℓ+1 = m, the
-        # fewest side pairs that admit a class tuple
-        cert = witness_norm(request.getfixturevalue(name))
-        assert check_certificate(cert).ok
-        rep = check_certificate(_tamper(cert, degenerate=True))
-        assert rep.failures == ["certificate flagged degenerate despite "
-                                "admissible assignments"]
 
     @pytest.mark.parametrize("low, killed", [(0, False), (1, True)])
     def test_fallback_range_ends(self, low, killed):

@@ -396,6 +396,10 @@ def _eta_three_halves(payload):
     payload["eta_sin_sq"] = "3/2"
 
 
+def _degenerate_flipped(payload):
+    payload["degenerate"] = not payload["degenerate"]
+
+
 def _short_polygon_offsets(polygon):
     del polygon["m"]
     polygon["offsets"].pop()
@@ -472,9 +476,9 @@ class TestMalformedPayload:
 
     @pytest.mark.parametrize(
         "mutate", [_drop_box, _zero_delta, _scalar_null_vectors, _schema_1,
-                   _eta_zero, _eta_three_halves],
+                   _eta_zero, _eta_three_halves, _degenerate_flipped],
         ids=["missing-box", "delta-1/0", "null-vectors-scalar", "schema-1",
-             "eta-0", "eta-3/2"])
+             "eta-0", "eta-3/2", "degenerate-flipped"])
     def test_check_reports_payload_error(self, tmp_path, mutate):
         cert = witness_norm(certify_box(TOY, octagon(), Fraction(1, 100),
                                         AngleBound.of(Fraction(5, 9))))

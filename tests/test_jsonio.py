@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import octagon, random_polygon
 from udnorm import jsonio
 from udnorm.certify import certify_box, sample_verify, witness_norm
+from udnorm.cli import pipeline_decagon
 from udnorm.colored import EdgeColoredGraph, color_cover
 from udnorm.dependence import DependenceSystem
 from udnorm.norms import AngleBound, NormOracle, square
@@ -19,6 +20,10 @@ from udnorm.ratlin import over_common_denominator, rat_from_str
 from udnorm.udg import build_udg
 
 TOY = DependenceSystem(ell=1, indices=(1, 2, 3), coeffs=((2,), (-1,)))
+PIPELINE_SYSTEM = DependenceSystem(ell=2, indices=(4, 5, 1, 2, 3),
+                                   coeffs=((4, -3), (3, -2), (2, -1)))
+WIDE = DependenceSystem(ell=2, indices=(1, 2, 3, 4, 5),
+                        coeffs=((1, 1), (1, -1), (2, 1)))
 
 
 class TestRoundTrips:
@@ -195,6 +200,49 @@ def _certificate():
 
 def _polygon():
     return jsonio.polygon_to_json(octagon())
+
+
+def _pipeline_certificate():
+    """The certificate `udnorm pipeline` writes at its defaults: the
+    decagon, whose m = 5 is the fewest side pairs with a class tuple at
+    ℓ = 2."""
+    return jsonio.certificate_to_json(witness_norm(certify_box(
+        PIPELINE_SYSTEM, pipeline_decagon(), Fraction(1, 64),
+        AngleBound.of(Fraction(2, 5)))))
+
+
+def _wide_certificate():
+    """WIDE on the octagon: 2ℓ+1 = 5 > m = 4, so no class tuple exists."""
+    return jsonio.certificate_to_json(witness_norm(certify_box(
+        WIDE, octagon(), Fraction(1, 100), AngleBound.of(Fraction(5, 9)))))
+
+
+class TestCertificateCounts:
+    @pytest.mark.parametrize("where", [["polygon"], ["witness", "in"],
+                                       ["witness", "mid"], ["witness", "out"]],
+                             ids=["polygon", "in", "mid", "out"])
+    def test_whole_number_float_m_is_payload_error(self, where):
+        # 5.0 == 5, so only the type tells a float from the JSON integer
+        payload = _pipeline_certificate()
+        jsonio.certificate_from_json(payload)  # the unchanged payload reads
+        polygon = _get(payload, where)
+        assert polygon["m"] == 5
+        polygon["m"] = float(polygon["m"])
+        with pytest.raises(jsonio.PayloadError, match="not an integer: 5.0"):
+            jsonio.certificate_from_json(payload)
+
+    @pytest.mark.parametrize("build, degenerate", [
+        (_certificate, False), (_pipeline_certificate, False),
+        (_wide_certificate, True)], ids=["2l+1<m", "2l+1=m", "2l+1>m"])
+    def test_degenerate_flag_must_be_2l_plus_1_above_m(self, build, degenerate):
+        payload = build()
+        assert payload["degenerate"] is degenerate
+        jsonio.certificate_from_json(payload)  # the unchanged payload reads
+        # the flipped flag, and the right value as a JSON integer
+        for wrong in (not degenerate, int(degenerate)):
+            payload["degenerate"] = wrong
+            with pytest.raises(jsonio.PayloadError, match="2ℓ\\+1 > m"):
+                jsonio.certificate_from_json(payload)
 
 
 # (reader, payload, where a list sits on the wire)
