@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dependence import DependenceSystem
 from .norms import (
@@ -258,22 +258,6 @@ def _functional(sides: Sequence[int], y: Sequence[int],
     g = math.gcd(num, D)
     s = D // g
     return AffineForm._reduced(num // g, tuple([c * s for c in nums]), s)
-
-
-def _assignment_functionals(
-        B1: SymmetricPolygon,
-        null_spaces: dict[tuple[int, ...], Sequence[tuple[int, ...]]],
-        alphas: Iterable[Assignment]
-) -> Iterator[tuple[Assignment, tuple[int, ...], list[Functional]]]:
-    """(α, α mod m, [(y, h = yᵀb)]) per assignment α of `alphas`, one pair
-    per integer y that `null_spaces` maps α's class tuple to; the side
-    choice only flips signs in h (`_functional`)."""
-    m = B1.m
-    offsets = B1.scaled[::2]  # (D, offsets·D)
-    for alpha in alphas:
-        classes = tuple(a % m for a in alpha)
-        yield alpha, classes, [(y, _functional(alpha, y, offsets))
-                               for y in null_spaces[classes]]
 
 
 def _side_choices(classes: tuple[int, ...], m: int) -> Iterator[Assignment]:
@@ -804,9 +788,10 @@ def sample_verify(cert: NormCertificate, trials: int, seed: int = 0) -> VerifyRe
     # with several independent functionals a root of one must still zero the
     # others, so those assignments stay open for the random pass)
     open_systems = []
-    for alpha, classes, functionals in _assignment_functionals(
-            B1, null_spaces, undecided):
-        hforms = [h for _, h in functionals]
+    offsets = B1.scaled[::2]  # (D, offsets·D)
+    for alpha in undecided:
+        classes = tuple(a % m for a in alpha)
+        hforms = [_functional(alpha, y, offsets) for y in null_spaces[classes]]
         for h in hforms:
             if h.sign_on(box):
                 continue  # sign-definite: no root in the box

@@ -23,8 +23,9 @@ coefficient rows alone (no construction code paths). The checker proves:
 - The kills: per class tuple, one exact integer test decides whether
   h = yᵀb(t) is sign-definite on the box for all 2^(2ℓ+1) side choices at
   once, from y and the box factors F_k, R_k (`_box_factors`, computed once
-  per check); a class tuple that fails it, or has no usable table entry, is
-  checked side choice by side choice, so each failing assignment is named.
+  per check). A class tuple that fails it names each side choice whose
+  range meets 0, read off the same sums; one without a usable table entry
+  names every side choice.
 - The sandwich: B_in, B and B_out are `offset_polygon(B₁, ·)` at lo, the
   center and hi of the box, so every side is facet-defining.
 - The margin rule 2δ‖nᵢ‖ ≤ hiᵢ − loᵢ, which puts B′ between B_in and B_out.
@@ -82,7 +83,8 @@ class CheckReport:
 def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
                        entries) -> dict:
     """class tuple ↦ its integer y when y ≠ 0 and yᵀA = 0, else the reason
-    y kills nothing. A malformed entry fails naming its class tuple as the
+    y kills nothing, as the prefix of the message that names each of its
+    assignments. A malformed entry fails naming its class tuple as the
     assignment with every side in the first half."""
     arity = 2 * S.ell + 1
     m = B.m
@@ -105,16 +107,16 @@ def _null_vector_table(report: CheckReport, B: SymmetricPolygon, S,
         elif classes in table:
             report.fail(f"duplicate null vector for class tuple {classes}", classes)
         elif len(y) != arity:
-            table[classes] = "null vector has wrong length"
+            table[classes] = "null vector has wrong length for assignment"
         elif not any(y):
-            table[classes] = "zero null vector"
+            table[classes] = "zero null vector for assignment"
         else:
             ns = [normals[k] for k in classes]
             parts = ([yi * x for yi, (x, _) in zip(y, ns)],
                      [yi * v for yi, (_, v) in zip(y, ns)])
             table[classes] = y if all(
                 sum(map(operator.mul, col, part)) == 0
-                for col in columns for part in parts) else "yᵀA ≠ 0"
+                for col in columns for part in parts) else "yᵀA ≠ 0 for assignment"
     return table
 
 
@@ -147,20 +149,25 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
         report.fail("base polygon sides are not η-short")
 
     table = _null_vector_table(report, B1, S, cert.null_vectors)
-    offsets = B1.scaled[::2]  # (D, offsets·D)
-    D, ints = over_common_denominator(box_lo + box_hi)
-    box = D, ints[:m], ints[m:]
-    factors = _box_factors(offsets, box)
+    factors = _box_factors(B1, box_lo, box_hi)
     # independent enumeration of the admissible assignments: injections into
     # opposite-pair classes times a side choice per item
     count = 2 * S.ell + 1
     for classes in itertools.permutations(range(m), count):
-        ys = table.get(classes)
-        if isinstance(ys, tuple) and _class_tuple_killed(factors, classes, ys):
-            continue
-        for sides in itertools.product((0, 1), repeat=count):
-            _check_kill(report, offsets, box,
-                        tuple(c + m * s for c, s in zip(classes, sides)), ys)
+        y = table.get(classes, "no null vector for the class tuple of")
+        if isinstance(y, str):
+            reason, failing = y, itertools.repeat(True)
+        else:
+            half, radius = _half_sums(factors, classes, y)
+            if min(map(abs, half)) > radius:
+                continue
+            # choice H + i is choice H − 1 − i negated: the same |mid|
+            reason = "functional not sign-definite on the box for"
+            failing = [abs(v) <= radius for v in half + half[::-1]]
+        for sides in itertools.compress(
+                itertools.product((0, 1), repeat=count), failing):
+            _check_kill(report, reason,
+                        tuple(c + m * s for c, s in zip(classes, sides)))
 
     if None in (cert.witness_in, cert.witness_mid, cert.witness_out,
                 cert.delta):
@@ -177,57 +184,42 @@ def check_certificate(cert, oracle: Optional[NormOracle] = None,
     return report
 
 
-def _box_factors(offsets, box):
-    """(F, R) per coordinate k, over the offsets' denominator Dc and the
-    box's D (c_k, lo_k, hi_k already scaled): F_k = 2·c_k·D + Dc·(lo_k + hi_k)
-    and R_k = Dc·(hi_k − lo_k), computed once per check."""
-    (Dc, cs), (D, box_lo, box_hi) = offsets, box
-    return ([2 * c * D + Dc * (a + b) for c, a, b in zip(cs, box_lo, box_hi)],
-            [Dc * (b - a) for a, b in zip(box_lo, box_hi)])
+def _box_factors(B: SymmetricPolygon, lo, hi):
+    """(F, R) per coordinate k of the box [lo, hi], over the offsets'
+    denominator Dc and the box's common denominator D (c_k, lo_k, hi_k
+    scaled by them): F_k = 2·c_k·D + Dc·(lo_k + hi_k) and
+    R_k = Dc·(hi_k − lo_k), computed once per check."""
+    (Dc, _, cs), m = B.scaled, B.m
+    D, ints = over_common_denominator(lo + hi)
+    return ([2 * c * D + Dc * (a + b) for c, a, b in zip(cs, ints[:m], ints[m:])],
+            [Dc * (b - a) for a, b in zip(ints[:m], ints[m:])])
 
 
-def _class_tuple_killed(factors, classes, ys) -> bool:
-    """h = yᵀb(t) is sign-definite on the box for every side choice of the
-    class tuple, y given as the integers ys and the box as its
+def _half_sums(factors, classes, ys) -> tuple[list[int], int]:
+    """The mids of 2·h·Dc·D = 2·yᵀb(t)·Dc·D on the box for the side choices
+    of the class tuple with ε₀ = +1, in `itertools.product` side order, and
+    the radius; y is given as the integers ys and the box as its
     `_box_factors` (F, R).
 
-    A side choice multiplies yᵢ by εᵢ = ±1. Over the offsets' denominator Dc
-    and the box's D, 2·h·Dc·D ranges over Σ εᵢaᵢ ± R with aᵢ = yᵢ·F_k and
-    R = Σ |yᵢ|·R_k, k = classes[i], so it is sign-definite iff
-    |Σ εᵢaᵢ| > R. ε and −ε give the same |Σ εᵢaᵢ|, so ε₀ = +1; a tie fails.
+    A side choice multiplies yᵢ by εᵢ = ±1, so 2·h·Dc·D ranges over
+    mid ± radius with mid = Σ εᵢyᵢ·F_k and radius = Σ |yᵢ|·R_k,
+    k = classes[i]: h is sign-definite iff |mid| > radius, and a tie fails.
+    Choice H + i (H = 2^(2ℓ)) flips every ε of choice H − 1 − i, so the
+    other half of the mids is this half negated in reverse order.
     """
     F, R = factors
     radius = sum(abs(yi) * R[k] for yi, k in zip(ys, classes))
-    sums = [ys[0] * F[classes[0]]]
-    for yi, k in zip(ys[1:], classes[1:]):
+    # side bit 1 is the most significant, so the last term doubles first
+    half = [ys[0] * F[classes[0]]]
+    for yi, k in zip(reversed(ys[1:]), reversed(classes[1:])):
         a = yi * F[k]
-        sums = [v + a for v in sums] + [v - a for v in sums]
-    return min(map(abs, sums)) > radius
+        half = [v + a for v in half] + [v - a for v in half]
+    return half, radius
 
 
-def _check_kill(report: CheckReport, offsets, box, alpha, ys):
-    """α is killed by its class tuple's integer null vector ys: h = yᵀb(t)
-    has a nonzero sign on the box."""
-    if ys is None:
-        report.fail(f"no null vector for the class tuple of {alpha}", alpha)
-        return
-    if isinstance(ys, str):
-        report.fail(f"{ys} for assignment {alpha}", alpha)
-        return
-    # side αᵢ lies on ⟨n, z⟩ = εᵢ(c_k + t_k), k = αᵢ mod m, so over the
-    # offsets' denominator Dc and the box's D, h·Dc·D sums the terms
-    # εᵢyᵢ·(c_k·Dc·D + Dc·t_k·D) with t_k·D between the integers lo_k, hi_k
-    (Dc, cs), (D, box_lo, box_hi) = offsets, box
-    m = len(cs)
-    lo = hi = 0
-    for yi, side in zip(ys, alpha):
-        k = side % m
-        c = yi if side < m else -yi
-        low, high = (box_lo[k], box_hi[k]) if c > 0 else (box_hi[k], box_lo[k])
-        lo += c * (cs[k] * D + Dc * low)
-        hi += c * (cs[k] * D + Dc * high)
-    if not (lo > 0 or hi < 0):
-        report.fail(f"functional not sign-definite on the box for {alpha}", alpha)
+def _check_kill(report: CheckReport, reason: str, alpha):
+    """Report assignment α as not killed, `reason` saying why."""
+    report.fail(f"{reason} {alpha}", alpha)
 
 
 def _check_witness(report: CheckReport, cert):

@@ -363,6 +363,8 @@ def read_json(path: str) -> dict:
             return json.load(fh)
         except ValueError as exc:
             raise PayloadError(f"{path}: not JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise PayloadError(f"{path}: JSON nested too deeply: {exc}") from exc
 
 
 def write_color_csv(path: str, G: DecoratedUDG):

@@ -83,8 +83,12 @@ def rescaled_payload_certificate(cert, scale):
 def assignment_functionals(S, B1):
     """(α, α mod m, [(y, h = yᵀb)]) per admissible assignment, one pair per
     left-null basis vector of its class tuple, in lexicographic order."""
-    return certify._assignment_functionals(
-        B1, certify._null_spaces(S, B1), enumerate_admissible(S.ell, B1.m))
+    null_spaces = certify._null_spaces(S, B1)
+    offsets = B1.scaled[::2]
+    for alpha in enumerate_admissible(S.ell, B1.m):
+        classes = tuple(a % B1.m for a in alpha)
+        yield alpha, classes, [(y, certify._functional(alpha, y, offsets))
+                               for y in null_spaces[classes]]
 
 
 def reference_form(B1, alpha, y):

@@ -505,8 +505,28 @@ def class_tuple_boxes(draw):
     return B, classes, y, lo, hi
 
 
+def _reference_failing(cert):
+    """The assignments of a certificate with a complete table whose Fraction
+    range of h meets 0, in the checker's enumeration order."""
+    B, m = cert.polygon, cert.polygon.m
+    table = dict(cert.null_vectors)
+    failing = []
+    for classes in itertools.permutations(range(m), 2 * cert.system.ell + 1):
+        for sides in itertools.product((0, 1), repeat=len(classes)):
+            low, high = _side_choice_range(B, classes, sides, table[classes],
+                                           cert.box.lo, cert.box.hi)
+            if not (low > 0 or high < 0):
+                failing.append(tuple(c + m * s for c, s in zip(classes, sides)))
+    return failing
+
+
+def _kill_failures(alphas):
+    return [f"functional not sign-definite on the box for {a}" for a in alphas]
+
+
 class TestClassTupleTest:
-    """The checker's class-tuple test against its per-assignment fallback."""
+    """The checker's class-tuple sums against the Fraction range of each
+    side choice, ties at exactly 0 included."""
 
     @staticmethod
     def _box(oct_cert, stretch, moved):
@@ -537,50 +557,48 @@ class TestClassTupleTest:
     @given(st.lists(st.tuples(st.integers(-3, 16), st.integers(-3, 16)),
                     min_size=4, max_size=4),
            st.none() | st.tuples(st.integers(0, 191), st.integers(0, 1)))
-    def test_same_report_as_per_assignment_checks(self, oct_cert, stretch, moved):
-        # with the class-tuple test switched off, every assignment goes
-        # through _check_kill: the report must not change, order included
+    def test_same_report_as_reference(self, oct_cert, stretch, moved):
+        # every assignment whose range meets 0 is named, in enumeration
+        # order, before the witness failures of the stretched box
         bad = _tamper(oct_cert, box=self._box(oct_cert, stretch, moved))
+        want = _reference_failing(bad)
         rep = check_certificate(bad)
-        with mock.patch.object(checker, "_class_tuple_killed",
-                               lambda *args: False):
-            want = check_certificate(bad)
-        assert (rep.ok, rep.failures, rep.failing_alphas) == (
-            want.ok, want.failures, want.failing_alphas)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-3, 16), st.integers(-3, 16)),
-                    min_size=4, max_size=4),
-           st.none() | st.tuples(st.integers(0, 191), st.integers(0, 1)))
-    def test_matches_check_kill(self, oct_cert, stretch, moved):
-        # per class tuple: killed iff no side choice fails _check_kill
-        box = self._box(oct_cert, stretch, moved)
-        m = oct_cert.polygon.m
-        offsets = over_common_denominator(oct_cert.polygon.offsets)
-        D, ints = over_common_denominator(tuple(box.lo) + tuple(box.hi))
-        scaled = D, ints[:m], ints[m:]
-        factors = checker._box_factors(offsets, scaled)
-        for classes, y in oct_cert.null_vectors:
-            report = checker.CheckReport(ok=True)
-            for sides in itertools.product((0, 1), repeat=len(classes)):
-                alpha = tuple(c + m * s for c, s in zip(classes, sides))
-                checker._check_kill(report, offsets, scaled, alpha, y)
-            assert checker._class_tuple_killed(factors, classes, y) == report.ok
+        assert rep.failing_alphas == want
+        assert rep.failures[:len(want)] == _kill_failures(want)
 
     @settings(max_examples=200, deadline=None)
     @given(class_tuple_boxes())
-    def test_matches_every_side_choice(self, case):
+    def test_names_every_failing_side_choice(self, case):
         # random class tuples, y and boxes on three polygons, half of them
-        # with a side choice's range ending exactly at 0
+        # with a side choice's range ending exactly at 0: the helper's sums
+        # are the ranges times 2·Dc·D, and the checker names the side
+        # choices whose range meets 0
         B, classes, y, lo, hi = case
-        want = all(low > 0 or high < 0 for low, high in (
-            _side_choice_range(B, classes, sides, y, lo, hi)
-            for sides in itertools.product((0, 1), repeat=len(classes))))
-        D, ints = over_common_denominator(lo + hi)
-        factors = checker._box_factors(over_common_denominator(B.offsets),
-                                       (D, ints[:B.m], ints[B.m:]))
-        assert checker._class_tuple_killed(factors, classes, y) == want
-
+        m = B.m
+        choices = list(itertools.product((0, 1), repeat=len(classes)))
+        ranges = [_side_choice_range(B, classes, sides, y, lo, hi)
+                  for sides in choices]
+        scale = 2 * B.scaled[0] * over_common_denominator(lo + hi)[0]
+        half, radius = checker._half_sums(checker._box_factors(B, lo, hi),
+                                          classes, y)
+        assert [(mid - radius, mid + radius)
+                for mid in half + [-v for v in reversed(half)]] == [
+            (low * scale, high * scale) for low, high in ranges]
+        cert = NormCertificate(
+            polygon=B, box=OffsetBox(tuple(lo), tuple(hi)), null_vectors=(),
+            system={1: TOY, 2: WIDE}[len(classes) // 2], eta=AngleBound.of(1))
+        # the table holds y for this class tuple alone, and the enumeration
+        # meets no other
+        only = mock.Mock(wraps=itertools, permutations=lambda *_: [classes])
+        with mock.patch.object(checker, "_null_vector_table",
+                               return_value={classes: y}), \
+                mock.patch.object(checker, "itertools", only):
+            rep = check_certificate(cert)
+        want = [tuple(c + m * s for c, s in zip(classes, sides))
+                for sides, (low, high) in zip(choices, ranges)
+                if not (low > 0 or high < 0)]
+        assert rep.failing_alphas == want
+        assert rep.failures[:len(want)] == _kill_failures(want)
 
 
 # --- the witness check: offset polygons, margin rule, trapezoids ------------------
@@ -759,16 +777,29 @@ class TestBoundaries:
             rep = check_certificate(_tamper(cert, delta=larger))
             assert rep.failures == ["margin δ too large for side pair 0"]
 
-    @pytest.mark.parametrize("low, killed", [(0, False), (1, True)])
-    def test_fallback_range_ends(self, low, killed):
-        # m = 1, c = 0 and the box [low, low + 1] over D = 1: side 0's
-        # h·L·Dc·D ranges over [low, low + 1] and side 1's over
-        # [−low − 1, −low], so the integer range ends exactly at 0 or ±1
-        for alpha in ((0,), (1,)):
-            report = checker.CheckReport(ok=True)
-            checker._check_kill(report, (1, (0,)), (1, (low,), (low + 1,)),
-                                alpha, (1,))
-            assert report.ok == killed, (alpha, report.failures)
+    @pytest.mark.parametrize("past", [0, Fraction(1, 10**9)],
+                             ids=["tie", "short-of-tie"])
+    def test_range_end_at_zero(self, oct_cert, past):
+        # record 0's h is negative on the box; one bound moved to make its
+        # range end exactly at 0, or just short of it: a tie is no kill, so
+        # the record's assignment and its mirror, whose range is −h's, are
+        # the class tuple's only failures, and short of the tie it has none
+        rec, m = oct_cert.kills[0], oct_cert.polygon.m
+        lo, hi = list(oct_cert.box.lo), list(oct_cert.box.hi)
+        h = rec.h
+        j = next(j for j, c in enumerate(h.coeffs) if c)
+        c = h.coeffs[j]
+        high = h.const + sum(c * (b if c > 0 else a)
+                             for c, a, b in zip(h.coeffs, lo, hi))
+        assert high < 0
+        (hi if c > 0 else lo)[j] -= (high + past) / c
+        rep = check_certificate(_tamper(oct_cert, box=OffsetBox(
+            OffsetVector(tuple(lo)), OffsetVector(tuple(hi)))))
+        classes = tuple(a % m for a in rec.alpha)
+        named = [a for a in rep.failing_alphas
+                 if tuple(v % m for v in a) == classes]
+        mirror = tuple((a + m) % (2 * m) for a in rec.alpha)
+        assert named == ([] if past else sorted([rec.alpha, mirror]))
 
     @pytest.mark.parametrize("missing", [
         ("witness_in",), ("witness_mid",), ("witness_out",), ("delta",),

@@ -565,6 +565,24 @@ class TestMalformedPayload:
         assert r.returncode == 3
         assert json.loads(r.stdout)["error"] == "malformed-payload"
 
+    @pytest.mark.parametrize("args", [
+        ["check", "--cert"],
+        ["verify", "--cert"],
+        ["certify", "--eta-sin2", "5/9", "--system"],
+        ["gen", "--kind", "subset-sum", "--polygon"],
+    ], ids=["check", "verify", "certify-system", "gen-polygon"])
+    def test_deeply_nested_json(self, tmp_path, args):
+        # the JSON decoder recurses once per nesting level: 200,000 open
+        # brackets overflow the interpreter's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        r = run_cli(*args, str(path))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+        err = json.loads(r.stdout)
+        assert err["error"] == "malformed-payload"
+        assert "nested too deeply" in err["message"]
+
 
 class TestNumberArguments:
     @pytest.mark.parametrize("args", [
