@@ -557,14 +557,41 @@ class TestClassTupleTest:
     @given(st.lists(st.tuples(st.integers(-3, 16), st.integers(-3, 16)),
                     min_size=4, max_size=4),
            st.none() | st.tuples(st.integers(0, 191), st.integers(0, 1)))
-    def test_same_report_as_reference(self, oct_cert, stretch, moved):
-        # every assignment whose range meets 0 is named, in enumeration
-        # order, before the witness failures of the stretched box
+    def test_same_report_as_per_assignment_checks(self, oct_cert, stretch,
+                                                  moved):
+        # every assignment whose Fraction range meets 0 is named, in
+        # enumeration order, before the witness failures of the stretched box
         bad = _tamper(oct_cert, box=self._box(oct_cert, stretch, moved))
         want = _reference_failing(bad)
         rep = check_certificate(bad)
         assert rep.failing_alphas == want
         assert rep.failures[:len(want)] == _kill_failures(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 16), st.integers(-3, 16)),
+                    min_size=4, max_size=4),
+           st.none() | st.tuples(st.integers(0, 191), st.integers(0, 1)))
+    def test_matches_check_kill(self, oct_cert, stretch, moved):
+        # per class tuple: the sums kill it iff no side choice's Fraction
+        # range meets 0, and _check_kill reports exactly the side choices
+        # whose range does, with the not-sign-definite reason
+        box = self._box(oct_cert, stretch, moved)
+        B, m = oct_cert.polygon, oct_cert.polygon.m
+        lo, hi = list(box.lo), list(box.hi)
+        factors = checker._box_factors(B, lo, hi)
+        for classes, y in oct_cert.null_vectors:
+            half, radius = checker._half_sums(factors, classes, y)
+            killed = all(low > 0 or high < 0 for low, high in (
+                _side_choice_range(B, classes, sides, y, lo, hi)
+                for sides in itertools.product((0, 1), repeat=len(classes))))
+            assert (min(map(abs, half)) > radius) == killed, classes
+        bad = _tamper(oct_cert, box=box)
+        with mock.patch.object(checker, "_check_kill",
+                               wraps=checker._check_kill) as kill:
+            check_certificate(bad)
+        assert [c.args[1:] for c in kill.call_args_list] == [
+            ("functional not sign-definite on the box for", alpha)
+            for alpha in _reference_failing(bad)]
 
     @settings(max_examples=200, deadline=None)
     @given(class_tuple_boxes())
